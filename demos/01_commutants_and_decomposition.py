@@ -46,7 +46,7 @@ print("=" * 72)
 T = operator_tuple([sla.block_diag(jordan(2), jordan(2), jordan(3, 1.0)).astype(complex)])
 A = joint_commutant(T)
 rad = radical(A)
-S = semisimple_structure(A)
+S = semisimple_structure(T)
 print(f"  T = J_2(0) (+) J_2(0) (+) J_3(1):  dim A' = {A.algebra_dim}, "
       f"radical dim = {rad.shape[0]}")
 print(f"  simple blocks of A'/rad: sizes {S.block_dims}")

@@ -10,8 +10,6 @@ import scipy.linalg as sla
 
 from .policy import NumericalDegeneracyError
 
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-
 
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
@@ -49,9 +47,8 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def rank_cut(s: np.ndarray, dim: int, rtol: float, floor: float = 0.0,
-             scale: float = 0.0) -> int:
-    """Number of singular values above ``max(dim*rtol, floor) * max(s_max, scale)``.
+def rank_cut(s: np.ndarray, dim: int, rtol: float, scale: float = 0.0) -> int:
+    """Number of singular values above ``dim * rtol * max(s_max, scale)``.
 
     ``scale`` is the natural magnitude of the input data; supplying it keeps
     the threshold meaningful when the matrix itself is numerically zero.
@@ -64,7 +61,7 @@ def rank_cut(s: np.ndarray, dim: int, rtol: float, floor: float = 0.0,
     smax = max(float(s.max()), scale)
     if smax == 0.0:
         return 0
-    tau = max(dim * rtol, floor) * smax
+    tau = dim * rtol * smax
     straddle = (s > tau / 10.0) & (s < tau * 10.0)
     if np.any(straddle):
         raise NumericalDegeneracyError(
@@ -74,18 +71,13 @@ def rank_cut(s: np.ndarray, dim: int, rtol: float, floor: float = 0.0,
     return int(np.sum(s > tau))
 
 
-def nullspace(M: np.ndarray, rtol: float, use_gram: bool = False,
-              strict: bool = True, scale: float = 0.0,
+def nullspace(M: np.ndarray, rtol: float, strict: bool = True, scale: float = 0.0,
               rank_dim: int | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of ``M``.
 
-    The default path is a (possibly tall) SVD, which resolves true zeros down
-    to ~1e-13 relative and leaves many decades of margin to the threshold
-    ``rank_dim * rtol * sigma_max``. ``use_gram=True`` solves the Hermitian
-    eigenproblem of ``M* M`` instead; cheaper for very tall stacks, but
-    singular values below ``sqrt(eps)*sigma_max`` become unresolvable and the
-    threshold floors there — do not use it when the genuinely nonzero
-    singular values can approach that floor.
+    Computed by a (possibly tall) SVD, which resolves true zeros down to
+    ~1e-13 relative and leaves many decades of margin to the threshold
+    ``rank_dim * rtol * sigma_max``.
 
     ``rank_dim`` is the multiplier in the threshold (defaults to
     ``max(rows, cols)``); ``scale`` floors sigma_max (see :func:`rank_cut`);
@@ -95,24 +87,15 @@ def nullspace(M: np.ndarray, rtol: float, use_gram: bool = False,
     rows, cols = M.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=complex)
-    if use_gram:
-        G = M.conj().T @ M
-        w, V = np.linalg.eigh(G)
-        s = np.sqrt(np.clip(w, 0.0, None))[::-1]       # descending
-        V = V[:, ::-1]
-        floor = 8.0 * _SQRT_EPS
-    else:
-        _, sv, Vh = svd_robust(M, full_matrices=(rows < cols))
-        s = np.concatenate([sv, np.zeros(cols - sv.size)])
-        V = Vh.conj().T
-        floor = 0.0
+    _, sv, Vh = svd_robust(M, full_matrices=(rows < cols))
+    s = np.concatenate([sv, np.zeros(cols - sv.size)])
+    V = Vh.conj().T
     dim = max(rows, cols) if rank_dim is None else rank_dim
     if strict:
-        r = rank_cut(s, dim, rtol, floor=floor, scale=scale)
+        r = rank_cut(s, dim, rtol, scale=scale)
     else:
         smax = max(float(s.max()), scale) if s.size else scale
-        tau = max(dim * rtol, floor) * smax
-        r = int(np.sum(s > tau))
+        r = int(np.sum(s > dim * rtol * smax))
     return np.ascontiguousarray(V[:, r:])
 
 

@@ -16,7 +16,7 @@ depend on the seed, which is cross-checked by re-running the splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,18 +193,6 @@ def inflation_commutant_check(T: OperatorTuple, n: int,
 # Structure analysis: radical and simple-block decomposition of the quotient
 # ---------------------------------------------------------------------------
 
-def _orthonormalize_mats(mats: np.ndarray, rtol: float) -> np.ndarray:
-    """Trace-orthonormal basis of the span of the given matrices."""
-    mats = np.asarray(mats, dtype=complex)
-    K, r = mats.shape[0], mats.shape[1]
-    if K == 0:
-        return mats.reshape(0, r, r)
-    V = mats.reshape(K, r * r)
-    _, s, Vh = svd_robust(V, full_matrices=False)
-    cut = int(np.sum(s > max(V.shape) * max(rtol, 1e-12) * s[0])) if s.size and s[0] > 0 else 0
-    return np.ascontiguousarray(Vh[:cut].reshape(cut, r, r))
-
-
 def _radical_coords(basis: np.ndarray, policy: NumericPolicy,
                     strict: bool = False) -> np.ndarray:
     """Coefficient vectors (K, nrad) of the radical of the spanned algebra.
@@ -252,15 +240,6 @@ def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
     return rad
 
 
-def _perp_complement(coords: np.ndarray, K: int) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of span(coords) in C^K."""
-    if coords.size == 0:
-        return np.eye(K, dtype=complex)
-    U, s, _ = np.linalg.svd(coords, full_matrices=True)
-    r = int(np.sum(s > max(coords.shape) * 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    return np.ascontiguousarray(U[:, r:])
-
-
 def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
                        policy: NumericPolicy, rng: np.random.Generator) -> np.ndarray:
     """Coefficient vectors spanning a complement of rad inside the preimage of
@@ -268,8 +247,8 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
 
     Starts from the centralizer-mod-radical of two random elements (generators
     of an ideal-closed condition, so commuting mod rad with generators implies
-    commuting mod rad with products), then verifies against every basis
-    element and augments the constraint set until verified.
+    commuting mod rad with products), then verifies the candidates against
+    every basis element and augments the constraint set until verified.
     """
     K, r = basis.shape[0], basis.shape[1]
     Vc = basis.conj().reshape(K, r * r)
@@ -300,7 +279,14 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
         # mod-radical noise, while genuine quotient commutators sit orders of
         # magnitude above it
         S = nullspace(np.vstack(rows), 1e-7, strict=False, scale=1.0, rank_dim=1)
-        # verify each candidate against every basis element directly
+        # complement of the radical inside the candidate space; directions
+        # whose radical-orthogonal content sits at the mod-radical noise level
+        # are alignment artifacts, so the cut matches the centrality bar.
+        # Radical directions need no verification: rad is an ideal, so their
+        # commutators lie in it.
+        if rad_coords.size:
+            S = S - rad_coords @ (rad_coords.conj().T @ S)
+        S = _orthonormal_cols(S, rel_cut=1e-6)
         violated = None
         for col in range(S.shape[1]):
             z = np.tensordot(S[:, col], basis, axes=(0, 0))
@@ -311,25 +297,15 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
                 violated = constraint_rows(basis[bad[0]])
                 break
         if violated is None:
-            break
+            return S
         rows.append(violated)
-    else:
-        raise NumericalDegeneracyError("center computation did not stabilize")
-    # complement of the radical inside the candidate space; directions whose
-    # radical-orthogonal content sits at the mod-radical noise level are
-    # alignment artifacts, so the cut matches the centrality bar
-    if rad_coords.size:
-        S = S - rad_coords @ (rad_coords.conj().T @ S)
-    return _orthonormal_cols(S, rel_cut=1e-6)
+    raise NumericalDegeneracyError("center computation did not stabilize")
 
 
-def _orthonormal_cols(S: np.ndarray, rel_cut: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the column span, cut at ``rel_cut * s_max``
-    (default: max(shape) * 1e-10)."""
+def _orthonormal_cols(S: np.ndarray, rel_cut: float) -> np.ndarray:
+    """Orthonormal basis of the column span, cut at ``rel_cut * s_max``."""
     if S.size == 0:
         return S.reshape(S.shape[0], 0)
-    if rel_cut is None:
-        rel_cut = max(S.shape) * 1e-10
     U, s, _ = svd_robust(S, full_matrices=False)
     r = int(np.sum(s > rel_cut * s[0])) if s[0] > 0 else 0
     return np.ascontiguousarray(U[:, :r])
@@ -367,32 +343,122 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
     return None
 
 
+# Newton-polish settings: walk children and block idempotents, and the final
+# primitive idempotents of a unit decomposition
+WALK_POLISH = {"tol": 1e-13, "max_iter": 60}
+PRIMITIVE_POLISH = {"tol": 1e-12, "max_iter": 40}
+# random draws per corner split, and the worst projector norm accepted at once
+SPLIT_ATTEMPTS = 16
+GOOD_SPLIT_NORM = 300.0
+
+
 def _split_by_random_element(sample, policy: NumericPolicy,
-                             rng: np.random.Generator, attempts: int = 16,
-                             good_norm: float = 300.0) -> list[np.ndarray] | None:
+                             rng: np.random.Generator) -> list[np.ndarray] | None:
     """Split a corner by the best of several random elements' Riesz projectors.
 
     ``sample(rng)`` draws an element of the corner algebra. Splits whose worst
-    projector norm is at most ``good_norm`` are accepted immediately;
-    otherwise the best-conditioned split over all attempts is polished. All
-    validated splits are correct (they are partitions by invariant subspaces
-    of an algebra element); conditioning only affects downstream roundoff.
+    projector norm is at most ``GOOD_SPLIT_NORM`` are accepted immediately;
+    otherwise the best-conditioned split over ``SPLIT_ATTEMPTS`` draws is
+    polished. All validated splits are correct (they are partitions by
+    invariant subspaces of an algebra element); conditioning only affects
+    downstream roundoff.
     """
     best: list[np.ndarray] | None = None
     best_quality = np.inf
-    for _ in range(attempts):
+    for _ in range(SPLIT_ATTEMPTS):
         projs = _spectral_split(sample(rng), policy)
         if projs is None:
             continue
         quality = max(frob(P) for P in projs)
-        if quality <= good_norm:
+        if quality <= GOOD_SPLIT_NORM:
             best, best_quality = projs, quality
             break
         if quality < best_quality:
             best, best_quality = projs, quality
     if best is None:
         return None
-    return [newton_polish_idempotent(P, tol=1e-13, max_iter=60) for P in best]
+    return [newton_polish_idempotent(P, **WALK_POLISH) for P in best]
+
+
+@dataclass(frozen=True)
+class Corner:
+    """The corner E A'(T) E in the orthonormal frame U of range(E).
+
+    ``basis`` is a trace-orthonormal basis of the commutant of the compressed
+    tuple U* T U (an orthonormal compression, so the basis is as clean as a
+    fresh nullspace even for very oblique E) and ``rad_coords`` the
+    coefficient vectors of its radical.
+    """
+
+    E: np.ndarray
+    U: np.ndarray
+    basis: np.ndarray
+    rad_coords: np.ndarray
+
+    @property
+    def quotient_dim(self) -> int:
+        return self.basis.shape[0] - self.rad_coords.shape[1]
+
+
+def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
+    U = orthonormal_range(E, policy.rank_rtol)
+    comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
+    basis = joint_commutant(comp, policy).basis
+    return Corner(E, U, basis, _radical_coords(basis, policy))
+
+
+def _central_directions(c: Corner, policy: NumericPolicy,
+                        rng: np.random.Generator) -> np.ndarray | None:
+    """Sampler of the central split: quotient-central coefficient vectors of
+    the corner, or None when its quotient has a one-dimensional center."""
+    cen = _center_candidates(c.basis, c.rad_coords, policy, rng)
+    return cen if cen.shape[1] > 1 else None
+
+
+def _corner_directions(c: Corner, policy: NumericPolicy,
+                       rng: np.random.Generator) -> np.ndarray | None:
+    """Sampler of the primitive split: the whole corner, or None when its
+    quotient is one-dimensional (the corner is local)."""
+    return None if c.quotient_dim == 1 else np.eye(c.basis.shape[0], dtype=complex)
+
+
+def _corner_walk(T: OperatorTuple, c: Corner, directions, policy: NumericPolicy,
+                 rng: np.random.Generator, depth: int = 0) -> list[tuple[Corner, int]]:
+    """Recursively split the corner ``c`` of A'(T) by random Riesz projectors.
+
+    ``directions(c, policy, rng)`` returns coefficient vectors (K, kappa) whose
+    span the splitting elements are drawn from, or None when ``c`` is a leaf.
+    Returns (leaf corner, n) pairs, where n^2 is the leaf's quotient dimension.
+    """
+    if depth > 64:
+        raise NumericalDegeneracyError("corner splitting recursion exceeded depth cap")
+    C = directions(c, policy, rng)
+    if C is None:
+        q = c.quotient_dim
+        n = math.isqrt(q)
+        if n * n != q:
+            raise NumericalDegeneracyError(
+                f"quotient of an indecomposable corner has dimension {q}, not a square"
+            )
+        return [(c, n)]
+
+    def sample(r: np.random.Generator) -> np.ndarray:
+        x = r.standard_normal(C.shape[1]) + 1j * r.standard_normal(C.shape[1])
+        x /= np.linalg.norm(x)
+        return np.tensordot(C @ x, c.basis, axes=(0, 0))
+
+    projs = _split_by_random_element(sample, policy, rng)
+    if projs is None:
+        raise NumericalDegeneracyError(
+            f"failed to split a corner after {SPLIT_ATTEMPTS} random draws"
+        )
+    W = c.U.conj().T @ c.E
+    out: list[tuple[Corner, int]] = []
+    for P in projs:
+        child = newton_polish_idempotent(c.U @ P @ W, **WALK_POLISH)
+        out.extend(_corner_walk(T, _corner(T, child, policy), directions, policy, rng,
+                                depth + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -403,127 +469,49 @@ class AlgebraStructure:
     radical_dim: int
     block_dims: tuple[int, ...]              # n_1 >= ... >= n_k
     central_idempotents: np.ndarray          # (k, d, d), mutually annihilating
+    # the leaf corner of each block, in block order; the primitive split of a
+    # unit decomposition starts from these instead of recomputing them
+    corners: tuple[Corner, ...] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.block_dims)
 
 
-def _corner_basis(basis: np.ndarray, P: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Trace-orthonormal basis of the compressed corner P A P.
-
-    The products P B_l P are re-projected onto span(basis) before compression:
-    they lie in the algebra exactly, so the projection strips the
-    out-of-algebra part of the product roundoff, which otherwise corrupts the
-    corner's trace-Gram rank decisions when P is very oblique.
-    """
-    K, r = basis.shape[0], basis.shape[1]
-    prods = np.matmul(P[None, :, :], basis) @ P
-    Vc = basis.conj().reshape(K, r * r)
-    coords = Vc @ prods.reshape(K, r * r).T              # (K coords, K elements)
-    cleaned = np.tensordot(coords.T, basis, axes=(1, 0))
-    compressed = np.matmul(U.conj().T[None, :, :], cleaned) @ U
-    return _orthonormalize_mats(compressed, 1e-8)
-
-
-def _corner_algebra(A: CommutantBasis, tuple_ref, E: np.ndarray, U: np.ndarray,
-                    policy: NumericPolicy, top: bool) -> np.ndarray:
-    """Trace-orthonormal basis of the corner E A E in the compressed frame.
-
-    With the originating tuple available the corner is recomputed as the
-    commutant of the compressed restriction (an orthonormal compression, so
-    the basis is as clean as a fresh nullspace); for very oblique lifted
-    idempotents this avoids the eps*||E||^2 noise of forming E B E products,
-    which otherwise blurs the corner's rank decisions. Without a tuple the
-    corner is built from re-projected products of the parent basis.
-    """
-    if top:
-        return A.basis
-    if tuple_ref is not None:
-        comp = np.stack([U.conj().T @ Ti @ U for Ti in tuple_ref])
-        from .tuples import OperatorTuple
-        return joint_commutant(OperatorTuple(comp), policy).basis
-    return _corner_basis(A.basis, E, U)
-
-
-def _split_ambient(A: CommutantBasis, tuple_ref, E: np.ndarray,
-                   policy: NumericPolicy, rng: np.random.Generator,
-                   depth: int = 0) -> list[tuple[np.ndarray, int]]:
-    """Recursively split the corner E A E into its simple-quotient blocks.
-
-    Returns (ambient idempotent, n) pairs, one per simple block of the
-    corner's quotient, where n^2 is the block's quotient dimension.
-    """
-    if depth > 64:
-        raise NumericalDegeneracyError("block splitting recursion exceeded depth cap")
-    d = A.d
-    U = np.eye(d, dtype=complex) if depth == 0 else orthonormal_range(E, policy.rank_rtol)
-    W = U.conj().T @ E
-    cb = _corner_algebra(A, tuple_ref, E, U, policy, top=(depth == 0))
-    K = cb.shape[0]
-    rad_coords = _radical_coords(cb, policy)
-    q = K - rad_coords.shape[1]
-    cen = _center_candidates(cb, rad_coords, policy, rng)
-    kappa = cen.shape[1]
-    if kappa <= 1:
-        n = math.isqrt(q)
-        if n * n != q:
-            raise NumericalDegeneracyError(
-                f"quotient of an indecomposable corner has dimension {q}, not a square"
-            )
-        return [(E, n)]
-
-    def sample_central(r: np.random.Generator) -> np.ndarray:
-        c = r.standard_normal(kappa) + 1j * r.standard_normal(kappa)
-        c /= np.linalg.norm(c)
-        return np.tensordot(cen @ c, cb, axes=(0, 0))
-
-    projs = _split_by_random_element(sample_central, policy, rng)
-    if projs is None:
-        raise NumericalDegeneracyError(
-            "failed to separate central spectra after 16 random draws"
-        )
-    out: list[tuple[np.ndarray, int]] = []
-    for P in projs:
-        child = newton_polish_idempotent(U @ P @ W, tol=1e-13, max_iter=60)
-        out.extend(_split_ambient(A, tuple_ref, child, policy, rng, depth + 1))
-    return out
-
-
-def _structure_once(A: CommutantBasis, policy: NumericPolicy, seed: int,
-                    tuple_ref=None) -> AlgebraStructure:
+def _structure_once(T: OperatorTuple, root: Corner, policy: NumericPolicy,
+                    seed: int) -> AlgebraStructure:
     rng = np.random.default_rng(seed)
-    rad_dim = _radical_coords(A.basis, policy).shape[1]
-    blocks = _split_ambient(A, tuple_ref, np.eye(A.d, dtype=complex), policy, rng)
-    if sum(n * n for _, n in blocks) + rad_dim != A.algebra_dim:
+    rad_dim = root.rad_coords.shape[1]
+    algebra_dim = root.basis.shape[0]
+    blocks = _corner_walk(T, root, _central_directions, policy, rng)
+    if sum(n * n for _, n in blocks) + rad_dim != algebra_dim:
         raise NumericalDegeneracyError(
             "block dimensions and radical do not account for the algebra "
-            f"dimension: {[n for _, n in blocks]} + rad {rad_dim} != {A.algebra_dim}"
+            f"dimension: {[n for _, n in blocks]} + rad {rad_dim} != {algebra_dim}"
         )
-    blocks.sort(key=lambda bn: (-bn[1], -float(np.trace(bn[0]).real)))
-    idems = np.stack([newton_polish_idempotent(E, tol=1e-13, max_iter=60)
-                      for E, _ in blocks])
+    blocks.sort(key=lambda cn: (-cn[1], -float(np.trace(cn[0].E).real)))
+    idems = np.stack([newton_polish_idempotent(c.E, **WALK_POLISH) for c, _ in blocks])
     dims = tuple(n for _, n in blocks)
     total = np.sum(idems, axis=0)
-    if frob(total - np.eye(A.d)) > 1e-8 * A.d:
+    if frob(total - np.eye(T.d)) > 1e-8 * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
-    return AlgebraStructure(A.algebra_dim, rad_dim, dims, idems)
+    return AlgebraStructure(algebra_dim, rad_dim, dims, idems, tuple(c for c, _ in blocks))
 
 
-def semisimple_structure(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY,
-                         seed: int | None = None, check_seeds: int = 3,
-                         tuple_ref=None) -> AlgebraStructure:
-    """Simple-block decomposition of A/rad(A) with lifted block idempotents.
+def semisimple_structure(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
+                         seed: int | None = None, check_seeds: int = 3) -> AlgebraStructure:
+    """Simple-block decomposition of A'(T)/rad with lifted block idempotents.
 
     Randomized splitting is seeded; (k, block sizes) are intrinsic and are
     cross-checked by re-running with ``check_seeds`` consecutive seeds. A
     re-run that hits an ill-conditioned random draw is retried with the next
     seed (deterministically), so a single unlucky draw does not fail the call;
-    disagreeing successful runs still do. When ``A`` is the commutant of a
-    known tuple, pass it as ``tuple_ref``: corner algebras are then recomputed
-    from compressed restrictions, which is substantially more robust for very
-    oblique inputs.
+    disagreeing successful runs still do. Every corner below the top is
+    recomputed as the commutant of a compressed restriction of ``T``.
     """
+    A = joint_commutant(T, policy)
+    eye = np.eye(T.d, dtype=complex)
+    root = Corner(eye, eye, A.basis, _radical_coords(A.basis, policy))
     base = policy.seed if seed is None else seed
     wanted = max(1, check_seeds)
     results: list[AlgebraStructure] = []
@@ -531,7 +519,7 @@ def semisimple_structure(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLI
     attempt = 0
     while len(results) < wanted and attempt < wanted + 4:
         try:
-            results.append(_structure_once(A, policy, base + attempt, tuple_ref))
+            results.append(_structure_once(T, root, policy, base + attempt))
         except NumericalDegeneracyError as exc:
             last_error = exc
         attempt += 1

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frob, newton_polish_idempotent, orthonormal_range
+from ._linalg import frob, newton_polish_idempotent
 from .commutant import (
+    PRIMITIVE_POLISH,
+    _corner_directions,
+    _corner_walk,
     _radical_coords,
-    _split_by_random_element,
     contains_invertible,
     intertwiner_space,
     joint_commutant,
@@ -89,40 +91,6 @@ class UnitDecomposition:
         return report
 
 
-def _refine_to_primitives(T: OperatorTuple, E: np.ndarray,
-                          policy: NumericPolicy, rng: np.random.Generator,
-                          depth: int = 0) -> list[np.ndarray]:
-    """Split the corner of A'(T) at E into primitive idempotents.
-
-    The corner algebra is recomputed as the commutant of the compressed
-    restriction of T (clean, no oblique-product noise). A random corner
-    element generically has one eigenvalue cluster per primitive summand of
-    the corner's quotient; its Riesz projectors are polynomials in the
-    element, hence idempotents inside the corner.
-    """
-    if depth > 64:
-        raise NumericalDegeneracyError("primitive refinement exceeded depth cap")
-    U = orthonormal_range(E, policy.rank_rtol)
-    W = U.conj().T @ E
-    comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
-    cb = joint_commutant(comp, policy).basis
-    nrad = _radical_coords(cb, policy).shape[1]
-    if cb.shape[0] - nrad == 1:
-        return [E]
-
-    def sample_corner(r: np.random.Generator) -> np.ndarray:
-        c = r.standard_normal(cb.shape[0]) + 1j * r.standard_normal(cb.shape[0])
-        return np.tensordot(c / np.linalg.norm(c), cb, axes=(0, 0))
-
-    projs = _split_by_random_element(sample_corner, policy, rng)
-    if projs is None:
-        raise NumericalDegeneracyError("failed to split a non-local corner")
-    out = []
-    for P in projs:
-        out.extend(_refine_to_primitives(T, U @ P @ W, policy, rng, depth + 1))
-    return out
-
-
 def unit_si_decomposition(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
                           seed: int | None = None) -> UnitDecomposition:
     """Complete list of primitive idempotents of A'(T), ordered by
@@ -132,18 +100,16 @@ def unit_si_decomposition(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLI
     local); this is re-verified per block via its corner dimensions.
     """
     base_seed = policy.seed if seed is None else seed
-    A = joint_commutant(T, policy)
-    struct = semisimple_structure(A, policy, seed=base_seed, tuple_ref=T)
+    struct = semisimple_structure(T, policy, seed=base_seed)
     rng = np.random.default_rng(base_seed + 0x5EED)
     prims: list[np.ndarray] = []
-    for E, n in zip(struct.central_idempotents, struct.block_dims):
-        block_prims = _refine_to_primitives(T, E, policy, rng)
-        if len(block_prims) != n:
+    for corner, n in zip(struct.corners, struct.block_dims):
+        leaves = _corner_walk(T, corner, _corner_directions, policy, rng)
+        if len(leaves) != n:
             raise NumericalDegeneracyError(
-                f"block refinement produced {len(block_prims)} primitives, expected {n}"
+                f"block refinement produced {len(leaves)} primitives, expected {n}"
             )
-        prims.extend(newton_polish_idempotent(P, tol=1e-12, max_iter=40)
-                     for P in block_prims)
+        prims.extend(newton_polish_idempotent(c.E, **PRIMITIVE_POLISH) for c, _ in leaves)
     idems = np.stack(prims)
     D = UnitDecomposition(T, idems, tuple(True for _ in prims))
     D.validate(policy)

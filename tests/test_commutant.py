@@ -99,24 +99,29 @@ class TestRadical:
         assert radical(A).shape[0] == 0
 
 
+def _conjugated(M, cond, seed):
+    X = conditioned_invertible(M.shape[0], cond, np.random.default_rng(seed))
+    return X @ M @ np.linalg.inv(X)
+
+
 class TestSemisimpleStructure:
     @pytest.mark.parametrize("mats,dims,rad_dim", [
         ([np.eye(3)], (3,), 0),
         ([bd(jordan(2), jordan(2))], (2,), 4),
         ([bd(jordan(2), jordan(2, 1.0))], (1, 1), 2),
+        ([_conjugated(bd(jordan(2), jordan(2), jordan(3, 1.0)), 50.0, 7)], (2, 1), 6),
     ])
     def test_examples(self, mats, dims, rad_dim):
-        A = joint_commutant(operator_tuple(mats))
-        S = semisimple_structure(A)
+        S = semisimple_structure(operator_tuple(mats))
         assert S.block_dims == dims
         assert S.radical_dim == rad_dim
         assert sum(n * n for n in S.block_dims) + S.radical_dim == S.algebra_dim
 
     def test_idempotent_family_properties(self):
-        A = joint_commutant(operator_tuple([bd(jordan(2), jordan(3, 1.0), np.eye(2))]))
-        S = semisimple_structure(A)
+        T = operator_tuple([bd(jordan(2), jordan(3, 1.0), np.eye(2))])
+        S = semisimple_structure(T)
         E = S.central_idempotents
-        d = A.d
+        d = T.d
         assert np.linalg.norm(E.sum(axis=0) - np.eye(d)) <= 1e-8
         for a in range(len(E)):
             for b in range(len(E)):
@@ -124,8 +129,8 @@ class TestSemisimpleStructure:
                 assert np.linalg.norm(E[a] @ E[b] - target) <= 1e-8
 
     def test_output_independent_of_seed(self):
-        A = joint_commutant(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]))
-        results = {semisimple_structure(A, seed=s, check_seeds=1).block_dims
+        T = operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))])
+        results = {semisimple_structure(T, seed=s, check_seeds=1).block_dims
                    for s in (11, 22, 33)}
         assert len(results) == 1
 

@@ -69,6 +69,23 @@ class TestUnitSiDecomposition:
             sp = intertwiner_space(R, base)
             assert contains_invertible(sp).found
 
+    def test_ambient_commutant_computed_once(self, monkeypatch):
+        import sidecomp.commutant as commutant
+        import sidecomp.decomposition as decomposition
+        sizes = []
+        original = commutant.joint_commutant
+
+        def counting(T, *args, **kwargs):
+            sizes.append(T.d)
+            return original(T, *args, **kwargs)
+
+        for module in (commutant, decomposition):
+            monkeypatch.setattr(module, "joint_commutant", counting)
+        X = conditioned_invertible(4, 10.0, np.random.default_rng(3))
+        D = unit_si_decomposition(conjugate(operator_tuple([bd(jordan(2), jordan(2))]), X))
+        assert D.count == 2
+        assert sizes.count(4) == 1
+
     def test_validate_reports_all_invariants(self):
         T = operator_tuple([bd(jordan(2), jordan(3, 1.0))])
         D = unit_si_decomposition(T)
