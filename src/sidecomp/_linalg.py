@@ -47,13 +47,15 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def rank_cut(s: np.ndarray, dim: int, rtol: float, scale: float = 0.0) -> int:
-    """Number of singular values above ``dim * rtol * max(s_max, scale)``.
+def rank_cut(s: np.ndarray, rtol: float, scale: float = 0.0, strict: bool = True) -> int:
+    """Number of singular values above ``rtol * max(s_max, scale)``.
 
-    ``scale`` is the natural magnitude of the input data; supplying it keeps
-    the threshold meaningful when the matrix itself is numerically zero.
-    Raises if any singular value sits within a factor 10 of the threshold,
-    i.e. when the rank decision is ambiguous.
+    This is the package's one rank decision; callers fold any size
+    multiplier into ``rtol``. ``scale`` is the natural magnitude of the input
+    data; supplying it keeps the threshold meaningful when the matrix itself
+    is numerically zero. With ``strict`` the call raises if any singular
+    value sits within a factor 10 of the threshold, i.e. when the rank
+    decision is ambiguous; otherwise it just cuts at the threshold.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -61,27 +63,24 @@ def rank_cut(s: np.ndarray, dim: int, rtol: float, scale: float = 0.0) -> int:
     smax = max(float(s.max()), scale)
     if smax == 0.0:
         return 0
-    tau = dim * rtol * smax
-    straddle = (s > tau / 10.0) & (s < tau * 10.0)
-    if np.any(straddle):
-        raise NumericalDegeneracyError(
-            f"rank decision ambiguous: singular values {s[straddle]} straddle "
-            f"threshold {tau:.3e} (within a factor 10)"
-        )
+    tau = rtol * smax
+    if strict:
+        straddle = (s > tau / 10.0) & (s < tau * 10.0)
+        if np.any(straddle):
+            raise NumericalDegeneracyError(
+                f"rank decision ambiguous: singular values {s[straddle]} straddle "
+                f"threshold {tau:.3e} (within a factor 10)"
+            )
     return int(np.sum(s > tau))
 
 
-def nullspace(M: np.ndarray, rtol: float, strict: bool = True, scale: float = 0.0,
-              rank_dim: int | None = None) -> np.ndarray:
+def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of ``M``.
 
     Computed by a (possibly tall) SVD, which resolves true zeros down to
     ~1e-13 relative and leaves many decades of margin to the threshold
-    ``rank_dim * rtol * sigma_max``.
-
-    ``rank_dim`` is the multiplier in the threshold (defaults to
-    ``max(rows, cols)``); ``scale`` floors sigma_max (see :func:`rank_cut`);
-    ``strict=False`` skips the straddle check and just cuts at the threshold.
+    ``rtol * max(sigma_max, scale)``, where the rank is cut without the
+    straddle check (see :func:`rank_cut`).
     """
     M = np.asarray(M)
     rows, cols = M.shape
@@ -89,22 +88,16 @@ def nullspace(M: np.ndarray, rtol: float, strict: bool = True, scale: float = 0.
         return np.eye(cols, dtype=complex)
     _, sv, Vh = svd_robust(M, full_matrices=(rows < cols))
     s = np.concatenate([sv, np.zeros(cols - sv.size)])
-    V = Vh.conj().T
-    dim = max(rows, cols) if rank_dim is None else rank_dim
-    if strict:
-        r = rank_cut(s, dim, rtol, scale=scale)
-    else:
-        smax = max(float(s.max()), scale) if s.size else scale
-        r = int(np.sum(s > dim * rtol * smax))
-    return np.ascontiguousarray(V[:, r:])
+    r = rank_cut(s, rtol, scale=scale, strict=False)
+    return np.ascontiguousarray(Vh.conj().T[:, r:])
 
 
-def orthonormal_range(P: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal columns spanning range(P), rank decided by SVD."""
-    P = np.asarray(P, dtype=complex)
-    U, s, _ = svd_robust(P)
-    r = rank_cut(s, max(P.shape), rtol)
-    return np.ascontiguousarray(U[:, :r])
+def orthonormal_range(M: np.ndarray, rtol: float, strict: bool = True) -> np.ndarray:
+    """Orthonormal columns spanning range(M), rank cut at ``rtol * sigma_max``
+    by :func:`rank_cut`."""
+    M = np.asarray(M, dtype=complex)
+    U, s, _ = svd_robust(M, full_matrices=False)
+    return np.ascontiguousarray(U[:, :rank_cut(s, rtol, strict=strict)])
 
 
 def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
@@ -142,20 +135,21 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     return out
 
 
-def spectral_projector(M: np.ndarray, selected: np.ndarray) -> np.ndarray:
+def spectral_projector(M: np.ndarray, selected: np.ndarray,
+                       all_eigs: np.ndarray) -> np.ndarray:
     """Riesz projector of ``M`` onto the invariant subspace of ``selected`` eigenvalues.
 
-    ``selected`` is a set/array of eigenvalue locations; an eigenvalue of ``M``
-    belongs to the selected spectral set when it is closer to ``selected`` than
-    to the rest of the spectrum. Computed from a reordered complex Schur form
-    plus one Sylvester solve; the result is an exact idempotent commuting with
-    ``M`` (up to roundoff) and is a polynomial in ``M``, hence lies in any
-    algebra containing ``M``.
+    ``selected`` is a set/array of eigenvalue locations and ``all_eigs`` the
+    eigenvalues of ``M``; an eigenvalue of ``M`` belongs to the selected
+    spectral set when it is closer to ``selected`` than to the rest of the
+    spectrum. Computed from a reordered complex Schur form plus one Sylvester
+    solve; the result is an exact idempotent commuting with ``M`` (up to
+    roundoff) and is a polynomial in ``M``, hence lies in any algebra
+    containing ``M``.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     selected = np.atleast_1d(np.asarray(selected, dtype=complex))
-    all_eigs = np.linalg.eigvals(M)
     others = []
     for lam in all_eigs:
         if np.min(np.abs(selected - lam)) > 0:

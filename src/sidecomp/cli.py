@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .decomposition import unit_si_decomposition
+from .decomposition import is_strongly_irreducible, unit_si_decomposition
 from .invariant import k0_descriptor, similar as similar_op, v_semigroup_invariant
 from .oracle import oracle_is_strongly_irreducible
-from .decomposition import is_strongly_irreducible
 from .planted import planted_corpus, si_oracle_corpus
 from .policy import DEFAULT_SEED, NumericPolicy, NumericalDegeneracyError
 from .rkhs import (
@@ -30,7 +29,7 @@ from .rkhs import (
     spherical_shift,
     truncated_tuple,
 )
-from .tuples import validate_commuting
+from .tuples import restrict, validate_commuting
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -153,7 +152,6 @@ def cmd_decompose(args) -> int:
     residuals = D.validate(pol)
     blocks = []
     for P in D.idempotents:
-        from .tuples import restrict
         R = restrict(T, P, pol)
         blocks.append({"dim": R.d, "spectrum_first_component": _spectrum(R[0])})
     report = _header(args, seed, pol) | {

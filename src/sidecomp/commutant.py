@@ -31,7 +31,15 @@ from ._linalg import (
     svd_robust,
     svdvals_robust,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
+from .policy import (
+    CENTER_SPAN_CUT,
+    CENTRALITY_BAR,
+    DEFAULT_POLICY,
+    INVERTIBLE_RANK_FLOOR,
+    RADICAL_FLOOR,
+    NumericPolicy,
+    NumericalDegeneracyError,
+)
 from .tuples import OperatorTuple, inflate
 
 
@@ -46,7 +54,7 @@ class CommutantBasis:
     def coords(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of M against the basis (exact for members of the span)."""
         M = np.asarray(M, dtype=complex)
-        return self.basis.conj().reshape(self.algebra_dim, -1) @ M.reshape(-1)
+        return self.basis.conj().reshape(self.algebra_dim, self.d * self.d) @ M.reshape(-1)
 
     def project(self, M: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coords(M), self.basis, axes=(0, 0))
@@ -72,20 +80,17 @@ def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     """Trace-orthonormal basis of A'(T) = {X : X T_i = T_i X for all i}.
 
     Always contains the identity; this is asserted after the nullspace
-    computation as a cheap sanity check on the rank decision.
+    computation as a cheap sanity check on the rank decision. A tighter cut
+    cannot repair a failed check: it keeps a subspace of the same right
+    singular vectors, so it misses the identity too.
     """
     d = T.d
-    L = _sylvester_stack(T, T)
     scale = max(1.0, max(frob(A) for A in T))
-    # severely oblique tuples squeeze genuinely nonzero singular values toward
-    # the default threshold; if the identity fails to land in the computed
-    # span, retry with tightened thresholds (true zeros sit at ~1e-13 rel)
-    for rtol in (policy.rank_rtol, policy.rank_rtol * 1e-2, policy.rank_rtol * 1e-3):
-        ns = nullspace(L, rtol, strict=False, scale=scale, rank_dim=d)
-        basis = ns.T.reshape(-1, d, d)
-        cb = CommutantBasis(np.ascontiguousarray(basis), d, basis.shape[0])
-        if cb.contains(np.eye(d), tol=1e-8):
-            return cb
+    ns = nullspace(_sylvester_stack(T, T), d * policy.rank_rtol, scale=scale)
+    basis = ns.T.reshape(-1, d, d)
+    cb = CommutantBasis(np.ascontiguousarray(basis), d, basis.shape[0])
+    if cb.contains(np.eye(d), tol=1e-8):
+        return cb
     raise NumericalDegeneracyError(
         "identity not contained in the computed commutant span; "
         "rank threshold is unreliable for this input"
@@ -102,8 +107,7 @@ def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
     if T.m != S.m:
         raise ValueError(f"arity mismatch: {T.m} vs {S.m}")
     scale = max(1.0, max(frob(A) for A in T), max(frob(B) for B in S))
-    ns = nullspace(_sylvester_stack(T, S), policy.rank_rtol, strict=False,
-                   scale=scale, rank_dim=max(T.d, S.d))
+    ns = nullspace(_sylvester_stack(T, S), max(T.d, S.d) * policy.rank_rtol, scale=scale)
     return np.ascontiguousarray(ns.T.reshape(-1, S.d, T.d))
 
 
@@ -144,6 +148,7 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
         return InvertibleSearch(None, 0, 0, 0, n)
     n = space.shape[1]
     rng = np.random.default_rng(policy.seed if seed is None else seed)
+    rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
     max_rank = 0
     element = None
     used = 0
@@ -152,8 +157,7 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
         M = np.tensordot(c, space, axes=(0, 0))
         s = svdvals_robust(M)
         used = t + 1
-        r = int(np.sum(s > max(n * policy.rank_rtol, 1e-12) * s[0])) if s[0] > 0 else 0
-        max_rank = max(max_rank, r)
+        max_rank = max(max_rank, rank_cut(s, rtol, strict=False))
         if s[0] > 0 and s[-1] > policy.inv_tol * s[0]:
             element = M
             break
@@ -161,9 +165,7 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
     for _ in range(8):
         c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         M = np.tensordot(c, space, axes=(0, 0))
-        s = svdvals_robust(M)
-        r = int(np.sum(s > max(n * policy.rank_rtol, 1e-12) * s[0])) if s[0] > 0 else 0
-        generic = max(generic, r)
+        generic = max(generic, rank_cut(svdvals_robust(M), rtol, strict=False))
     max_rank = max(max_rank, generic)
     return InvertibleSearch(element, used, max_rank, generic, n)
 
@@ -198,9 +200,8 @@ def _radical_coords(basis: np.ndarray, policy: NumericPolicy,
     """Coefficient vectors (K, nrad) of the radical of the spanned algebra.
 
     Uses the characteristic-zero criterion rad(A) = {x : tr(xy) = 0 for all y}:
-    the radical is the nullspace of the trace bilinear Gram form. The cut sits
-    at 1e-8 relative: corner bases reached through oblique lifted idempotents
-    carry impurities well above roundoff. ``strict`` additionally raises when
+    the radical is the nullspace of the trace bilinear Gram form. The cut's
+    rank_rtol is floored at ``RADICAL_FLOOR``. ``strict`` additionally raises when
     singular values straddle the threshold (used for caller-facing decisions
     on clean commutant bases; internal corner decisions tolerate straddle and
     rely on the integer accounting checks downstream).
@@ -213,12 +214,7 @@ def _radical_coords(basis: np.ndarray, policy: NumericPolicy,
     FT = np.transpose(basis, (0, 2, 1)).reshape(K, r * r)
     G = F @ FT.T                       # G[a,b] = tr(B_a B_b)
     _, s, Vh = svd_robust(G)
-    rtol = max(policy.rank_rtol, 1e-8)
-    if strict:
-        rank = rank_cut(s, K, rtol, scale=1.0)
-    else:
-        tau = K * rtol * max(float(s.max()) if s.size else 0.0, 1.0)
-        rank = int(np.sum(s > tau))
+    rank = rank_cut(s, K * max(policy.rank_rtol, RADICAL_FLOOR), scale=1.0, strict=strict)
     return np.ascontiguousarray(Vh[rank:].conj().T)
 
 
@@ -273,26 +269,20 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
     gens = [random_element(), random_element()]
     rows = [constraint_rows(g) for g in gens]
     for _ in range(K + 2):
-        # the centrality bar is 1e-7 relative, matching the verification
-        # threshold below: the radical itself is only resolved to ~1e-8 for
-        # very oblique inputs, so commutator content below this level is
-        # mod-radical noise, while genuine quotient commutators sit orders of
-        # magnitude above it
-        S = nullspace(np.vstack(rows), 1e-7, strict=False, scale=1.0, rank_dim=1)
-        # complement of the radical inside the candidate space; directions
-        # whose radical-orthogonal content sits at the mod-radical noise level
-        # are alignment artifacts, so the cut matches the centrality bar.
-        # Radical directions need no verification: rad is an ideal, so their
+        # the nullspace cut and the verification below share the centrality bar
+        S = nullspace(np.vstack(rows), CENTRALITY_BAR, scale=1.0)
+        # complement of the radical inside the candidate space. Radical
+        # directions need no verification: rad is an ideal, so their
         # commutators lie in it.
         if rad_coords.size:
             S = S - rad_coords @ (rad_coords.conj().T @ S)
-        S = _orthonormal_cols(S, rel_cut=1e-6)
+        S = orthonormal_range(S, CENTER_SPAN_CUT, strict=False)
         violated = None
         for col in range(S.shape[1]):
             z = np.tensordot(S[:, col], basis, axes=(0, 0))
             comm = np.matmul(z[None, :, :], basis) - basis @ z
             resid = np.linalg.norm(perp_coords(comm), axis=0)
-            bad = np.where(resid > 1e-7)[0]
+            bad = np.where(resid > CENTRALITY_BAR)[0]
             if bad.size:
                 violated = constraint_rows(basis[bad[0]])
                 break
@@ -300,15 +290,6 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
             return S
         rows.append(violated)
     raise NumericalDegeneracyError("center computation did not stabilize")
-
-
-def _orthonormal_cols(S: np.ndarray, rel_cut: float) -> np.ndarray:
-    """Orthonormal basis of the column span, cut at ``rel_cut * s_max``."""
-    if S.size == 0:
-        return S.reshape(S.shape[0], 0)
-    U, s, _ = svd_robust(S, full_matrices=False)
-    r = int(np.sum(s > rel_cut * s[0])) if s[0] > 0 else 0
-    return np.ascontiguousarray(U[:, :r])
 
 
 def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | None:
@@ -331,7 +312,7 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
             break  # larger gaps only merge further
         projs = []
         for g in groups:
-            P = spectral_projector(z, eigs[g])
+            P = spectral_projector(z, eigs[g], eigs)
             # genuine cluster projectors have moderate norm; cutting through a
             # defective cloud blows the norm up and wrecks idempotency
             if frob(P) > 1e4 or frob(P @ P - P) > 1e-9 * (1.0 + frob(P)):
@@ -401,7 +382,7 @@ class Corner:
 
 
 def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
-    U = orthonormal_range(E, policy.rank_rtol)
+    U = orthonormal_range(E, E.shape[0] * policy.rank_rtol)
     comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
     basis = joint_commutant(comp, policy).basis
     return Corner(E, U, basis, _radical_coords(basis, policy))

@@ -167,13 +167,15 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
         return SimilarityVerdict(False, "dimension", invT, invS, None, None)
 
     used = [False] * invS.k
-    match: list[int] = []
+    # (matched rhs class, intertwiner between the two class representatives)
+    match: list[tuple[int, np.ndarray]] = []
     for a, repT in enumerate(invT.class_representatives):
         found = -1
         for b, repS in enumerate(invS.class_representatives):
             if used[b]:
                 continue
-            if _tuples_similar(repT, repS, policy, seed) is not None:
+            X = _tuples_similar(repT, repS, policy, seed)
+            if X is not None:
                 found = b
                 break
         if found < 0:
@@ -186,7 +188,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
                 f"vs {invS.multiplicities[found]})",
                 invT, invS, None, None)
         used[found] = True
-        match.append(found)
+        match.append((found, X))
     if invT.k != invS.k:
         return SimilarityVerdict(False, "class count mismatch", invT, invS, None, None)
 
@@ -194,15 +196,16 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
     residual = None
     if want_witness:
         pairs = []
-        for a, b in enumerate(match):
+        for a, (b, Xrep) in enumerate(match):
             blocksT = invT.class_blocks[a]
             blocksS = invS.class_blocks[b]
-            for iT, iS in zip(blocksT, blocksS):
+            for j, (iT, iS) in enumerate(zip(blocksT, blocksS)):
                 P = invT.decomposition.idempotents[iT]
                 Q = invS.decomposition.idempotents[iS]
-                RT = restrict(T, P, policy)
-                RS = restrict(S, Q, policy)
-                Xhat = _tuples_similar(RT, RS, policy, seed)
+                # the first blocks restrict to the class representatives,
+                # whose intertwiner the matching above already found
+                Xhat = Xrep if j == 0 else _tuples_similar(
+                    restrict(T, P, policy), restrict(S, Q, policy), policy, seed)
                 if Xhat is None:
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"

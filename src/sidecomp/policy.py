@@ -1,4 +1,4 @@
-"""Numeric policy record and shared error types.
+"""Numeric policy record, the fixed rank-cut values and shared error types.
 
 Every tolerance-sensitive operation takes an explicit :class:`NumericPolicy`
 so runs are reproducible. The defaults match the documented contracts:
@@ -6,6 +6,11 @@ commutation / idempotency / kernel / invertibility decisions at 1e-8,
 rank decisions at ``n * sigma_max * 1e-10``, eigenvalue clustering at a
 relative gap of 1e-6, and PSD checks allowing a minimum eigenvalue of
 -1e-10.
+
+Every rank is decided by one function, ``_linalg.rank_cut``: it counts the
+singular values above ``rtol * max(sigma_max, scale)``. Callers pass the
+policy's ``rank_rtol`` (times the size multiplier ``n``), its ``kernel_tol``,
+or one of the fixed cut values below, which are not policy fields.
 """
 from __future__ import annotations
 
@@ -42,6 +47,22 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+# Fixed relative cuts of the structure layer, all applied through rank_cut.
+# Centrality bar of the center computation, also its verification threshold:
+# commutator content below it is mod-radical noise (the radical of a very
+# oblique corner is only resolved to ~1e-8), while genuine quotient
+# commutators sit orders of magnitude above it.
+CENTRALITY_BAR = 1e-7
+# Center-span cut: candidate center directions whose radical-free content is
+# below it are alignment artifacts, not quotient directions.
+CENTER_SPAN_CUT = 1e-6
+# Floor of the radical's rank_rtol: corner bases reached through oblique
+# lifted idempotents carry impurities well above roundoff.
+RADICAL_FLOOR = 1e-8
+# Floor of the rank_rtol with which contains_invertible reports the rank of
+# the combinations it tried.
+INVERTIBLE_RANK_FLOOR = 1e-12
 
 
 class NumericalDegeneracyError(RuntimeError):

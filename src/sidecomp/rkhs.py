@@ -396,7 +396,8 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
                 sel[c * off.size + a, c * d + o] = 1.0
         rows.append(sel)
     if rows:
-        compat = nullspace(np.vstack(rows), policy.rank_rtol, strict=False,
+        stack = np.vstack(rows)
+        compat = nullspace(stack, max(stack.shape) * policy.rank_rtol,
                            scale=max(1.0, max(frob(A) for A in T)))
     else:
         compat = np.eye(m * d, dtype=complex)

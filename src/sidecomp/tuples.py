@@ -141,8 +141,9 @@ def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) 
     """Joint kernel of T - w as the nullspace of the stacked (m d) x d matrix.
 
     Dimension is the count of singular values at most
-    ``kernel_tol * max(1, sigma_max)``; this deliberately tolerates
-    truncation-induced residuals when the policy's kernel_tol is loosened.
+    ``kernel_tol * max(1, sigma_max)``, cut by a non-strict :func:`rank_cut`;
+    this deliberately tolerates truncation-induced residuals when the
+    policy's kernel_tol is loosened.
     """
     wv = np.broadcast_to(np.asarray(w, dtype=complex).reshape(-1), (T.m,)) \
         if np.ndim(w) else np.full(T.m, complex(w))
@@ -151,10 +152,9 @@ def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) 
         raise ValueError(f"point must have {T.m} coordinates")
     stack = np.vstack([T[i] - wv[i] * np.eye(T.d) for i in range(T.m)])
     _, s, Vh = np.linalg.svd(stack)
-    smax = float(s[0]) if s.size else 0.0
-    tau = policy.kernel_tol * max(1.0, smax)
-    dim = int(np.sum(s <= tau)) + (T.d - s.size)
-    basis = np.ascontiguousarray(Vh.conj().T[:, T.d - dim:])
+    rank = rank_cut(s, policy.kernel_tol, scale=1.0, strict=False)
+    dim = T.d - rank
+    basis = np.ascontiguousarray(Vh.conj().T[:, rank:])
     res = np.array([float(np.linalg.norm(stack @ basis[:, j])) for j in range(dim)])
     return JointKernelBasis(wv, basis, dim, res)
 
@@ -162,7 +162,7 @@ def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) 
 def range_basis(P, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of range(P) for a (near-)idempotent P."""
     P = as_complex_matrix(P, "idempotent")
-    U = orthonormal_range(P, policy.rank_rtol)
+    U = orthonormal_range(P, max(P.shape) * policy.rank_rtol)
     r = U.shape[1]
     tr = float(np.trace(P).real)
     if abs(tr - r) > 0.1:
@@ -228,7 +228,7 @@ def cd_index_profile(T: OperatorTuple, points,
     if vecs:
         stack = np.hstack(vecs)
         s = np.linalg.svd(stack, compute_uv=False)
-        span = rank_cut(s, max(stack.shape), policy.rank_rtol)
+        span = rank_cut(s, max(stack.shape) * policy.rank_rtol)
     else:
         span = 0
     return CdIndexProfile(pts, dims, bool(np.all(dims == dims[0])), span)

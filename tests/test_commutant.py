@@ -15,6 +15,7 @@ from sidecomp import (
     semisimple_structure,
 )
 from sidecomp._linalg import conditioned_invertible
+from sidecomp.policy import NumericalDegeneracyError, NumericPolicy
 
 
 class TestJointCommutant:
@@ -63,6 +64,15 @@ class TestJointCommutant:
             moved = X @ M @ Xi
             assert np.linalg.norm(moved - B.project(moved)) <= 1e-8 * max(
                 1.0, np.linalg.norm(moved))
+
+    @pytest.mark.parametrize("rtol", [1e-17, 1e-20])
+    def test_empty_span_is_degenerate(self, rtol):
+        # a cut far below roundoff keeps no singular vector: the span is
+        # empty, which is a degeneracy, not a malformed input
+        X = conditioned_invertible(4, 10.0, np.random.default_rng(0))
+        T = conjugate(operator_tuple([jordan(4)]), X)
+        with pytest.raises(NumericalDegeneracyError, match="identity not contained"):
+            joint_commutant(T, NumericPolicy(rank_rtol=rtol))
 
 
 class TestInflationIdentity:

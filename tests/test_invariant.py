@@ -77,6 +77,26 @@ class TestSimilar:
         v = similar(T, S, want_witness=True)
         assert v.similar and v.residual <= 1e-6
 
+    def test_witness_reuses_class_intertwiners(self, monkeypatch):
+        import sidecomp.invariant as invariant
+        calls = []
+        original = invariant.intertwiner_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariant, "intertwiner_space", counting)
+        T = operator_tuple([bd(jordan(2), jordan(2), jordan(2, 1.0))])
+        S = conjugate(T, conditioned_invertible(6, 10.0, np.random.default_rng(5)))
+        plain = similar(T, S)
+        n_plain = len(calls)
+        v = similar(T, S, want_witness=True)
+        assert plain.similar and v.similar and v.residual <= 1e-6
+        # blocks beyond the first of each class need one intertwiner search each
+        assert v.invariant_lhs.multiplicities == (2, 1)
+        assert len(calls) - 2 * n_plain == 1
+
     def test_disjoint_jordan_spectra_dissimilar(self):
         v = similar(operator_tuple([jordan(2)]), operator_tuple([jordan(2, 1.0)]))
         assert not v.similar
