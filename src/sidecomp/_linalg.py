@@ -8,19 +8,21 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .policy import NumericalDegeneracyError
+from .policy import NULLSPACE_ORTHO_BAR, NumericalDegeneracyError
 
 
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def svd_robust(M: np.ndarray, full_matrices: bool = True):
-    """SVD with a gesvd fallback for the occasional gesdd nonconvergence."""
-    try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
-    except np.linalg.LinAlgError:
-        return sla.svd(M, full_matrices=full_matrices, lapack_driver="gesvd")
+def svd_robust(M: np.ndarray, full_matrices: bool = True, driver: str = "gesdd"):
+    """SVD by LAPACK ``driver``; gesdd falls back to gesvd on nonconvergence."""
+    if driver == "gesdd":
+        try:
+            return np.linalg.svd(M, full_matrices=full_matrices)
+        except np.linalg.LinAlgError:
+            pass
+    return sla.svd(M, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
 def svdvals_robust(M: np.ndarray) -> np.ndarray:
@@ -80,16 +82,21 @@ def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0) -> np.ndarray:
     Computed by a (possibly tall) SVD, which resolves true zeros down to
     ~1e-13 relative and leaves many decades of margin to the threshold
     ``rtol * max(sigma_max, scale)``, where the rank is cut without the
-    straddle check (see :func:`rank_cut`).
+    straddle check (see :func:`rank_cut`). gesdd occasionally returns
+    right singular vectors that are far from orthonormal on stacks with a
+    large exact nullspace; such a basis is recomputed with gesvd.
     """
     M = np.asarray(M)
     rows, cols = M.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=complex)
-    _, sv, Vh = svd_robust(M, full_matrices=(rows < cols))
-    s = np.concatenate([sv, np.zeros(cols - sv.size)])
-    r = rank_cut(s, rtol, scale=scale, strict=False)
-    return np.ascontiguousarray(Vh.conj().T[:, r:])
+    for driver in ("gesdd", "gesvd"):
+        _, sv, Vh = svd_robust(M, full_matrices=(rows < cols), driver=driver)
+        s = np.concatenate([sv, np.zeros(cols - sv.size)])
+        N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=False):]
+        if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
+            break
+    return np.ascontiguousarray(N)
 
 
 def orthonormal_range(M: np.ndarray, rtol: float, strict: bool = True) -> np.ndarray:

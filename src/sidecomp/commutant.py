@@ -35,7 +35,9 @@ from .policy import (
     CENTER_SPAN_CUT,
     CENTRALITY_BAR,
     DEFAULT_POLICY,
+    GOOD_INVERTIBLE_COND,
     INVERTIBLE_RANK_FLOOR,
+    PRIMARY_COMMUTE_BAR,
     RADICAL_FLOOR,
     NumericPolicy,
     NumericalDegeneracyError,
@@ -134,10 +136,13 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
                         seed: int | None = None, trials: int = 64) -> InvertibleSearch:
     """Search a matrix span for an invertible element by seeded random combos.
 
-    Accepts the first trial whose sigma_min exceeds inv_tol * sigma_max. On
-    failure the maximum achieved rank is reported together with the rank of
-    generic combinations (8 extra draws); a deficient generic rank certifies
-    that no invertible element exists in the span.
+    A trial is invertible when sigma_min exceeds inv_tol * sigma_max. The
+    first trial with sigma_min >= sigma_max / GOOD_INVERTIBLE_COND is taken
+    at once; otherwise the best-conditioned invertible trial is kept, and the
+    search stops 8 trials after the first invertible one. On failure the
+    maximum achieved rank is reported together with the rank of generic
+    combinations (8 extra draws); a deficient generic rank certifies that no
+    invertible element exists in the span.
     """
     space = np.asarray(space, dtype=complex)
     if space.ndim == 2:
@@ -151,6 +156,8 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
     rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
     max_rank = 0
     element = None
+    best_ratio = policy.inv_tol
+    first = 0
     used = 0
     for t in range(trials):
         c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
@@ -158,8 +165,12 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
         s = svdvals_robust(M)
         used = t + 1
         max_rank = max(max_rank, rank_cut(s, rtol, strict=False))
-        if s[0] > 0 and s[-1] > policy.inv_tol * s[0]:
-            element = M
+        ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+        if ratio > best_ratio:
+            if element is None:
+                first = t
+            element, best_ratio = M, ratio
+        if element is not None and (best_ratio * GOOD_INVERTIBLE_COND >= 1.0 or t - first >= 8):
             break
     generic = 0
     for _ in range(8):
@@ -298,9 +309,10 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
     Eigenvalues of elements with nilpotent parts of order s scatter like
     eps^(1/s) under roundoff, so a fixed clustering gap can cut through a
     single defective cloud. The gap therefore escalates from the policy value
-    until every projector of the split is numerically idempotent; cutting a
-    cloud produces wildly ill-conditioned projectors, which this rejects.
-    Returns None when no validated split with >= 2 parts exists.
+    until every projector of the split is numerically idempotent and has the
+    cluster's size as its trace; cutting a cloud produces wildly
+    ill-conditioned projectors, or Schur selections of the wrong rank, which
+    this rejects. Returns None when no validated split with >= 2 parts exists.
     """
     eigs = np.linalg.eigvals(z)
     gaps = sorted({policy.eig_gap_rtol, 1e-4, 1e-3, 1e-2, 5e-2})
@@ -313,9 +325,11 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
         projs = []
         for g in groups:
             P = spectral_projector(z, eigs[g], eigs)
-            # genuine cluster projectors have moderate norm; cutting through a
-            # defective cloud blows the norm up and wrecks idempotency
-            if frob(P) > 1e4 or frob(P @ P - P) > 1e-9 * (1.0 + frob(P)):
+            # genuine cluster projectors have moderate norm and the cluster's
+            # rank; cutting through a defective cloud blows the norm up, wrecks
+            # idempotency or selects the wrong number of Schur eigenvalues
+            if frob(P) > 1e4 or frob(P @ P - P) > 1e-9 * (1.0 + frob(P)) \
+                    or abs(np.trace(P) - len(g)) > 0.5:
                 projs = None
                 break
             projs.append(P)
@@ -386,6 +400,34 @@ def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
     comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
     basis = joint_commutant(comp, policy).basis
     return Corner(E, U, basis, _radical_coords(basis, policy))
+
+
+def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
+                     rng: np.random.Generator) -> list[Corner]:
+    """Root corners of A'(T), one per joint-spectrum cluster of ``T``.
+
+    The Riesz projectors of a random ``z = sum_i c_i T_i`` are polynomials in
+    an element of the center of A'(T), hence central idempotents, and A'(T)
+    is the direct sum of the commutants of the restrictions to their ranges
+    (primary decomposition). Each part therefore costs an m d_j^2 x d_j^2
+    Sylvester stack instead of the m d^2 x d^2 one. A split is accepted only
+    if every projector commutes with every T_i to within PRIMARY_COMMUTE_BAR.
+    A draw with a single validated cluster ends the search, because generic
+    draws see the same joint-spectrum clusters; then, or when no draw
+    qualifies, the one root is the commutant of ``T`` on the whole space.
+    """
+    for _ in range(SPLIT_ATTEMPTS):
+        c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
+        projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)), policy)
+        if projs is None:
+            break
+        projs = [newton_polish_idempotent(P, **WALK_POLISH) for P in projs]
+        if all(frob(P @ A - A @ P) <= PRIMARY_COMMUTE_BAR * frob(P) * max(1.0, frob(A))
+               for P in projs for A in T):
+            return [_corner(T, P, policy) for P in projs]
+    eye = np.eye(T.d, dtype=complex)
+    basis = joint_commutant(T, policy).basis
+    return [Corner(eye, eye, basis, _radical_coords(basis, policy))]
 
 
 def _central_directions(c: Corner, policy: NumericPolicy,
@@ -459,12 +501,13 @@ class AlgebraStructure:
         return len(self.block_dims)
 
 
-def _structure_once(T: OperatorTuple, root: Corner, policy: NumericPolicy,
+def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
                     seed: int) -> AlgebraStructure:
     rng = np.random.default_rng(seed)
-    rad_dim = root.rad_coords.shape[1]
-    algebra_dim = root.basis.shape[0]
-    blocks = _corner_walk(T, root, _central_directions, policy, rng)
+    rad_dim = sum(root.rad_coords.shape[1] for root in roots)
+    algebra_dim = sum(root.basis.shape[0] for root in roots)
+    blocks = [block for root in roots
+              for block in _corner_walk(T, root, _central_directions, policy, rng)]
     if sum(n * n for _, n in blocks) + rad_dim != algebra_dim:
         raise NumericalDegeneracyError(
             "block dimensions and radical do not account for the algebra "
@@ -487,20 +530,20 @@ def semisimple_structure(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLIC
     cross-checked by re-running with ``check_seeds`` consecutive seeds. A
     re-run that hits an ill-conditioned random draw is retried with the next
     seed (deterministically), so a single unlucky draw does not fail the call;
-    disagreeing successful runs still do. Every corner below the top is
-    recomputed as the commutant of a compressed restriction of ``T``.
+    disagreeing successful runs still do. The walk starts from the primary
+    corners of ``T`` (one per joint-spectrum cluster, split once with the
+    base seed); every corner is the commutant of a compressed restriction of
+    ``T``.
     """
-    A = joint_commutant(T, policy)
-    eye = np.eye(T.d, dtype=complex)
-    root = Corner(eye, eye, A.basis, _radical_coords(A.basis, policy))
     base = policy.seed if seed is None else seed
+    roots = _primary_corners(T, policy, np.random.default_rng(base))
     wanted = max(1, check_seeds)
     results: list[AlgebraStructure] = []
     last_error: NumericalDegeneracyError | None = None
     attempt = 0
     while len(results) < wanted and attempt < wanted + 4:
         try:
-            results.append(_structure_once(T, root, policy, base + attempt))
+            results.append(_structure_once(T, roots, policy, base + attempt))
         except NumericalDegeneracyError as exc:
             last_error = exc
         attempt += 1

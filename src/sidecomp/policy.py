@@ -63,6 +63,17 @@ RADICAL_FLOOR = 1e-8
 # Floor of the rank_rtol with which contains_invertible reports the rank of
 # the combinations it tried.
 INVERTIBLE_RANK_FLOOR = 1e-12
+# Worst ||P T_i - T_i P||_F / (||P||_F max(1, ||T_i||_F)) of an accepted
+# primary (joint-spectrum) projector: a projector commuting only to ~1e-11
+# leaves its corner's Sylvester stack with singular values just above the
+# nullspace cut.
+PRIMARY_COMMUTE_BAR = 1e-12
+# Condition number at which contains_invertible takes a trial at once;
+# worse-conditioned invertible trials are kept only as the best seen so far.
+GOOD_INVERTIBLE_COND = 1e3
+# Orthonormality error ||N* N - I||_F per column above which a nullspace
+# basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
+NULLSPACE_ORTHO_BAR = 1e-12
 
 
 class NumericalDegeneracyError(RuntimeError):

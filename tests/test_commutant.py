@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sidecomp.commutant as commutant
 from conftest import bd, jordan
 from sidecomp import (
     conjugate,
@@ -138,11 +139,51 @@ class TestSemisimpleStructure:
                 target = E[a] if a == b else np.zeros((d, d))
                 assert np.linalg.norm(E[a] @ E[b] - target) <= 1e-8
 
+    def test_primary_corners_replace_the_ambient_stack(self, monkeypatch):
+        # two joint eigenvalues: the structure comes from one small stack per
+        # primary component, never from the m d^2 x d^2 stack of the whole
+        r = np.random.default_rng(3)
+        A = bd(jordan(2), jordan(2), jordan(3, 1.0))
+        X = conditioned_invertible(7, 50.0, r)
+        T = conjugate(operator_tuple([A, A @ A + 0.5 * np.eye(7)]), X)
+        amb = joint_commutant(T)
+        rad_dim = radical(amb).shape[0]
+        shapes = []
+        real_stack = commutant._sylvester_stack
+
+        def recording(T1, T2):
+            M = real_stack(T1, T2)
+            shapes.append(M.shape)
+            return M
+
+        monkeypatch.setattr(commutant, "_sylvester_stack", recording)
+        S = semisimple_structure(T)
+        assert shapes and all(cols < 49 for _, cols in shapes)
+        assert (S.algebra_dim, S.radical_dim) == (amb.algebra_dim, rad_dim)
+        assert S.block_dims == (2, 1)
+
     def test_output_independent_of_seed(self):
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))])
         results = {semisimple_structure(T, seed=s, check_seeds=1).block_dims
                    for s in (11, 22, 33)}
         assert len(results) == 1
+
+
+class TestSpectralSplit:
+    def test_rejects_a_part_of_the_wrong_rank(self, monkeypatch):
+        # a Schur selection that picks none of a cluster's eigenvalues gives a
+        # zero part, which is idempotent and of small norm but splits nothing
+        z = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        projs = commutant._spectral_split(z, NumericPolicy())
+        assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
+        real_projector = commutant.spectral_projector
+
+        def first_part_empty(M, selected, all_eigs):
+            P = real_projector(M, selected, all_eigs)
+            return np.zeros_like(P) if np.isclose(selected[0], 1.0) else P
+
+        monkeypatch.setattr(commutant, "spectral_projector", first_part_empty)
+        assert commutant._spectral_split(z, NumericPolicy()) is None
 
 
 class TestIntertwiners:
@@ -169,7 +210,23 @@ class TestIntertwiners:
 class TestContainsInvertible:
     def test_identity_span(self):
         res = contains_invertible(np.eye(2)[None])
-        assert res.found and res.generic_rank == 2
+        assert res.found and res.generic_rank == 2 and res.trials_used == 1
+
+    def test_keeps_the_best_conditioned_trial(self):
+        # a I + 100 b N with N the 4x4 shift is invertible for a != 0 but has
+        # condition number ~ (100 |b| / |a|)^4: no trial reaches
+        # GOOD_INVERTIBLE_COND, so the best of the 9 trials from the first
+        # invertible one is kept
+        space = np.stack([np.eye(4, dtype=complex), 100.0 * jordan(4)])
+        res = contains_invertible(space)
+        rng = np.random.default_rng(NumericPolicy().seed)
+        conds = []
+        for _ in range(res.trials_used):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            conds.append(np.linalg.cond(np.tensordot(c, space, axes=(0, 0))))
+        assert res.found and res.trials_used == 9
+        assert min(conds) < conds[0]
+        assert np.isclose(np.linalg.cond(res.element), min(conds))
 
     def test_nilpotent_span_certified_deficient(self):
         E12 = np.zeros((2, 2), dtype=complex)

@@ -51,6 +51,24 @@ class TestInvariant:
                     zip(inv.multiplicities, inv.class_representatives))
         assert total == T.d
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_classes_sharing_a_joint_eigenvalue(self, seed):
+        # (J3, N) twice, (J3, N^2) and (J2, 0) all sit at the joint eigenvalue
+        # (0.8, 0), so only the structure inside one primary component tells
+        # them apart; (J2(-1.6), 0) is a second primary component
+        r = np.random.default_rng(seed)
+        N3 = jordan(3)
+        classes = [(jordan(3, 0.8), N3), (jordan(3, 0.8), N3), (jordan(3, 0.8), N3 @ N3),
+                   (jordan(2, 0.8), np.zeros((2, 2))), (jordan(2, -1.6), np.zeros((2, 2)))]
+        blocks = []
+        for A, B in classes:
+            X = conditioned_invertible(A.shape[0], float(r.uniform(1.0, 100.0)), r)
+            Xi = np.linalg.inv(X)
+            blocks.append((X @ A @ Xi, X @ B @ Xi))
+        T = operator_tuple([bd(*[b[0] for b in blocks]), bd(*[b[1] for b in blocks])])
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (4, (2, 1, 1, 1))
+
 
 class TestK0:
     def test_strongly_irreducible_rank_one(self):

@@ -94,3 +94,32 @@ class TestJointCommutantStackSvd:
         with pytest.raises(NumericalDegeneracyError, match="identity not contained"):
             joint_commutant(T)
         assert self.count_svds(monkeypatch, T) == [(32, 16)]
+
+
+class TestNullspaceOrthonormality:
+    def test_non_orthonormal_gesdd_basis_is_recomputed(self, monkeypatch):
+        # gesdd has returned right singular vectors with ||V*V - I|| ~ 1e-7
+        # on commutant stacks; imitate that on a 3-dimensional nullspace
+        M = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        real_svd = np.linalg.svd
+
+        def sloppy_svd(A, *args, **kwargs):
+            U, s, Vh = real_svd(A, *args, **kwargs)
+            Vh = Vh.copy()
+            Vh[2] += 1e-6 * Vh[1]
+            return U, s, Vh
+
+        drivers = []
+        robust = linalg.svd_robust
+
+        def recording(A, *args, **kwargs):
+            drivers.append(kwargs.get("driver", "gesdd"))
+            return robust(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", sloppy_svd)
+        monkeypatch.setattr(linalg, "svd_robust", recording)
+        N = nullspace(M, 1e-10)
+        assert drivers == ["gesdd", "gesvd"]
+        assert N.shape == (4, 3)
+        assert np.linalg.norm(N.conj().T @ N - np.eye(3)) <= 1e-12
+        assert np.allclose(M @ N, 0.0)
