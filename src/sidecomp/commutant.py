@@ -36,7 +36,9 @@ from .policy import (
     CENTRALITY_BAR,
     DEFAULT_POLICY,
     GOOD_INVERTIBLE_COND,
+    INFLATION_SIZE_CAP,
     INVERTIBLE_RANK_FLOOR,
+    INVERTIBLE_TRIALS,
     PRIMARY_COMMUTE_BAR,
     RADICAL_FLOOR,
     NumericPolicy,
@@ -86,12 +88,9 @@ def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     cannot repair a failed check: it keeps a subspace of the same right
     singular vectors, so it misses the identity too.
     """
-    d = T.d
-    scale = max(1.0, max(frob(A) for A in T))
-    ns = nullspace(_sylvester_stack(T, T), d * policy.rank_rtol, scale=scale)
-    basis = ns.T.reshape(-1, d, d)
-    cb = CommutantBasis(np.ascontiguousarray(basis), d, basis.shape[0])
-    if cb.contains(np.eye(d), tol=1e-8):
+    basis = intertwiner_space(T, T, policy)
+    cb = CommutantBasis(basis, T.d, basis.shape[0])
+    if cb.contains(np.eye(T.d), tol=1e-8):
         return cb
     raise NumericalDegeneracyError(
         "identity not contained in the computed commutant span; "
@@ -133,7 +132,7 @@ class InvertibleSearch:
 
 
 def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY,
-                        seed: int | None = None, trials: int = 64) -> InvertibleSearch:
+                        seed: int | None = None) -> InvertibleSearch:
     """Search a matrix span for an invertible element by seeded random combos.
 
     A trial is invertible when sigma_min exceeds inv_tol * sigma_max. The
@@ -159,7 +158,7 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
     best_ratio = policy.inv_tol
     first = 0
     used = 0
-    for t in range(trials):
+    for t in range(INVERTIBLE_TRIALS):
         c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         M = np.tensordot(c, space, axes=(0, 0))
         s = svdvals_robust(M)
@@ -190,13 +189,12 @@ class InflationCheck:
 
 
 def inflation_commutant_check(T: OperatorTuple, n: int,
-                              policy: NumericPolicy = DEFAULT_POLICY,
-                              size_cap: int = 96) -> InflationCheck:
+                              policy: NumericPolicy = DEFAULT_POLICY) -> InflationCheck:
     """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n * T.d > size_cap:
-        raise ValueError(f"inflated dimension {n * T.d} exceeds size cap {size_cap}")
+    if n * T.d > INFLATION_SIZE_CAP:
+        raise ValueError(f"inflated dimension {n * T.d} exceeds size cap {INFLATION_SIZE_CAP}")
     base = joint_commutant(T, policy).algebra_dim
     big = joint_commutant(inflate(T, n), policy).algebra_dim
     return InflationCheck(base, big, n, big == n * n * base)

@@ -19,6 +19,7 @@ import numpy as np
 from ._linalg import frob, newton_polish_idempotent
 from .commutant import (
     PRIMITIVE_POLISH,
+    AlgebraStructure,
     _corner_directions,
     _corner_walk,
     _radical_coords,
@@ -99,8 +100,13 @@ def unit_si_decomposition(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLI
     Every restriction is strongly irreducible by construction (each corner is
     local); this is re-verified per block via its corner dimensions.
     """
+    return _primitive_refinement(T, semisimple_structure(T, policy, seed), policy, seed)
+
+
+def _primitive_refinement(T: OperatorTuple, struct: AlgebraStructure,
+                          policy: NumericPolicy, seed: int | None) -> UnitDecomposition:
+    """The n_i primitive idempotents of each block i of ``struct``, in block order."""
     base_seed = policy.seed if seed is None else seed
-    struct = semisimple_structure(T, policy, seed=base_seed)
     rng = np.random.default_rng(base_seed + 0x5EED)
     prims: list[np.ndarray] = []
     for corner, n in zip(struct.corners, struct.block_dims):

@@ -1,13 +1,13 @@
 """Similarity invariants of commuting tuples and the similarity decision.
 
 The headline invariant of a tuple ``T`` is the pair ``(k; n_1 >= ... >= n_k)``:
-``k`` similarity classes of strongly irreducible blocks in a unit SI
-decomposition, with class multiplicities ``n_i``. The idempotent semigroup of
-the commutant is then free abelian on ``k`` generators with the identity at
-``(n_1, ..., n_k)``, and its Grothendieck group has rank ``k``. Two tuples are
-similar exactly when their class/multiplicity data match under blockwise
-similarity of representatives; an explicit invertible intertwiner witness can
-be assembled on demand.
+``k`` similarity classes of strongly irreducible blocks with multiplicities
+``n_i``, the simple blocks of ``A'(T)/rad = M_{n_1} (+) ... (+) M_{n_k}``. The
+idempotent semigroup of the commutant is free abelian on ``k`` generators with
+the identity at ``(n_1, ..., n_k)``, and its Grothendieck group has rank
+``k``. Two tuples are similar exactly when their class/multiplicity data match
+under blockwise similarity of representatives; an explicit invertible
+intertwiner witness can be assembled on demand.
 
 Scope note: statements about genuinely infinite-dimensional multiplier
 algebras are outside what finite truncations can certify; this module makes
@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import frob
-from .commutant import contains_invertible, intertwiner_space
+from .commutant import contains_invertible, intertwiner_space, semisimple_structure
 from .decomposition import (
     UnitDecomposition,
+    _primitive_refinement,
     assemble_intertwiner,
     block_similarity,
-    unit_si_decomposition,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
 from .tuples import OperatorTuple, restrict
@@ -77,27 +77,18 @@ def v_semigroup_invariant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLI
                           seed: int | None = None) -> SimilarityInvariant:
     """Similarity classes and multiplicities of the SI blocks of T.
 
-    Runs the unit SI decomposition, then groups blocks into classes by
-    searching for invertible intertwiners between restrictions. Classes are
-    sorted by descending multiplicity, ties broken by representative
-    dimension and then by the spectrum of the first component.
+    Class i is the run of n_i primitives of simple block i of A'(T)/rad,
+    represented by the restriction to its first primitive. Classes are sorted
+    by descending multiplicity, ties broken by representative dimension and
+    then by the spectrum of the first component.
     """
-    D = unit_si_decomposition(T, policy, seed)
-    restrictions = [restrict(T, P, policy) for P in D.idempotents]
-    classes: list[list[int]] = []
-    reps: list[OperatorTuple] = []
-    for idx, R in enumerate(restrictions):
-        for c, rep in enumerate(reps):
-            if _tuples_similar(rep, R, policy, seed) is not None:
-                classes[c].append(idx)
-                break
-        else:
-            classes.append([idx])
-            reps.append(R)
-    order = sorted(range(len(classes)),
-                   key=lambda c: (-len(classes[c]), reps[c].d, _spectrum_key(reps[c])))
-    classes = [classes[c] for c in order]
-    reps = [reps[c] for c in order]
+    struct = semisimple_structure(T, policy, seed)
+    D = _primitive_refinement(T, struct, policy, seed)
+    ends = np.cumsum(struct.block_dims).tolist()
+    blocks = [(range(e - n, e), restrict(T, D.idempotents[e - n], policy))
+              for e, n in zip(ends, struct.block_dims)]
+    blocks.sort(key=lambda cr: (-len(cr[0]), cr[1].d, _spectrum_key(cr[1])))
+    classes, reps = zip(*blocks)
     total = sum(len(cls) * reps[i].d for i, cls in enumerate(classes))
     if total != T.d:
         raise NumericalDegeneracyError(

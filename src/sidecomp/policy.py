@@ -71,6 +71,10 @@ PRIMARY_COMMUTE_BAR = 1e-12
 # Condition number at which contains_invertible takes a trial at once;
 # worse-conditioned invertible trials are kept only as the best seen so far.
 GOOD_INVERTIBLE_COND = 1e3
+# Random combinations contains_invertible tries before it reports failure.
+INVERTIBLE_TRIALS = 64
+# Largest inflated dimension n * d that inflation_commutant_check accepts.
+INFLATION_SIZE_CAP = 96
 # Orthonormality error ||N* N - I||_F per column above which a nullspace
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12

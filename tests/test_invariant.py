@@ -11,6 +11,7 @@ from sidecomp import (
     inflate,
     k0_descriptor,
     operator_tuple,
+    semisimple_structure,
     similar,
     unit_si_decomposition,
     v_semigroup_invariant,
@@ -69,6 +70,31 @@ class TestInvariant:
         inv = v_semigroup_invariant(T)
         assert (inv.k, inv.multiplicities) == (4, (2, 1, 1, 1))
 
+    def test_classes_come_from_the_structure_blocks(self, monkeypatch):
+        # the classes are the simple blocks of A'(T)/rad: no intertwiner
+        # search, and one restriction per class rather than per primitive
+        import sidecomp.invariant as invariant
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("intertwiner search inside the invariant")
+
+        calls = []
+        original = invariant.restrict
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariant, "intertwiner_space", forbidden)
+        monkeypatch.setattr(invariant, "contains_invertible", forbidden)
+        monkeypatch.setattr(invariant, "restrict", counting)
+        T = operator_tuple([bd(jordan(2), jordan(2), jordan(2, 1.0))])
+        T = conjugate(T, conditioned_invertible(6, 10.0, np.random.default_rng(3)))
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (2, (2, 1))
+        assert inv.class_blocks == ((0, 1), (2,))
+        assert len(calls) == 2
+
 
 class TestK0:
     def test_strongly_irreducible_rank_one(self):
@@ -85,6 +111,14 @@ class TestK0:
     def test_inflated_si_tuple(self, n):
         desc = k0_descriptor(inflate(operator_tuple([jordan(2)]), n))
         assert desc.rank == 1 and desc.order_unit == (n,)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_order_unit_is_the_block_dims_of_the_quotient(self, seed):
+        # K0 of A'(T) is Z^k with the unit at (n_1, ..., n_k) when
+        # A'(T)/rad = M_{n_1} (+) ... (+) M_{n_k}
+        T = planted_instance(seed, d_max=14).realized
+        block_dims = semisimple_structure(T).block_dims
+        assert v_semigroup_invariant(T).multiplicities == tuple(sorted(block_dims, reverse=True))
 
 
 class TestSimilar:
