@@ -76,13 +76,14 @@ def rank_cut(s: np.ndarray, rtol: float, scale: float = 0.0, strict: bool = True
     return int(np.sum(s > tau))
 
 
-def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0) -> np.ndarray:
+def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0,
+              strict: bool = False) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of ``M``.
 
     Computed by a (possibly tall) SVD, which resolves true zeros down to
     ~1e-13 relative and leaves many decades of margin to the threshold
-    ``rtol * max(sigma_max, scale)``, where the rank is cut without the
-    straddle check (see :func:`rank_cut`). gesdd occasionally returns
+    ``rtol * max(sigma_max, scale)``, where :func:`rank_cut` cuts the rank,
+    with its straddle check when ``strict``. gesdd occasionally returns
     right singular vectors that are far from orthonormal on stacks with a
     large exact nullspace; such a basis is recomputed with gesvd.
     """
@@ -93,7 +94,7 @@ def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0) -> np.ndarray:
     for driver in ("gesdd", "gesvd"):
         _, sv, Vh = svd_robust(M, full_matrices=(rows < cols), driver=driver)
         s = np.concatenate([sv, np.zeros(cols - sv.size)])
-        N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=False):]
+        N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):]
         if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
             break
     return np.ascontiguousarray(N)

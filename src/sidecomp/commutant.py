@@ -2,12 +2,16 @@
 
 The joint commutant ``A'(T)`` of a tuple ``T`` is the unital algebra of all
 matrices commuting with every component. This module computes a
-trace-orthonormal basis of ``A'(T)`` (as the common nullspace of the stacked
-Sylvester maps ``X -> X T_i - T_i X``), the Jacobson radical of such an
-algebra via the trace bilinear form, and the simple-block structure of the
-semisimple quotient ``A/rad(A) = M_{n_1} (+) ... (+) M_{n_k}`` with lifted
-block idempotents. Intertwiner spaces between two tuples and a randomized
-search for invertible elements of a matrix span round out the toolkit.
+trace-orthonormal basis of ``A'(T)``: by spin-up from generators of ``C^d``
+as a module over ``C[T]`` (a commutant element is fixed by its values on the
+generators: ``g*d`` unknowns), and, where that presentation does not apply or
+does not verify, as the common nullspace of the stacked Sylvester maps
+``X -> X T_i - T_i X`` (``d^2`` unknowns). It also computes the Jacobson
+radical of such an algebra via the trace bilinear form and the simple-block
+structure of the semisimple quotient ``A/rad(A) = M_{n_1} (+) ... (+)
+M_{n_k}`` with lifted block idempotents. Intertwiner spaces between two
+tuples (from the Sylvester stack) and a randomized search for invertible
+elements of a matrix span round out the toolkit.
 
 Randomized steps take an explicit seed and are deterministic given
 (inputs, seed); structural outputs (k and the sorted block sizes) do not
@@ -41,6 +45,10 @@ from .policy import (
     INVERTIBLE_TRIALS,
     PRIMARY_COMMUTE_BAR,
     RADICAL_FLOOR,
+    SPLIT_ESCALATION_GAPS,
+    SPLIT_IDEMPOTENCY_BAR,
+    SPLIT_PROJECTOR_NORM_CAP,
+    SPLIT_TRACE_SLACK,
     NumericPolicy,
     NumericalDegeneracyError,
 )
@@ -83,6 +91,24 @@ def _sylvester_stack(T: OperatorTuple, S: OperatorTuple) -> np.ndarray:
 def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
     """Trace-orthonormal basis of A'(T) = {X : X T_i = T_i X for all i}.
 
+    Computed by spin-up from module generators (:func:`_spin_up_commutant`,
+    ``g*d`` unknowns) when that presentation applies and verifies; otherwise
+    by the ``m d^2 x d^2`` Sylvester stack (:func:`stack_commutant`). The
+    fallback is taken when a rank decision of the spin-up straddles its
+    threshold, when the generators do not generate (``rank Phi < d``, e.g.
+    several joint eigenvalues), when the words outnumber Schur's bound on a
+    commutative algebra, when the relation matrix would be larger than the
+    stack, when a basis element commutes only to within a factor 10 of the
+    stack's own cut, or when the span misses the identity. The choice
+    depends only on the input.
+    """
+    cb = _spin_up_commutant(T, policy)
+    return cb if cb is not None else stack_commutant(T, policy)
+
+
+def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
+    """A'(T) as the nullspace of the Sylvester stack, ``intertwiner_space(T, T)``.
+
     Always contains the identity; this is asserted after the nullspace
     computation as a cheap sanity check on the rank decision. A tighter cut
     cannot repair a failed check: it keeps a subspace of the same right
@@ -96,6 +122,84 @@ def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
         "identity not contained in the computed commutant span; "
         "rank threshold is unreliable for this input"
     )
+
+
+def _word_algebra(N: list[np.ndarray], rtol: float, scale: float) -> np.ndarray:
+    """Vec-orthonormal basis (n_B, d, d) of the unital algebra generated by
+    the commuting ``N_i``, built breadth-first: the newest elements times each
+    ``N_i``, projected off the span so far, until nothing new appears.
+
+    ``n_B`` is not bounded by d: ``(E31, E32, E41, E42)`` at d=4 generates a
+    5-dimensional commutative algebra. It is bounded by Schur's
+    ``floor(d^2/4) + 1``, the largest dimension of a commutative subalgebra of
+    M_d; words past it show that the ``N_i`` do not commute numerically.
+    """
+    d = N[0].shape[0]
+    gens = np.stack(N)
+    basis = (np.eye(d, dtype=complex) / math.sqrt(d)).reshape(1, d * d)
+    front = basis
+    while front.shape[0]:
+        cand = np.matmul(front.reshape(-1, 1, d, d), gens).reshape(-1, d * d)
+        for _ in range(2):  # classical Gram-Schmidt, reorthogonalized
+            cand = cand - (cand @ basis.conj().T) @ basis
+        _, s, Vh = svd_robust(cand, full_matrices=False)
+        front = Vh[:rank_cut(s, rtol, scale=scale, strict=True)]
+        basis = np.vstack([basis, front])
+        if basis.shape[0] > d * d // 4 + 1:
+            raise NumericalDegeneracyError(
+                "the words span more than a commutative algebra can (Schur's bound)")
+    return basis.reshape(-1, d, d)
+
+
+def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
+    """A'(T) as the module maps of C^d over B = C[T]; None when the
+    presentation does not apply or does not verify.
+
+    A member X of A'(T) is B-linear, so it is fixed by Y = X G on a generating
+    set G (the spin-up of Parker's Meat-Axe). With ``N_i = T_i - (tr T_i/d) I``
+    and G an orthonormal complement of ``range [N_1 ... N_m]``, the columns of
+    ``Phi = [b_a G]_a`` span C^d exactly when G generates, which ``rank Phi =
+    d`` certifies (by Nakayama it holds for one joint eigenvalue). X exists
+    for Y iff ``sum_a b_a Y K_a = 0`` for the relations ``K = null(Phi)``, and
+    then ``X = [b_a Y]_a Phi^+``: g*d unknowns instead of d^2. Every rank
+    decision is strict (:func:`rank_cut`), and so is the verification: each
+    element of the trace-orthonormalized result must commute with T to within
+    a tenth of the stack's cut ``d * rank_rtol * scale``, since a residual
+    within a factor 10 of the cut is as ambiguous as a straddling singular
+    value. The span must contain the identity.
+    """
+    d = T.d
+    rtol = d * policy.rank_rtol
+    scale = max(1.0, max(frob(A) for A in T))
+    eye = np.eye(d, dtype=complex)
+    N = [A - (np.trace(A) / d) * eye for A in T]
+    try:
+        B = _word_algebra(N, rtol, scale)
+        G = nullspace(np.hstack(N).conj().T, rtol, scale=scale, strict=True)
+        nb, g = B.shape[0], G.shape[1]
+        Phi = np.matmul(B, G).transpose(1, 0, 2).reshape(d, nb * g)
+        U, s, Vh = svd_robust(Phi)
+        # G must generate; and a relation matrix (d*r x d*g, r = nb*g - d)
+        # larger than the m d^2 x d^2 stack would save nothing
+        if rank_cut(s, rtol, strict=True) < d or (nb * g - d) * g > T.m * d * d:
+            return None
+        K = Vh[d:].conj().T.reshape(nb, g, -1)
+        pinv = ((Vh[:d].conj().T / s) @ U.conj().T).reshape(nb, g, d)
+        L = np.einsum("aij,akr->irjk", B, K).reshape(-1, d * g)
+        Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
+        X = sum(np.matmul(B[a], Y @ pinv[a]) for a in range(nb))
+        Q = orthonormal_range(X.reshape(len(Y), d * d).T, rtol)
+    except NumericalDegeneracyError:
+        return None
+    if Q.shape[1] < len(Y):
+        return None
+    basis = np.ascontiguousarray(Q.T.reshape(-1, d, d))
+    resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
+                               axis=(1, 2)) for A in T))
+    if np.any(resid > rtol * scale / 10.0):
+        return None
+    cb = CommutantBasis(basis, d, basis.shape[0])
+    return cb if cb.contains(eye, tol=1e-8) else None
 
 
 def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
@@ -313,7 +417,7 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
     this rejects. Returns None when no validated split with >= 2 parts exists.
     """
     eigs = np.linalg.eigvals(z)
-    gaps = sorted({policy.eig_gap_rtol, 1e-4, 1e-3, 1e-2, 5e-2})
+    gaps = sorted({policy.eig_gap_rtol, *SPLIT_ESCALATION_GAPS})
     for gap in gaps:
         if gap < policy.eig_gap_rtol:
             continue
@@ -326,8 +430,9 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
             # genuine cluster projectors have moderate norm and the cluster's
             # rank; cutting through a defective cloud blows the norm up, wrecks
             # idempotency or selects the wrong number of Schur eigenvalues
-            if frob(P) > 1e4 or frob(P @ P - P) > 1e-9 * (1.0 + frob(P)) \
-                    or abs(np.trace(P) - len(g)) > 0.5:
+            if frob(P) > SPLIT_PROJECTOR_NORM_CAP \
+                    or frob(P @ P - P) > SPLIT_IDEMPOTENCY_BAR * (1.0 + frob(P)) \
+                    or abs(np.trace(P) - len(g)) > SPLIT_TRACE_SLACK:
                 projs = None
                 break
             projs.append(P)
@@ -407,9 +512,10 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
     The Riesz projectors of a random ``z = sum_i c_i T_i`` are polynomials in
     an element of the center of A'(T), hence central idempotents, and A'(T)
     is the direct sum of the commutants of the restrictions to their ranges
-    (primary decomposition). Each part therefore costs an m d_j^2 x d_j^2
-    Sylvester stack instead of the m d^2 x d^2 one. A split is accepted only
-    if every projector commutes with every T_i to within PRIMARY_COMMUTE_BAR.
+    (primary decomposition). Each part is therefore a commutant of dimension
+    d_j instead of d, with one joint eigenvalue, where the spin-up applies. A
+    split is accepted only if every projector commutes with every T_i to
+    within PRIMARY_COMMUTE_BAR.
     A draw with a single validated cluster ends the search, because generic
     draws see the same joint-spectrum clusters; then, or when no draw
     qualifies, the one root is the commutant of ``T`` on the whole space.

@@ -11,13 +11,16 @@ start finds a nontrivial idempotent.
 
 This file is the frozen reference implementation for small dimensions
 (d <= 4); it deliberately uses nothing from the radical / block-structure
-machinery it is used to check.
+machinery it is used to check, and it takes its commutant basis from the
+Sylvester stack (``stack_commutant``), not from the spin-up presentation that
+``joint_commutant`` prefers, so agreement with the oracle cross-checks the
+two.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .commutant import CommutantBasis, joint_commutant
+from .commutant import CommutantBasis, stack_commutant
 from .policy import DEFAULT_POLICY
 
 RESIDUAL_TOL = 1e-10
@@ -78,5 +81,5 @@ def find_nontrivial_idempotent(A: CommutantBasis, seed: int = 20240, starts: int
 def oracle_is_strongly_irreducible(T, seed: int = 20240, starts: int = 240,
                                    policy=DEFAULT_POLICY) -> bool:
     """Exhaustive-search verdict: no nontrivial idempotent commutes with T."""
-    A = joint_commutant(T, policy)
+    A = stack_commutant(T, policy)
     return find_nontrivial_idempotent(A, seed=seed, starts=starts) is None

@@ -75,6 +75,18 @@ GOOD_INVERTIBLE_COND = 1e3
 INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
+# Validity checks of a Riesz projector P of a cluster split (_spectral_split).
+# Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap,
+# wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F) or makes
+# the Schur selection pick the wrong number of eigenvalues (trace off the
+# cluster size by more than the slack).
+SPLIT_PROJECTOR_NORM_CAP = 1e4
+SPLIT_IDEMPOTENCY_BAR = 1e-9
+SPLIT_TRACE_SLACK = 0.5
+# Relative clustering gaps a split escalates through, after the policy's
+# eig_gap_rtol, until its projectors validate: eigenvalues of an element with
+# nilpotent parts of order s scatter like eps^(1/s) under roundoff.
+SPLIT_ESCALATION_GAPS = (1e-4, 1e-3, 1e-2, 5e-2)
 # Orthonormality error ||N* N - I||_F per column above which a nullspace
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12

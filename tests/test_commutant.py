@@ -14,8 +14,11 @@ from sidecomp import (
     operator_tuple,
     radical,
     semisimple_structure,
+    v_semigroup_invariant,
 )
 from sidecomp._linalg import conditioned_invertible
+from sidecomp.commutant import stack_commutant
+from sidecomp.planted import planted_instance
 from sidecomp.policy import NumericalDegeneracyError, NumericPolicy
 
 
@@ -74,6 +77,103 @@ class TestJointCommutant:
         T = conjugate(operator_tuple([jordan(4)]), X)
         with pytest.raises(NumericalDegeneracyError, match="identity not contained"):
             joint_commutant(T, NumericPolicy(rank_rtol=rtol))
+
+
+def _span_gap(A, B):
+    """1 - the smallest cosine of the principal angles between two
+    trace-orthonormal bases of equal dimension."""
+    Va = A.basis.reshape(A.algebra_dim, -1)
+    Vb = B.basis.reshape(B.algebra_dim, -1)
+    return 1.0 - np.linalg.svd(Va.conj() @ Vb.T, compute_uv=False).min()
+
+
+def _one_eigenvalue_tuple(sizes, m, cond, rng):
+    """Conjugated direct sum of Jordan-polynomial blocks (lam_1 + N, lam_i +
+    c_i N + e_i N^2) that all share the joint eigenvalue lam."""
+    lam = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    comps = [[jordan(r)] for r in sizes]
+    for parts, r in zip(comps, sizes):
+        N = jordan(r)
+        for _ in range(1, m):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            parts.append(c[0] * N + c[1] * N @ N)
+    d = sum(sizes)
+    T = operator_tuple([bd(*[p[i] for p in comps]) + lam[i] * np.eye(d) for i in range(m)])
+    return conjugate(T, conditioned_invertible(d, cond, rng))
+
+
+class TestSpinUp:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3),
+           st.floats(1.0, 50.0), st.integers(0, 2**32 - 1))
+    def test_span_equals_the_stack(self, sizes, m, cond, seed):
+        T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
+        A = commutant._spin_up_commutant(T, NumericPolicy())
+        B = stack_commutant(T)
+        assert A is not None and A.algebra_dim == B.algebra_dim
+        assert _span_gap(A, B) <= 1e-8
+
+    def test_shared_eigenvalue_tuple_has_relations(self, monkeypatch):
+        # (J3, N) twice, (J3, N^2) and (J2, 0): four generators whose words
+        # are dependent, so the spin-up solves under nonzero relations
+        N3 = jordan(3)
+        parts = [(N3, N3), (N3, N3), (N3, N3 @ N3), (jordan(2), np.zeros((2, 2)))]
+        X = conditioned_invertible(11, 30.0, np.random.default_rng(5))
+        T = conjugate(operator_tuple([bd(*[p[0] for p in parts]),
+                                      bd(*[p[1] for p in parts])]), X)
+        shapes = []
+        real_nullspace = commutant.nullspace
+
+        def recording(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return real_nullspace(M, *args, **kwargs)
+
+        monkeypatch.setattr(commutant, "nullspace", recording)
+        A = commutant._spin_up_commutant(T, NumericPolicy())
+        assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 29
+        relations_rows = shapes[-1][0]
+        assert relations_rows > 0
+
+    def test_word_algebra_larger_than_d(self):
+        # (E31, E32, E41, E42) generates span{I, E31, E32, E41, E42}: n_B = 5 > d
+        def unit(i, j):
+            E = np.zeros((4, 4), dtype=complex)
+            E[i - 1, j - 1] = 1.0
+            return E
+
+        T = operator_tuple([unit(3, 1), unit(3, 2), unit(4, 1), unit(4, 2)])
+        assert commutant._word_algebra(list(T.matrices), 4e-10, 1.0).shape[0] == 5
+        A = commutant._spin_up_commutant(T, NumericPolicy())
+        assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 5
+
+    def test_several_joint_eigenvalues_fall_back_to_the_stack(self):
+        # the centred diag(1, 2) is invertible: no generator, rank Phi < d
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        assert commutant._spin_up_commutant(T, NumericPolicy()) is None
+        assert joint_commutant(T).algebra_dim == stack_commutant(T).algebra_dim == 2
+
+    @pytest.mark.parametrize("seed", [139, 410, 616])
+    def test_noise_gives_no_wrong_answer(self, seed):
+        # three copies of a 2x2 block at one joint eigenvalue (d = 6) with
+        # entrywise noise: at 1e-9 the noise words of B sit next to the cut.
+        # With non-strict cuts the spin-up keeps them, returns too small a
+        # commutant and the invariant reads (1; 1); strict cuts fall back to
+        # the stack, which raises
+        inst = planted_instance(seed, k_max=1)
+        assert (inst.realized.d, inst.k, inst.multiplicities) == (6, 1, (3,))
+        wrong = []
+        for eps in (1e-10, 1e-9):
+            r = np.random.default_rng([seed, 1])
+            T = operator_tuple([A + eps * (r.standard_normal(A.shape)
+                                           + 1j * r.standard_normal(A.shape))
+                                for A in inst.realized])
+            try:
+                inv = v_semigroup_invariant(T)
+            except NumericalDegeneracyError:
+                continue
+            if (inv.k, inv.multiplicities) != (inst.k, inst.multiplicities):
+                wrong.append((eps, inv.k, inv.multiplicities))
+        assert wrong == []
 
 
 class TestInflationIdentity:
@@ -140,25 +240,32 @@ class TestSemisimpleStructure:
                 assert np.linalg.norm(E[a] @ E[b] - target) <= 1e-8
 
     def test_primary_corners_replace_the_ambient_stack(self, monkeypatch):
-        # two joint eigenvalues: the structure comes from one small stack per
-        # primary component, never from the m d^2 x d^2 stack of the whole
+        # two joint eigenvalues: the structure comes from one small commutant
+        # per primary component, never from one of the whole 7-dimensional
+        # space, and no 2*49 x 49 stack is built
         r = np.random.default_rng(3)
         A = bd(jordan(2), jordan(2), jordan(3, 1.0))
         X = conditioned_invertible(7, 50.0, r)
         T = conjugate(operator_tuple([A, A @ A + 0.5 * np.eye(7)]), X)
         amb = joint_commutant(T)
         rad_dim = radical(amb).shape[0]
-        shapes = []
-        real_stack = commutant._sylvester_stack
+        dims, shapes = [], []
+        real_commutant, real_stack = commutant.joint_commutant, commutant._sylvester_stack
 
-        def recording(T1, T2):
+        def recording_commutant(T1, policy):
+            dims.append(T1.d)
+            return real_commutant(T1, policy)
+
+        def recording_stack(T1, T2):
             M = real_stack(T1, T2)
             shapes.append(M.shape)
             return M
 
-        monkeypatch.setattr(commutant, "_sylvester_stack", recording)
+        monkeypatch.setattr(commutant, "joint_commutant", recording_commutant)
+        monkeypatch.setattr(commutant, "_sylvester_stack", recording_stack)
         S = semisimple_structure(T)
-        assert shapes and all(cols < 49 for _, cols in shapes)
+        assert dims and max(dims) < 7
+        assert all(cols < 49 for _, cols in shapes)
         assert (S.algebra_dim, S.radical_dim) == (amb.algebra_dim, rad_dim)
         assert S.block_dims == (2, 1)
 

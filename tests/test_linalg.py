@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sidecomp._linalg as linalg
+import sidecomp.commutant as commutant
 from conftest import jordan
 from sidecomp import joint_commutant, operator_tuple
 from sidecomp._linalg import nullspace, orthonormal_range, rank_cut
@@ -74,6 +75,7 @@ class TestJointCommutantStackSvd:
             return original(M, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "svd_robust", counting)
+        monkeypatch.setattr(commutant, "svd_robust", counting)
         try:
             joint_commutant(T)
         except NumericalDegeneracyError as exc:
@@ -81,19 +83,25 @@ class TestJointCommutantStackSvd:
         return shapes
 
     def test_one_svd_on_success(self, monkeypatch):
+        # the spin-up takes one SVD per rank decision: three breadth-first
+        # levels of words (N, N^2, then N^3 = 0), the complement of range N,
+        # Phi and the recovered basis; no 9 x 9 Sylvester stack, no retry
         T = operator_tuple([jordan(3)])
-        assert self.count_svds(monkeypatch, T) == [(9, 9)]
+        assert self.count_svds(monkeypatch, T) == [(1, 9), (1, 9), (1, 9), (3, 3), (3, 3),
+                                                   (9, 3)]
 
     def test_one_svd_when_identity_is_missed(self, monkeypatch):
         # entrywise noise of 1e-9 lifts the commutant's singular values off
-        # zero, so the identity's direction is resolved only to ~1e-7
+        # zero, so the identity's direction is resolved only to ~1e-7: the
+        # spin-up's cuts straddle, and the fallback stack is taken once
         r = np.random.default_rng(0)
         A = jordan(4)
         T = operator_tuple([A + 1e-9 * r.standard_normal((4, 4)),
                             A @ A + 1e-9 * r.standard_normal((4, 4))])
         with pytest.raises(NumericalDegeneracyError, match="identity not contained"):
             joint_commutant(T)
-        assert self.count_svds(monkeypatch, T) == [(32, 16)]
+        shapes = self.count_svds(monkeypatch, T)
+        assert shapes[-1] == (32, 16) and shapes.count((32, 16)) == 1
 
 
 class TestNullspaceOrthonormality:
