@@ -32,14 +32,6 @@ def svdvals_robust(M: np.ndarray) -> np.ndarray:
         return sla.svd(M, compute_uv=False, lapack_driver="gesvd")
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).reshape(-1)
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols)
-
-
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:

@@ -14,8 +14,11 @@ tuples (from the Sylvester stack) and a randomized search for invertible
 elements of a matrix span round out the toolkit.
 
 Randomized steps take an explicit seed and are deterministic given
-(inputs, seed); structural outputs (k and the sorted block sizes) do not
-depend on the seed, which is cross-checked by re-running the splitting.
+(inputs, seed). Structural outputs (k and the sorted block sizes) are
+intrinsic to the algebra; a walk that a bad draw leads astray fails one of
+the deterministic certificates (square quotients of the leaves, the
+accounting identity ``sum n_i^2 + dim rad = dim A'``, idempotents summing to
+the identity, and n_i primitives per block) instead of returning other sizes.
 """
 from __future__ import annotations
 
@@ -40,15 +43,22 @@ from .policy import (
     CENTRALITY_BAR,
     DEFAULT_POLICY,
     GOOD_INVERTIBLE_COND,
+    GOOD_SPLIT_NORM,
+    IDENTITY_SUM_BAR,
     INFLATION_SIZE_CAP,
     INVERTIBLE_RANK_FLOOR,
     INVERTIBLE_TRIALS,
+    NILPOTENCY_BAR,
     PRIMARY_COMMUTE_BAR,
     RADICAL_FLOOR,
+    SPAN_MEMBERSHIP_TOL,
+    SPLIT_ATTEMPTS,
     SPLIT_ESCALATION_GAPS,
     SPLIT_IDEMPOTENCY_BAR,
     SPLIT_PROJECTOR_NORM_CAP,
     SPLIT_TRACE_SLACK,
+    STRUCTURE_SEEDS,
+    WALK_POLISH,
     NumericPolicy,
     NumericalDegeneracyError,
 )
@@ -71,7 +81,7 @@ class CommutantBasis:
     def project(self, M: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coords(M), self.basis, axes=(0, 0))
 
-    def contains(self, M: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, M: np.ndarray, tol: float = SPAN_MEMBERSHIP_TOL) -> bool:
         M = np.asarray(M, dtype=complex)
         return frob(M - self.project(M)) <= tol * max(1.0, frob(M))
 
@@ -116,7 +126,7 @@ def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     """
     basis = intertwiner_space(T, T, policy)
     cb = CommutantBasis(basis, T.d, basis.shape[0])
-    if cb.contains(np.eye(T.d), tol=1e-8):
+    if cb.contains(np.eye(T.d)):
         return cb
     raise NumericalDegeneracyError(
         "identity not contained in the computed commutant span; "
@@ -199,7 +209,7 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
     if np.any(resid > rtol * scale / 10.0):
         return None
     cb = CommutantBasis(basis, d, basis.shape[0])
-    return cb if cb.contains(eye, tol=1e-8) else None
+    return cb if cb.contains(eye) else None
 
 
 def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
@@ -341,7 +351,7 @@ def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
     rad = np.tensordot(coords.T, A.basis, axes=(1, 0))
     for R in rad:
         power = np.linalg.matrix_power(R, A.d)
-        if frob(power) > 1e-8 * max(1.0, frob(R) ** A.d):
+        if frob(power) > NILPOTENCY_BAR * max(1.0, frob(R) ** A.d):
             raise NumericalDegeneracyError(
                 "radical candidate is not nilpotent; trace-form rank decision "
                 "is unreliable for this input"
@@ -439,15 +449,6 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
         if projs is not None:
             return projs
     return None
-
-
-# Newton-polish settings: walk children and block idempotents, and the final
-# primitive idempotents of a unit decomposition
-WALK_POLISH = {"tol": 1e-13, "max_iter": 60}
-PRIMITIVE_POLISH = {"tol": 1e-12, "max_iter": 40}
-# random draws per corner split, and the worst projector norm accepted at once
-SPLIT_ATTEMPTS = 16
-GOOD_SPLIT_NORM = 300.0
 
 
 def _split_by_random_element(sample, policy: NumericPolicy,
@@ -621,43 +622,34 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     idems = np.stack([newton_polish_idempotent(c.E, **WALK_POLISH) for c, _ in blocks])
     dims = tuple(n for _, n in blocks)
     total = np.sum(idems, axis=0)
-    if frob(total - np.eye(T.d)) > 1e-8 * T.d:
+    if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
     return AlgebraStructure(algebra_dim, rad_dim, dims, idems, tuple(c for c, _ in blocks))
 
 
 def semisimple_structure(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                         seed: int | None = None, check_seeds: int = 3) -> AlgebraStructure:
+                         seed: int | None = None) -> AlgebraStructure:
     """Simple-block decomposition of A'(T)/rad with lifted block idempotents.
 
-    Randomized splitting is seeded; (k, block sizes) are intrinsic and are
-    cross-checked by re-running with ``check_seeds`` consecutive seeds. A
-    re-run that hits an ill-conditioned random draw is retried with the next
-    seed (deterministically), so a single unlucky draw does not fail the call;
-    disagreeing successful runs still do. The walk starts from the primary
-    corners of ``T`` (one per joint-spectrum cluster, split once with the
-    base seed); every corner is the commutant of a compressed restriction of
-    ``T``.
+    The walk starts from the primary corners of ``T`` (one per
+    joint-spectrum cluster, split once with the base seed); every corner is
+    the commutant of a compressed restriction of ``T``. One seeded walk then
+    splits them into simple blocks. (k, block sizes) are intrinsic, and the
+    walk's result is held to deterministic certificates: every leaf's
+    quotient is a square, the accounting identity
+    ``sum n_i^2 + dim rad = dim A'`` holds and the lifted idempotents sum to
+    the identity. A walk that fails one of them (an ill-conditioned
+    draw, a split that is not central) is retried with the next seed, up to
+    ``STRUCTURE_SEEDS`` seeds, and the last error is raised if none succeeds.
+    A walk that stops too early, reading several blocks as one, passes these
+    checks; ``unit_si_decomposition`` and ``v_semigroup_invariant`` catch it
+    by the count of primitives per block, which must equal its n_i.
     """
     base = policy.seed if seed is None else seed
     roots = _primary_corners(T, policy, np.random.default_rng(base))
-    wanted = max(1, check_seeds)
-    results: list[AlgebraStructure] = []
-    last_error: NumericalDegeneracyError | None = None
-    attempt = 0
-    while len(results) < wanted and attempt < wanted + 4:
+    for attempt in range(STRUCTURE_SEEDS):
         try:
-            results.append(_structure_once(T, roots, policy, base + attempt))
+            return _structure_once(T, roots, policy, base + attempt)
         except NumericalDegeneracyError as exc:
             last_error = exc
-        attempt += 1
-    if not results:
-        raise last_error if last_error is not None else NumericalDegeneracyError(
-            "structure analysis failed")
-    dims = {r.block_dims for r in results}
-    if len(dims) != 1:
-        raise NumericalDegeneracyError(
-            f"block structure depends on the seed: {sorted(dims)}; "
-            "input is numerically degenerate"
-        )
-    return results[0]
+    raise last_error

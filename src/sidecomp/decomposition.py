@@ -18,7 +18,6 @@ import numpy as np
 
 from ._linalg import frob, newton_polish_idempotent
 from .commutant import (
-    PRIMITIVE_POLISH,
     AlgebraStructure,
     _corner_directions,
     _corner_walk,
@@ -28,7 +27,15 @@ from .commutant import (
     joint_commutant,
     semisimple_structure,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
+from .policy import (
+    ANNIHILATION_BAR,
+    ASSEMBLY_BAR,
+    DEFAULT_POLICY,
+    IDENTITY_SUM_BAR,
+    PRIMITIVE_POLISH,
+    NumericPolicy,
+    NumericalDegeneracyError,
+)
 from .tuples import OperatorTuple, check_idempotent_in_commutant, conjugate, \
     range_basis, restrict
 
@@ -86,8 +93,8 @@ class UnitDecomposition:
         }
         if commute > policy.commute_tol \
                 or idem > max(policy.idem_tol, floor) \
-                or annihilate > max(1e-6, floor) \
-                or total > max(1e-8, floor):
+                or annihilate > max(ANNIHILATION_BAR, floor) \
+                or total > max(IDENTITY_SUM_BAR, floor):
             raise NumericalDegeneracyError(f"decomposition invariants violated: {report}")
         return report
 
@@ -191,7 +198,7 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
         X += UQ @ Xhat @ (UP.conj().T @ P)
     scale = max(1.0, max(frob(A) for A in T), max(frob(B) for B in S))
     resid = max(frob(X @ T[i] - S[i] @ X) for i in range(T.m)) / scale
-    if resid > 1e-6:
+    if resid > ASSEMBLY_BAR:
         raise NumericalDegeneracyError(
             f"assembled map fails to intertwine the tuples (residual {resid:.3e})"
         )
@@ -209,7 +216,7 @@ def assemble_global(T: OperatorTuple, pairs,
     X = assemble_intertwiner(T, T, pairs, policy)
     Xi = np.linalg.inv(X)
     worst = max(frob(X @ P @ Xi - Q) for P, Q, _ in pairs)
-    if worst > 1e-6 * max(1.0, max(frob(P) for P, _, _ in pairs)):
+    if worst > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, _, _ in pairs)):
         raise NumericalDegeneracyError(
             f"assembled element does not transport the idempotents (residual {worst:.3e})"
         )
@@ -230,9 +237,9 @@ def align_decompositions(T: OperatorTuple, Ps, Qs, partials, Y, perm,
                          policy: NumericPolicy = DEFAULT_POLICY) -> AlignmentResult:
     """Constructive alignment of two idempotent families.
 
-    Hypotheses (verified, 1e-6): each partial conjugator X maps P_j to Q_j by
-    conjugation for its covered indices, and the global Y in GL(A'(T))
-    satisfies Y^-1 P_i Y = Q_{perm[i]} for all i. For every uncovered index r
+    Hypotheses (verified to ``ASSEMBLY_BAR``): each partial conjugator X
+    maps P_j to Q_j by conjugation for its covered indices, and the global Y
+    in GL(A'(T)) satisfies Y^-1 P_i Y = Q_{perm[i]} for all i. For every uncovered index r
     the walk produces Z_r, an alternating word in Y and the partial
     conjugators with at most 2k+1 factors, such that Z_r Q_r Z_r^-1 is an
     uncovered P; the induced map is a bijection of the uncovered indices.
@@ -256,11 +263,11 @@ def align_decompositions(T: OperatorTuple, Ps, Qs, partials, Y, perm,
         Xi = np.linalg.inv(X)
         mats.append((X, Xi))
         for j in idxs:
-            if frob(X @ Ps[j] @ Xi - Qs[j]) > 1e-6 * scale:
+            if frob(X @ Ps[j] @ Xi - Qs[j]) > ASSEMBLY_BAR * scale:
                 raise ValueError(f"hypothesis violated: partial {s} does not map P{j} to Q{j}")
             covered[j] = s
     for i in range(n):
-        if frob(Yi @ Ps[i] @ Y - Qs[perm[i]]) > 1e-6 * scale:
+        if frob(Yi @ Ps[i] @ Y - Qs[perm[i]]) > ASSEMBLY_BAR * scale:
             raise ValueError(f"hypothesis violated: Y does not map P{i} to Q{perm[i]}")
 
     perm_inv = {perm[i]: i for i in range(n)}
@@ -288,7 +295,7 @@ def align_decompositions(T: OperatorTuple, Ps, Qs, partials, Y, perm,
                 f"alignment word for block {r} exceeded the {2 * k + 1}-factor cap"
             )
         Zi = np.linalg.inv(Z)
-        if frob(Z @ Qs[r] @ Zi - Ps[target]) > 1e-6 * scale:
+        if frob(Z @ Qs[r] @ Zi - Ps[target]) > ASSEMBLY_BAR * scale:
             raise NumericalDegeneracyError(
                 f"alignment word for block {r} fails to conjugate onto P{target}"
             )
@@ -349,7 +356,7 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
     Xi = np.linalg.inv(X)
     resid = max(frob(X @ D1.idempotents[i] @ Xi - D2.idempotents[perm[i]])
                 for i in range(n))
-    if resid > 1e-6 * max(1.0, max(frob(P) for P in D1.idempotents)):
+    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P in D1.idempotents)):
         raise NumericalDegeneracyError(
             f"matching exists but global assembly failed (residual {resid:.3e})"
         )

@@ -91,6 +91,39 @@ SPLIT_ESCALATION_GAPS = (1e-4, 1e-3, 1e-2, 5e-2)
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12
 
+# Constants of the corner walk (semisimple_structure and the primitive split).
+# Newton-polish settings of walk children and block idempotents, and of the
+# final primitive idempotents of a unit decomposition.
+WALK_POLISH = {"tol": 1e-13, "max_iter": 60}
+PRIMITIVE_POLISH = {"tol": 1e-12, "max_iter": 40}
+# Random draws per corner split, and the worst projector norm accepted at once.
+SPLIT_ATTEMPTS = 16
+GOOD_SPLIT_NORM = 300.0
+# Consecutive seeds semisimple_structure walks with before it gives up; a walk
+# that hits an ill-conditioned draw fails one of the structural checks and is
+# retried with the next seed.
+STRUCTURE_SEEDS = 7
+
+# Structural checks on computed algebras and idempotent families.
+# Relative residual ||M - proj(M)||_F / max(1, ||M||_F) up to which M counts
+# as a member of a commutant span; a computed commutant must contain I.
+SPAN_MEMBERSHIP_TOL = 1e-8
+# Relative size ||R^d||_F / max(1, ||R||_F^d) up to which a radical element
+# R of a d-dimensional commutant counts as nilpotent.
+NILPOTENCY_BAR = 1e-8
+# ||sum_i P_i - I||_F of a family of idempotents meant to sum to the identity:
+# per ambient dimension for lifted block idempotents, absolute (floored at the
+# float64 level of their norms) for a validated unit decomposition.
+IDENTITY_SUM_BAR = 1e-8
+# Largest ||P_a P_b||_F, a != b, of a validated unit decomposition (floored
+# like IDENTITY_SUM_BAR).
+ANNIHILATION_BAR = 1e-6
+# Relative residual of an assembled or composed conjugator: the intertwining
+# residual of an assembled map (relative to the tuples' scale), and the
+# transport residual ||X P X^-1 - Q||_F of idempotents relative to
+# max(1, ||P||_F), in assembly, alignment and decomposition matching.
+ASSEMBLY_BAR = 1e-6
+
 
 class NumericalDegeneracyError(RuntimeError):
     """A rank / clustering / lifting decision could not be made reliably.

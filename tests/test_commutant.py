@@ -19,7 +19,7 @@ from sidecomp import (
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
 from sidecomp.planted import planted_instance
-from sidecomp.policy import NumericalDegeneracyError, NumericPolicy
+from sidecomp.policy import STRUCTURE_SEEDS, NumericalDegeneracyError, NumericPolicy
 
 
 class TestJointCommutant:
@@ -271,9 +271,74 @@ class TestSemisimpleStructure:
 
     def test_output_independent_of_seed(self):
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))])
-        results = {semisimple_structure(T, seed=s, check_seeds=1).block_dims
-                   for s in (11, 22, 33)}
+        results = {semisimple_structure(T, seed=s).block_dims for s in (11, 22, 33)}
         assert len(results) == 1
+
+
+class TestOneWalk:
+    """semisimple_structure walks once, and its certificates catch a walk
+    that goes wrong. The input has one joint eigenvalue, so its one primary
+    corner is the root of every walk; its answer is (3; 2, 2, 1)."""
+
+    @staticmethod
+    def tuple_():
+        A = bd(jordan(2), jordan(2), jordan(3), jordan(3), jordan(4))
+        X = conditioned_invertible(A.shape[0], 10.0, np.random.default_rng(5))
+        return conjugate(operator_tuple([A]), X)
+
+    @staticmethod
+    def fault_at_root(monkeypatch, fault, walks):
+        """Replace the central sampler by ``fault`` at the root corner of the
+        first ``walks`` walks; returns the list of root visits."""
+        real = commutant._central_directions
+        calls = []
+
+        def sampler(c, policy, rng):
+            if c.U.shape[1] == c.U.shape[0]:
+                calls.append(None)
+                if len(calls) <= walks:
+                    return fault(c, policy, rng)
+            return real(c, policy, rng)
+
+        monkeypatch.setattr(commutant, "_central_directions", sampler)
+        return calls
+
+    def test_one_walk_on_a_clean_input(self, monkeypatch):
+        real = commutant._structure_once
+        seeds = []
+
+        def counting(T, roots, policy, seed):
+            seeds.append(seed)
+            return real(T, roots, policy, seed)
+
+        monkeypatch.setattr(commutant, "_structure_once", counting)
+        assert semisimple_structure(self.tuple_()).block_dims == (2, 2, 1)
+        assert seeds == [NumericPolicy().seed]
+
+    def test_premature_leaf_caught_by_the_primitive_count(self, monkeypatch):
+        # a root read as a leaf has quotient dimension 4 + 4 + 1 = 9, a
+        # square, so the walk reports one block of size 3; only its 5
+        # primitives give it away
+        roots = self.fault_at_root(monkeypatch, lambda c, policy, rng: None, walks=1)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="block refinement produced 5 primitives, expected 3"):
+            v_semigroup_invariant(self.tuple_())
+        assert len(roots) == 1
+
+    def test_non_central_split_is_retried(self, monkeypatch):
+        # splitting the root by a random element of the whole corner yields 5
+        # local corners: 5 * 1^2 + dim rad != dim A'
+        roots = self.fault_at_root(monkeypatch, commutant._corner_directions, walks=1)
+        assert semisimple_structure(self.tuple_()).block_dims == (2, 2, 1)
+        assert len(roots) == 2
+
+    def test_non_central_split_on_every_walk_raises(self, monkeypatch):
+        roots = self.fault_at_root(monkeypatch, commutant._corner_directions,
+                                   walks=STRUCTURE_SEEDS)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="do not account for the algebra dimension"):
+            semisimple_structure(self.tuple_())
+        assert len(roots) == STRUCTURE_SEEDS
 
 
 class TestSpectralSplit:

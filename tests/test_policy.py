@@ -1,0 +1,21 @@
+"""Thresholds of the structure layer live in ``sidecomp.policy``."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import sidecomp
+
+SRC = Path(sidecomp.__file__).parent
+
+
+@pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py"])
+def test_no_small_float_literals(module):
+    # a positive float literal up to 1e-3 is a tolerance or a bar: it is named
+    # and documented in policy.py instead. Docstrings are strings, so the
+    # literals they mention are not float constants of the tree.
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and 0.0 < node.value <= 1e-3]
+    assert found == [], f"{module}: literal thresholds {found}; name them in policy.py"
