@@ -86,16 +86,16 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_policy(args, seed: int) -> NumericPolicy:
-    pol = NumericPolicy(seed=seed)
+def _resolve_policy(args) -> NumericPolicy:
+    pol = NumericPolicy(seed=_resolve_seed(args))
     if args.tol is not None:
         pol = pol.with_(commute_tol=args.tol, idem_tol=args.tol,
                         kernel_tol=args.tol, inv_tol=args.tol)
     return pol
 
 
-def _header(args, seed: int, pol: NumericPolicy) -> dict:
-    return {"command": args.command, "seed": seed, "tolerances": pol.tolerances()}
+def _header(args, pol: NumericPolicy) -> dict:
+    return {"command": args.command, "seed": pol.seed, "tolerances": pol.tolerances()}
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -139,8 +139,7 @@ def _spectrum(M: np.ndarray) -> list:
 
 
 def cmd_decompose(args) -> int:
-    seed = _resolve_seed(args)
-    pol = _resolve_policy(args, seed)
+    pol = _resolve_policy(args)
     T = sio.load_tuple(args.input)
     comm = validate_commuting(T, policy=pol)
     if not comm.passed:
@@ -148,13 +147,13 @@ def cmd_decompose(args) -> int:
             f"input tuple does not commute at tolerance {pol.commute_tol} "
             f"(max relative commutator {comm.max_commutator:.3e})"
         )
-    D = unit_si_decomposition(T, pol, seed)
+    D = unit_si_decomposition(T, pol)
     residuals = D.validate(pol)
     blocks = []
     for P in D.idempotents:
         R = restrict(T, P, pol)
         blocks.append({"dim": R.d, "spectrum_first_component": _spectrum(R[0])})
-    report = _header(args, seed, pol) | {
+    report = _header(args, pol) | {
         "count": D.count,
         "si_flags": list(D.si_flags),
         "residuals": {k: float(v) for k, v in residuals.items()},
@@ -166,12 +165,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    seed = _resolve_seed(args)
-    pol = _resolve_policy(args, seed)
+    pol = _resolve_policy(args)
     T = sio.load_tuple(args.input)
-    inv = v_semigroup_invariant(T, pol, seed)
-    k0 = k0_descriptor(T, pol, seed, invariant=inv)
-    report = _header(args, seed, pol) | {
+    inv = v_semigroup_invariant(T, pol)
+    k0 = k0_descriptor(T, pol, invariant=inv)
+    report = _header(args, pol) | {
         "k": inv.k,
         "multiplicities": list(inv.multiplicities),
         "class_dims": [r.d for r in inv.class_representatives],
@@ -183,12 +181,11 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_similar(args) -> int:
-    seed = _resolve_seed(args)
-    pol = _resolve_policy(args, seed)
+    pol = _resolve_policy(args)
     T = sio.load_tuple(args.input)
     S = sio.load_tuple(args.input2)
-    verdict = similar_op(T, S, pol, seed, want_witness=args.witness)
-    report = _header(args, seed, pol) | {
+    verdict = similar_op(T, S, pol, want_witness=args.witness)
+    report = _header(args, pol) | {
         "similar": verdict.similar,
         "reason": verdict.reason,
         "invariant_lhs": verdict.invariant_lhs.summary(),
@@ -200,7 +197,7 @@ def cmd_similar(args) -> int:
     return EXIT_OK
 
 
-def _rkhs_checks(spec, grid, preset, pol, seed) -> list[dict]:
+def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
     checks = []
 
     def add(cid, passed, measure):
@@ -254,7 +251,7 @@ def _rkhs_checks(spec, grid, preset, pol, seed) -> list[dict]:
     add("joint-eigenvector-tail", resid <= max(bound, 1e-13), resid)
 
     if preset == "drury_arveson":
-        mh = check_model_hypotheses(adj, pol, seed, coordinate_mask=grid.interior())
+        mh = check_model_hypotheses(adj, pol, coordinate_mask=grid.interior())
         add("model-hypotheses", mh.model_consistent,
             max(mh.projection_residual, mh.solve_max_residual))
     return checks
@@ -262,12 +259,11 @@ def _rkhs_checks(spec, grid, preset, pol, seed) -> list[dict]:
 
 def cmd_rkhs(args) -> int:
     import json
-    seed = _resolve_seed(args)
-    pol = _resolve_policy(args, seed)
+    pol = _resolve_policy(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     spec, grid, preset = sio.kernel_job_from_obj(obj)
-    checks = _rkhs_checks(spec, grid, preset, pol, seed)
+    checks = _rkhs_checks(spec, grid, preset, pol)
     written = None
     if args.output:
         T = spherical_shift(grid) if preset == "spherical_shift" \
@@ -283,7 +279,7 @@ def cmd_rkhs(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(sio.canonical_json(obj))
         written = args.output
-    report = _header(args, seed, pol) | {
+    report = _header(args, pol) | {
         "preset": preset,
         "m": grid.m,
         "dmax": grid.dmax,
@@ -299,13 +295,12 @@ def cmd_rkhs(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = _resolve_seed(args)
-    pol = _resolve_policy(args, seed)
-    instances = planted_corpus(seed, args.count)
+    pol = _resolve_policy(args)
+    instances = planted_corpus(pol.seed, args.count)
     recovered = 0
     failing = []
     for inst in instances:
-        inv = v_semigroup_invariant(inst.realized, pol, seed)
+        inv = v_semigroup_invariant(inst.realized, pol)
         got = (inv.k, tuple(sorted(inv.multiplicities, reverse=True)))
         if got == (inst.k, inst.multiplicities):
             recovered += 1
@@ -315,13 +310,13 @@ def cmd_selftest(args) -> int:
     oracle_cases = si_oracle_corpus()
     oracle_failing = []
     for name, T, _ in oracle_cases:
-        a = oracle_is_strongly_irreducible(T, seed=seed)
+        a = oracle_is_strongly_irreducible(T, seed=pol.seed)
         b = is_strongly_irreducible(T, pol)
         if a == b:
             oracle_agree += 1
         else:
             oracle_failing.append(name)
-    report = _header(args, seed, pol) | {
+    report = _header(args, pol) | {
         "instances": len(instances),
         "recovered": recovered,
         "oracle_cases": len(oracle_cases),

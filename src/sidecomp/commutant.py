@@ -13,8 +13,8 @@ M_{n_k}`` with lifted block idempotents. Intertwiner spaces between two
 tuples (from the Sylvester stack) and a randomized search for invertible
 elements of a matrix span round out the toolkit.
 
-Randomized steps take an explicit seed and are deterministic given
-(inputs, seed). Structural outputs (k and the sorted block sizes) are
+Randomized steps draw from the policy's seed and are deterministic given
+(inputs, policy). Structural outputs (k and the sorted block sizes) are
 intrinsic to the algebra; a walk that a bad draw leads astray fails one of
 the deterministic certificates (square quotients of the leaves, the
 accounting identity ``sum n_i^2 + dim rad = dim A'``, idempotents summing to
@@ -161,6 +161,13 @@ def _word_algebra(N: list[np.ndarray], rtol: float, scale: float) -> np.ndarray:
     return basis.reshape(-1, d, d)
 
 
+def _stack_cut(T: OperatorTuple, S: OperatorTuple,
+               policy: NumericPolicy) -> tuple[float, float]:
+    """``(rtol, scale)`` of the nullspace cut of the Sylvester stack of T and S."""
+    scale = max(1.0, max(frob(A) for A in T), max(frob(B) for B in S))
+    return max(T.d, S.d) * policy.rank_rtol, scale
+
+
 def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
     """A'(T) as the module maps of C^d over B = C[T]; None when the
     presentation does not apply or does not verify.
@@ -179,8 +186,7 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
     value. The span must contain the identity.
     """
     d = T.d
-    rtol = d * policy.rank_rtol
-    scale = max(1.0, max(frob(A) for A in T))
+    rtol, scale = _stack_cut(T, T, policy)
     eye = np.eye(d, dtype=complex)
     N = [A - (np.trace(A) / d) * eye for A in T]
     try:
@@ -221,8 +227,8 @@ def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
     """
     if T.m != S.m:
         raise ValueError(f"arity mismatch: {T.m} vs {S.m}")
-    scale = max(1.0, max(frob(A) for A in T), max(frob(B) for B in S))
-    ns = nullspace(_sylvester_stack(T, S), max(T.d, S.d) * policy.rank_rtol, scale=scale)
+    rtol, scale = _stack_cut(T, S, policy)
+    ns = nullspace(_sylvester_stack(T, S), rtol, scale=scale)
     return np.ascontiguousarray(ns.T.reshape(-1, S.d, T.d))
 
 
@@ -231,7 +237,6 @@ class InvertibleSearch:
     element: np.ndarray | None
     trials_used: int
     max_rank: int
-    generic_rank: int
     size: int
 
     @property
@@ -240,21 +245,21 @@ class InvertibleSearch:
 
     @property
     def rank_deficient(self) -> bool:
-        """True when generic combinations are singular: a certificate that the
-        span contains no invertible element."""
-        return self.generic_rank < self.size
+        """True when every trial combination is singular: a certificate that
+        the span contains no invertible element."""
+        return self.max_rank < self.size
 
 
-def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY,
-                        seed: int | None = None) -> InvertibleSearch:
+def contains_invertible(space: np.ndarray,
+                        policy: NumericPolicy = DEFAULT_POLICY) -> InvertibleSearch:
     """Search a matrix span for an invertible element by seeded random combos.
 
     A trial is invertible when sigma_min exceeds inv_tol * sigma_max. The
     first trial with sigma_min >= sigma_max / GOOD_INVERTIBLE_COND is taken
     at once; otherwise the best-conditioned invertible trial is kept, and the
-    search stops 8 trials after the first invertible one. On failure the
-    maximum achieved rank is reported together with the rank of generic
-    combinations (8 extra draws); a deficient generic rank certifies that no
+    search stops 8 trials after the first invertible one. The maximum rank
+    over the trials is reported; after a failure it rests on all
+    ``INVERTIBLE_TRIALS`` draws, and a deficient maximum certifies that no
     invertible element exists in the span.
     """
     space = np.asarray(space, dtype=complex)
@@ -263,9 +268,9 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
     K = space.shape[0]
     if K == 0 or space.shape[1] != space.shape[2]:
         n = space.shape[2] if space.size else 0
-        return InvertibleSearch(None, 0, 0, 0, n)
+        return InvertibleSearch(None, 0, 0, n)
     n = space.shape[1]
-    rng = np.random.default_rng(policy.seed if seed is None else seed)
+    rng = np.random.default_rng(policy.seed)
     rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
     max_rank = 0
     element = None
@@ -285,13 +290,7 @@ def contains_invertible(space: np.ndarray, policy: NumericPolicy = DEFAULT_POLIC
             element, best_ratio = M, ratio
         if element is not None and (best_ratio * GOOD_INVERTIBLE_COND >= 1.0 or t - first >= 8):
             break
-    generic = 0
-    for _ in range(8):
-        c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        M = np.tensordot(c, space, axes=(0, 0))
-        generic = max(generic, rank_cut(svdvals_robust(M), rtol, strict=False))
-    max_rank = max(max_rank, generic)
-    return InvertibleSearch(element, used, max_rank, generic, n)
+    return InvertibleSearch(element, used, max_rank, n)
 
 
 @dataclass(frozen=True)
@@ -627,12 +626,12 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     return AlgebraStructure(algebra_dim, rad_dim, dims, idems, tuple(c for c, _ in blocks))
 
 
-def semisimple_structure(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                         seed: int | None = None) -> AlgebraStructure:
+def semisimple_structure(T: OperatorTuple,
+                         policy: NumericPolicy = DEFAULT_POLICY) -> AlgebraStructure:
     """Simple-block decomposition of A'(T)/rad with lifted block idempotents.
 
     The walk starts from the primary corners of ``T`` (one per
-    joint-spectrum cluster, split once with the base seed); every corner is
+    joint-spectrum cluster, split once with the policy's seed); every corner is
     the commutant of a compressed restriction of ``T``. One seeded walk then
     splits them into simple blocks. (k, block sizes) are intrinsic, and the
     walk's result is held to deterministic certificates: every leaf's
@@ -645,11 +644,10 @@ def semisimple_structure(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLIC
     checks; ``unit_si_decomposition`` and ``v_semigroup_invariant`` catch it
     by the count of primitives per block, which must equal its n_i.
     """
-    base = policy.seed if seed is None else seed
-    roots = _primary_corners(T, policy, np.random.default_rng(base))
+    roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):
         try:
-            return _structure_once(T, roots, policy, base + attempt)
+            return _structure_once(T, roots, policy, policy.seed + attempt)
         except NumericalDegeneracyError as exc:
             last_error = exc
     raise last_error

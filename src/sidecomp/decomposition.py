@@ -99,22 +99,21 @@ class UnitDecomposition:
         return report
 
 
-def unit_si_decomposition(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                          seed: int | None = None) -> UnitDecomposition:
+def unit_si_decomposition(T: OperatorTuple,
+                          policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Complete list of primitive idempotents of A'(T), ordered by
     (block of the quotient, copy within the block), Newton-polished.
 
     Every restriction is strongly irreducible by construction (each corner is
     local); this is re-verified per block via its corner dimensions.
     """
-    return _primitive_refinement(T, semisimple_structure(T, policy, seed), policy, seed)
+    return _primitive_refinement(T, semisimple_structure(T, policy), policy)
 
 
 def _primitive_refinement(T: OperatorTuple, struct: AlgebraStructure,
-                          policy: NumericPolicy, seed: int | None) -> UnitDecomposition:
+                          policy: NumericPolicy) -> UnitDecomposition:
     """The n_i primitive idempotents of each block i of ``struct``, in block order."""
-    base_seed = policy.seed if seed is None else seed
-    rng = np.random.default_rng(base_seed + 0x5EED)
+    rng = np.random.default_rng(policy.seed + 0x5EED)
     prims: list[np.ndarray] = []
     for corner, n in zip(struct.corners, struct.block_dims):
         leaves = _corner_walk(T, corner, _corner_directions, policy, rng)
@@ -153,28 +152,41 @@ class BlockSimilarityResult:
     basis_Q: np.ndarray
 
 
-def block_similarity(T: OperatorTuple, P, Q, policy: NumericPolicy = DEFAULT_POLICY,
-                     seed: int | None = None) -> BlockSimilarityResult:
+def _invertible_intertwiner(A: OperatorTuple, B: OperatorTuple,
+                            policy: NumericPolicy) -> tuple[np.ndarray | None, bool]:
+    """``(X, definitive)``: an invertible X with X A_i = B_i X, or None.
+
+    The one search behind every similarity decision on restricted tuples. A
+    dimension mismatch, an empty intertwiner space or a rank-deficient span
+    certifies that no such X exists (``definitive``); a search that finds
+    none in a span of full rank is not definitive.
+    """
+    if A.d != B.d:
+        return None, True
+    space = intertwiner_space(A, B, policy)
+    if space.shape[0] == 0:
+        return None, True
+    inv = contains_invertible(space, policy)
+    return inv.element, inv.found or inv.rank_deficient
+
+
+def block_similarity(T: OperatorTuple, P, Q,
+                     policy: NumericPolicy = DEFAULT_POLICY) -> BlockSimilarityResult:
     """Invertible intertwiner between T|range(P) and T|range(Q), if one exists.
 
-    A rank mismatch or a rank-deficient generic intertwiner certifies
+    A rank mismatch or a rank-deficient span of intertwiners certifies
     non-similarity; otherwise failure to find an invertible element is
     reported as non-definitive.
     """
     check_idempotent_in_commutant(T, P, policy)
     check_idempotent_in_commutant(T, Q, policy)
     UP, UQ = range_basis(P, policy), range_basis(Q, policy)
-    if UP.shape[1] != UQ.shape[1]:
+    if UP.shape[1] != UQ.shape[1]:     # a rank-0 side has no restricted tuple
         return BlockSimilarityResult(False, True, None, UP, UQ)
     TP = OperatorTuple(np.stack([UP.conj().T @ A @ UP for A in T]))
     TQ = OperatorTuple(np.stack([UQ.conj().T @ A @ UQ for A in T]))
-    space = intertwiner_space(TP, TQ, policy)
-    if space.shape[0] == 0:
-        return BlockSimilarityResult(False, True, None, UP, UQ)
-    inv = contains_invertible(space, policy, seed=seed)
-    if inv.found:
-        return BlockSimilarityResult(True, True, inv.element, UP, UQ)
-    return BlockSimilarityResult(False, inv.rank_deficient, None, UP, UQ)
+    X, definitive = _invertible_intertwiner(TP, TQ, policy)
+    return BlockSimilarityResult(X is not None, definitive, X, UP, UQ)
 
 
 def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
@@ -213,6 +225,12 @@ def assemble_global(T: OperatorTuple, pairs,
     """Assemble blockwise self-intertwiners into X in GL(A'(T)) with
     X P_i X^-1 = Q_i for every supplied pair; membership and the
     idempotent transport are verified."""
+    return _assemble_global(T, pairs, policy)[0]
+
+
+def _assemble_global(T: OperatorTuple, pairs,
+                     policy: NumericPolicy) -> tuple[np.ndarray, float]:
+    """:func:`assemble_global`'s X and its worst transport residual."""
     X = assemble_intertwiner(T, T, pairs, policy)
     Xi = np.linalg.inv(X)
     worst = max(frob(X @ P @ Xi - Q) for P, Q, _ in pairs)
@@ -220,7 +238,7 @@ def assemble_global(T: OperatorTuple, pairs,
         raise NumericalDegeneracyError(
             f"assembled element does not transport the idempotents (residual {worst:.3e})"
         )
-    return X
+    return X, float(worst)
 
 
 @dataclass(frozen=True)
@@ -326,8 +344,7 @@ class EquivalenceOutcome:
 
 def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
                               D2: UnitDecomposition,
-                              policy: NumericPolicy = DEFAULT_POLICY,
-                              seed: int | None = None) -> EquivalenceOutcome:
+                              policy: NumericPolicy = DEFAULT_POLICY) -> EquivalenceOutcome:
     """Match two unit SI decompositions of the same tuple, with witness.
 
     Greedy bipartite matching by block similarity (valid because similarity of
@@ -344,7 +361,7 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
         for j in range(n):
             if used[j]:
                 continue
-            res = block_similarity(T, D1.idempotents[i], D2.idempotents[j], policy, seed)
+            res = block_similarity(T, D1.idempotents[i], D2.idempotents[j], policy)
             if res.similar:
                 used[j] = True
                 perm[i] = j
@@ -352,12 +369,5 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
                 break
         if perm[i] < 0:
             return EquivalenceOutcome(None, f"no similar partner for block {i}")
-    X = assemble_intertwiner(T, T, pairs, policy)
-    Xi = np.linalg.inv(X)
-    resid = max(frob(X @ D1.idempotents[i] @ Xi - D2.idempotents[perm[i]])
-                for i in range(n))
-    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P in D1.idempotents)):
-        raise NumericalDegeneracyError(
-            f"matching exists but global assembly failed (residual {resid:.3e})"
-        )
-    return EquivalenceOutcome(DecompositionEquivalence(tuple(perm), X, float(resid)), None)
+    X, resid = _assemble_global(T, pairs, policy)
+    return EquivalenceOutcome(DecompositionEquivalence(tuple(perm), X, resid), None)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import frob
-from .commutant import contains_invertible, intertwiner_space, semisimple_structure
+from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
+    _invertible_intertwiner,
     _primitive_refinement,
     assemble_intertwiner,
     block_similarity,
@@ -61,20 +62,8 @@ class K0Descriptor:
     order_unit: tuple[int, ...]
 
 
-def _tuples_similar(A: OperatorTuple, B: OperatorTuple,
-                    policy: NumericPolicy, seed: int | None):
-    """Invertible intertwiner between two (small) tuples, or None."""
-    if A.d != B.d or A.m != B.m:
-        return None
-    space = intertwiner_space(A, B, policy)
-    if space.shape[0] == 0:
-        return None
-    res = contains_invertible(space, policy, seed=seed)
-    return res.element if res.found else None
-
-
-def v_semigroup_invariant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                          seed: int | None = None) -> SimilarityInvariant:
+def v_semigroup_invariant(T: OperatorTuple,
+                          policy: NumericPolicy = DEFAULT_POLICY) -> SimilarityInvariant:
     """Similarity classes and multiplicities of the SI blocks of T.
 
     Class i is the run of n_i primitives of simple block i of A'(T)/rad,
@@ -82,8 +71,8 @@ def v_semigroup_invariant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLI
     by descending multiplicity, ties broken by representative dimension and
     then by the spectrum of the first component.
     """
-    struct = semisimple_structure(T, policy, seed)
-    D = _primitive_refinement(T, struct, policy, seed)
+    struct = semisimple_structure(T, policy)
+    D = _primitive_refinement(T, struct, policy)
     ends = np.cumsum(struct.block_dims).tolist()
     blocks = [(range(e - n, e), restrict(T, D.idempotents[e - n], policy))
               for e, n in zip(ends, struct.block_dims)]
@@ -105,20 +94,18 @@ def v_semigroup_invariant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLI
 
 
 def k0_descriptor(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                  seed: int | None = None,
                   invariant: SimilarityInvariant | None = None) -> K0Descriptor:
     """Grothendieck-group data of the idempotent semigroup of A'(T):
     free abelian of rank k, order unit at the multiplicity vector."""
-    inv = invariant if invariant is not None else v_semigroup_invariant(T, policy, seed)
+    inv = invariant if invariant is not None else v_semigroup_invariant(T, policy)
     return K0Descriptor(rank=inv.k, order_unit=inv.multiplicities)
 
 
 def idempotent_classes_equal(T: OperatorTuple, P, Q,
-                             policy: NumericPolicy = DEFAULT_POLICY,
-                             seed: int | None = None) -> bool:
+                             policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """True iff P and Q define the same idempotent class over A'(T),
     decided through similarity of the restricted tuples."""
-    return block_similarity(T, P, Q, policy, seed).similar
+    return block_similarity(T, P, Q, policy).similar
 
 
 @dataclass(frozen=True)
@@ -141,7 +128,7 @@ class SimilarityVerdict:
 
 
 def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-            seed: int | None = None, want_witness: bool = False) -> SimilarityVerdict:
+            want_witness: bool = False) -> SimilarityVerdict:
     """Decide similarity of two commuting tuples, optionally with witness.
 
     The invariants of both sides are computed and their classes matched by
@@ -152,8 +139,8 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
     """
     if T.m != S.m:
         raise ValueError(f"arity mismatch: {T.m} vs {S.m}")
-    invT = v_semigroup_invariant(T, policy, seed)
-    invS = v_semigroup_invariant(S, policy, seed)
+    invT = v_semigroup_invariant(T, policy)
+    invS = v_semigroup_invariant(S, policy)
     if T.d != S.d:
         return SimilarityVerdict(False, "dimension", invT, invS, None, None)
 
@@ -165,7 +152,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
         for b, repS in enumerate(invS.class_representatives):
             if used[b]:
                 continue
-            X = _tuples_similar(repT, repS, policy, seed)
+            X, _ = _invertible_intertwiner(repT, repS, policy)
             if X is not None:
                 found = b
                 break
@@ -195,8 +182,8 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
                 Q = invS.decomposition.idempotents[iS]
                 # the first blocks restrict to the class representatives,
                 # whose intertwiner the matching above already found
-                Xhat = Xrep if j == 0 else _tuples_similar(
-                    restrict(T, P, policy), restrict(S, Q, policy), policy, seed)
+                Xhat = Xrep if j == 0 else _invertible_intertwiner(
+                    restrict(T, P, policy), restrict(S, Q, policy), policy)[0]
                 if Xhat is None:
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"

@@ -61,8 +61,7 @@ class PlantedInstance:
 def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
                      n_max: int = 3, r_max: int = 4, d_max: int = 24,
                      cond_max: float = 100.0,
-                     policy: NumericPolicy = DEFAULT_POLICY,
-                     verify: bool = True) -> PlantedInstance:
+                     policy: NumericPolicy = DEFAULT_POLICY) -> PlantedInstance:
     """One planted instance with k <= k_max classes, multiplicities <= n_max,
     block dimension <= r_max, total dimension <= d_max, cond(X) <= cond_max."""
     rng = np.random.default_rng(seed)
@@ -80,12 +79,11 @@ def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
     specs = []
     for r, n, lam in zip(rs, ns, lams):
         B = jordan_polynomial_tuple(int(r), complex(lam), rng, arity)
-        if verify:
-            A = joint_commutant(B, policy)
-            if A.algebra_dim != int(r):
-                raise AssertionError(
-                    f"generated block is not strongly irreducible (dim {A.algebra_dim})"
-                )
+        A = joint_commutant(B, policy)
+        if A.algebra_dim != int(r):
+            raise AssertionError(
+                f"generated block is not strongly irreducible (dim {A.algebra_dim})"
+            )
         blocks.append(inflate(B, int(n)))
         specs.append((int(r), complex(lam), int(n)))
     D = blocks[0]

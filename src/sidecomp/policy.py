@@ -5,7 +5,7 @@ so runs are reproducible. The defaults match the documented contracts:
 commutation / idempotency / kernel / invertibility decisions at 1e-8,
 rank decisions at ``n * sigma_max * 1e-10``, eigenvalue clustering at a
 relative gap of 1e-6, and PSD checks allowing a minimum eigenvalue of
--1e-10.
+-1e-10. ``seed`` is the only seed of the randomized steps.
 
 Every rank is decided by one function, ``_linalg.rank_cut``: it counts the
 singular values above ``rtol * max(sigma_max, scale)``. Callers pass the
@@ -75,6 +75,8 @@ GOOD_INVERTIBLE_COND = 1e3
 INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
+# Random compatible families check_model_hypotheses probes for solvability.
+MODEL_PROBE_BATCH = 32
 # Validity checks of a Riesz projector P of a cluster split (_spectral_split).
 # Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap,
 # wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F) or makes

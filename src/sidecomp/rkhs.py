@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from ._linalg import frob, min_eig_hermitian, nullspace
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, MODEL_PROBE_BATCH, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
 
 MultiIndex = tuple[int, ...]
@@ -361,15 +361,15 @@ class ModelHypothesesReport:
 
 
 def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
-                           seed: int | None = None, batch: int = 32,
                            coordinate_mask: np.ndarray | None = None) -> ModelHypothesesReport:
     """Check the two dilation-model hypotheses on concrete data.
 
     (1) sum_i T_i* T_i is a projection (residual of S^2 - S at 1e-10);
     (2) every compatible family (x_1, ..., x_m) with T_i x_j = T_j x_i is of
-    the form x_i = T_i x: probed with a seeded batch of random tuples drawn
-    from the compatibility subspace, solved in least squares; the worst
-    relative residual is reported and must stay below 1e-8.
+    the form x_i = T_i x: probed with ``MODEL_PROBE_BATCH`` random tuples
+    drawn with the policy's seed from the compatibility subspace, solved in
+    least squares; the worst relative residual is reported and must stay
+    below 1e-8.
 
     ``coordinate_mask`` (boolean, per ambient coordinate) restricts the
     compatible data to the marked coordinates in every component — for
@@ -403,10 +403,10 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
         compat = np.eye(m * d, dtype=complex)
     K = compat.shape[1]
 
-    rng = np.random.default_rng(policy.seed if seed is None else seed)
+    rng = np.random.default_rng(policy.seed)
     A_stack = np.vstack([T[i] for i in range(m)])
     worst = 0.0
-    for _ in range(batch if K else 0):
+    for _ in range(MODEL_PROBE_BATCH if K else 0):
         c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         b = compat @ c
         nb = float(np.linalg.norm(b))
@@ -417,7 +417,7 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     solv_ok = worst <= 1e-8
     return ModelHypothesesReport(
         float(proj_res), bool(proj_ok), int(K), float(worst), bool(solv_ok),
-        bool(proj_ok and solv_ok), batch,
+        bool(proj_ok and solv_ok), MODEL_PROBE_BATCH,
     )
 
 

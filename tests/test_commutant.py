@@ -19,7 +19,12 @@ from sidecomp import (
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
 from sidecomp.planted import planted_instance
-from sidecomp.policy import STRUCTURE_SEEDS, NumericalDegeneracyError, NumericPolicy
+from sidecomp.policy import (
+    INVERTIBLE_TRIALS,
+    STRUCTURE_SEEDS,
+    NumericalDegeneracyError,
+    NumericPolicy,
+)
 
 
 class TestJointCommutant:
@@ -271,7 +276,8 @@ class TestSemisimpleStructure:
 
     def test_output_independent_of_seed(self):
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))])
-        results = {semisimple_structure(T, seed=s).block_dims for s in (11, 22, 33)}
+        results = {semisimple_structure(T, NumericPolicy().with_(seed=s)).block_dims
+                   for s in (11, 22, 33)}
         assert len(results) == 1
 
 
@@ -382,7 +388,23 @@ class TestIntertwiners:
 class TestContainsInvertible:
     def test_identity_span(self):
         res = contains_invertible(np.eye(2)[None])
-        assert res.found and res.generic_rank == 2 and res.trials_used == 1
+        assert res.found and res.max_rank == 2 and res.trials_used == 1
+
+    def test_one_svd_per_trial(self, monkeypatch):
+        # the trials are the only draws: no extra generic combinations
+        real, calls = commutant.svdvals_robust, []
+
+        def counting(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(commutant, "svdvals_robust", counting)
+        res = contains_invertible(np.eye(2)[None])
+        assert res.found and len(calls) == res.trials_used == 1
+        # a failed search certifies deficiency from its own trials
+        calls.clear()
+        res = contains_invertible(np.triu(np.ones((2, 2)), 1)[None])
+        assert res.rank_deficient and len(calls) == res.trials_used == INVERTIBLE_TRIALS
 
     def test_keeps_the_best_conditioned_trial(self):
         # a I + 100 b N with N the 4x4 shift is invertible for a != 0 but has

@@ -85,8 +85,7 @@ class TestInvariant:
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(invariant, "intertwiner_space", forbidden)
-        monkeypatch.setattr(invariant, "contains_invertible", forbidden)
+        monkeypatch.setattr(invariant, "_invertible_intertwiner", forbidden)
         monkeypatch.setattr(invariant, "restrict", counting)
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(2, 1.0))])
         T = conjugate(T, conditioned_invertible(6, 10.0, np.random.default_rng(3)))
@@ -132,13 +131,13 @@ class TestSimilar:
     def test_witness_reuses_class_intertwiners(self, monkeypatch):
         import sidecomp.invariant as invariant
         calls = []
-        original = invariant.intertwiner_space
+        original = invariant._invertible_intertwiner
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(invariant, "intertwiner_space", counting)
+        monkeypatch.setattr(invariant, "_invertible_intertwiner", counting)
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(2, 1.0))])
         S = conjugate(T, conditioned_invertible(6, 10.0, np.random.default_rng(5)))
         plain = similar(T, S)
@@ -148,6 +147,23 @@ class TestSimilar:
         # blocks beyond the first of each class need one intertwiner search each
         assert v.invariant_lhs.multiplicities == (2, 1)
         assert len(calls) - 2 * n_plain == 1
+
+    def test_one_search_behind_every_similarity_decision(self, monkeypatch):
+        import sidecomp.decomposition as decomposition
+        import sidecomp.invariant as invariant
+        assert invariant._invertible_intertwiner is decomposition._invertible_intertwiner
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("intertwiner search")
+
+        monkeypatch.setattr(decomposition, "_invertible_intertwiner", broken)
+        monkeypatch.setattr(invariant, "_invertible_intertwiner", broken)
+        T = operator_tuple([bd(jordan(2), jordan(2))])
+        D = unit_si_decomposition(T)
+        with pytest.raises(RuntimeError, match="intertwiner search"):
+            block_similarity(T, D.idempotents[0], D.idempotents[1])
+        with pytest.raises(RuntimeError, match="intertwiner search"):
+            similar(T, T)
 
     def test_disjoint_jordan_spectra_dissimilar(self):
         v = similar(operator_tuple([jordan(2)]), operator_tuple([jordan(2, 1.0)]))

@@ -1,5 +1,6 @@
-"""Thresholds of the structure layer live in ``sidecomp.policy``."""
+"""Thresholds of the structure layer and the one seed live in ``sidecomp.policy``."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,12 @@ def test_no_small_float_literals(module):
              if isinstance(node, ast.Constant) and type(node.value) is float
              and 0.0 < node.value <= 1e-3]
     assert found == [], f"{module}: literal thresholds {found}; name them in policy.py"
+
+
+def test_policy_seed_is_the_only_seed():
+    # randomized steps draw from NumericPolicy.seed; no public function
+    # takes a second seed that could shadow it
+    takes_seed = [name for name in sidecomp.__all__
+                  if inspect.isfunction(obj := getattr(sidecomp, name))
+                  and "seed" in inspect.signature(obj).parameters]
+    assert takes_seed == []
