@@ -174,8 +174,7 @@ def spectral_projector(M: np.ndarray, selected: np.ndarray,
     return Z @ P_T @ Z.conj().T
 
 
-def newton_polish_idempotent(E: np.ndarray, tol: float = 1e-12,
-                             max_iter: int = 40) -> np.ndarray:
+def newton_polish_idempotent(E: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Polish a near-idempotent with e <- 3e^2 - 2e^3.
 
     Converges when ``||e^2 - e||_F`` drops below ``tol * max(1, ||e||_F)``,

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="64-bit seed (default: SIDECOMP_SEED or built-in)")
         sp.add_argument("--tol", type=float, default=None,
-                        help="override commute/idem/kernel/inv tolerances")
+                        help="override the policy's tol and kernel_tol")
         sp.add_argument("--format", choices=("json", "table"), default="json")
         if witness:
             sp.add_argument("--witness", action="store_true",
@@ -89,8 +89,7 @@ def _resolve_seed(args) -> int:
 def _resolve_policy(args) -> NumericPolicy:
     pol = NumericPolicy(seed=_resolve_seed(args))
     if args.tol is not None:
-        pol = pol.with_(commute_tol=args.tol, idem_tol=args.tol,
-                        kernel_tol=args.tol, inv_tol=args.tol)
+        pol = pol.with_(tol=args.tol, kernel_tol=args.tol)
     return pol
 
 
@@ -138,15 +137,21 @@ def _spectrum(M: np.ndarray) -> list:
     return [[round(float(z.real), 9), round(float(z.imag), 9)] for z in eigs]
 
 
-def cmd_decompose(args) -> int:
-    pol = _resolve_policy(args)
-    T = sio.load_tuple(args.input)
+def _load_commuting(path: str, pol: NumericPolicy):
+    """The tuple in ``path``; a ValueError unless it commutes at ``pol.tol``."""
+    T = sio.load_tuple(path)
     comm = validate_commuting(T, policy=pol)
     if not comm.passed:
         raise ValueError(
-            f"input tuple does not commute at tolerance {pol.commute_tol} "
+            f"input tuple does not commute at tolerance {pol.tol} "
             f"(max relative commutator {comm.max_commutator:.3e})"
         )
+    return T
+
+
+def cmd_decompose(args) -> int:
+    pol = _resolve_policy(args)
+    T = _load_commuting(args.input, pol)
     D = unit_si_decomposition(T, pol)
     residuals = D.validate(pol)
     blocks = []
@@ -166,7 +171,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_invariant(args) -> int:
     pol = _resolve_policy(args)
-    T = sio.load_tuple(args.input)
+    T = _load_commuting(args.input, pol)
     inv = v_semigroup_invariant(T, pol)
     k0 = k0_descriptor(T, pol, invariant=inv)
     report = _header(args, pol) | {
@@ -182,8 +187,8 @@ def cmd_invariant(args) -> int:
 
 def cmd_similar(args) -> int:
     pol = _resolve_policy(args)
-    T = sio.load_tuple(args.input)
-    S = sio.load_tuple(args.input2)
+    T = _load_commuting(args.input, pol)
+    S = _load_commuting(args.input2, pol)
     verdict = similar_op(T, S, pol, want_witness=args.witness)
     report = _header(args, pol) | {
         "similar": verdict.similar,
@@ -239,7 +244,7 @@ def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
         srep = check_sphere_conditions(adj, pol, n_hyper=1)
         add("hypercontraction-1", srep.hypercontraction[1], srep.defect_min_eig)
 
-    ps = p_sequence(adj, grid, min(grid.dmax, 4), pol)
+    ps = p_sequence(adj, grid, min(grid.dmax, 4))
     add("p-sequence-chain", ps.psd_ok and ps.monotone_ok and ps.vanish_exact,
         max(ps.vanish_max_abs))
 

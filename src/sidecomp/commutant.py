@@ -53,7 +53,7 @@ from .policy import (
     RADICAL_FLOOR,
     SPAN_MEMBERSHIP_TOL,
     SPLIT_ATTEMPTS,
-    SPLIT_ESCALATION_GAPS,
+    SPLIT_GAPS,
     SPLIT_IDEMPOTENCY_BAR,
     SPLIT_PROJECTOR_NORM_CAP,
     SPLIT_TRACE_SLACK,
@@ -81,9 +81,9 @@ class CommutantBasis:
     def project(self, M: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coords(M), self.basis, axes=(0, 0))
 
-    def contains(self, M: np.ndarray, tol: float = SPAN_MEMBERSHIP_TOL) -> bool:
+    def contains(self, M: np.ndarray) -> bool:
         M = np.asarray(M, dtype=complex)
-        return frob(M - self.project(M)) <= tol * max(1.0, frob(M))
+        return frob(M - self.project(M)) <= SPAN_MEMBERSHIP_TOL * max(1.0, frob(M))
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=(0, 0))
@@ -254,7 +254,7 @@ def contains_invertible(space: np.ndarray,
                         policy: NumericPolicy = DEFAULT_POLICY) -> InvertibleSearch:
     """Search a matrix span for an invertible element by seeded random combos.
 
-    A trial is invertible when sigma_min exceeds inv_tol * sigma_max. The
+    A trial is invertible when sigma_min exceeds tol * sigma_max. The
     first trial with sigma_min >= sigma_max / GOOD_INVERTIBLE_COND is taken
     at once; otherwise the best-conditioned invertible trial is kept, and the
     search stops 8 trials after the first invertible one. The maximum rank
@@ -274,7 +274,7 @@ def contains_invertible(space: np.ndarray,
     rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
     max_rank = 0
     element = None
-    best_ratio = policy.inv_tol
+    best_ratio = policy.tol
     first = 0
     used = 0
     for t in range(INVERTIBLE_TRIALS):
@@ -414,22 +414,19 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
     raise NumericalDegeneracyError("center computation did not stabilize")
 
 
-def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | None:
+def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
     """Riesz projectors of ``z`` onto its eigenvalue clusters, self-validated.
 
     Eigenvalues of elements with nilpotent parts of order s scatter like
     eps^(1/s) under roundoff, so a fixed clustering gap can cut through a
-    single defective cloud. The gap therefore escalates from the policy value
+    single defective cloud. The gap therefore escalates through ``SPLIT_GAPS``
     until every projector of the split is numerically idempotent and has the
     cluster's size as its trace; cutting a cloud produces wildly
     ill-conditioned projectors, or Schur selections of the wrong rank, which
     this rejects. Returns None when no validated split with >= 2 parts exists.
     """
     eigs = np.linalg.eigvals(z)
-    gaps = sorted({policy.eig_gap_rtol, *SPLIT_ESCALATION_GAPS})
-    for gap in gaps:
-        if gap < policy.eig_gap_rtol:
-            continue
+    for gap in SPLIT_GAPS:
         groups = cluster_eigenvalues(eigs, gap)
         if len(groups) < 2:
             break  # larger gaps only merge further
@@ -450,8 +447,7 @@ def _spectral_split(z: np.ndarray, policy: NumericPolicy) -> list[np.ndarray] | 
     return None
 
 
-def _split_by_random_element(sample, policy: NumericPolicy,
-                             rng: np.random.Generator) -> list[np.ndarray] | None:
+def _split_by_random_element(sample, rng: np.random.Generator) -> list[np.ndarray] | None:
     """Split a corner by the best of several random elements' Riesz projectors.
 
     ``sample(rng)`` draws an element of the corner algebra. Splits whose worst
@@ -464,7 +460,7 @@ def _split_by_random_element(sample, policy: NumericPolicy,
     best: list[np.ndarray] | None = None
     best_quality = np.inf
     for _ in range(SPLIT_ATTEMPTS):
-        projs = _spectral_split(sample(rng), policy)
+        projs = _spectral_split(sample(rng))
         if projs is None:
             continue
         quality = max(frob(P) for P in projs)
@@ -522,7 +518,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
     """
     for _ in range(SPLIT_ATTEMPTS):
         c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
-        projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)), policy)
+        projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
         if projs is None:
             break
         projs = [newton_polish_idempotent(P, **WALK_POLISH) for P in projs]
@@ -574,7 +570,7 @@ def _corner_walk(T: OperatorTuple, c: Corner, directions, policy: NumericPolicy,
         x /= np.linalg.norm(x)
         return np.tensordot(C @ x, c.basis, axes=(0, 0))
 
-    projs = _split_by_random_element(sample, policy, rng)
+    projs = _split_by_random_element(sample, rng)
     if projs is None:
         raise NumericalDegeneracyError(
             f"failed to split a corner after {SPLIT_ATTEMPTS} random draws"

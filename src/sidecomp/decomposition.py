@@ -91,8 +91,8 @@ class UnitDecomposition:
             "annihilate": annihilate, "sum_identity": total,
             "float_floor": floor,
         }
-        if commute > policy.commute_tol \
-                or idem > max(policy.idem_tol, floor) \
+        if commute > policy.tol \
+                or idem > max(policy.tol, floor) \
                 or annihilate > max(ANNIHILATION_BAR, floor) \
                 or total > max(IDENTITY_SUM_BAR, floor):
             raise NumericalDegeneracyError(f"decomposition invariants violated: {report}")
@@ -133,7 +133,7 @@ def transport_decomposition(D: UnitDecomposition, X,
     """Push a decomposition of T through X to a decomposition of X T X^-1."""
     X = np.asarray(X, dtype=complex)
     s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= policy.inv_tol * s[0]:
+    if s[-1] <= policy.tol * s[0]:
         raise ValueError("singular conjugator")
     Xi = np.linalg.inv(X)
     Tc = conjugate(D.tuple_ref, X, policy)
@@ -148,8 +148,6 @@ class BlockSimilarityResult:
     similar: bool
     definitive: bool                    # non-similarity certified (rank data)
     intertwiner: np.ndarray | None      # restricted coordinates, rank x rank
-    basis_P: np.ndarray                 # orthonormal basis of range(P)
-    basis_Q: np.ndarray
 
 
 def _invertible_intertwiner(A: OperatorTuple, B: OperatorTuple,
@@ -176,17 +174,20 @@ def block_similarity(T: OperatorTuple, P, Q,
 
     A rank mismatch or a rank-deficient span of intertwiners certifies
     non-similarity; otherwise failure to find an invertible element is
-    reported as non-definitive.
+    reported as non-definitive. Two zero idempotents are similar through the
+    0 x 0 intertwiner.
     """
     check_idempotent_in_commutant(T, P, policy)
     check_idempotent_in_commutant(T, Q, policy)
     UP, UQ = range_basis(P, policy), range_basis(Q, policy)
-    if UP.shape[1] != UQ.shape[1]:     # a rank-0 side has no restricted tuple
-        return BlockSimilarityResult(False, True, None, UP, UQ)
+    if UP.shape[1] != UQ.shape[1]:
+        return BlockSimilarityResult(False, True, None)
+    if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
+        return BlockSimilarityResult(True, True, np.zeros((0, 0), dtype=complex))
     TP = OperatorTuple(np.stack([UP.conj().T @ A @ UP for A in T]))
     TQ = OperatorTuple(np.stack([UQ.conj().T @ A @ UQ for A in T]))
     X, definitive = _invertible_intertwiner(TP, TQ, policy)
-    return BlockSimilarityResult(X is not None, definitive, X, UP, UQ)
+    return BlockSimilarityResult(X is not None, definitive, X)
 
 
 def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
@@ -215,7 +216,7 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
             f"assembled map fails to intertwine the tuples (residual {resid:.3e})"
         )
     sv = np.linalg.svd(X, compute_uv=False)
-    if X.shape[0] != X.shape[1] or sv[-1] <= policy.inv_tol * sv[0]:
+    if X.shape[0] != X.shape[1] or sv[-1] <= policy.tol * sv[0]:
         raise NumericalDegeneracyError("assembled map is not invertible")
     return X
 

@@ -1,11 +1,11 @@
 """Numeric policy record, the fixed rank-cut values and shared error types.
 
 Every tolerance-sensitive operation takes an explicit :class:`NumericPolicy`
-so runs are reproducible. The defaults match the documented contracts:
-commutation / idempotency / kernel / invertibility decisions at 1e-8,
-rank decisions at ``n * sigma_max * 1e-10``, eigenvalue clustering at a
-relative gap of 1e-6, and PSD checks allowing a minimum eigenvalue of
--1e-10. ``seed`` is the only seed of the randomized steps.
+so runs are reproducible. It holds the four values callers set: ``tol``
+(commutation, idempotency and invertibility, 1e-8), ``kernel_tol`` (1e-8),
+``rank_rtol`` (rank decisions at ``n * sigma_max * 1e-10``) and ``seed``, the
+only seed of the randomized steps. Eigenvalue clustering starts at the gap
+``SPLIT_GAPS[0]`` (1e-6); PSD checks allow ``-PSD_TOL`` (-1e-10); both are fixed.
 
 Every rank is decided by one function, ``_linalg.rank_cut``: it counts the
 singular values above ``rtol * max(sigma_max, scale)``. Callers pass the
@@ -21,28 +21,24 @@ DEFAULT_SEED = 0xC0FFEE
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    commute_tol: float = 1e-8
-    idem_tol: float = 1e-8
+    tol: float = 1e-8
     kernel_tol: float = 1e-8
-    inv_tol: float = 1e-8
     rank_rtol: float = 1e-10
-    eig_gap_rtol: float = 1e-6
-    psd_tol: float = 1e-10
     seed: int = DEFAULT_SEED
 
     def with_(self, **kw) -> "NumericPolicy":
         return replace(self, **kw)
 
     def tolerances(self) -> dict:
-        """Tolerance fields as a plain dict (for report headers)."""
+        """The seven tolerances of a report header, as a plain dict."""
         return {
-            "commute_tol": self.commute_tol,
-            "idem_tol": self.idem_tol,
+            "commute_tol": self.tol,
+            "idem_tol": self.tol,
             "kernel_tol": self.kernel_tol,
-            "inv_tol": self.inv_tol,
+            "inv_tol": self.tol,
             "rank_rtol": self.rank_rtol,
-            "eig_gap_rtol": self.eig_gap_rtol,
-            "psd_tol": self.psd_tol,
+            "eig_gap_rtol": SPLIT_GAPS[0],
+            "psd_tol": PSD_TOL,
         }
 
 
@@ -85,10 +81,12 @@ MODEL_PROBE_BATCH = 32
 SPLIT_PROJECTOR_NORM_CAP = 1e4
 SPLIT_IDEMPOTENCY_BAR = 1e-9
 SPLIT_TRACE_SLACK = 0.5
-# Relative clustering gaps a split escalates through, after the policy's
-# eig_gap_rtol, until its projectors validate: eigenvalues of an element with
-# nilpotent parts of order s scatter like eps^(1/s) under roundoff.
-SPLIT_ESCALATION_GAPS = (1e-4, 1e-3, 1e-2, 5e-2)
+# Relative clustering gaps a split escalates through until its projectors
+# validate: eigenvalues of an element with nilpotent parts of order s scatter
+# like eps^(1/s) under roundoff. The first is the header's eig_gap_rtol.
+SPLIT_GAPS = (1e-6, 1e-4, 1e-3, 1e-2, 5e-2)
+# A Hermitian matrix with smallest eigenvalue >= -PSD_TOL counts as PSD.
+PSD_TOL = 1e-10
 # Orthonormality error ||N* N - I||_F per column above which a nullspace
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12

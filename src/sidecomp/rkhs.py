@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from ._linalg import frob, min_eig_hermitian, nullspace
-from .policy import DEFAULT_POLICY, MODEL_PROBE_BATCH, NumericPolicy
+from .policy import DEFAULT_POLICY, MODEL_PROBE_BATCH, PSD_TOL, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
 
 MultiIndex = tuple[int, ...]
@@ -232,8 +232,7 @@ class PSequenceReport:
     vanish_exact: bool
 
 
-def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int,
-               policy: NumericPolicy = DEFAULT_POLICY) -> PSequenceReport:
+def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int) -> PSequenceReport:
     """The positive-operator chain P_0 = I, P_{n+1} = sum_i T_i* P_n T_i.
 
     For a backward multishift: each P_n is PSD, the chain is nonincreasing,
@@ -256,8 +255,8 @@ def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int,
         vanish.append(float(np.abs(P[:, cols]).max()) if cols.size else 0.0)
     return PSequenceReport(
         ops, min_eigs, steps, vanish,
-        psd_ok=all(e >= -policy.psd_tol for e in min_eigs),
-        monotone_ok=all(e >= -policy.psd_tol for e in steps),
+        psd_ok=all(e >= -PSD_TOL for e in min_eigs),
+        monotone_ok=all(e >= -PSD_TOL for e in steps),
         vanish_exact=all(v == 0.0 for v in vanish),
     )
 
@@ -336,12 +335,12 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     power = np.eye(d, dtype=complex)
     for k in range(1, n_hyper + 1):
         power = power @ defect
-        hyper[k] = min_eig_hermitian(power) >= -policy.psd_tol
-    iso_ok = iso_res <= policy.commute_tol * max(1.0, math.sqrt(d))
+        hyper[k] = min_eig_hermitian(power) >= -PSD_TOL
+    iso_ok = iso_res <= policy.tol * max(1.0, math.sqrt(d))
     return SphereReport(
-        row_contraction=min_eig_hermitian(np.eye(d) - R) >= -policy.psd_tol,
+        row_contraction=min_eig_hermitian(np.eye(d) - R) >= -PSD_TOL,
         spherical_isometry=iso_ok,
-        spherical_unitary=iso_ok and norm_res <= policy.commute_tol * max(1.0, math.sqrt(d)),
+        spherical_unitary=iso_ok and norm_res <= policy.tol * max(1.0, math.sqrt(d)),
         hypercontraction=hyper,
         isometry_residual=float(iso_res),
         normality_residual=float(norm_res),
@@ -448,7 +447,7 @@ def gamma_transform(T: OperatorTuple, A: np.ndarray, points,
     """
     A = np.asarray(A, dtype=complex)
     for i in range(T.m):
-        if frob(A @ T[i] - T[i] @ A) > policy.commute_tol * max(1.0, frob(A) * frob(T[i])):
+        if frob(A @ T[i] - T[i] @ A) > policy.tol * max(1.0, frob(A) * frob(T[i])):
             raise ValueError("symbol source does not commute with the tuple")
     nA = float(np.linalg.norm(A, 2))
     samples, skipped = [], []

@@ -75,11 +75,10 @@ class CommutationReport:
     passed: bool
 
 
-def validate_commuting(T: OperatorTuple, tol: float | None = None,
+def validate_commuting(T: OperatorTuple,
                        policy: NumericPolicy = DEFAULT_POLICY) -> CommutationReport:
-    """Report pairwise commutator norms, relative to max(1, ||T_i|| ||T_j||)."""
-    if tol is None:
-        tol = policy.commute_tol
+    """Report pairwise commutator norms, relative to max(1, ||T_i|| ||T_j||),
+    against the policy's ``tol``."""
     m = T.m
     norms = [frob(A) for A in T]
     rel = np.zeros((m, m))
@@ -88,7 +87,7 @@ def validate_commuting(T: OperatorTuple, tol: float | None = None,
             c = frob(T[i] @ T[j] - T[j] @ T[i]) / max(1.0, norms[i] * norms[j])
             rel[i, j] = rel[j, i] = c
     worst = float(rel.max()) if m > 1 else 0.0
-    return CommutationReport(worst, rel, float(tol), worst <= tol)
+    return CommutationReport(worst, rel, float(policy.tol), worst <= policy.tol)
 
 
 def direct_sum(T: OperatorTuple, S: OperatorTuple) -> OperatorTuple:
@@ -119,7 +118,7 @@ def conjugate(T: OperatorTuple, X, policy: NumericPolicy = DEFAULT_POLICY) -> Op
     if X.shape != (T.d, T.d):
         raise ValueError(f"conjugator shape {X.shape} does not match d={T.d}")
     s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= policy.inv_tol * s[0]:
+    if s[-1] <= policy.tol * s[0]:
         raise ValueError(
             f"singular conjugator: sigma_min/sigma_max = {s[-1]/s[0]:.3e}"
         )
@@ -175,16 +174,16 @@ def range_basis(P, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
 
 def check_idempotent_in_commutant(T: OperatorTuple, P,
                                   policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    """Raise unless P ~ P^2 at idem_tol and [P, T_i] ~ 0 at commute_tol."""
+    """Raise unless P ~ P^2 and [P, T_i] ~ 0 at the policy's ``tol``."""
     P = as_complex_matrix(P, "idempotent")
     nP = frob(P)
-    if frob(P @ P - P) > policy.idem_tol * max(1.0, nP * nP):
-        raise ValueError(f"matrix is not idempotent at tol {policy.idem_tol}")
+    if frob(P @ P - P) > policy.tol * max(1.0, nP * nP):
+        raise ValueError(f"matrix is not idempotent at tol {policy.tol}")
     for i, A in enumerate(T):
-        if frob(P @ A - A @ P) > policy.commute_tol * max(1.0, nP * frob(A)):
+        if frob(P @ A - A @ P) > policy.tol * max(1.0, nP * frob(A)):
             raise ValueError(
                 f"idempotent does not commute with component {i} at tol "
-                f"{policy.commute_tol}"
+                f"{policy.tol}"
             )
 
 

@@ -41,10 +41,20 @@ class TestDecompose:
         assert rc == 2
 
     def test_noncommuting_input_exits_2(self, tmp_path, capsys):
-        p = write_tuple(tmp_path / "t.json",
-                        operator_tuple([jordan(2), np.diag([1.0, 2.0])]))
-        rc, _ = run(capsys, ["decompose", "--input", str(p)])
-        assert rc == 2
+        # every command that takes a tuple refuses one that does not commute;
+        # the random pair's relative commutator is 0.63
+        rng = np.random.default_rng(1)
+        bad = write_tuple(tmp_path / "bad.json",
+                          operator_tuple([rng.standard_normal((4, 4)) for _ in range(2)]))
+        good = write_tuple(tmp_path / "good.json", operator_tuple([np.eye(4), jordan(4)]))
+        for argv in (["decompose", "--input", bad],
+                     ["invariant", "--input", bad],
+                     ["similar", "--input", bad, "--input2", bad],
+                     ["similar", "--input", bad, "--input2", good],
+                     ["similar", "--input", good, "--input2", bad]):
+            rc, out = run(capsys, argv)
+            assert rc == 2 and out == "", argv
+        assert run(capsys, ["similar", "--input", good, "--input2", good])[0] == 0
 
     def test_missing_file_exits_2(self, capsys):
         rc, _ = run(capsys, ["decompose", "--input", "/nonexistent.json"])
@@ -74,6 +84,17 @@ class TestInvariant:
         p = write_tuple(tmp_path / "t.json", operator_tuple([np.eye(2)]))
         rc, out = run(capsys, ["invariant", "--input", p, "--format", "table"])
         assert rc == 0 and "multiplicities" in out
+
+    def test_tol_sets_the_policy_tolerances(self, tmp_path, capsys):
+        # --tol sets the policy's tol and kernel_tol; the header reports tol
+        # under commute_tol, idem_tol and inv_tol, the rest keep their defaults
+        p = write_tuple(tmp_path / "t.json", operator_tuple([np.eye(2)]))
+        rc, out = run(capsys, ["invariant", "--input", p, "--tol", "1e-9"])
+        assert rc == 0 and json.loads(out)["tolerances"] == {
+            "commute_tol": 1e-9, "idem_tol": 1e-9, "kernel_tol": 1e-9,
+            "inv_tol": 1e-9, "rank_rtol": 1e-10, "eig_gap_rtol": 1e-6,
+            "psd_tol": 1e-10,
+        }
 
 
 class TestSimilar:

@@ -352,7 +352,7 @@ class TestSpectralSplit:
         # a Schur selection that picks none of a cluster's eigenvalues gives a
         # zero part, which is idempotent and of small norm but splits nothing
         z = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        projs = commutant._spectral_split(z, NumericPolicy())
+        projs = commutant._spectral_split(z)
         assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
         real_projector = commutant.spectral_projector
 
@@ -361,7 +361,7 @@ class TestSpectralSplit:
             return np.zeros_like(P) if np.isclose(selected[0], 1.0) else P
 
         monkeypatch.setattr(commutant, "spectral_projector", first_part_empty)
-        assert commutant._spectral_split(z, NumericPolicy()) is None
+        assert commutant._spectral_split(z) is None
 
 
 class TestIntertwiners:

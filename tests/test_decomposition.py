@@ -9,6 +9,7 @@ from sidecomp import (
     block_similarity,
     conjugate,
     decompositions_equivalent,
+    idempotent_classes_equal,
     inflate,
     is_strongly_irreducible,
     operator_tuple,
@@ -139,6 +140,17 @@ class TestBlockSimilarity:
         Q = bd(np.zeros((2, 2)), np.eye(2))
         res = block_similarity(T, P, Q)
         assert not res.similar and res.definitive
+
+    def test_zero_idempotents_are_similar(self):
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        zero = np.zeros((2, 2))
+        res = block_similarity(T, zero, zero)
+        assert res.similar and res.definitive and res.intertwiner.shape == (0, 0)
+        assert idempotent_classes_equal(T, zero, zero)
+        # a zero and a rank-1 idempotent are certifiably not similar
+        res = block_similarity(T, zero, np.diag([1.0, 0.0]))
+        assert not res.similar and res.definitive and res.intertwiner is None
+        assert not idempotent_classes_equal(T, np.diag([0.0, 1.0]), zero)
 
 
 class TestAssembleGlobal:

@@ -1,16 +1,19 @@
 """Thresholds of the structure layer and the one seed live in ``sidecomp.policy``."""
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
 import sidecomp
+from sidecomp.policy import NumericPolicy
 
 SRC = Path(sidecomp.__file__).parent
 
 
-@pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py"])
+@pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py",
+                                    "_linalg.py", "tuples.py"])
 def test_no_small_float_literals(module):
     # a positive float literal up to 1e-3 is a tolerance or a bar: it is named
     # and documented in policy.py instead. Docstrings are strings, so the
@@ -29,3 +32,17 @@ def test_policy_seed_is_the_only_seed():
                   if inspect.isfunction(obj := getattr(sidecomp, name))
                   and "seed" in inspect.signature(obj).parameters]
     assert takes_seed == []
+
+
+def test_policy_holds_the_four_values_callers_set():
+    assert tuple(f.name for f in dataclasses.fields(NumericPolicy)) == \
+        ("tol", "kernel_tol", "rank_rtol", "seed")
+
+
+def test_report_header_tolerances():
+    # the seven keys and values of the header defined in docs/formats.md
+    assert NumericPolicy().tolerances() == {
+        "commute_tol": 1e-08, "idem_tol": 1e-08, "kernel_tol": 1e-08,
+        "inv_tol": 1e-08, "rank_rtol": 1e-10, "eig_gap_rtol": 1e-06,
+        "psd_tol": 1e-10,
+    }
