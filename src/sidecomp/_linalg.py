@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .policy import NULLSPACE_ORTHO_BAR, NumericalDegeneracyError
 
@@ -135,43 +136,30 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     return out
 
 
-def spectral_projector(M: np.ndarray, selected: np.ndarray,
-                       all_eigs: np.ndarray) -> np.ndarray:
-    """Riesz projector of ``M`` onto the invariant subspace of ``selected`` eigenvalues.
+def spectral_projector(T: np.ndarray, Z: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
+    """Riesz projector onto the invariant subspace of the eigenvalues ``T[idx, idx]``
+    of ``M = Z T Z*``, given its complex Schur form (T upper triangular, Z unitary).
 
-    ``selected`` is a set/array of eigenvalue locations and ``all_eigs`` the
-    eigenvalues of ``M``; an eigenvalue of ``M`` belongs to the selected
-    spectral set when it is closer to ``selected`` than to the rest of the
-    spectrum. Computed from a reordered complex Schur form plus one Sylvester
-    solve; the result is an exact idempotent commuting with ``M`` (up to
-    roundoff) and is a polynomial in ``M``, hence lies in any algebra
-    containing ``M``.
+    LAPACK ``ztrsen`` moves the selected eigenvalues to the leading block,
+    ``M = Zs [T11 T12; 0 T22] Zs*``; ``ztrsyl`` solves ``T11 R - R T22 = T12``
+    on the triangular blocks (Bavely and Stewart's block diagonalization), and
+    the projector is ``Zs [I R; 0 0] Zs*``. It is idempotent and commutes with
+    ``M`` up to roundoff, and is a polynomial in ``M``, hence lies in any
+    algebra containing ``M``. ``idx`` leaves at least one eigenvalue out.
+    Returns None when the reordering fails or the Sylvester solve is
+    perturbed (close eigenvalues on both sides).
     """
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    selected = np.atleast_1d(np.asarray(selected, dtype=complex))
-    others = []
-    for lam in all_eigs:
-        if np.min(np.abs(selected - lam)) > 0:
-            others.append(lam)
-    others = np.asarray(others, dtype=complex)
-
-    def want(lam):
-        dsel = np.min(np.abs(selected - lam))
-        doth = np.min(np.abs(others - lam)) if others.size else np.inf
-        return bool(dsel <= doth)
-
-    T, Z, sdim = sla.schur(M, output="complex", sort=want)
-    if sdim == 0:
-        return np.zeros((n, n), dtype=complex)
-    if sdim == n:
-        return np.eye(n, dtype=complex)
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    R = sla.solve_sylvester(T11, -T22, T12)
-    P_T = np.zeros((n, n), dtype=complex)
-    P_T[:sdim, :sdim] = np.eye(sdim)
-    P_T[:sdim, sdim:] = R
-    return Z @ P_T @ Z.conj().T
+    select = np.zeros(T.shape[0], dtype=np.int32)
+    select[idx] = 1
+    k = len(idx)
+    Ts, Zs, _, _, _, _, info = ztrsen(select, T, Z, job="N")
+    if info != 0:
+        return None
+    R, scale, info = ztrsyl(Ts[:k, :k], Ts[k:, k:], Ts[:k, k:], isgn=-1)
+    if info != 0:
+        return None
+    Z1 = Zs[:, :k]
+    return Z1 @ (Z1.conj().T + (R / scale) @ Zs[:, k:].conj().T)
 
 
 def newton_polish_idempotent(E: np.ndarray, tol: float, max_iter: int) -> np.ndarray:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from ._linalg import (
     cluster_eigenvalues,
@@ -39,7 +40,6 @@ from ._linalg import (
     svdvals_robust,
 )
 from .policy import (
-    CENTER_SPAN_CUT,
     CENTRALITY_BAR,
     DEFAULT_POLICY,
     GOOD_INVERTIBLE_COND,
@@ -318,11 +318,14 @@ def inflation_commutant_check(T: OperatorTuple, n: int,
 # ---------------------------------------------------------------------------
 
 def _radical_coords(basis: np.ndarray, policy: NumericPolicy,
-                    strict: bool = False) -> np.ndarray:
-    """Coefficient vectors (K, nrad) of the radical of the spanned algebra.
+                    strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors (K, nrad) of the radical of the spanned algebra,
+    and (K, K - nrad) of its trace-orthonormal complement.
 
     Uses the characteristic-zero criterion rad(A) = {x : tr(xy) = 0 for all y}:
-    the radical is the nullspace of the trace bilinear Gram form. The cut's
+    the radical is the nullspace of the trace bilinear Gram form, and the
+    complement, spanned by the Gram form's leading right singular vectors,
+    holds one representative of each quotient direction. The cut's
     rank_rtol is floored at ``RADICAL_FLOOR``. ``strict`` additionally raises when
     singular values straddle the threshold (used for caller-facing decisions
     on clean commutant bases; internal corner decisions tolerate straddle and
@@ -330,14 +333,15 @@ def _radical_coords(basis: np.ndarray, policy: NumericPolicy,
     """
     K = basis.shape[0]
     if K == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     r = basis.shape[1]
     F = basis.reshape(K, r * r)
     FT = np.transpose(basis, (0, 2, 1)).reshape(K, r * r)
     G = F @ FT.T                       # G[a,b] = tr(B_a B_b)
     _, s, Vh = svd_robust(G)
     rank = rank_cut(s, K * max(policy.rank_rtol, RADICAL_FLOOR), scale=1.0, strict=strict)
-    return np.ascontiguousarray(Vh[rank:].conj().T)
+    V = Vh.conj().T
+    return np.ascontiguousarray(V[:, rank:]), np.ascontiguousarray(V[:, :rank])
 
 
 def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -346,7 +350,7 @@ def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
     Raises when the trace-form rank decision is ambiguous (singular values
     within a factor 10 of the threshold); callers may tighten the policy.
     """
-    coords = _radical_coords(A.basis, policy, strict=True)
+    coords, _ = _radical_coords(A.basis, policy, strict=True)
     rad = np.tensordot(coords.T, A.basis, axes=(1, 0))
     for R in rad:
         power = np.linalg.matrix_power(R, A.d)
@@ -358,58 +362,49 @@ def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
     return rad
 
 
-def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
-                       policy: NumericPolicy, rng: np.random.Generator) -> np.ndarray:
+def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
     """Coefficient vectors spanning a complement of rad inside the preimage of
     the center of A/rad(A).
 
-    Starts from the centralizer-mod-radical of two random elements (generators
-    of an ideal-closed condition, so commuting mod rad with generators implies
-    commuting mod rad with products), then verifies the candidates against
-    every basis element and augments the constraint set until verified.
+    Works in quotient coordinates: the unknowns are combinations of the q
+    representatives ``quot_coords`` of A/rad, and a commutator counts by its
+    coordinates along them, i.e. modulo rad. Starts from the centralizer of
+    two random elements (generators of an ideal-closed condition, so
+    commuting mod rad with generators implies commuting mod rad with
+    products), then verifies the candidates against every representative and
+    augments the constraint set until verified. The representatives suffice:
+    rad is an ideal, so a commutator with a radical element lies in rad.
     """
-    K, r = basis.shape[0], basis.shape[1]
-    Vc = basis.conj().reshape(K, r * r)
-
-    def perp_coords(comm: np.ndarray) -> np.ndarray:
-        """Quotient coordinates (radical projected out) of a stack of
-        commutators, as a (K coords x stack) matrix."""
-        C = Vc @ comm.reshape(-1, r * r).T
-        if rad_coords.size:
-            C -= rad_coords @ (rad_coords.conj().T @ C)
-        return C
+    q, r = quot_coords.shape[1], basis.shape[1]
+    reps = np.tensordot(quot_coords.T, basis, axes=(1, 0))
+    Vq = reps.conj().reshape(q, r * r)
 
     def constraint_rows(g: np.ndarray) -> np.ndarray:
-        comm = basis @ g - np.matmul(g[None, :, :], basis)
-        return perp_coords(comm)
+        """Quotient coordinates of the commutators [b_j, g], as a (q coords x q
+        representatives) matrix."""
+        comm = reps @ g - np.matmul(g[None, :, :], reps)
+        return Vq @ comm.reshape(q, r * r).T
 
     def random_element() -> np.ndarray:
-        c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        c = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         c /= np.linalg.norm(c)
-        return np.tensordot(c, basis, axes=(0, 0))
+        return np.tensordot(c, reps, axes=(0, 0))
 
-    gens = [random_element(), random_element()]
-    rows = [constraint_rows(g) for g in gens]
-    for _ in range(K + 2):
+    rows = [constraint_rows(random_element()), constraint_rows(random_element())]
+    for _ in range(q + 2):
         # the nullspace cut and the verification below share the centrality bar
         S = nullspace(np.vstack(rows), CENTRALITY_BAR, scale=1.0)
-        # complement of the radical inside the candidate space. Radical
-        # directions need no verification: rad is an ideal, so their
-        # commutators lie in it.
-        if rad_coords.size:
-            S = S - rad_coords @ (rad_coords.conj().T @ S)
-        S = orthonormal_range(S, CENTER_SPAN_CUT, strict=False)
         violated = None
         for col in range(S.shape[1]):
-            z = np.tensordot(S[:, col], basis, axes=(0, 0))
-            comm = np.matmul(z[None, :, :], basis) - basis @ z
-            resid = np.linalg.norm(perp_coords(comm), axis=0)
+            z = np.tensordot(S[:, col], reps, axes=(0, 0))
+            resid = np.linalg.norm(constraint_rows(z), axis=0)
             bad = np.where(resid > CENTRALITY_BAR)[0]
             if bad.size:
-                violated = constraint_rows(basis[bad[0]])
+                violated = constraint_rows(reps[bad[0]])
                 break
         if violated is None:
-            return S
+            return quot_coords @ S
         rows.append(violated)
     raise NumericalDegeneracyError("center computation did not stabilize")
 
@@ -417,26 +412,30 @@ def _center_candidates(basis: np.ndarray, rad_coords: np.ndarray,
 def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
     """Riesz projectors of ``z`` onto its eigenvalue clusters, self-validated.
 
+    One complex Schur form ``z = Z T Z*`` serves the whole split: the
+    eigenvalues are read off ``diag(T)``, a cluster is a set of indices into
+    it, and each projector reorders that Schur form (:func:`spectral_projector`).
     Eigenvalues of elements with nilpotent parts of order s scatter like
     eps^(1/s) under roundoff, so a fixed clustering gap can cut through a
-    single defective cloud. The gap therefore escalates through ``SPLIT_GAPS``
-    until every projector of the split is numerically idempotent and has the
-    cluster's size as its trace; cutting a cloud produces wildly
-    ill-conditioned projectors, or Schur selections of the wrong rank, which
+    single defective cloud. The gap therefore escalates through ``SPLIT_GAPS``,
+    on the same Schur form, until every projector of the split is numerically
+    idempotent and has the cluster's size as its trace; cutting a cloud
+    produces wildly ill-conditioned projectors or a failed reordering, which
     this rejects. Returns None when no validated split with >= 2 parts exists.
     """
-    eigs = np.linalg.eigvals(z)
+    T, Z = sla.schur(np.asarray(z, dtype=complex), output="complex")
+    eigs = np.diag(T)
     for gap in SPLIT_GAPS:
         groups = cluster_eigenvalues(eigs, gap)
         if len(groups) < 2:
             break  # larger gaps only merge further
         projs = []
         for g in groups:
-            P = spectral_projector(z, eigs[g], eigs)
+            P = spectral_projector(T, Z, g)
             # genuine cluster projectors have moderate norm and the cluster's
             # rank; cutting through a defective cloud blows the norm up, wrecks
-            # idempotency or selects the wrong number of Schur eigenvalues
-            if frob(P) > SPLIT_PROJECTOR_NORM_CAP \
+            # idempotency or fails the reordering
+            if P is None or frob(P) > SPLIT_PROJECTOR_NORM_CAP \
                     or frob(P @ P - P) > SPLIT_IDEMPOTENCY_BAR * (1.0 + frob(P)) \
                     or abs(np.trace(P) - len(g)) > SPLIT_TRACE_SLACK:
                 projs = None
@@ -480,25 +479,27 @@ class Corner:
 
     ``basis`` is a trace-orthonormal basis of the commutant of the compressed
     tuple U* T U (an orthonormal compression, so the basis is as clean as a
-    fresh nullspace even for very oblique E) and ``rad_coords`` the
-    coefficient vectors of its radical.
+    fresh nullspace even for very oblique E); ``rad_coords`` are the
+    coefficient vectors of its radical and ``quot_coords`` those of their
+    trace-orthonormal complement, one representative per quotient direction.
     """
 
     E: np.ndarray
     U: np.ndarray
     basis: np.ndarray
     rad_coords: np.ndarray
+    quot_coords: np.ndarray
 
     @property
     def quotient_dim(self) -> int:
-        return self.basis.shape[0] - self.rad_coords.shape[1]
+        return self.quot_coords.shape[1]
 
 
 def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
     U = orthonormal_range(E, E.shape[0] * policy.rank_rtol)
     comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
     basis = joint_commutant(comp, policy).basis
-    return Corner(E, U, basis, _radical_coords(basis, policy))
+    return Corner(E, U, basis, *_radical_coords(basis, policy))
 
 
 def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
@@ -527,14 +528,14 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
             return [_corner(T, P, policy) for P in projs]
     eye = np.eye(T.d, dtype=complex)
     basis = joint_commutant(T, policy).basis
-    return [Corner(eye, eye, basis, _radical_coords(basis, policy))]
+    return [Corner(eye, eye, basis, *_radical_coords(basis, policy))]
 
 
 def _central_directions(c: Corner, policy: NumericPolicy,
                         rng: np.random.Generator) -> np.ndarray | None:
     """Sampler of the central split: quotient-central coefficient vectors of
     the corner, or None when its quotient has a one-dimensional center."""
-    cen = _center_candidates(c.basis, c.rad_coords, policy, rng)
+    cen = _center_candidates(c.basis, c.quot_coords, rng)
     return cen if cen.shape[1] > 1 else None
 
 

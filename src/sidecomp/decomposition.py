@@ -47,8 +47,8 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     one-dimensional, i.e. algebra_dim = radical_dim + 1. No randomization.
     """
     A = joint_commutant(T, policy)
-    nrad = _radical_coords(A.basis, policy).shape[1]
-    return A.algebra_dim == nrad + 1
+    _, quot = _radical_coords(A.basis, policy)
+    return quot.shape[1] == 1
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ DEFAULT_POLICY = NumericPolicy()
 # oblique corner is only resolved to ~1e-8), while genuine quotient
 # commutators sit orders of magnitude above it.
 CENTRALITY_BAR = 1e-7
-# Center-span cut: candidate center directions whose radical-free content is
-# below it are alignment artifacts, not quotient directions.
-CENTER_SPAN_CUT = 1e-6
 # Floor of the radical's rank_rtol: corner bases reached through oblique
 # lifted idempotents carry impurities well above roundoff.
 RADICAL_FLOOR = 1e-8
@@ -74,10 +71,11 @@ INFLATION_SIZE_CAP = 96
 # Random compatible families check_model_hypotheses probes for solvability.
 MODEL_PROBE_BATCH = 32
 # Validity checks of a Riesz projector P of a cluster split (_spectral_split).
-# Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap,
-# wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F) or makes
-# the Schur selection pick the wrong number of eigenvalues (trace off the
-# cluster size by more than the slack).
+# Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap
+# or wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F). A
+# cluster is selected by its indices on the Schur diagonal, so its trace is
+# its size unless the reordering went wrong: a trace off the cluster size by
+# more than the slack guards a failed reorder.
 SPLIT_PROJECTOR_NORM_CAP = 1e4
 SPLIT_IDEMPOTENCY_BAR = 1e-9
 SPLIT_TRACE_SLACK = 0.5

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+import sidecomp._linalg as _linalg
 import sidecomp.commutant as commutant
 from conftest import bd, jordan
 from sidecomp import (
@@ -20,7 +22,9 @@ from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
 from sidecomp.planted import planted_instance
 from sidecomp.policy import (
+    CENTRALITY_BAR,
     INVERTIBLE_TRIALS,
+    SPLIT_GAPS,
     STRUCTURE_SEEDS,
     NumericalDegeneracyError,
     NumericPolicy,
@@ -309,6 +313,37 @@ class TestOneWalk:
         monkeypatch.setattr(commutant, "_central_directions", sampler)
         return calls
 
+    def root_corner(self):
+        roots = commutant._primary_corners(self.tuple_(), NumericPolicy(),
+                                           np.random.default_rng(NumericPolicy().seed))
+        assert len(roots) == 1
+        return roots[0]
+
+    def test_center_in_quotient_coordinates(self, monkeypatch):
+        c = self.root_corner()
+        K, q = c.basis.shape[0], c.quotient_dim
+        assert q == K - c.rad_coords.shape[1] == 4 + 4 + 1
+        real_nullspace, shapes = commutant.nullspace, []
+
+        def spying(M, *args, **kw):
+            shapes.append(M.shape)
+            return real_nullspace(M, *args, **kw)
+
+        monkeypatch.setattr(commutant, "nullspace", spying)
+        C = commutant._center_candidates(c.basis, c.quot_coords, np.random.default_rng(1))
+        # the center of M_2 + M_2 + M_1 is 3-dimensional
+        assert C.shape == (K, 3)
+        assert shapes and all(cols == q for _, cols in shapes)
+        assert np.linalg.norm(c.rad_coords.conj().T @ C) <= 1e-12
+        # every direction commutes mod rad with the whole corner, not only
+        # with the quotient representatives the computation checked
+        V = c.basis.conj().reshape(K, -1)
+        for col in C.T:
+            z = np.tensordot(col, c.basis, axes=(0, 0))
+            comm = np.matmul(z[None], c.basis) - c.basis @ z
+            mod_rad = c.quot_coords.conj().T @ (V @ comm.reshape(K, -1).T)
+            assert np.linalg.norm(mod_rad, axis=0).max() <= CENTRALITY_BAR
+
     def test_one_walk_on_a_clean_input(self, monkeypatch):
         real = commutant._structure_once
         seeds = []
@@ -348,20 +383,98 @@ class TestOneWalk:
 
 
 class TestSpectralSplit:
+    @staticmethod
+    def reference_projector(z, center, radius):
+        """Riesz projector onto the eigenvalues of z within ``radius`` of
+        ``center``, by a sorted Schur form and a Sylvester solve."""
+        T, Z, k = sla.schur(z, output="complex", sort=lambda lam: abs(lam - center) < radius)
+        R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
+        P = np.zeros_like(T)
+        P[:k, :k] = np.eye(k)
+        P[:k, k:] = R
+        return Z @ P @ Z.conj().T
+
+    @staticmethod
+    def escalating():
+        # the size-3 Jordan cloud scatters like eps^(1/3) after conjugation,
+        # so the first gap cuts it and the split escalates
+        X = conditioned_invertible(5, 10.0, np.random.default_rng(4))
+        return X @ bd(jordan(3), jordan(2, 1.0)) @ np.linalg.inv(X)
+
+    @staticmethod
+    def diagonalizable():
+        X = conditioned_invertible(6, 10.0, np.random.default_rng(2))
+        return X @ np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]) @ np.linalg.inv(X)
+
     def test_rejects_a_part_of_the_wrong_rank(self, monkeypatch):
-        # a Schur selection that picks none of a cluster's eigenvalues gives a
+        # a reordering that selects none of a cluster's eigenvalues gives a
         # zero part, which is idempotent and of small norm but splits nothing
         z = np.diag([1.0, 2.0, 3.0]).astype(complex)
         projs = commutant._spectral_split(z)
         assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
         real_projector = commutant.spectral_projector
 
-        def first_part_empty(M, selected, all_eigs):
-            P = real_projector(M, selected, all_eigs)
-            return np.zeros_like(P) if np.isclose(selected[0], 1.0) else P
+        def first_part_empty(T, Z, idx):
+            P = real_projector(T, Z, idx)
+            return np.zeros_like(P) if np.isclose(T[idx[0], idx[0]], 1.0) else P
 
         monkeypatch.setattr(commutant, "spectral_projector", first_part_empty)
         assert commutant._spectral_split(z) is None
+
+    @pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
+    @pytest.mark.parametrize("failures", [1, None])
+    def test_reorder_failure_is_a_rejected_rung(self, monkeypatch, routine, failures):
+        # info != 0 from the reordering or the Sylvester solve rejects that
+        # gap's split; the ladder goes on to the next gap
+        real, calls = getattr(_linalg, routine), []
+
+        def failing(*args, **kw):
+            out = real(*args, **kw)
+            calls.append(None)
+            if failures is None or len(calls) <= failures:
+                return (*out[:-1], 1)
+            return out
+
+        monkeypatch.setattr(_linalg, routine, failing)
+        projs = commutant._spectral_split(np.diag([1.0, 2.0, 3.0]).astype(complex))
+        if failures is None:
+            assert projs is None and len(calls) == len(SPLIT_GAPS)
+        else:
+            assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
+
+    @pytest.mark.parametrize("which", ["diagonalizable", "escalating"])
+    def test_one_schur_form_per_split(self, monkeypatch, which):
+        z = getattr(self, which)()
+        real_schur, real_cluster = sla.schur, commutant.cluster_eigenvalues
+        schurs, gaps = [], []
+
+        def counting_schur(*args, **kw):
+            schurs.append(None)
+            return real_schur(*args, **kw)
+
+        def recording_cluster(eigs, gap):
+            gaps.append(gap)
+            return real_cluster(eigs, gap)
+
+        def no_sylvester(*args, **kw):
+            raise AssertionError("solve_sylvester called")
+
+        monkeypatch.setattr(sla, "schur", counting_schur)
+        monkeypatch.setattr(sla, "solve_sylvester", no_sylvester)
+        monkeypatch.setattr(commutant, "cluster_eigenvalues", recording_cluster)
+        assert commutant._spectral_split(z) is not None
+        assert len(schurs) == 1
+        assert len(gaps) == (1 if which == "diagonalizable" else 2)
+
+    @pytest.mark.parametrize("which,centers", [("diagonalizable", [1.0, 2.0, 3.0]),
+                                               ("escalating", [0.0, 1.0])])
+    def test_projectors_match_the_sorted_schur_reference(self, which, centers):
+        z = getattr(self, which)()
+        projs = commutant._spectral_split(z)
+        refs = [self.reference_projector(z, c, 0.5) for c in centers]
+        assert len(projs) == len(refs)
+        for P, ref in zip(projs, refs):
+            assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestIntertwiners:

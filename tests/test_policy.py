@@ -46,3 +46,16 @@ def test_report_header_tolerances():
         "inv_tol": 1e-08, "rank_rtol": 1e-10, "eig_gap_rtol": 1e-06,
         "psd_tol": 1e-10,
     }
+
+
+def test_every_policy_constant_is_used():
+    # a named threshold that no module reads documents a check that no
+    # longer runs; delete it together with the check
+    tree = ast.parse((SRC / "policy.py").read_text(), filename="policy.py")
+    constants = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+    used = {node.id for path in SRC.glob("*.py") if path.name != "policy.py"
+            for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+            if isinstance(node, ast.Name)}
+    assert constants and [name for name in constants if name not in used] == []
