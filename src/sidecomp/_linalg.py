@@ -93,47 +93,46 @@ def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0,
     return np.ascontiguousarray(N)
 
 
-def orthonormal_range(M: np.ndarray, rtol: float, strict: bool = True) -> np.ndarray:
+def orthonormal_range(M: np.ndarray, rtol: float) -> np.ndarray:
     """Orthonormal columns spanning range(M), rank cut at ``rtol * sigma_max``
-    by :func:`rank_cut`."""
+    by a strict :func:`rank_cut`."""
     M = np.asarray(M, dtype=complex)
     U, s, _ = svd_robust(M, full_matrices=False)
-    return np.ascontiguousarray(U[:, :rank_cut(s, rtol, strict=strict)])
+    return np.ascontiguousarray(U[:, :rank_cut(s, rtol)])
 
 
 def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     """Group eigenvalues into connected clusters at the relative gap threshold.
 
-    Returns index arrays, one per cluster, ordered by cluster mean
-    (lexicographic on (real, imag)).
+    Single linkage: two eigenvalues within ``gap_rtol * max(1, max |eig|)``
+    are neighbours, and a cluster is a connected component of that graph,
+    labelled by its smallest index (propagated over neighbours until it
+    settles). Returns index arrays, one per cluster, ordered by cluster mean
+    (lexicographic on (real, imag)); equal means keep the order of the
+    clusters' smallest indices.
     """
     eigs = np.asarray(eigs)
     n = eigs.size
     if n == 0:
         return []
-    scale = max(1.0, float(np.abs(eigs).max()))
-    tol = gap_rtol * scale
-    # single linkage over the complete graph; n is small everywhere we call this
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = [np.array(g) for g in groups.values()]
-    out.sort(key=lambda g: (float(np.mean(eigs[g]).real), float(np.mean(eigs[g]).imag)))
-    return out
+    tol = gap_rtol * max(1.0, float(np.abs(eigs).max()))
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= tol
+    label = np.arange(n)
+    while True:
+        new = np.where(near, label, n).min(axis=1)
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]
+    members = np.argsort(label, kind="stable")
+    ends = np.cumsum(sizes)
+    groups = np.split(members, ends[:-1])
+    # np.mean of each cluster; a singleton's mean is its eigenvalue
+    means = eigs[members[ends - sizes]].astype(complex)
+    for i in np.flatnonzero(sizes > 1):
+        means[i] = np.mean(eigs[groups[i]])
+    return [groups[i] for i in np.lexsort((means.imag, means.real))]
 
 
 def spectral_projector(T: np.ndarray, Z: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
@@ -160,42 +159,6 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray, idx: np.ndarray) -> np.ndar
         return None
     Z1 = Zs[:, :k]
     return Z1 @ (Z1.conj().T + (R / scale) @ Zs[:, k:].conj().T)
-
-
-def newton_polish_idempotent(E: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Polish a near-idempotent with e <- 3e^2 - 2e^3.
-
-    Converges when ``||e^2 - e||_F`` drops below ``tol * max(1, ||e||_F)``,
-    floored at the roundoff level of forming e^2 (~ d*eps*||e||^2), which is
-    the best any polishing can achieve for oblique idempotents of large norm.
-    """
-    E = np.asarray(E, dtype=complex)
-    d = E.shape[0]
-    eps = float(np.finfo(float).eps)
-
-    def threshold(M):
-        nm = frob(M)
-        return max(tol * max(1.0, nm), 8.0 * d * eps * max(1.0, nm * nm))
-
-    best, best_res = E, np.inf
-    for _ in range(max_iter):
-        E2 = E @ E
-        res = frob(E2 - E)
-        if res < best_res:
-            best, best_res = E, res
-        if res <= threshold(E):
-            return E
-        E = 3.0 * E2 - 2.0 * (E2 @ E)
-    E2 = E @ E
-    res = frob(E2 - E)
-    if res < best_res:
-        best, best_res = E, res
-    if best_res <= 10.0 * threshold(best):
-        return best
-    raise NumericalDegeneracyError(
-        f"idempotent polishing failed to converge after {max_iter} iterations "
-        f"(residual {best_res:.3e})"
-    )
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

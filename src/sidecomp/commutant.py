@@ -31,7 +31,6 @@ import scipy.linalg as sla
 from ._linalg import (
     cluster_eigenvalues,
     frob,
-    newton_polish_idempotent,
     nullspace,
     orthonormal_range,
     rank_cut,
@@ -58,7 +57,6 @@ from .policy import (
     SPLIT_PROJECTOR_NORM_CAP,
     SPLIT_TRACE_SLACK,
     STRUCTURE_SEEDS,
-    WALK_POLISH,
     NumericPolicy,
     NumericalDegeneracyError,
 )
@@ -369,12 +367,12 @@ def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
 
     Works in quotient coordinates: the unknowns are combinations of the q
     representatives ``quot_coords`` of A/rad, and a commutator counts by its
-    coordinates along them, i.e. modulo rad. Starts from the centralizer of
-    two random elements (generators of an ideal-closed condition, so
-    commuting mod rad with generators implies commuting mod rad with
-    products), then verifies the candidates against every representative and
-    augments the constraint set until verified. The representatives suffice:
-    rad is an ideal, so a commutator with a radical element lies in rad.
+    coordinates along them, i.e. modulo rad. The candidates are the
+    centralizer of two random elements (generically it is the center), found
+    by one nullspace solve, and each is then verified against every
+    representative; a candidate that fails raises, and the walk is retried
+    with the next seed. The representatives suffice: rad is an ideal, so a
+    commutator with a radical element lies in rad.
     """
     q, r = quot_coords.shape[1], basis.shape[1]
     reps = np.tensordot(quot_coords.T, basis, axes=(1, 0))
@@ -392,21 +390,15 @@ def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
         return np.tensordot(c, reps, axes=(0, 0))
 
     rows = [constraint_rows(random_element()), constraint_rows(random_element())]
-    for _ in range(q + 2):
-        # the nullspace cut and the verification below share the centrality bar
-        S = nullspace(np.vstack(rows), CENTRALITY_BAR, scale=1.0)
-        violated = None
-        for col in range(S.shape[1]):
-            z = np.tensordot(S[:, col], reps, axes=(0, 0))
-            resid = np.linalg.norm(constraint_rows(z), axis=0)
-            bad = np.where(resid > CENTRALITY_BAR)[0]
-            if bad.size:
-                violated = constraint_rows(reps[bad[0]])
-                break
-        if violated is None:
-            return quot_coords @ S
-        rows.append(violated)
-    raise NumericalDegeneracyError("center computation did not stabilize")
+    # the nullspace cut and the verification below share the centrality bar
+    S = nullspace(np.vstack(rows), CENTRALITY_BAR, scale=1.0)
+    for col in S.T:
+        resid = np.linalg.norm(constraint_rows(np.tensordot(col, reps, axes=(0, 0))), axis=0)
+        if np.any(resid > CENTRALITY_BAR):
+            raise NumericalDegeneracyError(
+                "center candidate fails to commute modulo the radical "
+                f"(residual {resid.max():.3e} > {CENTRALITY_BAR:g})")
+    return quot_coords @ S
 
 
 def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
@@ -452,9 +444,10 @@ def _split_by_random_element(sample, rng: np.random.Generator) -> list[np.ndarra
     ``sample(rng)`` draws an element of the corner algebra. Splits whose worst
     projector norm is at most ``GOOD_SPLIT_NORM`` are accepted immediately;
     otherwise the best-conditioned split over ``SPLIT_ATTEMPTS`` draws is
-    polished. All validated splits are correct (they are partitions by
+    taken. All validated splits are correct (they are partitions by
     invariant subspaces of an algebra element); conditioning only affects
-    downstream roundoff.
+    downstream roundoff. The projectors are used as :func:`_spectral_split`
+    returns them: it builds them idempotent to roundoff and checks them.
     """
     best: list[np.ndarray] | None = None
     best_quality = np.inf
@@ -468,9 +461,7 @@ def _split_by_random_element(sample, rng: np.random.Generator) -> list[np.ndarra
             break
         if quality < best_quality:
             best, best_quality = projs, quality
-    if best is None:
-        return None
-    return [newton_polish_idempotent(P, **WALK_POLISH) for P in best]
+    return best
 
 
 @dataclass(frozen=True)
@@ -522,7 +513,6 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
         projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
         if projs is None:
             break
-        projs = [newton_polish_idempotent(P, **WALK_POLISH) for P in projs]
         if all(frob(P @ A - A @ P) <= PRIMARY_COMMUTE_BAR * frob(P) * max(1.0, frob(A))
                for P in projs for A in T):
             return [_corner(T, P, policy) for P in projs]
@@ -579,8 +569,7 @@ def _corner_walk(T: OperatorTuple, c: Corner, directions, policy: NumericPolicy,
     W = c.U.conj().T @ c.E
     out: list[tuple[Corner, int]] = []
     for P in projs:
-        child = newton_polish_idempotent(c.U @ P @ W, **WALK_POLISH)
-        out.extend(_corner_walk(T, _corner(T, child, policy), directions, policy, rng,
+        out.extend(_corner_walk(T, _corner(T, c.U @ P @ W, policy), directions, policy, rng,
                                 depth + 1))
     return out
 
@@ -615,7 +604,7 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
             f"dimension: {[n for _, n in blocks]} + rad {rad_dim} != {algebra_dim}"
         )
     blocks.sort(key=lambda cn: (-cn[1], -float(np.trace(cn[0].E).real)))
-    idems = np.stack([newton_polish_idempotent(c.E, **WALK_POLISH) for c, _ in blocks])
+    idems = np.stack([c.E for c, _ in blocks])
     dims = tuple(n for _, n in blocks)
     total = np.sum(idems, axis=0)
     if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frob, newton_polish_idempotent
+from ._linalg import frob
 from .commutant import (
     AlgebraStructure,
     _corner_directions,
@@ -32,7 +32,6 @@ from .policy import (
     ASSEMBLY_BAR,
     DEFAULT_POLICY,
     IDENTITY_SUM_BAR,
-    PRIMITIVE_POLISH,
     NumericPolicy,
     NumericalDegeneracyError,
 )
@@ -102,7 +101,7 @@ class UnitDecomposition:
 def unit_si_decomposition(T: OperatorTuple,
                           policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Complete list of primitive idempotents of A'(T), ordered by
-    (block of the quotient, copy within the block), Newton-polished.
+    (block of the quotient, copy within the block).
 
     Every restriction is strongly irreducible by construction (each corner is
     local); this is re-verified per block via its corner dimensions.
@@ -121,7 +120,7 @@ def _primitive_refinement(T: OperatorTuple, struct: AlgebraStructure,
             raise NumericalDegeneracyError(
                 f"block refinement produced {len(leaves)} primitives, expected {n}"
             )
-        prims.extend(newton_polish_idempotent(c.E, **PRIMITIVE_POLISH) for c, _ in leaves)
+        prims.extend(c.E for c, _ in leaves)
     idems = np.stack(prims)
     D = UnitDecomposition(T, idems, tuple(True for _ in prims))
     D.validate(policy)
@@ -131,12 +130,9 @@ def _primitive_refinement(T: OperatorTuple, struct: AlgebraStructure,
 def transport_decomposition(D: UnitDecomposition, X,
                             policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Push a decomposition of T through X to a decomposition of X T X^-1."""
-    X = np.asarray(X, dtype=complex)
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= policy.tol * s[0]:
-        raise ValueError("singular conjugator")
-    Xi = np.linalg.inv(X)
     Tc = conjugate(D.tuple_ref, X, policy)
+    X = np.asarray(X, dtype=complex)
+    Xi = np.linalg.inv(X)
     idems = np.stack([X @ P @ Xi for P in D.idempotents])
     out = UnitDecomposition(Tc, idems, D.si_flags)
     out.validate(policy)

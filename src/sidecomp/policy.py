@@ -90,10 +90,6 @@ PSD_TOL = 1e-10
 NULLSPACE_ORTHO_BAR = 1e-12
 
 # Constants of the corner walk (semisimple_structure and the primitive split).
-# Newton-polish settings of walk children and block idempotents, and of the
-# final primitive idempotents of a unit decomposition.
-WALK_POLISH = {"tol": 1e-13, "max_iter": 60}
-PRIMITIVE_POLISH = {"tol": 1e-12, "max_iter": 40}
 # Random draws per corner split, and the worst projector norm accepted at once.
 SPLIT_ATTEMPTS = 16
 GOOD_SPLIT_NORM = 300.0
@@ -126,9 +122,9 @@ ASSEMBLY_BAR = 1e-6
 class NumericalDegeneracyError(RuntimeError):
     """A rank / clustering / lifting decision could not be made reliably.
 
-    Raised when singular values straddle a rank threshold, when idempotent
-    polishing fails to converge, or when a structural integer identity that
-    must hold exactly comes out wrong. Callers may retry with a tightened
+    Raised when singular values straddle a rank threshold, when a computed
+    center fails its centrality check, or when a structural integer identity
+    that must hold exactly comes out wrong. Callers may retry with a tightened
     (or loosened) policy.
     """
 

@@ -9,6 +9,7 @@ from conftest import bd, jordan
 from sidecomp import (
     conjugate,
     contains_invertible,
+    direct_sum,
     inflate,
     inflation_commutant_check,
     intertwiner_space,
@@ -16,11 +17,12 @@ from sidecomp import (
     operator_tuple,
     radical,
     semisimple_structure,
+    unit_si_decomposition,
     v_semigroup_invariant,
 )
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
-from sidecomp.planted import planted_instance
+from sidecomp.planted import jordan_polynomial_tuple, planted_instance
 from sidecomp.policy import (
     CENTRALITY_BAR,
     INVERTIBLE_TRIALS,
@@ -344,6 +346,42 @@ class TestOneWalk:
             mod_rad = c.quot_coords.conj().T @ (V @ comm.reshape(K, -1).T)
             assert np.linalg.norm(mod_rad, axis=0).max() <= CENTRALITY_BAR
 
+    @staticmethod
+    def widen_first_center_solve(monkeypatch):
+        """Make the first centralizer solve of the center stage keep only the
+        first random element's constraints: its centralizer is larger than
+        the center. Later solves are left alone."""
+        real_nullspace, calls = commutant.nullspace, []
+
+        def widening(M, rtol, *args, **kw):
+            if rtol == CENTRALITY_BAR:
+                calls.append(None)
+                if len(calls) == 1:
+                    return real_nullspace(M[:M.shape[1]], rtol, *args, **kw)
+            return real_nullspace(M, rtol, *args, **kw)
+
+        monkeypatch.setattr(commutant, "nullspace", widening)
+        return calls
+
+    def test_a_center_that_is_too_large_raises(self, monkeypatch):
+        c = self.root_corner()
+        self.widen_first_center_solve(monkeypatch)
+        with pytest.raises(NumericalDegeneracyError, match="fails to commute modulo the radical"):
+            commutant._center_candidates(c.basis, c.quot_coords, np.random.default_rng(1))
+
+    def test_a_center_that_is_too_large_is_retried(self, monkeypatch):
+        calls = self.widen_first_center_solve(monkeypatch)
+        real, seeds = commutant._structure_once, []
+
+        def counting(T, roots, policy, seed):
+            seeds.append(seed)
+            return real(T, roots, policy, seed)
+
+        monkeypatch.setattr(commutant, "_structure_once", counting)
+        assert semisimple_structure(self.tuple_()).block_dims == (2, 2, 1)
+        assert seeds == [NumericPolicy().seed, NumericPolicy().seed + 1]
+        assert len(calls) >= 2
+
     def test_one_walk_on_a_clean_input(self, monkeypatch):
         real = commutant._structure_once
         seeds = []
@@ -380,6 +418,40 @@ class TestOneWalk:
                            match="do not account for the algebra dimension"):
             semisimple_structure(self.tuple_())
         assert len(roots) == STRUCTURE_SEEDS
+
+
+class TestIdempotentsNeedNoRepair:
+    """The walk's idempotents are Schur-built Riesz projectors and their
+    compressions, used as they come: each must be idempotent to the bar a
+    Newton polish would have aimed at, so that a split that loses accuracy
+    fails here instead of downstream."""
+
+    @staticmethod
+    def assert_idempotent(E):
+        d, eps = E.shape[0], np.finfo(float).eps
+        norm = np.linalg.norm(E)
+        bar = max(1e-13 * max(1.0, norm), 8.0 * d * eps * max(1.0, norm * norm))
+        assert np.linalg.norm(E @ E - E) <= bar
+
+    @staticmethod
+    def two_classes_of_jordan_8(seed):
+        """J8 x 2 (+) J8' x 2 at two eigenvalues, conjugated with cond 1e4."""
+        r = np.random.default_rng(seed)
+        a, b = (jordan_polynomial_tuple(8, lam, r) for lam in (-0.8, 1.6))
+        T = direct_sum(inflate(a, 2), inflate(b, 2))
+        return conjugate(T, conditioned_invertible(T.d, 1e4, r))
+
+    @pytest.mark.parametrize("source,seeds", [("planted", range(12)), ("jordan_8", range(3))])
+    def test_idempotent_to_the_polish_bar(self, source, seeds):
+        for seed in seeds:
+            if source == "planted":
+                T = planted_instance(seed).realized
+            else:
+                T = self.two_classes_of_jordan_8(seed)
+            for E in semisimple_structure(T).central_idempotents:
+                self.assert_idempotent(E)
+            for E in unit_si_decomposition(T).idempotents:
+                self.assert_idempotent(E)
 
 
 class TestSpectralSplit:

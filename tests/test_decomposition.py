@@ -109,6 +109,12 @@ class TestTransport:
         moved = {tuple(np.round(np.diag(Q).real, 8)) for Q in D2.idempotents}
         assert moved == {(1.0, 0.0), (0.0, 1.0)}
 
+    def test_singular_conjugator_raises(self):
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        D = unit_si_decomposition(T)
+        with pytest.raises(ValueError, match="singular conjugator"):
+            transport_decomposition(D, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10**6))
     def test_random_transport_preserves_invariants(self, seed):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sidecomp._linalg as linalg
 import sidecomp.commutant as commutant
 from conftest import jordan
 from sidecomp import joint_commutant, operator_tuple
-from sidecomp._linalg import nullspace, orthonormal_range, rank_cut
-from sidecomp.policy import NumericalDegeneracyError
+from sidecomp._linalg import cluster_eigenvalues, nullspace, orthonormal_range, rank_cut
+from sidecomp.policy import SPLIT_GAPS, NumericalDegeneracyError
 
 
 class TestRankCut:
@@ -53,16 +54,79 @@ class TestNullspace:
 
 
 class TestOrthonormalRange:
-    def test_tall_non_strict(self):
+    def test_tall_straddle_raises(self):
         S = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-6], [0.0, 0.0]], dtype=complex)
-        U = orthonormal_range(S, 1e-6, strict=False)
-        assert U.shape == (3, 1)
-        assert np.allclose(U.conj().T @ U, np.eye(1))
         with pytest.raises(NumericalDegeneracyError):
             orthonormal_range(S, 1e-6)
+        U = orthonormal_range(S[:, :1] @ np.ones((1, 2)), 1e-6)
+        assert U.shape == (3, 1)
+        assert np.allclose(U.conj().T @ U, np.eye(1))
 
     def test_empty_columns(self):
-        assert orthonormal_range(np.zeros((4, 0)), 1e-6, strict=False).shape == (4, 0)
+        assert orthonormal_range(np.zeros((4, 0)), 1e-6).shape == (4, 0)
+
+
+def union_find_clusters(eigs, gap_rtol):
+    """Reference single linkage by union-find over all pairs; groups in the
+    order of their smallest index, then sorted by mean."""
+    eigs = np.asarray(eigs)
+    n = eigs.size
+    if n == 0:
+        return []
+    tol = gap_rtol * max(1.0, float(np.abs(eigs).max()))
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eigs[i] - eigs[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = [np.array(g) for g in groups.values()]
+    out.sort(key=lambda g: (float(np.mean(eigs[g]).real), float(np.mean(eigs[g]).imag)))
+    return out
+
+
+# points on a lattice of step h: exact ties, and chains whose links sit at,
+# just inside or just outside the gap
+lattice_clouds = st.tuples(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), max_size=24),
+    st.sampled_from([0.25, 0.5, 1.0, 1.0 + 1e-12, 1.0 - 1e-12]),
+    st.sampled_from(SPLIT_GAPS + (0.1, 0.25, 0.5)),
+).map(lambda t: (np.array([complex(a, b) * t[1] * t[2] for a, b in t[0]]), t[2]))
+float_clouds = st.tuples(
+    st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=24),
+    st.sampled_from(SPLIT_GAPS + (0.3, 1.0)),
+).map(lambda t: (np.array([complex(a, b) for a, b in t[0]]), t[1]))
+
+
+class TestClusterEigenvalues:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lattice_clouds, float_clouds))
+    def test_matches_union_find(self, cloud):
+        eigs, gap = cloud
+        got, ref = cluster_eigenvalues(eigs, gap), union_find_clusters(eigs, gap)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype.kind == "i" and np.array_equal(g, r)
+
+    def test_means_tied_to_an_ulp_keep_their_order(self):
+        # both clusters' means are 0.1 in exact arithmetic; np.mean puts
+        # {0, 1, 3} an ulp lower, so it comes first, and any other summation
+        # order of the cluster means can swap the two
+        eigs = 0.05 * np.array([3 + 2j, 2 + 2j, 2 - 1j, 1 + 1j])
+        groups = cluster_eigenvalues(eigs, 0.1)
+        assert [g.tolist() for g in groups] == [[0, 1, 3], [2]]
+        assert [g.tolist() for g in union_find_clusters(eigs, 0.1)] == [[0, 1, 3], [2]]
 
 
 class TestJointCommutantStackSvd:
