@@ -116,7 +116,8 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     if n == 0:
         return []
     tol = gap_rtol * max(1.0, float(np.abs(eigs).max()))
-    near = np.abs(eigs[:, None] - eigs[None, :]) <= tol
+    D = eigs[:, None] - eigs[None, :]   # hypot rounds as abs(); np.abs can be an ulp off
+    near = np.hypot(D.real, D.imag) <= tol
     label = np.arange(n)
     while True:
         new = np.where(near, label, n).min(axis=1)

@@ -315,7 +315,7 @@ def cmd_selftest(args) -> int:
     oracle_cases = si_oracle_corpus()
     oracle_failing = []
     for name, T, _ in oracle_cases:
-        a = oracle_is_strongly_irreducible(T, seed=pol.seed)
+        a = oracle_is_strongly_irreducible(T, policy=pol)
         b = is_strongly_irreducible(T, pol)
         if a == b:
             oracle_agree += 1

@@ -68,8 +68,14 @@ class CommutantBasis:
     """Trace-orthonormal basis of a joint commutant algebra inside M_d(C)."""
 
     basis: np.ndarray        # (N, d, d)
-    d: int
-    algebra_dim: int
+
+    @property
+    def d(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def algebra_dim(self) -> int:
+        return self.basis.shape[0]
 
     def coords(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of M against the basis (exact for members of the span)."""
@@ -123,7 +129,7 @@ def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     singular vectors, so it misses the identity too.
     """
     basis = intertwiner_space(T, T, policy)
-    cb = CommutantBasis(basis, T.d, basis.shape[0])
+    cb = CommutantBasis(basis)
     if cb.contains(np.eye(T.d)):
         return cb
     raise NumericalDegeneracyError(
@@ -212,7 +218,7 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
                                axis=(1, 2)) for A in T))
     if np.any(resid > rtol * scale / 10.0):
         return None
-    cb = CommutantBasis(basis, d, basis.shape[0])
+    cb = CommutantBasis(basis)
     return cb if cb.contains(eye) else None
 
 
@@ -582,9 +588,8 @@ class AlgebraStructure:
     radical_dim: int
     block_dims: tuple[int, ...]              # n_1 >= ... >= n_k
     central_idempotents: np.ndarray          # (k, d, d), mutually annihilating
-    # the leaf corner of each block, in block order; the primitive split of a
-    # unit decomposition starts from these instead of recomputing them
-    corners: tuple[Corner, ...] = field(repr=False, compare=False)
+    # (sum n_i, d, d): the n_i primitive idempotents of each block, in block order
+    primitives: np.ndarray = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -609,26 +614,34 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     total = np.sum(idems, axis=0)
     if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
-    return AlgebraStructure(algebra_dim, rad_dim, dims, idems, tuple(c for c, _ in blocks))
+    rng = np.random.default_rng(seed + 0x5EED)
+    prims: list[np.ndarray] = []
+    for c, n in blocks:
+        leaves = _corner_walk(T, c, _corner_directions, policy, rng)
+        if len(leaves) != n:
+            raise NumericalDegeneracyError(
+                f"block refinement produced {len(leaves)} primitives, expected {n}"
+            )
+        prims.extend(leaf.E for leaf, _ in leaves)
+    return AlgebraStructure(algebra_dim, rad_dim, dims, idems, np.stack(prims))
 
 
 def semisimple_structure(T: OperatorTuple,
                          policy: NumericPolicy = DEFAULT_POLICY) -> AlgebraStructure:
-    """Simple-block decomposition of A'(T)/rad with lifted block idempotents.
+    """Simple-block decomposition of A'(T)/rad: lifted block idempotents and primitives.
 
     The walk starts from the primary corners of ``T`` (one per
     joint-spectrum cluster, split once with the policy's seed); every corner is
     the commutant of a compressed restriction of ``T``. One seeded walk then
-    splits them into simple blocks. (k, block sizes) are intrinsic, and the
-    walk's result is held to deterministic certificates: every leaf's
-    quotient is a square, the accounting identity
-    ``sum n_i^2 + dim rad = dim A'`` holds and the lifted idempotents sum to
-    the identity. A walk that fails one of them (an ill-conditioned
-    draw, a split that is not central) is retried with the next seed, up to
-    ``STRUCTURE_SEEDS`` seeds, and the last error is raised if none succeeds.
-    A walk that stops too early, reading several blocks as one, passes these
-    checks; ``unit_si_decomposition`` and ``v_semigroup_invariant`` catch it
-    by the count of primitives per block, which must equal its n_i.
+    splits them into simple blocks, and each block by random elements of its
+    corner into primitives. (k, block sizes) are intrinsic, and the walk's
+    result is held to deterministic certificates: every leaf's quotient is a
+    square, the accounting identity ``sum n_i^2 + dim rad = dim A'`` holds,
+    the lifted idempotents sum to the identity and block i refines into
+    exactly n_i primitives; the last catches a walk that stops too early,
+    reading several blocks as one. A walk that fails one of them is retried
+    with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the last error
+    is raised if none succeeds.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -18,9 +18,6 @@ import numpy as np
 
 from ._linalg import frob
 from .commutant import (
-    AlgebraStructure,
-    _corner_directions,
-    _corner_walk,
     _radical_coords,
     contains_invertible,
     intertwiner_space,
@@ -103,26 +100,13 @@ def unit_si_decomposition(T: OperatorTuple,
     """Complete list of primitive idempotents of A'(T), ordered by
     (block of the quotient, copy within the block).
 
-    Every restriction is strongly irreducible by construction (each corner is
-    local); this is re-verified per block via its corner dimensions.
+    The primitives are those of :func:`semisimple_structure`, whose walk
+    certifies n_i of them in block i and retries a walk that finds another
+    count. Every restriction is strongly irreducible by construction (each
+    leaf corner is local); the family is validated as a decomposition here.
     """
-    return _primitive_refinement(T, semisimple_structure(T, policy), policy)
-
-
-def _primitive_refinement(T: OperatorTuple, struct: AlgebraStructure,
-                          policy: NumericPolicy) -> UnitDecomposition:
-    """The n_i primitive idempotents of each block i of ``struct``, in block order."""
-    rng = np.random.default_rng(policy.seed + 0x5EED)
-    prims: list[np.ndarray] = []
-    for corner, n in zip(struct.corners, struct.block_dims):
-        leaves = _corner_walk(T, corner, _corner_directions, policy, rng)
-        if len(leaves) != n:
-            raise NumericalDegeneracyError(
-                f"block refinement produced {len(leaves)} primitives, expected {n}"
-            )
-        prims.extend(c.E for c, _ in leaves)
-    idems = np.stack(prims)
-    D = UnitDecomposition(T, idems, tuple(True for _ in prims))
+    prims = semisimple_structure(T, policy).primitives
+    D = UnitDecomposition(T, prims, tuple(True for _ in prims))
     D.validate(policy)
     return D
 

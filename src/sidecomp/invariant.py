@@ -24,7 +24,6 @@ from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
     _invertible_intertwiner,
-    _primitive_refinement,
     assemble_intertwiner,
     block_similarity,
 )
@@ -32,10 +31,10 @@ from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
 from .tuples import OperatorTuple, restrict
 
 
-def _spectrum_key(T: OperatorTuple, digits: int = 6) -> tuple:
+def _spectrum_key(T: OperatorTuple) -> tuple:
+    """Eigenvalues of the first component, rounded to 6 digits and sorted."""
     eigs = np.linalg.eigvals(T[0])
-    return tuple(sorted((round(float(z.real), digits), round(float(z.imag), digits))
-                        for z in eigs))
+    return tuple(sorted((round(float(z.real), 6), round(float(z.imag), 6)) for z in eigs))
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,8 @@ def v_semigroup_invariant(T: OperatorTuple,
     then by the spectrum of the first component.
     """
     struct = semisimple_structure(T, policy)
-    D = _primitive_refinement(T, struct, policy)
+    D = UnitDecomposition(T, struct.primitives, tuple(True for _ in struct.primitives))
+    D.validate(policy)
     ends = np.cumsum(struct.block_dims).tolist()
     blocks = [(range(e - n, e), restrict(T, D.idempotents[e - n], policy))
               for e, n in zip(ends, struct.block_dims)]

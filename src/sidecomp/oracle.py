@@ -50,12 +50,12 @@ def _newton_idempotent(A: CommutantBasis, c0: np.ndarray, max_iter: int = 60):
     return A.element(c)
 
 
-def find_nontrivial_idempotent(A: CommutantBasis, seed: int = 20240, starts: int = 240):
+def find_nontrivial_idempotent(A: CommutantBasis, starts: int = 240, policy=DEFAULT_POLICY):
     """Return a nontrivial idempotent of the spanned algebra, or None.
 
-    Multistart Newton from seeded random coefficient draws at several scales.
+    Multistart Newton from draws at several scales, seeded by the policy.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(policy.seed)
     d = A.d
     eye = np.eye(d)
     scales = (0.5, 1.0, 2.0)
@@ -78,8 +78,7 @@ def find_nontrivial_idempotent(A: CommutantBasis, seed: int = 20240, starts: int
     return None
 
 
-def oracle_is_strongly_irreducible(T, seed: int = 20240, starts: int = 240,
-                                   policy=DEFAULT_POLICY) -> bool:
+def oracle_is_strongly_irreducible(T, starts: int = 240, policy=DEFAULT_POLICY) -> bool:
     """Exhaustive-search verdict: no nontrivial idempotent commutes with T."""
     A = stack_commutant(T, policy)
-    return find_nontrivial_idempotent(A, seed=seed, starts=starts) is None
+    return find_nontrivial_idempotent(A, starts=starts, policy=policy) is None

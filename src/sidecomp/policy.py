@@ -89,12 +89,22 @@ PSD_TOL = 1e-10
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12
 
-# Constants of the corner walk (semisimple_structure and the primitive split).
+# Multishift model checks (rkhs). The lowering operators of a truncation are
+# exact shifts, so their commutators are roundoff (relative to max(1, norm)).
+LOWERING_COMMUTE_BAR = 1e-13
+# ||S^2 - S||_F / max(1, ||S||_F), S = sum_i T_i* T_i: a model's S is a projection.
+MODEL_PROJECTION_BAR = 1e-10
+# Relative least-squares residual of a compatible family: a solve loses digits.
+MODEL_SOLVABILITY_BAR = 1e-8
+# Absolute slack of ||symbol||_2 <= ||A||_2 in gamma_transform: both norms are SVDs.
+SYMBOL_NORM_SLACK = 1e-8
+
+# Constants of the corner walk (semisimple_structure: blocks, then primitives).
 # Random draws per corner split, and the worst projector norm accepted at once.
 SPLIT_ATTEMPTS = 16
 GOOD_SPLIT_NORM = 300.0
 # Consecutive seeds semisimple_structure walks with before it gives up; a walk
-# that hits an ill-conditioned draw fails one of the structural checks and is
+# that fails a structural check (the primitive count per block among them) is
 # retried with the next seed.
 STRUCTURE_SEEDS = 7
 

@@ -26,7 +26,8 @@ from itertools import product
 import numpy as np
 
 from ._linalg import frob, min_eig_hermitian, nullspace
-from .policy import DEFAULT_POLICY, MODEL_PROBE_BATCH, PSD_TOL, NumericPolicy
+from .policy import DEFAULT_POLICY, LOWERING_COMMUTE_BAR, MODEL_PROBE_BATCH, \
+    MODEL_PROJECTION_BAR, MODEL_SOLVABILITY_BAR, PSD_TOL, SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
 
 MultiIndex = tuple[int, ...]
@@ -167,7 +168,7 @@ def truncated_tuple(spec: DiagonalKernelSpec, grid: TruncationGrid,
         for i in range(grid.m):
             for j in range(i + 1, grid.m):
                 worst = max(worst, frob(mats[i] @ mats[j] - mats[j] @ mats[i]))
-        if worst > 1e-13 * max(1.0, max(frob(M) for M in mats)):
+        if worst > LOWERING_COMMUTE_BAR * max(1.0, max(frob(M) for M in mats)):
             raise AssertionError(
                 f"lowering operators failed to commute exactly ({worst:.3e})"
             )
@@ -204,8 +205,7 @@ class DefectReport:
     vacuum_index: int
 
 
-def defect_operator(T: OperatorTuple, grid: TruncationGrid,
-                    vacuum: MultiIndex | None = None) -> DefectReport:
+def defect_operator(T: OperatorTuple, grid: TruncationGrid) -> DefectReport:
     """Defect I - sum_i T_i* T_i of a backward multishift tuple.
 
     For the ball-kernel preset the defect equals the rank-one projection onto
@@ -215,7 +215,7 @@ def defect_operator(T: OperatorTuple, grid: TruncationGrid,
     d = T.d
     S = sum(T[i].conj().T @ T[i] for i in range(T.m))
     D = np.eye(d) - S
-    vac = grid.index_of[vacuum if vacuum is not None else (0,) * grid.m]
+    vac = grid.index_of[(0,) * grid.m]
     E = np.zeros((d, d), dtype=complex)
     E[vac, vac] = 1.0
     return DefectReport(D, frob(D @ D - D), frob(D - E), vac)
@@ -282,20 +282,12 @@ def p_sequence_closed_form(T: OperatorTuple, grid: TruncationGrid, n: int) -> np
 
 def spherical_shift(grid: TruncationGrid) -> OperatorTuple:
     """The raising tuple V_i e_alpha = sqrt((alpha_i+1)/(|alpha|+m)) e_{alpha+e_i},
-    compressed onto the grid. On interior labels sum_i V_i* V_i acts as the
-    identity (the defining isometry identity); top-degree rows are boundary
-    and the identity is not asserted there."""
-    m, n = grid.m, grid.size
-    mats = np.zeros((m, n, n), dtype=complex)
-    for j, a in enumerate(grid.indices):
-        na = sum(a)
-        for i in range(m):
-            up = list(a)
-            up[i] += 1
-            tgt = grid.index_of.get(tuple(up))
-            if tgt is not None:
-                mats[i, tgt, j] = math.sqrt((a[i] + 1) / (na + m))
-    return OperatorTuple(mats)
+    compressed onto the grid: the forward multishift of the Bergman-type
+    kernel with k = m (the Hardy space of the ball), whose weights are these.
+    On interior labels sum_i V_i* V_i acts as the identity (the defining
+    isometry identity); top-degree rows are boundary and the identity is not
+    asserted there."""
+    return truncated_tuple(DiagonalKernelSpec.bergman(grid.m, grid.m), grid, "forward")
 
 
 @dataclass(frozen=True)
@@ -378,7 +370,7 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     d, m = T.d, T.m
     S = sum(A.conj().T @ A for A in T)
     proj_res = frob(S @ S - S)
-    proj_ok = proj_res <= 1e-10 * max(1.0, frob(S))
+    proj_ok = proj_res <= MODEL_PROJECTION_BAR * max(1.0, frob(S))
 
     rows = []
     for i in range(m):
@@ -413,7 +405,7 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
             continue
         x, *_ = np.linalg.lstsq(A_stack, b, rcond=None)
         worst = max(worst, float(np.linalg.norm(A_stack @ x - b)) / nb)
-    solv_ok = worst <= 1e-8
+    solv_ok = worst <= MODEL_SOLVABILITY_BAR
     return ModelHypothesesReport(
         float(proj_res), bool(proj_ok), int(K), float(worst), bool(solv_ok),
         bool(proj_ok and solv_ok), MODEL_PROBE_BATCH,
@@ -461,6 +453,6 @@ def gamma_transform(T: OperatorTuple, A: np.ndarray, points,
         V = kb.basis
         sym = V.conj().T @ A @ V
         inv_res = float(np.linalg.norm(A @ V - V @ sym))
-        ok = ok and (np.linalg.norm(sym, 2) <= nA + 1e-8)
+        ok = ok and (np.linalg.norm(sym, 2) <= nA + SYMBOL_NORM_SLACK)
         samples.append(GammaSample(w, sym, kb.dimension, inv_res))
     return GammaTransformReport(samples, skipped, bool(ok), nA)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+import sidecomp
 import sidecomp._linalg as _linalg
 import sidecomp.commutant as commutant
 from conftest import bd, jordan
@@ -397,12 +404,47 @@ class TestOneWalk:
     def test_premature_leaf_caught_by_the_primitive_count(self, monkeypatch):
         # a root read as a leaf has quotient dimension 4 + 4 + 1 = 9, a
         # square, so the walk reports one block of size 3; only its 5
-        # primitives give it away
+        # primitives give it away, and the next seed walks on
         roots = self.fault_at_root(monkeypatch, lambda c, policy, rng: None, walks=1)
+        S = semisimple_structure(self.tuple_())
+        assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
+        assert len(roots) == 2
+
+    def test_premature_leaf_on_every_walk_raises(self, monkeypatch):
+        roots = self.fault_at_root(monkeypatch, lambda c, policy, rng: None,
+                                   walks=STRUCTURE_SEEDS)
         with pytest.raises(NumericalDegeneracyError,
                            match="block refinement produced 5 primitives, expected 3"):
-            v_semigroup_invariant(self.tuple_())
-        assert len(roots) == 1
+            semisimple_structure(self.tuple_())
+        assert len(roots) == STRUCTURE_SEEDS
+
+    def test_failed_primitive_split_is_retried(self):
+        # J_6(-0.8) and J_6(0.8), two copies each, at cond 1e4: the leaves
+        # of the primitive split of the first six walks have Sylvester stacks
+        # whose noise straddles the cut, so their commutants miss the
+        # identity; the seventh walk succeeds. Which walk succeeds depends on
+        # the roundoff of the BLAS, so this runs it single-threaded, as
+        # perfbench does.
+        code = textwrap.dedent("""
+            import numpy as np
+            from sidecomp import conjugate, direct_sum, inflate, v_semigroup_invariant
+            from sidecomp._linalg import conditioned_invertible
+            from sidecomp.planted import jordan_polynomial_tuple
+            rng = np.random.default_rng(8)
+            A = jordan_polynomial_tuple(6, -0.8, rng, 2)
+            B = jordan_polynomial_tuple(6, 0.8, rng, 2)
+            T = conjugate(direct_sum(inflate(A, 2), inflate(B, 2)),
+                          conditioned_invertible(24, 1e4, rng))
+            inv = v_semigroup_invariant(T)
+            print(inv.k, *inv.multiplicities, inv.decomposition.count)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
+        env.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")})
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["2", "2", "2", "4"]
 
     def test_non_central_split_is_retried(self, monkeypatch):
         # splitting the root by a random element of the whole corner yields 5

@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 import sidecomp
+import sidecomp.oracle
 from sidecomp.policy import NumericPolicy
 
 SRC = Path(sidecomp.__file__).parent
 
 
 @pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py",
-                                    "_linalg.py", "tuples.py"])
+                                    "_linalg.py", "tuples.py", "rkhs.py"])
 def test_no_small_float_literals(module):
     # a positive float literal up to 1e-3 is a tolerance or a bar: it is named
     # and documented in policy.py instead. Docstrings are strings, so the
@@ -26,10 +27,11 @@ def test_no_small_float_literals(module):
 
 
 def test_policy_seed_is_the_only_seed():
-    # randomized steps draw from NumericPolicy.seed; no public function
-    # takes a second seed that could shadow it
-    takes_seed = [name for name in sidecomp.__all__
-                  if inspect.isfunction(obj := getattr(sidecomp, name))
+    # randomized steps draw from NumericPolicy.seed; no public function, nor
+    # the oracle (not exported), takes a second seed that could shadow it
+    functions = [getattr(sidecomp, name) for name in sidecomp.__all__] \
+        + [obj for _, obj in inspect.getmembers(sidecomp.oracle, inspect.isfunction)]
+    takes_seed = [obj.__qualname__ for obj in functions if inspect.isfunction(obj)
                   and "seed" in inspect.signature(obj).parameters]
     assert takes_seed == []
 

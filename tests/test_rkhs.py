@@ -287,6 +287,19 @@ class TestSphericalShift:
         # compression kills the raising action on top-degree labels
         assert np.abs(S[np.ix_(boundary, boundary)]).max() == 0.0
 
+    def test_weights_match_the_closed_form(self):
+        # the forward Bergman shift with k = m has these weights; lgamma
+        # leaves them 1.3e-15 off the closed form at (m, dmax) = (2, 8)
+        g = TruncationGrid.build(2, 8)
+        V = spherical_shift(g)
+        want = np.zeros_like(V.matrices)
+        for j, a in enumerate(g.indices):
+            for i in range(2):
+                up = tuple(np.array(a) + np.eye(2, dtype=int)[i])
+                if up in g.index_of:
+                    want[i, g.index_of[up], j] = math.sqrt((a[i] + 1) / (sum(a) + 2))
+        assert np.abs(V.matrices - want).max() <= 4e-15
+
     def test_two_enumerations_unitarily_equivalent(self):
         g1 = TruncationGrid.build(2, 5, order="grlex")
         g2 = TruncationGrid.build(2, 5, order="grevlex")
