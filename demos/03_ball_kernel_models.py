@@ -86,7 +86,7 @@ mh = check_model_hypotheses(adj, coordinate_mask=grid.interior())
 print(f"  sum T_i* T_i is a projection: {mh.projection_ok} "
       f"(residual {mh.projection_residual:.1e})")
 print(f"  compatible families solvable: worst residual {mh.solve_max_residual:.1e} "
-      f"over a seeded batch of {mh.batch} (subspace dim {mh.compatibility_dim})")
+      f"over the compatible subspace (dim {mh.compatibility_dim})")
 print(f"  consistent with the backward-multishift (+) spherical-isometry "
       f"model: {mh.model_consistent}")
 

@@ -19,7 +19,8 @@ from .decomposition import is_strongly_irreducible, unit_si_decomposition
 from .invariant import k0_descriptor, similar as similar_op, v_semigroup_invariant
 from .oracle import oracle_is_strongly_irreducible
 from .planted import planted_corpus, si_oracle_corpus
-from .policy import DEFAULT_SEED, NumericPolicy, NumericalDegeneracyError
+from .policy import ADJOINT_COMMUTE_BAR, BASIS_NORM_BAR, DEFAULT_SEED, DEFECT_RANK_ONE_BAR, \
+    EIGENVECTOR_TAIL_FLOOR, INTERIOR_ISOMETRY_BAR, NumericPolicy, NumericalDegeneracyError
 from .rkhs import (
     check_model_hypotheses,
     check_sphere_conditions,
@@ -213,7 +214,7 @@ def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
         S = sum(A.conj().T @ A for A in V)
         idx = np.where(grid.interior())[0]
         dev = float(np.abs(S[np.ix_(idx, idx)] - np.eye(idx.size)).max()) if idx.size else 0.0
-        add("interior-isometry", dev <= 1e-13, dev)
+        add("interior-isometry", dev <= INTERIOR_ISOMETRY_BAR, dev)
         rep = check_sphere_conditions(V, pol, mask=grid.interior())
         add("row-contraction", rep.row_contraction, rep.defect_min_eig)
         return checks
@@ -221,7 +222,7 @@ def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
     adj = truncated_tuple(spec, grid, "adjoint")
     fwd = truncated_tuple(spec, grid, "forward")
     comm = validate_commuting(adj, policy=pol)
-    add("adjoint-commutation", comm.max_commutator <= 1e-12, comm.max_commutator)
+    add("adjoint-commutation", comm.max_commutator <= ADJOINT_COMMUTE_BAR, comm.max_commutator)
 
     # reconstruct the squared path products from the forward matrices and
     # compare against the coefficient rule: Gram diagonal of the monomials
@@ -235,11 +236,11 @@ def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
         c2 = float(v[grid.index_of[a]]) ** 2
         want = math.exp(-spec.log_fhat(a))
         worst = max(worst, abs(c2 - want) / want)
-    add("basis-norm-table", worst <= 1e-12, worst)
+    add("basis-norm-table", worst <= BASIS_NORM_BAR, worst)
 
     if preset == "drury_arveson":
         rep = defect_operator(adj, grid)
-        add("defect-rank-one", rep.rank_one_residual <= 1e-12, rep.rank_one_residual)
+        add("defect-rank-one", rep.rank_one_residual <= DEFECT_RANK_ONE_BAR, rep.rank_one_residual)
     if preset == "bergman_k":
         srep = check_sphere_conditions(adj, pol, n_hyper=1)
         add("hypercontraction-1", srep.hypercontraction[1], srep.defect_min_eig)
@@ -253,7 +254,7 @@ def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
     tail = sum(spec.fhat(a) * abs(np.prod(np.power(w, a))) ** 2
                for a in grid.indices if sum(a) == grid.dmax)
     bound = 10.0 * float(np.linalg.norm(w)) * math.sqrt(tail) / float(np.linalg.norm(v))
-    add("joint-eigenvector-tail", resid <= max(bound, 1e-13), resid)
+    add("joint-eigenvector-tail", resid <= max(bound, EIGENVECTOR_TAIL_FLOOR), resid)
 
     if preset == "drury_arveson":
         mh = check_model_hypotheses(adj, pol, coordinate_mask=grid.interior())

@@ -33,7 +33,7 @@ from .policy import (
     NumericalDegeneracyError,
 )
 from .tuples import OperatorTuple, check_idempotent_in_commutant, conjugate, \
-    range_basis, restrict
+    range_basis
 
 
 def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

@@ -68,8 +68,6 @@ GOOD_INVERTIBLE_COND = 1e3
 INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
-# Random compatible families check_model_hypotheses probes for solvability.
-MODEL_PROBE_BATCH = 32
 # Validity checks of a Riesz projector P of a cluster split (_spectral_split).
 # Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap
 # or wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F). A
@@ -98,6 +96,19 @@ MODEL_PROJECTION_BAR = 1e-10
 MODEL_SOLVABILITY_BAR = 1e-8
 # Absolute slack of ||symbol||_2 <= ||A||_2 in gamma_transform: both norms are SVDs.
 SYMBOL_NORM_SLACK = 1e-8
+# Bars of the checks in the rkhs command's report (cli._rkhs_checks): the
+# identities they test hold exactly on the grid, so each bar sits just above
+# roundoff.
+# Largest |S - I| entry on the interior labels of the spherical shift.
+INTERIOR_ISOMETRY_BAR = 1e-13
+# Largest commutator of the lowering tuple, as validate_commuting reports it.
+ADJOINT_COMMUTE_BAR = 1e-12
+# Relative deviation of a squared weight-path product from 1 / fhat(alpha).
+BASIS_NORM_BAR = 1e-12
+# ||(I - sum_i T_i* T_i) - e0 e0*||_F of the ball-kernel backward multishift.
+DEFECT_RANK_ONE_BAR = 1e-12
+# Floor of the joint-eigenvector tail bound, once the tail is below roundoff.
+EIGENVECTOR_TAIL_FLOOR = 1e-13
 
 # Constants of the corner walk (semisimple_structure: blocks, then primitives).
 # Random draws per corner split, and the worst projector norm accepted at once.

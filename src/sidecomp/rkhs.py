@@ -26,8 +26,8 @@ from itertools import product
 import numpy as np
 
 from ._linalg import frob, min_eig_hermitian, nullspace
-from .policy import DEFAULT_POLICY, LOWERING_COMMUTE_BAR, MODEL_PROBE_BATCH, \
-    MODEL_PROJECTION_BAR, MODEL_SOLVABILITY_BAR, PSD_TOL, SYMBOL_NORM_SLACK, NumericPolicy
+from .policy import DEFAULT_POLICY, LOWERING_COMMUTE_BAR, MODEL_PROJECTION_BAR, \
+    MODEL_SOLVABILITY_BAR, PSD_TOL, SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
 
 MultiIndex = tuple[int, ...]
@@ -348,7 +348,6 @@ class ModelHypothesesReport:
     solve_max_residual: float
     solvability_ok: bool
     model_consistent: bool
-    batch: int
 
 
 def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
@@ -357,10 +356,11 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
 
     (1) sum_i T_i* T_i is a projection (residual of S^2 - S at 1e-10);
     (2) every compatible family (x_1, ..., x_m) with T_i x_j = T_j x_i is of
-    the form x_i = T_i x: probed with ``MODEL_PROBE_BATCH`` random tuples
-    drawn with the policy's seed from the compatibility subspace, solved in
-    least squares; the worst relative residual is reported and must stay
-    below 1e-8.
+    the form x_i = T_i x, i.e. the Koszul complex is exact in its middle
+    term. Decided exactly: one least-squares solve against an orthonormal
+    basis of the compatible families; the largest singular value of its
+    residual, the worst relative residual of any unit compatible family, is
+    reported and must stay below 1e-8. No random numbers are drawn.
 
     ``coordinate_mask`` (boolean, per ambient coordinate) restricts the
     compatible data to the marked coordinates in every component — for
@@ -372,43 +372,30 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     proj_res = frob(S @ S - S)
     proj_ok = proj_res <= MODEL_PROJECTION_BAR * max(1.0, frob(S))
 
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            row = np.zeros((d, m * d), dtype=complex)
-            row[:, j * d:(j + 1) * d] = T[i]
-            row[:, i * d:(i + 1) * d] -= T[j]
-            rows.append(row)
-    if coordinate_mask is not None:
-        off = np.where(~np.asarray(coordinate_mask, dtype=bool))[0]
-        sel = np.zeros((off.size * m, m * d), dtype=complex)
-        for c in range(m):
-            for a, o in enumerate(off):
-                sel[c * off.size + a, c * d + o] = 1.0
-        rows.append(sel)
-    if rows:
-        stack = np.vstack(rows)
-        compat = nullspace(stack, max(stack.shape) * policy.rank_rtol,
-                           scale=max(1.0, max(frob(A) for A in T)))
-    else:
-        compat = np.eye(m * d, dtype=complex)
-    K = compat.shape[1]
+    mask = np.ones(d, dtype=bool) if coordinate_mask is None \
+        else np.asarray(coordinate_mask, dtype=bool)
+    if mask.shape != (d,):
+        raise ValueError(f"coordinate_mask must have {d} entries")
+    keep = np.flatnonzero(mask)
+    cols = np.concatenate([c * d + keep for c in range(m)])
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    stack = np.zeros((len(pairs) * d, m * d), dtype=complex)
+    for r, (i, j) in enumerate(pairs):
+        stack[r * d:(r + 1) * d, j * d:(j + 1) * d] = T[i]
+        stack[r * d:(r + 1) * d, i * d:(i + 1) * d] = -T[j]
+    stack = stack[:, cols]
+    basis = nullspace(stack, max(stack.shape) * policy.rank_rtol,
+                      scale=max(1.0, max(frob(A) for A in T)))
+    compat = np.zeros((m * d, basis.shape[1]), dtype=complex)
+    compat[cols] = basis
 
-    rng = np.random.default_rng(policy.seed)
-    A_stack = np.vstack([T[i] for i in range(m)])
-    worst = 0.0
-    for _ in range(MODEL_PROBE_BATCH if K else 0):
-        c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        b = compat @ c
-        nb = float(np.linalg.norm(b))
-        if nb == 0.0:
-            continue
-        x, *_ = np.linalg.lstsq(A_stack, b, rcond=None)
-        worst = max(worst, float(np.linalg.norm(A_stack @ x - b)) / nb)
+    A_stack = T.matrices.reshape(m * d, d)
+    X, *_ = np.linalg.lstsq(A_stack, compat, rcond=None)
+    worst = float(np.linalg.norm(A_stack @ X - compat, 2))
     solv_ok = worst <= MODEL_SOLVABILITY_BAR
     return ModelHypothesesReport(
-        float(proj_res), bool(proj_ok), int(K), float(worst), bool(solv_ok),
-        bool(proj_ok and solv_ok), MODEL_PROBE_BATCH,
+        float(proj_res), bool(proj_ok), int(basis.shape[1]), worst, bool(solv_ok),
+        bool(proj_ok and solv_ok),
     )
 
 

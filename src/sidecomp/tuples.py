@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, frob, nullspace, orthonormal_range, rank_cut
+from ._linalg import as_complex_matrix, frob, orthonormal_range, rank_cut
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
@@ -144,9 +144,9 @@ def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) 
     this deliberately tolerates truncation-induced residuals when the
     policy's kernel_tol is loosened.
     """
-    wv = np.broadcast_to(np.asarray(w, dtype=complex).reshape(-1), (T.m,)) \
-        if np.ndim(w) else np.full(T.m, complex(w))
-    wv = np.asarray(wv, dtype=complex)
+    wv = np.array(w, dtype=complex).reshape(-1)
+    if wv.size == 1:
+        wv = np.full(T.m, wv[0])
     if wv.shape != (T.m,):
         raise ValueError(f"point must have {T.m} coordinates")
     stack = np.vstack([T[i] - wv[i] * np.eye(T.d) for i in range(T.m)])

@@ -14,7 +14,7 @@ SRC = Path(sidecomp.__file__).parent
 
 
 @pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py",
-                                    "_linalg.py", "tuples.py", "rkhs.py"])
+                                    "_linalg.py", "tuples.py", "rkhs.py", "cli.py"])
 def test_no_small_float_literals(module):
     # a positive float literal up to 1e-3 is a tolerance or a bar: it is named
     # and documented in policy.py instead. Docstrings are strings, so the
@@ -61,3 +61,22 @@ def test_every_policy_constant_is_used():
             for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
             if isinstance(node, ast.Name)}
     assert constants and [name for name in constants if name not in used] == []
+
+
+def test_every_imported_name_is_read():
+    # an import that its module never reads is dead weight; __init__.py
+    # imports to re-export, so it is exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []

@@ -355,6 +355,51 @@ class TestModelHypotheses:
         rep = check_model_hypotheses(spherical_shift(g))
         assert rep.projection_ok
 
+    def test_unmasked_ball_truncation_worst_residual_is_one(self):
+        # without the mask some unit compatible family is orthogonal to the
+        # range of the stacked tuple: the exact worst residual is 1 (a seeded
+        # sample of the compatible subspace saw about 0.64)
+        g = TruncationGrid.build(2, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(2), g, "adjoint")
+        rep = check_model_hypotheses(adj)
+        assert abs(rep.solve_max_residual - 1.0) <= 1e-12
+        assert rep.projection_ok and not rep.solvability_ok
+
+    def test_report_does_not_depend_on_the_seed(self):
+        g = TruncationGrid.build(2, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(2), g, "adjoint")
+        assert check_model_hypotheses(adj, NumericPolicy(seed=1)) == \
+            check_model_hypotheses(adj, NumericPolicy(seed=2))
+
+    def test_single_operator_has_no_compatibility_rows(self):
+        # m = 1: every family is compatible, so the subspace is all of the
+        # kept coordinates
+        g = TruncationGrid.build(1, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(1), g, "adjoint")
+        rep = check_model_hypotheses(adj, coordinate_mask=g.interior())
+        assert rep.compatibility_dim == 6
+        assert rep.model_consistent
+
+    def test_empty_mask_leaves_no_compatible_family(self):
+        g = TruncationGrid.build(2, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(2), g, "adjoint")
+        rep = check_model_hypotheses(adj, coordinate_mask=np.zeros(g.size, dtype=bool))
+        assert rep.compatibility_dim == 0
+        assert rep.solve_max_residual == 0.0
+
+    def test_mask_of_wrong_length_rejected(self):
+        g = TruncationGrid.build(2, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(2), g, "adjoint")
+        with pytest.raises(ValueError, match="coordinate_mask must have 28 entries"):
+            check_model_hypotheses(adj, coordinate_mask=g.interior()[:10])
+
+    def test_interior_mask_restricts_the_unknowns(self):
+        g = TruncationGrid.build(3, 8)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(3), g, "adjoint")
+        rep = check_model_hypotheses(adj, coordinate_mask=g.interior())
+        assert rep.compatibility_dim == 164
+        assert rep.model_consistent
+
 
 class TestGammaTransform:
     def test_identity_symbol_is_one(self):

@@ -167,6 +167,18 @@ class TestJointKernel:
         for n in (2, 3):
             assert joint_kernel(inflate(T, n), 0.0).dimension == n * base
 
+    def test_scalar_and_size_one_points_broadcast(self):
+        T = operator_tuple([jordan(2), np.eye(2)])
+        for w in (1.0, [1.0], np.array([[1.0]])):
+            kb = joint_kernel(T, w)
+            assert kb.point.tolist() == [1.0, 1.0] and kb.dimension == 0
+
+    def test_point_of_wrong_length_rejected(self):
+        T = operator_tuple([jordan(2), np.eye(2)])
+        for w in ((0.0, 1.0, 2.0), [], np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="point must have 2 coordinates"):
+                joint_kernel(T, w)
+
 
 class TestRestrict:
     def test_full_range_is_similar(self):
