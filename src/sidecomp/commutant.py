@@ -4,13 +4,14 @@ The joint commutant ``A'(T)`` of a tuple ``T`` is the unital algebra of all
 matrices commuting with every component. This module computes a
 trace-orthonormal basis of ``A'(T)``: by spin-up from generators of ``C^d``
 as a module over ``C[T]`` (a commutant element is fixed by its values on the
-generators: ``g*d`` unknowns), and, where that presentation does not apply or
-does not verify, as the common nullspace of the stacked Sylvester maps
-``X -> X T_i - T_i X`` (``d^2`` unknowns). It also computes the Jacobson
-radical of such an algebra via the trace bilinear form and the simple-block
-structure of the semisimple quotient ``A/rad(A) = M_{n_1} (+) ... (+)
-M_{n_k}`` with lifted block idempotents. Intertwiner spaces between two
-tuples (from the Sylvester stack) and a randomized search for invertible
+generators: ``g*d`` unknowns; the recovered elements are orthonormalized by
+CholeskyQR2), and, where that presentation does not apply, does not verify
+or its CholeskyQR2 breaks down, as the common nullspace of the stacked
+Sylvester maps ``X -> X T_i - T_i X`` (``d^2`` unknowns). It also computes
+the Jacobson radical of such an algebra via the trace bilinear form and the
+simple-block structure of the semisimple quotient ``A/rad(A) = M_{n_1} (+)
+... (+) M_{n_k}`` with lifted block idempotents. Intertwiner spaces between
+two tuples (from the Sylvester stack) and a randomized search for invertible
 elements of a matrix span round out the toolkit.
 
 Randomized steps draw from the policy's seed and are deterministic given
@@ -29,6 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import (
+    cholesky_qr2,
     cluster_eigenvalues,
     frob,
     nullspace,
@@ -112,9 +114,10 @@ def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     threshold, when the generators do not generate (``rank Phi < d``, e.g.
     several joint eigenvalues), when the words outnumber Schur's bound on a
     commutative algebra, when the relation matrix would be larger than the
-    stack, when a basis element commutes only to within a factor 10 of the
-    stack's own cut, or when the span misses the identity. The choice
-    depends only on the input.
+    stack, when the CholeskyQR2 of the recovered elements breaks down, when
+    a basis element commutes only to within a factor 10 of the stack's own
+    cut, or when the span misses the identity. The choice depends only on
+    the input.
     """
     cb = _spin_up_commutant(T, policy)
     return cb if cb is not None else stack_commutant(T, policy)
@@ -172,6 +175,18 @@ def _stack_cut(T: OperatorTuple, S: OperatorTuple,
     return max(T.d, S.d) * policy.rank_rtol, scale
 
 
+def _module_maps(B: np.ndarray, Y: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """The maps ``X = [b_a Y]_a Phi^+ = sum_a (b_a Y) P_a`` of the values Y
+    (K, d, g), as the columns of a d^2 x K array: one GEMM applies the words
+    B (nb, d, d) to the values, a second the stacked g x d blocks P_a of
+    ``pinv = Phi^+``."""
+    nb, d, _ = B.shape
+    K, _, g = Y.shape
+    BY = B.reshape(nb * d, d) @ Y.transpose(1, 0, 2).reshape(d, K * g)
+    X = BY.reshape(nb, d, K, g).transpose(2, 1, 0, 3).reshape(K * d, nb * g) @ pinv
+    return X.reshape(K, d * d).T
+
+
 def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
     """A'(T) as the module maps of C^d over B = C[T]; None when the
     presentation does not apply or does not verify.
@@ -181,13 +196,18 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
     and G an orthonormal complement of ``range [N_1 ... N_m]``, the columns of
     ``Phi = [b_a G]_a`` span C^d exactly when G generates, which ``rank Phi =
     d`` certifies (by Nakayama it holds for one joint eigenvalue). X exists
-    for Y iff ``sum_a b_a Y K_a = 0`` for the relations ``K = null(Phi)``, and
-    then ``X = [b_a Y]_a Phi^+``: g*d unknowns instead of d^2. Every rank
-    decision is strict (:func:`rank_cut`), and so is the verification: each
-    element of the trace-orthonormalized result must commute with T to within
-    a tenth of the stack's cut ``d * rank_rtol * scale``, since a residual
-    within a factor 10 of the cut is as ambiguous as a straddling singular
-    value. The span must contain the identity.
+    for Y iff ``sum_a b_a Y C_a = 0`` for the relations ``C = null(Phi)``, and
+    then ``X = [b_a Y]_a Phi^+``: g*d unknowns instead of d^2. The K elements
+    recovered from an orthonormal basis of the Y are independent by
+    construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K x K Grams)
+    trace-orthonormalizes them instead of a d^2 x K SVD; a Cholesky breakdown
+    is one more reason to return None, and their independence is decided on
+    the singular values of the triangular factor, which are theirs. Every
+    rank decision is strict (:func:`rank_cut`), and so is the verification:
+    each element of the trace-orthonormalized result must commute with T to
+    within a tenth of the stack's cut ``d * rank_rtol * scale``, since a
+    residual within a factor 10 of the cut is as ambiguous as a straddling
+    singular value. The span must contain the identity.
     """
     d = T.d
     rtol, scale = _stack_cut(T, T, policy)
@@ -203,17 +223,17 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
         # larger than the m d^2 x d^2 stack would save nothing
         if rank_cut(s, rtol, strict=True) < d or (nb * g - d) * g > T.m * d * d:
             return None
-        K = Vh[d:].conj().T.reshape(nb, g, -1)
-        pinv = ((Vh[:d].conj().T / s) @ U.conj().T).reshape(nb, g, d)
-        L = np.einsum("aij,akr->irjk", B, K).reshape(-1, d * g)
+        rel = Vh[d:].conj().T.reshape(nb, g, -1)
+        pinv = (Vh[:d].conj().T / s) @ U.conj().T
+        L = np.einsum("aij,akr->irjk", B, rel).reshape(-1, d * g)
         Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
-        X = sum(np.matmul(B[a], Y @ pinv[a]) for a in range(nb))
-        Q = orthonormal_range(X.reshape(len(Y), d * d).T, rtol)
+        K = len(Y)
+        Q, R = cholesky_qr2(_module_maps(B, Y, pinv))
+        if rank_cut(svdvals_robust(R), rtol) < K:
+            return None
     except NumericalDegeneracyError:
         return None
-    if Q.shape[1] < len(Y):
-        return None
-    basis = np.ascontiguousarray(Q.T.reshape(-1, d, d))
+    basis = Q.T.reshape(K, d, d)
     resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
                                axis=(1, 2)) for A in T))
     if np.any(resid > rtol * scale / 10.0):

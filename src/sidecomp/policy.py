@@ -86,6 +86,11 @@ PSD_TOL = 1e-10
 # Orthonormality error ||N* N - I||_F per column above which a nullspace
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12
+# ||triu(W) - I||_F of the second Gram W of CholeskyQR2 (_linalg.cholesky_qr2)
+# above which the first pass counts as having lost orthogonality: below it
+# ||W - I||_2 <= 0.71, so the second pass factors a Gram of condition number
+# below 6 and leaves roundoff.
+CHOLESKY_QR_GRAM_BAR = 0.5
 
 # Multishift model checks (rkhs). The lowering operators of a truncation are
 # exact shifts, so their commutators are roundoff (relative to max(1, norm)).

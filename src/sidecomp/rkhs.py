@@ -309,13 +309,17 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     row contraction: sum T_i T_i* <= I; spherical isometry: sum T_i* T_i = I;
     spherical unitary: isometry with every component normal;
     n-hypercontraction: (I - sum T_i* T_i)^k PSD for k = 1..n_hyper.
-    ``mask`` restricts the isometry test to a subspace (e.g. interior labels
-    of a truncation, where compression is invisible).
+    ``mask`` (boolean, one entry per ambient coordinate) restricts the
+    isometry test to a subspace (e.g. interior labels of a truncation, where
+    compression is invisible); a mask of any other length raises ValueError.
     """
     d = T.d
     S = sum(A.conj().T @ A for A in T)
     R = sum(A @ A.conj().T for A in T)
     if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (d,):
+            raise ValueError(f"mask must have {d} entries")
         idx = np.where(mask)[0]
         iso_res = frob(S[np.ix_(idx, idx)] - np.eye(idx.size)) \
             + frob(S[np.ix_(np.setdiff1d(np.arange(d), idx), idx)])

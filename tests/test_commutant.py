@@ -130,6 +130,48 @@ class TestSpinUp:
         B = stack_commutant(T)
         assert A is not None and A.algebra_dim == B.algebra_dim
         assert _span_gap(A, B) <= 1e-8
+        V = A.basis.reshape(A.algebra_dim, -1)
+        assert np.linalg.norm(V.conj() @ V.T - np.eye(A.algebra_dim)) <= 1e-12
+
+    def test_cholesky_breakdown_falls_back_to_the_stack(self, monkeypatch):
+        T = _one_eigenvalue_tuple([3, 2, 2], 2, 10.0, np.random.default_rng(4))
+        ref = joint_commutant(T)
+
+        def breakdown(W, **kwargs):
+            return W, 1   # LAPACK's report: leading minor 1 is not positive definite
+
+        real_stack, stacks = commutant.stack_commutant, []
+
+        def recording(T1, policy):
+            stacks.append(T1.d)
+            return real_stack(T1, policy)
+
+        monkeypatch.setattr(_linalg, "zpotrf", breakdown)
+        monkeypatch.setattr(commutant, "stack_commutant", recording)
+        assert commutant._spin_up_commutant(T, NumericPolicy()) is None
+        A = joint_commutant(T)
+        assert stacks == [7]
+        assert A.algebra_dim == ref.algebra_dim and _span_gap(A, ref) <= 1e-8
+
+    def test_no_tall_svd_at_one_eigenvalue(self, monkeypatch):
+        # eight copies of one 4 x 4 Jordan-polynomial block (m = 2) at cond
+        # 10: d = 32 and K = dim A' = 8^2 * 4 = 256. No SVD of the spin-up has
+        # more than K rows: no d^2 x K basis SVD, no m d^2 x d^2 stack
+        r = np.random.default_rng(32)
+        T = conjugate(inflate(jordan_polynomial_tuple(4, 0.8, r, 2), 8),
+                      conditioned_invertible(32, 10.0, r))
+        shapes = []
+        real = _linalg.svd_robust
+
+        def recording(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(_linalg, "svd_robust", recording)
+        monkeypatch.setattr(commutant, "svd_robust", recording)
+        A = joint_commutant(T)
+        assert A.algebra_dim == 256
+        assert shapes and max(rows for rows, _ in shapes) <= A.algebra_dim
 
     def test_shared_eigenvalue_tuple_has_relations(self, monkeypatch):
         # (J3, N) twice, (J3, N^2) and (J2, 0): four generators whose words
@@ -300,10 +342,13 @@ class TestOneWalk:
     corner is the root of every walk; its answer is (3; 2, 2, 1)."""
 
     @staticmethod
-    def tuple_():
+    def conjugator():
+        return conditioned_invertible(14, 10.0, np.random.default_rng(5))
+
+    @classmethod
+    def tuple_(cls):
         A = bd(jordan(2), jordan(2), jordan(3), jordan(3), jordan(4))
-        X = conditioned_invertible(A.shape[0], 10.0, np.random.default_rng(5))
-        return conjugate(operator_tuple([A]), X)
+        return conjugate(operator_tuple([A]), cls.conjugator())
 
     @staticmethod
     def fault_at_root(monkeypatch, fault, walks):
@@ -454,8 +499,18 @@ class TestOneWalk:
         assert len(roots) == 2
 
     def test_non_central_split_on_every_walk_raises(self, monkeypatch):
-        roots = self.fault_at_root(monkeypatch, commutant._corner_directions,
-                                   walks=STRUCTURE_SEEDS)
+        # the fault draws from span{I, e}, e the idempotent onto the first
+        # J_2 copy: every draw's Riesz split is {e, I - e}, which isolates one
+        # primitive of the M_2 block of the two J_2 copies. A random element
+        # of the whole corner need not split non-centrally on every walk
+        X = self.conjugator()
+        e = X @ np.diag([1.0] * 2 + [0.0] * 12) @ np.linalg.inv(X)
+
+        def one_primitive(c, policy, rng):
+            A = commutant.CommutantBasis(c.basis)
+            return np.stack([A.coords(np.eye(14)), A.coords(e)], axis=1)
+
+        roots = self.fault_at_root(monkeypatch, one_primitive, walks=STRUCTURE_SEEDS)
         with pytest.raises(NumericalDegeneracyError,
                            match="do not account for the algebra dimension"):
             semisimple_structure(self.tuple_())

@@ -333,6 +333,13 @@ class TestSphereConditions:
         rep = check_sphere_conditions(T)
         assert rep.spherical_unitary
 
+    def test_mask_of_wrong_length_rejected(self):
+        # a short mask must not be read as a mask of the first labels
+        g = TruncationGrid.build(2, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(2), g, "adjoint")
+        with pytest.raises(ValueError, match="mask must have 28 entries"):
+            check_sphere_conditions(adj, mask=g.interior()[:10])
+
 
 class TestModelHypotheses:
     def test_ball_truncation_interior_consistent(self):
