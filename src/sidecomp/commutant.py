@@ -16,10 +16,10 @@ elements of a matrix span round out the toolkit.
 
 Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
-intrinsic to the algebra; a walk that a bad draw leads astray fails one of
-the deterministic certificates (square quotients of the leaves, the
-accounting identity ``sum n_i^2 + dim rad = dim A'``, idempotents summing to
-the identity, and n_i primitives per block) instead of returning other sizes.
+intrinsic to the algebra, which counts them before any split: a walk that a
+bad draw leads astray fails one of the deterministic certificates (square
+block quotients, ``sum n_i^2 + dim rad = dim A'``, idempotents summing to
+the identity, and n_i primitives of equal rank per block).
 """
 from __future__ import annotations
 
@@ -201,8 +201,10 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
     recovered from an orthonormal basis of the Y are independent by
     construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K x K Grams)
     trace-orthonormalizes them instead of a d^2 x K SVD; a Cholesky breakdown
-    is one more reason to return None, and their independence is decided on
-    the singular values of the triangular factor, which are theirs. Every
+    is one more reason to return None, and so is ``10 * rtol * ||R||_F >= 1``
+    for the triangular factor R: since ``X G = Y`` with G and the Y
+    orthonormal, the singular values of R (those of the elements) lie in
+    ``[1, ||R||_F]``, so a strict cut of them keeps all K otherwise. Every
     rank decision is strict (:func:`rank_cut`), and so is the verification:
     each element of the trace-orthonormalized result must commute with T to
     within a tenth of the stack's cut ``d * rank_rtol * scale``, since a
@@ -229,9 +231,9 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
         Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
         K = len(Y)
         Q, R = cholesky_qr2(_module_maps(B, Y, pinv))
-        if rank_cut(svdvals_robust(R), rtol) < K:
-            return None
     except NumericalDegeneracyError:
+        return None
+    if 10.0 * rtol * frob(R) >= 1.0:
         return None
     basis = Q.T.reshape(K, d, d)
     resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
@@ -464,32 +466,6 @@ def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
     return None
 
 
-def _split_by_random_element(sample, rng: np.random.Generator) -> list[np.ndarray] | None:
-    """Split a corner by the best of several random elements' Riesz projectors.
-
-    ``sample(rng)`` draws an element of the corner algebra. Splits whose worst
-    projector norm is at most ``GOOD_SPLIT_NORM`` are accepted immediately;
-    otherwise the best-conditioned split over ``SPLIT_ATTEMPTS`` draws is
-    taken. All validated splits are correct (they are partitions by
-    invariant subspaces of an algebra element); conditioning only affects
-    downstream roundoff. The projectors are used as :func:`_spectral_split`
-    returns them: it builds them idempotent to roundoff and checks them.
-    """
-    best: list[np.ndarray] | None = None
-    best_quality = np.inf
-    for _ in range(SPLIT_ATTEMPTS):
-        projs = _spectral_split(sample(rng))
-        if projs is None:
-            continue
-        quality = max(frob(P) for P in projs)
-        if quality <= GOOD_SPLIT_NORM:
-            best, best_quality = projs, quality
-            break
-        if quality < best_quality:
-            best, best_quality = projs, quality
-    return best
-
-
 @dataclass(frozen=True)
 class Corner:
     """The corner E A'(T) E in the orthonormal frame U of range(E).
@@ -547,57 +523,41 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
     return [Corner(eye, eye, basis, *_radical_coords(basis, policy))]
 
 
-def _central_directions(c: Corner, policy: NumericPolicy,
-                        rng: np.random.Generator) -> np.ndarray | None:
-    """Sampler of the central split: quotient-central coefficient vectors of
-    the corner, or None when its quotient has a one-dimensional center."""
-    cen = _center_candidates(c.basis, c.quot_coords, rng)
-    return cen if cen.shape[1] > 1 else None
+def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
+                             rng: np.random.Generator, equal: bool = False) -> list[np.ndarray]:
+    """Lifted idempotents of a split of the corner ``c`` into exactly ``parts``
+    Riesz projectors of random elements drawn from the span of the coefficient
+    vectors C (K, kappa); with ``equal``, the parts must have equal ranks.
 
-
-def _corner_directions(c: Corner, policy: NumericPolicy,
-                       rng: np.random.Generator) -> np.ndarray | None:
-    """Sampler of the primitive split: the whole corner, or None when its
-    quotient is one-dimensional (the corner is local)."""
-    return None if c.quotient_dim == 1 else np.eye(c.basis.shape[0], dtype=complex)
-
-
-def _corner_walk(T: OperatorTuple, c: Corner, directions, policy: NumericPolicy,
-                 rng: np.random.Generator, depth: int = 0) -> list[tuple[Corner, int]]:
-    """Recursively split the corner ``c`` of A'(T) by random Riesz projectors.
-
-    ``directions(c, policy, rng)`` returns coefficient vectors (K, kappa) whose
-    span the splitting elements are drawn from, or None when ``c`` is a leaf.
-    Returns (leaf corner, n) pairs, where n^2 is the leaf's quotient dimension.
+    A draw whose validated split has another number of parts, or unequal ranks
+    when they must be equal, is skipped: a generic element separates all the
+    parts the algebra counts, so such a split merged some of them or cut a
+    defective cloud. Of the rest, a split whose worst projector norm is at
+    most ``GOOD_SPLIT_NORM`` is accepted at once; otherwise the
+    best-conditioned split over ``SPLIT_ATTEMPTS`` draws is taken, and none
+    raises. The projectors are used as :func:`_spectral_split` returns them,
+    idempotent to roundoff and checked.
     """
-    if depth > 64:
-        raise NumericalDegeneracyError("corner splitting recursion exceeded depth cap")
-    C = directions(c, policy, rng)
-    if C is None:
-        q = c.quotient_dim
-        n = math.isqrt(q)
-        if n * n != q:
-            raise NumericalDegeneracyError(
-                f"quotient of an indecomposable corner has dimension {q}, not a square"
-            )
-        return [(c, n)]
-
-    def sample(r: np.random.Generator) -> np.ndarray:
-        x = r.standard_normal(C.shape[1]) + 1j * r.standard_normal(C.shape[1])
+    best: list[np.ndarray] | None = None
+    best_quality = np.inf
+    for _ in range(SPLIT_ATTEMPTS):
+        x = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(C.shape[1])
         x /= np.linalg.norm(x)
-        return np.tensordot(C @ x, c.basis, axes=(0, 0))
-
-    projs = _split_by_random_element(sample, rng)
-    if projs is None:
+        projs = _spectral_split(np.tensordot(C @ x, c.basis, axes=(0, 0)))
+        if projs is None or len(projs) != parts \
+                or (equal and len({round(np.trace(P).real) for P in projs}) > 1):
+            continue
+        quality = max(frob(P) for P in projs)
+        if quality < best_quality:
+            best, best_quality = projs, quality
+        if quality <= GOOD_SPLIT_NORM:
+            break
+    if best is None:
         raise NumericalDegeneracyError(
-            f"failed to split a corner after {SPLIT_ATTEMPTS} random draws"
-        )
+            f"no random element split a corner into {parts}{' equal' if equal else ''} "
+            f"parts in {SPLIT_ATTEMPTS} draws")
     W = c.U.conj().T @ c.E
-    out: list[tuple[Corner, int]] = []
-    for P in projs:
-        out.extend(_corner_walk(T, _corner(T, c.U @ P @ W, policy), directions, policy, rng,
-                                depth + 1))
-    return out
+    return [c.U @ P @ W for P in best]
 
 
 @dataclass(frozen=True)
@@ -616,13 +576,30 @@ class AlgebraStructure:
         return len(self.block_dims)
 
 
+def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
+            rng: np.random.Generator) -> list[Corner]:
+    """Corners of the simple blocks of a root: the center of its quotient has
+    as many dimensions as it has blocks, so one split by random central
+    elements gives them all, and a root with a one-dimensional center is one
+    block."""
+    cen = _center_candidates(root.basis, root.quot_coords, rng)
+    k = cen.shape[1]
+    if k <= 1:
+        return [root]
+    return [_corner(T, E, policy) for E in _split_by_random_element(root, cen, k, rng)]
+
+
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
                     seed: int) -> AlgebraStructure:
     rng = np.random.default_rng(seed)
     rad_dim = sum(root.rad_coords.shape[1] for root in roots)
     algebra_dim = sum(root.basis.shape[0] for root in roots)
-    blocks = [block for root in roots
-              for block in _corner_walk(T, root, _central_directions, policy, rng)]
+    blocks = [(c, math.isqrt(c.quotient_dim))
+              for root in roots for c in _blocks(T, root, policy, rng)]
+    for c, n in blocks:
+        if n * n != c.quotient_dim:
+            raise NumericalDegeneracyError(
+                f"quotient of a simple block has dimension {c.quotient_dim}, not a square")
     if sum(n * n for _, n in blocks) + rad_dim != algebra_dim:
         raise NumericalDegeneracyError(
             "block dimensions and radical do not account for the algebra "
@@ -634,15 +611,13 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     total = np.sum(idems, axis=0)
     if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
+    # a block M_n has n primitives of equal rank, which a random element of
+    # its corner separates at once
     rng = np.random.default_rng(seed + 0x5EED)
     prims: list[np.ndarray] = []
     for c, n in blocks:
-        leaves = _corner_walk(T, c, _corner_directions, policy, rng)
-        if len(leaves) != n:
-            raise NumericalDegeneracyError(
-                f"block refinement produced {len(leaves)} primitives, expected {n}"
-            )
-        prims.extend(leaf.E for leaf, _ in leaves)
+        prims.extend([c.E] if n == 1 else _split_by_random_element(
+            c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
     return AlgebraStructure(algebra_dim, rad_dim, dims, idems, np.stack(prims))
 
 
@@ -650,18 +625,23 @@ def semisimple_structure(T: OperatorTuple,
                          policy: NumericPolicy = DEFAULT_POLICY) -> AlgebraStructure:
     """Simple-block decomposition of A'(T)/rad: lifted block idempotents and primitives.
 
-    The walk starts from the primary corners of ``T`` (one per
-    joint-spectrum cluster, split once with the policy's seed); every corner is
-    the commutant of a compressed restriction of ``T``. One seeded walk then
-    splits them into simple blocks, and each block by random elements of its
-    corner into primitives. (k, block sizes) are intrinsic, and the walk's
-    result is held to deterministic certificates: every leaf's quotient is a
-    square, the accounting identity ``sum n_i^2 + dim rad = dim A'`` holds,
-    the lifted idempotents sum to the identity and block i refines into
-    exactly n_i primitives; the last catches a walk that stops too early,
-    reading several blocks as one. A walk that fails one of them is retried
-    with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the last error
-    is raised if none succeeds.
+    The roots are the primary corners of ``T`` (one per joint-spectrum
+    cluster, split once with the policy's seed); every corner is the
+    commutant of a compressed restriction of ``T``. One seeded walk then
+    splits each corner once, into the number of parts its algebra counts, in
+    two flat stages: each root by random central elements into the k blocks
+    that the dimension of its quotient's center counts (:func:`_blocks`;
+    each block gets a corner), and each block M_n by random elements of its
+    corner into n primitives of equal rank, which get no commutant. Both
+    stages use :func:`_split_by_random_element`, which skips a draw whose
+    split has another number of parts. (k, block sizes) are intrinsic, and
+    the walk's result is held to deterministic certificates: every block's
+    quotient is a square, the accounting identity ``sum n_i^2 + dim rad =
+    dim A'`` holds, the lifted idempotents sum to the identity and block i
+    splits into n_i primitives of equal rank; the last catches a center read
+    too small, which takes several blocks for one. A walk that fails one of
+    them is retried with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and
+    the last error is raised if none succeeds.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -100,10 +100,11 @@ def unit_si_decomposition(T: OperatorTuple,
     """Complete list of primitive idempotents of A'(T), ordered by
     (block of the quotient, copy within the block).
 
-    The primitives are those of :func:`semisimple_structure`, whose walk
-    certifies n_i of them in block i and retries a walk that finds another
-    count. Every restriction is strongly irreducible by construction (each
-    leaf corner is local); the family is validated as a decomposition here.
+    The primitives are those of :func:`semisimple_structure`, which splits
+    block i into exactly n_i of them, of equal rank, and retries a walk that
+    cannot. Every restriction is strongly irreducible by construction (a
+    primitive idempotent's corner is local); the family is validated as a
+    decomposition here.
     """
     prims = semisimple_structure(T, policy).primitives
     D = UnitDecomposition(T, prims, tuple(True for _ in prims))

@@ -115,13 +115,16 @@ DEFECT_RANK_ONE_BAR = 1e-12
 # Floor of the joint-eigenvector tail bound, once the tail is below roundoff.
 EIGENVECTOR_TAIL_FLOOR = 1e-13
 
-# Constants of the corner walk (semisimple_structure: blocks, then primitives).
-# Random draws per corner split, and the worst projector norm accepted at once.
+# Constants of the two flat stages of semisimple_structure (each root into
+# its k blocks, each block M_n into n primitives). A corner split draws up to
+# SPLIT_ATTEMPTS random elements and skips those whose split has another
+# number of parts; a split whose worst projector norm is at most
+# GOOD_SPLIT_NORM is taken at once, else the best-conditioned one drawn.
 SPLIT_ATTEMPTS = 16
 GOOD_SPLIT_NORM = 300.0
 # Consecutive seeds semisimple_structure walks with before it gives up; a walk
-# that fails a structural check (the primitive count per block among them) is
-# retried with the next seed.
+# that fails a structural check (a corner that no draw splits into the parts
+# its algebra counts among them) is retried with the next seed.
 STRUCTURE_SEEDS = 7
 
 # Structural checks on computed algebras and idempotent families.

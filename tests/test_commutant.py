@@ -133,6 +133,28 @@ class TestSpinUp:
         V = A.basis.reshape(A.algebra_dim, -1)
         assert np.linalg.norm(V.conj() @ V.T - np.eye(A.algebra_dim)) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3),
+           st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
+    def test_recovered_elements_are_bounded_below_by_one(self, sizes, m, cond, seed):
+        # X G = Y with G and the Y orthonormal: the singular values of the
+        # recovered elements, those of the CholeskyQR2 factor R, are >= 1, so
+        # the independence decision needs only ||R||_F
+        T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
+        factors = []
+        real = commutant.cholesky_qr2
+
+        def recording(A):
+            Q, R = real(A)
+            factors.append(R)
+            return Q, R
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(commutant, "cholesky_qr2", recording)
+            commutant._spin_up_commutant(T, NumericPolicy())
+        for R in factors:
+            assert np.linalg.svd(R, compute_uv=False).min() >= 1.0 - 1e-12
+
     def test_cholesky_breakdown_falls_back_to_the_stack(self, monkeypatch):
         T = _one_eigenvalue_tuple([3, 2, 2], 2, 10.0, np.random.default_rng(4))
         ref = joint_commutant(T)
@@ -339,7 +361,8 @@ class TestSemisimpleStructure:
 class TestOneWalk:
     """semisimple_structure walks once, and its certificates catch a walk
     that goes wrong. The input has one joint eigenvalue, so its one primary
-    corner is the root of every walk; its answer is (3; 2, 2, 1)."""
+    corner is the root of every walk, whose center asks for 3 blocks; its
+    answer is (3; 2, 2, 1)."""
 
     @staticmethod
     def conjugator():
@@ -352,20 +375,34 @@ class TestOneWalk:
 
     @staticmethod
     def fault_at_root(monkeypatch, fault, walks):
-        """Replace the central sampler by ``fault`` at the root corner of the
-        first ``walks`` walks; returns the list of root visits."""
-        real = commutant._central_directions
+        """Replace the center of the root's quotient by ``fault(A)``, A the
+        root's commutant, in the first ``walks`` walks; returns the list of
+        root visits."""
+        real = commutant._center_candidates
         calls = []
 
-        def sampler(c, policy, rng):
-            if c.U.shape[1] == c.U.shape[0]:
-                calls.append(None)
-                if len(calls) <= walks:
-                    return fault(c, policy, rng)
-            return real(c, policy, rng)
+        def center(basis, quot_coords, rng):
+            calls.append(None)
+            if len(calls) <= walks:
+                return fault(commutant.CommutantBasis(basis))
+            return real(basis, quot_coords, rng)
 
-        monkeypatch.setattr(commutant, "_central_directions", sampler)
+        monkeypatch.setattr(commutant, "_center_candidates", center)
         return calls
+
+    @staticmethod
+    def identity_only(A):
+        """A one-dimensional center: the root reads as one simple block."""
+        return A.coords(np.eye(14))[:, None]
+
+    @classmethod
+    def one_primitive(cls, A):
+        """span{I, e, I - e}, e the idempotent onto the first J_2 copy: three
+        directions, as many as the center has, whose every element splits
+        into the two parts {e, I - e}, never into three."""
+        X = cls.conjugator()
+        e = X @ np.diag([1.0] * 2 + [0.0] * 12) @ np.linalg.inv(X)
+        return np.stack([A.coords(np.eye(14)), A.coords(e), A.coords(np.eye(14) - e)], axis=1)
 
     def root_corner(self):
         roots = commutant._primary_corners(self.tuple_(), NumericPolicy(),
@@ -447,74 +484,143 @@ class TestOneWalk:
         assert seeds == [NumericPolicy().seed]
 
     def test_premature_leaf_caught_by_the_primitive_count(self, monkeypatch):
-        # a root read as a leaf has quotient dimension 4 + 4 + 1 = 9, a
-        # square, so the walk reports one block of size 3; only its 5
-        # primitives give it away, and the next seed walks on
-        roots = self.fault_at_root(monkeypatch, lambda c, policy, rng: None, walks=1)
+        # a root read as one block has quotient dimension 4 + 4 + 1 = 9, a
+        # square, so the first stage reports one block of size 3; only its
+        # primitive split, which never finds 3 equal parts of a rank-14
+        # corner, gives it away, and the next seed walks on
+        roots = self.fault_at_root(monkeypatch, self.identity_only, walks=1)
         S = semisimple_structure(self.tuple_())
         assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
         assert len(roots) == 2
 
     def test_premature_leaf_on_every_walk_raises(self, monkeypatch):
-        roots = self.fault_at_root(monkeypatch, lambda c, policy, rng: None,
-                                   walks=STRUCTURE_SEEDS)
+        roots = self.fault_at_root(monkeypatch, self.identity_only, walks=STRUCTURE_SEEDS)
         with pytest.raises(NumericalDegeneracyError,
-                           match="block refinement produced 5 primitives, expected 3"):
+                           match="no random element split a corner into 3 equal parts"):
             semisimple_structure(self.tuple_())
         assert len(roots) == STRUCTURE_SEEDS
 
-    def test_failed_primitive_split_is_retried(self):
-        # J_6(-0.8) and J_6(0.8), two copies each, at cond 1e4: the leaves
-        # of the primitive split of the first six walks have Sylvester stacks
-        # whose noise straddles the cut, so their commutants miss the
-        # identity; the seventh walk succeeds. Which walk succeeds depends on
-        # the roundoff of the BLAS, so this runs it single-threaded, as
-        # perfbench does.
+    def test_first_walk_succeeds_with_one_or_two_blas_threads(self):
+        # J_6(-0.8) and J_6(0.8), two copies each, at cond 1e4. While every
+        # primitive got a corner of its own, the Sylvester stacks of those
+        # leaf corners had noise straddling the cut and missed the identity:
+        # the walk needed all seven seeds with one BLAS thread and failed all
+        # seven with two. No primitive gets a commutant now, so the first
+        # walk succeeds whatever the roundoff of the BLAS.
         code = textwrap.dedent("""
             import numpy as np
+            import sidecomp.commutant as commutant
             from sidecomp import conjugate, direct_sum, inflate, v_semigroup_invariant
             from sidecomp._linalg import conditioned_invertible
             from sidecomp.planted import jordan_polynomial_tuple
+            real, walks = commutant._structure_once, []
+
+            def counting(*args):
+                walks.append(None)
+                return real(*args)
+
+            commutant._structure_once = counting
             rng = np.random.default_rng(8)
             A = jordan_polynomial_tuple(6, -0.8, rng, 2)
             B = jordan_polynomial_tuple(6, 0.8, rng, 2)
             T = conjugate(direct_sum(inflate(A, 2), inflate(B, 2)),
                           conditioned_invertible(24, 1e4, rng))
             inv = v_semigroup_invariant(T)
-            print(inv.k, *inv.multiplicities, inv.decomposition.count)
+            print(inv.k, *inv.multiplicities, inv.decomposition.count, len(walks))
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
-        env.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                           "MKL_NUM_THREADS")})
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["2", "2", "2", "4"]
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
+            env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                   "MKL_NUM_THREADS")})
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert proc.stdout.split() == ["2", "2", "2", "4", "1"], threads
 
     def test_non_central_split_is_retried(self, monkeypatch):
-        # splitting the root by a random element of the whole corner yields 5
-        # local corners: 5 * 1^2 + dim rad != dim A'
-        roots = self.fault_at_root(monkeypatch, commutant._corner_directions, walks=1)
+        # a center span none of whose elements splits the root into the 3
+        # parts it asks for fails the first walk's block split
+        roots = self.fault_at_root(monkeypatch, self.one_primitive, walks=1)
         assert semisimple_structure(self.tuple_()).block_dims == (2, 2, 1)
         assert len(roots) == 2
 
     def test_non_central_split_on_every_walk_raises(self, monkeypatch):
-        # the fault draws from span{I, e}, e the idempotent onto the first
-        # J_2 copy: every draw's Riesz split is {e, I - e}, which isolates one
-        # primitive of the M_2 block of the two J_2 copies. A random element
-        # of the whole corner need not split non-centrally on every walk
-        X = self.conjugator()
-        e = X @ np.diag([1.0] * 2 + [0.0] * 12) @ np.linalg.inv(X)
-
-        def one_primitive(c, policy, rng):
-            A = commutant.CommutantBasis(c.basis)
-            return np.stack([A.coords(np.eye(14)), A.coords(e)], axis=1)
-
-        roots = self.fault_at_root(monkeypatch, one_primitive, walks=STRUCTURE_SEEDS)
+        roots = self.fault_at_root(monkeypatch, self.one_primitive, walks=STRUCTURE_SEEDS)
         with pytest.raises(NumericalDegeneracyError,
-                           match="do not account for the algebra dimension"):
+                           match="no random element split a corner into 3 parts"):
             semisimple_structure(self.tuple_())
         assert len(roots) == STRUCTURE_SEEDS
+
+
+class TestTwoFlatStages:
+    """Each corner is split once, into the number of parts its algebra
+    counts: a root into the k blocks its center counts, a block M_n into n
+    primitives of equal rank. Only roots and blocks get a commutant."""
+
+    @staticmethod
+    def eight_copies():
+        """Eight copies of one 4 x 4 Jordan-polynomial block (m = 2) at cond
+        10: d = 32, one block M_8, answer (1; 8)."""
+        r = np.random.default_rng(32)
+        return conjugate(inflate(jordan_polynomial_tuple(4, 0.8, r, 2), 8),
+                         conditioned_invertible(32, 10.0, r))
+
+    @staticmethod
+    def recording_commutants(monkeypatch):
+        real, dims = commutant.joint_commutant, []
+
+        def recording(T1, policy):
+            dims.append(T1.d)
+            return real(T1, policy)
+
+        monkeypatch.setattr(commutant, "joint_commutant", recording)
+        return dims
+
+    @staticmethod
+    def merge_once(monkeypatch, parts):
+        """Merge the first two projectors of the first split into ``parts``:
+        that draw's split is coarse. Returns the list of merges."""
+        real, merged = commutant._spectral_split, []
+
+        def merging(z):
+            projs = real(z)
+            if not merged and projs is not None and len(projs) == parts:
+                merged.append(None)
+                return [projs[0] + projs[1]] + projs[2:]
+            return projs
+
+        monkeypatch.setattr(commutant, "_spectral_split", merging)
+        return merged
+
+    def test_one_commutant_at_one_eigenvalue(self, monkeypatch):
+        dims = self.recording_commutants(monkeypatch)
+        S = semisimple_structure(self.eight_copies())
+        assert (S.block_dims, S.primitives.shape) == ((8,), (8, 32, 32))
+        assert dims == [32]
+
+    def test_coarse_primitive_split_is_redrawn(self, monkeypatch):
+        dims = self.recording_commutants(monkeypatch)
+        merged = self.merge_once(monkeypatch, 8)
+        S = semisimple_structure(self.eight_copies())
+        assert merged and S.primitives.shape == (8, 32, 32)
+        assert dims == [32]
+        for P in S.primitives:
+            assert abs(np.trace(P) - 4.0) <= 1e-8
+
+    def test_coarse_block_split_is_redrawn(self, monkeypatch):
+        # the root of (3; 2, 2, 1) splits into blocks of ranks 4, 6 and 4; a
+        # merged draw has 2 parts, and no corner is built for either
+        real, ranks = commutant._corner, []
+
+        def recording(T1, E, policy):
+            ranks.append(round(np.trace(E).real))
+            return real(T1, E, policy)
+
+        monkeypatch.setattr(commutant, "_corner", recording)
+        merged = self.merge_once(monkeypatch, 3)
+        S = semisimple_structure(TestOneWalk.tuple_())
+        assert merged and sorted(ranks) == [4, 4, 6]
+        assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
 
 
 class TestIdempotentsNeedNoRepair:

@@ -14,7 +14,8 @@ SRC = Path(sidecomp.__file__).parent
 
 
 @pytest.mark.parametrize("module", ["commutant.py", "decomposition.py", "invariant.py",
-                                    "_linalg.py", "tuples.py", "rkhs.py", "cli.py"])
+                                    "_linalg.py", "tuples.py", "rkhs.py", "cli.py",
+                                    "planted.py", "io.py"])
 def test_no_small_float_literals(module):
     # a positive float literal up to 1e-3 is a tolerance or a bar: it is named
     # and documented in policy.py instead. Docstrings are strings, so the
