@@ -36,13 +36,10 @@ from .commutant import (
     semisimple_structure,
 )
 from .decomposition import (
-    AlignmentResult,
     BlockSimilarityResult,
     DecompositionEquivalence,
     EquivalenceOutcome,
     UnitDecomposition,
-    align_decompositions,
-    assemble_global,
     assemble_intertwiner,
     block_similarity,
     decompositions_equivalent,

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .decomposition import is_strongly_irreducible, unit_si_decomposition
+from .decomposition import decompositions_equivalent, is_strongly_irreducible, \
+    transport_decomposition, unit_si_decomposition
 from .invariant import k0_descriptor, similar as similar_op, v_semigroup_invariant
 from .oracle import oracle_is_strongly_irreducible
 from .planted import planted_corpus, si_oracle_corpus
@@ -30,7 +31,7 @@ from .rkhs import (
     spherical_shift,
     truncated_tuple,
 )
-from .tuples import restrict, validate_commuting
+from .tuples import conjugate, restrict, validate_commuting
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
            input2=True, witness=True)
     common(sub.add_parser("rkhs", help="build a truncated multishift model"),
            output=True)
-    common(sub.add_parser("selftest", help="planted recovery + oracle agreement"),
+    common(sub.add_parser("selftest", help="planted recovery + decomposition "
+                                           "uniqueness + oracle agreement"),
            count=True)
     return p
 
@@ -305,13 +307,31 @@ def cmd_selftest(args) -> int:
     instances = planted_corpus(pol.seed, args.count)
     recovered = 0
     failing = []
+    unique_failing = []
+    unique_worst = 0.0
+    reseeded = pol.with_(seed=pol.seed + 1)
     for inst in instances:
-        inv = v_semigroup_invariant(inst.realized, pol)
+        T = inst.realized
+        inv = v_semigroup_invariant(T, pol)
         got = (inv.k, tuple(sorted(inv.multiplicities, reverse=True)))
         if got == (inst.k, inst.multiplicities):
             recovered += 1
         else:
             failing.append(inst.seed)
+        # uniqueness up to similarity and permutation: the decomposition the
+        # invariant read matches one drawn from another seed and one of the
+        # planted block sum carried back to T by the planted conjugator
+        X = inst.conjugator
+        planted = unit_si_decomposition(conjugate(T, np.linalg.inv(X), pol), pol)
+        others = (unit_si_decomposition(T, reseeded),
+                  transport_decomposition(planted, X, pol))
+        outcomes = [decompositions_equivalent(T, inv.decomposition, D, pol)
+                    for D in others]
+        if all(o.equivalent for o in outcomes):
+            unique_worst = max(unique_worst,
+                               *(o.equivalence.residual for o in outcomes))
+        else:
+            unique_failing.append(inst.seed)
     oracle_agree = 0
     oracle_cases = si_oracle_corpus()
     oracle_failing = []
@@ -329,9 +349,12 @@ def cmd_selftest(args) -> int:
         "oracle_agreements": oracle_agree,
         "failing_seeds": failing,
         "oracle_failures": oracle_failing,
+        "uniqueness_matches": len(instances) - len(unique_failing),
+        "uniqueness_worst_residual": unique_worst,
+        "uniqueness_failures": unique_failing,
     }
     _emit(report, args.format)
-    if failing or oracle_failing:
+    if failing or oracle_failing or unique_failing:
         return EXIT_VIOLATION
     return EXIT_OK
 

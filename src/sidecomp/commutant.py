@@ -293,8 +293,7 @@ def contains_invertible(space: np.ndarray,
         space = space[None]
     K = space.shape[0]
     if K == 0 or space.shape[1] != space.shape[2]:
-        n = space.shape[2] if space.size else 0
-        return InvertibleSearch(None, 0, 0, n)
+        return InvertibleSearch(None, 0, 0, space.shape[2])
     n = space.shape[1]
     rng = np.random.default_rng(policy.seed)
     rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)

@@ -6,9 +6,9 @@ it is strongly irreducible (SI) when every restriction ``T|_{range P_i}``
 has a local commutant (no nontrivial idempotent commutes with it). This
 module produces such decompositions from the commutant's block structure,
 transports them through similarities, decides similarity of two blocks via
-invertible intertwiners, assembles blockwise intertwiners into a global
-invertible element of the commutant, and constructs the explicit alignment
-words that match two decompositions given partial conjugation data.
+invertible intertwiners, and matches two decompositions of one tuple by a
+global invertible element of the commutant assembled from blockwise
+intertwiners.
 """
 from __future__ import annotations
 
@@ -202,111 +202,6 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
     return X
 
 
-def assemble_global(T: OperatorTuple, pairs,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Assemble blockwise self-intertwiners into X in GL(A'(T)) with
-    X P_i X^-1 = Q_i for every supplied pair; membership and the
-    idempotent transport are verified."""
-    return _assemble_global(T, pairs, policy)[0]
-
-
-def _assemble_global(T: OperatorTuple, pairs,
-                     policy: NumericPolicy) -> tuple[np.ndarray, float]:
-    """:func:`assemble_global`'s X and its worst transport residual."""
-    X = assemble_intertwiner(T, T, pairs, policy)
-    Xi = np.linalg.inv(X)
-    worst = max(frob(X @ P @ Xi - Q) for P, Q, _ in pairs)
-    if worst > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, _, _ in pairs)):
-        raise NumericalDegeneracyError(
-            f"assembled element does not transport the idempotents (residual {worst:.3e})"
-        )
-    return X, float(worst)
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Explicit conjugation words matching the uncovered tail of two
-    decompositions, given a partial blockwise match and a global conjugator."""
-
-    matching: dict[int, int]             # uncovered Q index -> P index
-    conjugators: dict[int, np.ndarray]   # Z_r with Z_r Q_r Z_r^-1 = P_{r'}
-    words: dict[int, str]                # factor strings, leftmost applied last
-
-
-def align_decompositions(T: OperatorTuple, Ps, Qs, partials, Y, perm,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> AlignmentResult:
-    """Constructive alignment of two idempotent families.
-
-    Hypotheses (verified to ``ASSEMBLY_BAR``): each partial conjugator X
-    maps P_j to Q_j by conjugation for its covered indices, and the global Y
-    in GL(A'(T)) satisfies Y^-1 P_i Y = Q_{perm[i]} for all i. For every uncovered index r
-    the walk produces Z_r, an alternating word in Y and the partial
-    conjugators with at most 2k+1 factors, such that Z_r Q_r Z_r^-1 is an
-    uncovered P; the induced map is a bijection of the uncovered indices.
-
-    ``partials`` is a list of (X, covered_indices); pass a single pair for the
-    one-conjugator case.
-    """
-    Ps = [np.asarray(P, dtype=complex) for P in Ps]
-    Qs = [np.asarray(Q, dtype=complex) for Q in Qs]
-    n = len(Ps)
-    if len(Qs) != n or len(perm) != n:
-        raise ValueError("index data of mismatched lengths")
-    Y = np.asarray(Y, dtype=complex)
-    Yi = np.linalg.inv(Y)
-    scale = max(1.0, max(frob(P) for P in Ps))
-
-    covered: dict[int, int] = {}
-    mats = []
-    for s, (X, idxs) in enumerate(partials):
-        X = np.asarray(X, dtype=complex)
-        Xi = np.linalg.inv(X)
-        mats.append((X, Xi))
-        for j in idxs:
-            if frob(X @ Ps[j] @ Xi - Qs[j]) > ASSEMBLY_BAR * scale:
-                raise ValueError(f"hypothesis violated: partial {s} does not map P{j} to Q{j}")
-            covered[j] = s
-    for i in range(n):
-        if frob(Yi @ Ps[i] @ Y - Qs[perm[i]]) > ASSEMBLY_BAR * scale:
-            raise ValueError(f"hypothesis violated: Y does not map P{i} to Q{perm[i]}")
-
-    perm_inv = {perm[i]: i for i in range(n)}
-    uncovered = [i for i in range(n) if i not in covered]
-    k = len(covered)
-    matching, conjugators, words = {}, {}, {}
-    for r in uncovered:
-        Z = np.eye(T.d, dtype=complex)
-        word: list[str] = []
-        cur = r
-        target = None
-        for _ in range(k + 1):
-            j = perm_inv[cur]            # P_j = Y Q_cur Y^-1
-            Z = Y @ Z
-            word.append("Y")
-            if j not in covered:
-                target = j
-                break
-            s = covered[j]
-            Z = mats[s][0] @ Z           # move back to the Q side
-            word.append(f"X{s + 1}" if len(partials) > 1 else "X")
-            cur = j
-        if target is None:
-            raise NumericalDegeneracyError(
-                f"alignment word for block {r} exceeded the {2 * k + 1}-factor cap"
-            )
-        Zi = np.linalg.inv(Z)
-        if frob(Z @ Qs[r] @ Zi - Ps[target]) > ASSEMBLY_BAR * scale:
-            raise NumericalDegeneracyError(
-                f"alignment word for block {r} fails to conjugate onto P{target}"
-            )
-        matching[r] = target
-        conjugators[r] = Z
-        words[r] = " ".join(reversed(word))
-    if len(set(matching.values())) != len(uncovered):
-        raise NumericalDegeneracyError("alignment matching is not injective")
-    return AlignmentResult(matching, conjugators, words)
-
-
 @dataclass(frozen=True)
 class DecompositionEquivalence:
     permutation: tuple[int, ...]     # D1 index i -> D2 index permutation[i]
@@ -331,7 +226,10 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
 
     Greedy bipartite matching by block similarity (valid because similarity of
     SI restrictions is an equivalence relation; ties break to the lowest
-    index), then a global conjugator is assembled and verified.
+    index), then the blockwise intertwiners are assembled into a global
+    conjugator X in GL(A'(T)) (:func:`assemble_intertwiner` of T with itself)
+    whose transport residual max_i ||X P_i X^-1 - Q_perm(i)||_F is verified
+    against ``ASSEMBLY_BAR`` relative to max(1, max_i ||P_i||_F).
     """
     if D1.count != D2.count:
         return EquivalenceOutcome(None, "count mismatch")
@@ -351,5 +249,11 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
                 break
         if perm[i] < 0:
             return EquivalenceOutcome(None, f"no similar partner for block {i}")
-    X, resid = _assemble_global(T, pairs, policy)
-    return EquivalenceOutcome(DecompositionEquivalence(tuple(perm), X, resid), None)
+    X = assemble_intertwiner(T, T, pairs, policy)
+    Xi = np.linalg.inv(X)
+    resid = max(frob(X @ P @ Xi - Q) for P, Q, _ in pairs)
+    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, _, _ in pairs)):
+        raise NumericalDegeneracyError(
+            f"assembled element does not transport the idempotents (residual {resid:.3e})"
+        )
+    return EquivalenceOutcome(DecompositionEquivalence(tuple(perm), X, float(resid)), None)

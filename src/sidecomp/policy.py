@@ -141,10 +141,10 @@ IDENTITY_SUM_BAR = 1e-8
 # Largest ||P_a P_b||_F, a != b, of a validated unit decomposition (floored
 # like IDENTITY_SUM_BAR).
 ANNIHILATION_BAR = 1e-6
-# Relative residual of an assembled or composed conjugator: the intertwining
-# residual of an assembled map (relative to the tuples' scale), and the
-# transport residual ||X P X^-1 - Q||_F of idempotents relative to
-# max(1, ||P||_F), in assembly, alignment and decomposition matching.
+# Relative residual of an assembled conjugator: the intertwining residual of
+# an assembled map (relative to the tuples' scale), and, in decomposition
+# matching, the transport residual ||X P X^-1 - Q||_F of idempotents relative
+# to max(1, ||P||_F).
 ASSEMBLY_BAR = 1e-6
 
 

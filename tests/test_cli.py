@@ -8,6 +8,8 @@ from conftest import bd, jordan
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.cli import main
 from sidecomp.io import canonical_json, load_tuple, tuple_to_obj
+from sidecomp.planted import planted_corpus
+from sidecomp.policy import ASSEMBLY_BAR
 from sidecomp.tuples import conjugate, operator_tuple
 
 
@@ -170,6 +172,32 @@ class TestSelftest:
         assert rc == 0
         assert rep["recovered"] == rep["instances"] == 4
         assert rep["oracle_agreements"] == rep["oracle_cases"]
+        assert rep["uniqueness_matches"] == rep["instances"]
+        assert rep["uniqueness_worst_residual"] <= ASSEMBLY_BAR
+        assert rep["uniqueness_failures"] == []
+
+    def test_unmatched_decompositions_exit_4(self, capsys, monkeypatch):
+        import sidecomp.cli as cli
+        from sidecomp.decomposition import EquivalenceOutcome
+
+        monkeypatch.setattr(cli, "decompositions_equivalent",
+                            lambda *a, **k: EquivalenceOutcome(None, "synthetic"))
+        rc, out = run(capsys, ["selftest", "--count", "2", "--seed", "11"])
+        rep = json.loads(out)
+        assert rc == 4
+        assert rep["uniqueness_matches"] == 0
+        assert rep["uniqueness_failures"] == [inst.seed for inst in planted_corpus(11, 2)]
+
+    def test_degenerate_matching_exits_3(self, capsys, monkeypatch):
+        import sidecomp.cli as cli
+        from sidecomp.policy import NumericalDegeneracyError
+
+        def boom(*a, **k):
+            raise NumericalDegeneracyError("synthetic degeneracy")
+
+        monkeypatch.setattr(cli, "decompositions_equivalent", boom)
+        rc, _ = run(capsys, ["selftest", "--count", "1", "--seed", "11"])
+        assert rc == 3
 
     def test_byte_identical_reports(self, capsys):
         _, out1 = run(capsys, ["selftest", "--count", "3", "--seed", "5"])

@@ -828,3 +828,6 @@ class TestContainsInvertible:
     def test_empty_space(self):
         res = contains_invertible(np.zeros((0, 2, 2), dtype=complex))
         assert not res.found
+        # an empty span of 2x2 matrices certifies that it holds no invertible
+        # element
+        assert res.rank_deficient and res.size == 2

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bd, jordan
 from sidecomp import (
-    align_decompositions,
-    assemble_global,
+    assemble_intertwiner,
     block_similarity,
     conjugate,
     decompositions_equivalent,
@@ -158,27 +157,6 @@ class TestBlockSimilarity:
         assert not res.similar and res.definitive and res.intertwiner is None
         assert not idempotent_classes_equal(T, np.diag([0.0, 1.0]), zero)
 
-
-class TestAssembleGlobal:
-    def test_identity_pairs(self):
-        T = operator_tuple([np.diag([1.0, 2.0])])
-        P = np.diag([1.0, 0.0]).astype(complex)
-        Q = np.diag([0.0, 1.0]).astype(complex)
-        X = assemble_global(T, [(P, P, np.eye(1, dtype=complex)),
-                                (Q, Q, np.eye(1, dtype=complex))])
-        assert np.allclose(X, np.eye(2))
-
-    def test_cross_pairing_of_equal_copies_swaps(self):
-        T = inflate(operator_tuple([jordan(2)]), 2)
-        P1 = bd(np.eye(2), np.zeros((2, 2)))
-        P2 = bd(np.zeros((2, 2)), np.eye(2))
-        r1 = block_similarity(T, P1, P2)
-        r2 = block_similarity(T, P2, P1)
-        X = assemble_global(T, [(P1, P2, r1.intertwiner), (P2, P1, r2.intertwiner)])
-        Xi = np.linalg.inv(X)
-        for A in T:
-            assert np.linalg.norm(X @ A @ Xi - A) <= 1e-8
-
     def test_dissimilar_blocks_cannot_be_cross_paired(self):
         T = operator_tuple([np.diag([1.0, 2.0])])
         P = np.diag([1.0, 0.0]).astype(complex)
@@ -187,70 +165,26 @@ class TestAssembleGlobal:
         assert not res.similar and res.definitive  # eigenvalue obstruction
 
 
-class TestAlignment:
-    def _canonical_blocks(self, copies, size):
-        Ps = []
-        d = copies * size
-        for a in range(copies):
-            P = np.zeros((d, d), dtype=complex)
-            P[a * size:(a + 1) * size, a * size:(a + 1) * size] = np.eye(size)
-            Ps.append(P)
-        return Ps
+class TestAssembleIntertwiner:
+    def test_identity_pairs(self):
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        P = np.diag([1.0, 0.0]).astype(complex)
+        Q = np.diag([0.0, 1.0]).astype(complex)
+        X = assemble_intertwiner(T, T, [(P, P, np.eye(1, dtype=complex)),
+                                        (Q, Q, np.eye(1, dtype=complex))])
+        assert np.allclose(X, np.eye(2))
 
-    def _permutation_conjugator(self, perm_map, size):
-        n = len(perm_map)
-        d = n * size
-        Y = np.zeros((d, d), dtype=complex)
-        for a, b in perm_map.items():
-            Y[b * size:(b + 1) * size, a * size:(a + 1) * size] = np.eye(size)
-        return Y
-
-    def test_nothing_uncovered_is_empty(self):
+    def test_cross_pairing_of_equal_copies_swaps(self):
         T = inflate(operator_tuple([jordan(2)]), 2)
-        Ps = self._canonical_blocks(2, 2)
-        res = align_decompositions(T, Ps, Ps, [(np.eye(4), [0, 1])],
-                                   np.eye(4), [0, 1])
-        assert res.matching == {}
-
-    def test_two_block_swap_direct_shortcut(self):
-        # Q family is the P family relabeled, so Y^-1 P_i Y = Q_i and the
-        # uncovered block aligns with the single factor Y
-        T = inflate(operator_tuple([jordan(2)]), 2)
-        Ps = self._canonical_blocks(2, 2)
-        Qs = [Ps[1], Ps[0]]
-        Y = self._permutation_conjugator({0: 1, 1: 0}, 2)
-        res = align_decompositions(T, Ps, Qs, [(Y, [0])], Y, [0, 1])
-        assert res.matching == {1: 1} and res.words[1] == "Y"
-
-    def test_two_block_swap_through_covered_index(self):
-        # same Q family as P: the walk must route through the covered block,
-        # producing the three-factor word of the constructive proof
-        T = inflate(operator_tuple([jordan(2)]), 2)
-        Ps = self._canonical_blocks(2, 2)
-        Y = self._permutation_conjugator({0: 1, 1: 0}, 2)
-        res = align_decompositions(T, Ps, Ps, [(np.eye(4), [0])], Y, [1, 0])
-        assert res.matching == {1: 1} and res.words[1] == "Y X Y"
-
-    def test_three_cycle_produces_short_words(self):
-        T = inflate(operator_tuple([jordan(2)]), 3)
-        Ps = self._canonical_blocks(3, 2)
-        Y = self._permutation_conjugator({0: 1, 1: 2, 2: 0}, 2)
-        perm = []
-        Yi = np.linalg.inv(Y)
-        for P in Ps:
-            img = Yi @ P @ Y
-            perm.append(int(np.argmin([np.linalg.norm(img - Q) for Q in Ps])))
-        res = align_decompositions(T, Ps, Ps, [(np.eye(6), [0])], Y, perm)
-        assert set(res.matching.keys()) == {1, 2}
-        assert set(res.matching.values()) == {1, 2}
-        assert all(len(w.split()) <= 3 for w in res.words.values())
-
-    def test_hypothesis_violation_rejected(self):
-        T = inflate(operator_tuple([jordan(2)]), 2)
-        Ps = self._canonical_blocks(2, 2)
-        Y = self._permutation_conjugator({0: 1, 1: 0}, 2)
-        with pytest.raises(ValueError, match="hypothesis"):
-            align_decompositions(T, Ps, Ps, [(np.eye(4), [0])], Y, [0, 1])
+        P1 = bd(np.eye(2), np.zeros((2, 2)))
+        P2 = bd(np.zeros((2, 2)), np.eye(2))
+        r1 = block_similarity(T, P1, P2)
+        r2 = block_similarity(T, P2, P1)
+        X = assemble_intertwiner(T, T, [(P1, P2, r1.intertwiner),
+                                        (P2, P1, r2.intertwiner)])
+        Xi = np.linalg.inv(X)
+        for A in T:
+            assert np.linalg.norm(X @ A @ Xi - A) <= 1e-8
 
 
 class TestDecompositionEquivalence:
