@@ -1,18 +1,24 @@
 """Joint commutant algebras of commuting matrix tuples and their structure.
 
 The joint commutant ``A'(T)`` of a tuple ``T`` is the unital algebra of all
-matrices commuting with every component. This module computes a
-trace-orthonormal basis of ``A'(T)``: by spin-up from generators of ``C^d``
-as a module over ``C[T]`` (a commutant element is fixed by its values on the
-generators: ``g*d`` unknowns; the recovered elements are orthonormalized by
-CholeskyQR2), and, where that presentation does not apply, does not verify
-or its CholeskyQR2 breaks down, as the common nullspace of the stacked
-Sylvester maps ``X -> X T_i - T_i X`` (``d^2`` unknowns). It also computes
-the Jacobson radical of such an algebra via the trace bilinear form and the
-simple-block structure of the semisimple quotient ``A/rad(A) = M_{n_1} (+)
-... (+) M_{n_k}`` with lifted block idempotents. Intertwiner spaces between
-two tuples (from the Sylvester stack) and a randomized search for invertible
-elements of a matrix span round out the toolkit.
+matrices commuting with every component. For a tuple with one joint
+eigenvalue this module presents ``A'(T)`` by spin-up from generators G of
+``C^d`` as a module over ``C[T]`` (:class:`SpinUp`): a commutant element X
+is fixed by its values ``Y = X G`` (``g*d`` unknowns), and ``rho(X) = G* X
+G`` is its action on the top ``C^d / J C^d``, an algebra map into ``M_g``
+whose kernel is nilpotent. So ``A'/rad(A') = rho(A')/rad(rho(A'))``, and
+the simple-block structure of the quotient ``M_{n_1} (+) ... (+) M_{n_k}``
+is read inside ``M_g``, with no basis of ``A'(T)`` itself. Where that
+presentation does not apply or does not verify, ``A'(T)`` is the common
+nullspace of the stacked Sylvester maps ``X -> X T_i - T_i X`` (``d^2``
+unknowns). :func:`joint_commutant` returns a trace-orthonormal basis either
+way (the spin-up's recovered elements are orthonormalized by CholeskyQR2).
+The structure stages work on any algebra S with ``S/rad = A'/rad`` and a
+lift from S to ``A'``: the Jacobson radical via the trace bilinear form, the
+center of the quotient, and splits by Riesz projectors of lifted random
+elements. Intertwiner spaces between two tuples (from the Sylvester stack)
+and a randomized search for invertible elements of a matrix span round out
+the toolkit.
 
 Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
@@ -24,6 +30,7 @@ the identity, and n_i primitives of equal rank per block).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,14 +117,10 @@ def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     Computed by spin-up from module generators (:func:`_spin_up_commutant`,
     ``g*d`` unknowns) when that presentation applies and verifies; otherwise
     by the ``m d^2 x d^2`` Sylvester stack (:func:`stack_commutant`). The
-    fallback is taken when a rank decision of the spin-up straddles its
-    threshold, when the generators do not generate (``rank Phi < d``, e.g.
-    several joint eigenvalues), when the words outnumber Schur's bound on a
-    commutative algebra, when the relation matrix would be larger than the
-    stack, when the CholeskyQR2 of the recovered elements breaks down, when
-    a basis element commutes only to within a factor 10 of the stack's own
-    cut, or when the span misses the identity. The choice depends only on
-    the input.
+    fallback is taken when :func:`_spin_up` gives no presentation, when the
+    CholeskyQR2 of the recovered elements breaks down, or when a basis
+    element commutes only to within a factor 10 of the stack's own cut. The
+    choice depends only on the input.
     """
     cb = _spin_up_commutant(T, policy)
     return cb if cb is not None else stack_commutant(T, policy)
@@ -187,29 +190,79 @@ def _module_maps(B: np.ndarray, Y: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     return X.reshape(K, d * d).T
 
 
-def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
-    """A'(T) as the module maps of C^d over B = C[T]; None when the
-    presentation does not apply or does not verify.
+@dataclass(frozen=True)
+class SpinUp:
+    """A'(T) presented by its values on module generators (the spin-up of
+    Parker's Meat-Axe), for a tuple with one joint eigenvalue.
 
-    A member X of A'(T) is B-linear, so it is fixed by Y = X G on a generating
-    set G (the spin-up of Parker's Meat-Axe). With ``N_i = T_i - (tr T_i/d) I``
-    and G an orthonormal complement of ``range [N_1 ... N_m]``, the columns of
-    ``Phi = [b_a G]_a`` span C^d exactly when G generates, which ``rank Phi =
-    d`` certifies (by Nakayama it holds for one joint eigenvalue). X exists
-    for Y iff ``sum_a b_a Y C_a = 0`` for the relations ``C = null(Phi)``, and
-    then ``X = [b_a Y]_a Phi^+``: g*d unknowns instead of d^2. The K elements
-    recovered from an orthonormal basis of the Y are independent by
-    construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K x K Grams)
-    trace-orthonormalizes them instead of a d^2 x K SVD; a Cholesky breakdown
-    is one more reason to return None, and so is ``10 * rtol * ||R||_F >= 1``
-    for the triangular factor R: since ``X G = Y`` with G and the Y
-    orthonormal, the singular values of R (those of the elements) lie in
-    ``[1, ||R||_F]``, so a strict cut of them keeps all K otherwise. Every
-    rank decision is strict (:func:`rank_cut`), and so is the verification:
-    each element of the trace-orthonormalized result must commute with T to
-    within a tenth of the stack's cut ``d * rank_rtol * scale``, since a
-    residual within a factor 10 of the cut is as ambiguous as a straddling
-    singular value. The span must contain the identity.
+    A member X of A'(T) is ``B``-linear for the algebra ``B = C[T]``, so it is
+    fixed by ``Y = X G`` on a generating set G. With ``N_i = T_i - (tr T_i/d)
+    I`` and G an orthonormal complement of ``JM = range [N_1 ... N_m]``, the
+    columns of ``Phi = [b_a G]_a`` span C^d exactly when G generates (by
+    Nakayama it does for one joint eigenvalue). X exists for Y iff ``sum_a
+    b_a Y C_a = 0`` for the relations ``C = null(Phi)``, and then ``X = [b_a
+    Y]_a Phi^+``: g*d unknowns instead of d^2. ``Y`` is an orthonormal basis
+    (K, d, g) of the values, or None when there are no relations (``nb*g =
+    d``), where every d x g matrix is one and ``K = d*g``.
+    """
+
+    T: OperatorTuple
+    B: np.ndarray                # (nb, d, d) vec-orthonormal words, B[0] = I/sqrt(d)
+    G: np.ndarray                # (d, g) orthonormal generators
+    pinv: np.ndarray             # (nb*g, d) Phi^+
+    Y: np.ndarray | None         # (K, d, g) orthonormal values; None: all of them
+    rtol: float                  # relative cut of the stack, d * rank_rtol
+    bar: float                   # commutation bar of a unit element, rtol * scale / 10
+
+    @property
+    def K(self) -> int:
+        """dim A'(T)."""
+        d, g = self.G.shape
+        return d * g if self.Y is None else self.Y.shape[0]
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """The value (d, g) with coordinates c (K,) in the values' basis."""
+        if self.Y is None:
+            return c.reshape(self.G.shape)
+        return np.tensordot(c, self.Y, axes=(0, 0))
+
+    def element(self, y: np.ndarray) -> np.ndarray:
+        """The member X of A'(T) with ``X G = y``, for a value y (d, g).
+
+        X must commute with T to within ``bar`` relative to its norm, the bar
+        every basis element of :func:`_spin_up_commutant` meets: a span with
+        any non-commuting direction fails a random combination almost surely.
+        Raises :class:`NumericalDegeneracyError` otherwise.
+        """
+        d = self.G.shape[0]
+        X = _module_maps(self.B, y[None], self.pinv).reshape(d, d)
+        resid = math.sqrt(sum(frob(X @ A - A @ X) ** 2 for A in self.T))
+        if resid > self.bar * frob(X):
+            raise NumericalDegeneracyError(
+                f"a lifted commutant element fails to commute (relative residual "
+                f"{resid / frob(X):.3e} > {self.bar:.3e})")
+        return X
+
+
+def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
+    """The spin-up presentation of A'(T); None when it does not apply or does
+    not verify.
+
+    Every rank decision is strict (:func:`rank_cut`). None is returned when a
+    rank decision straddles its threshold, when the generators do not
+    generate (``rank Phi < d``, e.g. several joint eigenvalues), when the
+    words outnumber Schur's bound on a commutative algebra, when the relation
+    matrix would be larger than the stack, when the lift is too ill
+    conditioned (below), when the values miss those of the identity (``Y =
+    G``), or when a random element, drawn from the policy's seed, fails the
+    commutation bar of :meth:`SpinUp.element`.
+
+    The conditioning guard bounds the spread of the lift ``Y -> X``: ``X G =
+    Y`` bounds it below by 1, and ``||[b_a Y]_a||_F <= sqrt(nb) ||Y||_F`` for
+    vec-orthonormal words bounds it above by ``sqrt(nb) / s_min(Phi)``. The
+    presentation is refused when ``10 * rtol`` times that bound reaches 1, the
+    bar at which a strict cut of the elements' singular values would no
+    longer keep all K.
     """
     d = T.d
     rtol, scale = _stack_cut(T, T, policy)
@@ -225,23 +278,62 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
         # larger than the m d^2 x d^2 stack would save nothing
         if rank_cut(s, rtol, strict=True) < d or (nb * g - d) * g > T.m * d * d:
             return None
-        rel = Vh[d:].conj().T.reshape(nb, g, -1)
+        if 10.0 * rtol * math.sqrt(nb) >= s[d - 1]:
+            return None
         pinv = (Vh[:d].conj().T / s) @ U.conj().T
-        L = np.einsum("aij,akr->irjk", B, rel).reshape(-1, d * g)
-        Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
-        K = len(Y)
-        Q, R = cholesky_qr2(_module_maps(B, Y, pinv))
+        Y = None
+        if nb * g > d:
+            rel = Vh[d:].conj().T.reshape(nb, g, -1)
+            L = np.einsum("aij,akr->irjk", B, rel).reshape(-1, d * g)
+            Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
+            Yv, Gv = Y.reshape(len(Y), -1), G.reshape(-1)
+            if frob(Gv - (Yv.conj() @ Gv) @ Yv) > SPAN_MEMBERSHIP_TOL * max(1.0, frob(G)):
+                return None
+        su = SpinUp(T, B, G, pinv, Y, rtol, rtol * scale / 10.0)
+        rng = np.random.default_rng(policy.seed)
+        su.element(su.values(rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)))
     except NumericalDegeneracyError:
         return None
-    if 10.0 * rtol * frob(R) >= 1.0:
+    return su
+
+
+def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
+    """A'(T) as a trace-orthonormal basis of the module maps of the spin-up
+    presentation (:func:`_spin_up`); None when there is none or it does not
+    verify as a basis.
+
+    The K elements recovered from an orthonormal basis of the values are
+    independent by construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K
+    x K Grams) trace-orthonormalizes them instead of a d^2 x K SVD; a
+    Cholesky breakdown is one more reason to return None, and so is ``10 *
+    rtol * ||R||_F >= 1`` for the triangular factor R: since ``X G = Y`` with
+    G and the Y orthonormal, the singular values of R (those of the elements)
+    lie in ``[1, ||R||_F]``, so a strict cut of them keeps all K otherwise.
+    Each element of the result must commute with T to within a tenth of the
+    stack's cut ``d * rank_rtol * scale``, since a residual within a factor
+    10 of the cut is as ambiguous as a straddling singular value.
+    """
+    su = _spin_up(T, policy)
+    if su is None:
         return None
-    basis = Q.T.reshape(K, d, d)
+    d, g = su.G.shape
+    Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
+    try:
+        Q, R = cholesky_qr2(_module_maps(su.B, Y, su.pinv))
+    except NumericalDegeneracyError:
+        return None
+    if 10.0 * su.rtol * frob(R) >= 1.0:
+        return None
+    basis = Q.T.reshape(su.K, d, d)
     resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
                                axis=(1, 2)) for A in T))
-    if np.any(resid > rtol * scale / 10.0):
-        return None
-    cb = CommutantBasis(basis)
-    return cb if cb.contains(eye) else None
+    return None if np.any(resid > su.bar) else CommutantBasis(basis)
+
+
+def _commutant_dim(T: OperatorTuple, policy: NumericPolicy) -> int:
+    """dim A'(T), read off the spin-up presentation where there is one."""
+    su = _spin_up(T, policy)
+    return su.K if su is not None else joint_commutant(T, policy).algebra_dim
 
 
 def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
@@ -328,13 +420,17 @@ class InflationCheck:
 
 def inflation_commutant_check(T: OperatorTuple, n: int,
                               policy: NumericPolicy = DEFAULT_POLICY) -> InflationCheck:
-    """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity)."""
+    """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity).
+
+    Both dimensions are read off the spin-up presentation where it applies
+    (no basis is built), and off the Sylvester stack otherwise.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n * T.d > INFLATION_SIZE_CAP:
         raise ValueError(f"inflated dimension {n * T.d} exceeds size cap {INFLATION_SIZE_CAP}")
-    base = joint_commutant(T, policy).algebra_dim
-    big = joint_commutant(inflate(T, n), policy).algebra_dim
+    base = _commutant_dim(T, policy)
+    big = _commutant_dim(inflate(T, n), policy)
     return InflationCheck(base, big, n, big == n * n * base)
 
 
@@ -467,13 +563,19 @@ def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
 
 @dataclass(frozen=True)
 class Corner:
-    """The corner E A'(T) E in the orthonormal frame U of range(E).
+    """The corner E A'(T) E in the orthonormal frame U of range(E), read
+    through an algebra S with ``S/rad(S) = A'/rad(A')`` for the commutant A'
+    of the compressed tuple U* T U (an orthonormal compression, so S is as
+    clean as a fresh computation even for very oblique E).
 
-    ``basis`` is a trace-orthonormal basis of the commutant of the compressed
-    tuple U* T U (an orthonormal compression, so the basis is as clean as a
-    fresh nullspace even for very oblique E); ``rad_coords`` are the
+    ``basis`` is a trace-orthonormal basis of S; ``rad_coords`` are the
     coefficient vectors of its radical and ``quot_coords`` those of their
     trace-orthonormal complement, one representative per quotient direction.
+    ``lift`` maps coefficients against ``basis`` to an element of A' with
+    that image in the quotient. A spin-up corner (:func:`_rho_corner`) has
+    ``S = rho(A')`` inside ``M_g`` and lifts through the presentation's
+    values; a basis corner (:func:`_basis_corner`) has S = A' and the
+    identity lift. ``algebra_dim`` is dim A' either way.
     """
 
     E: np.ndarray
@@ -481,17 +583,109 @@ class Corner:
     basis: np.ndarray
     rad_coords: np.ndarray
     quot_coords: np.ndarray
+    algebra_dim: int
+    lift: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def quotient_dim(self) -> int:
         return self.quot_coords.shape[1]
 
+    @property
+    def radical_dim(self) -> int:
+        """dim rad(A') = dim A' - dim A'/rad."""
+        return self.algebra_dim - self.quotient_dim
+
+
+def _closed_under_products(basis: np.ndarray, rng: np.random.Generator) -> bool:
+    """Whether the product of two random elements of the span of a
+    vec-orthonormal ``basis`` (p, g, g) lies in it, to ``SPAN_MEMBERSHIP_TOL``
+    relative: a span that is not an algebra fails almost surely."""
+    p = basis.shape[0]
+    a, b = (np.tensordot(rng.standard_normal(p) + 1j * rng.standard_normal(p), basis,
+                         axes=(0, 0)) for _ in range(2))
+    V = basis.reshape(p, -1)
+    prod = (a @ b).reshape(-1)
+    return frob(prod - (V.conj() @ prod) @ V) <= SPAN_MEMBERSHIP_TOL * max(1.0, frob(prod))
+
+
+def _rho_corner(su: SpinUp, E: np.ndarray, U: np.ndarray,
+                policy: NumericPolicy) -> Corner | None:
+    """The corner read through ``S = rho(A') = span{G* Y_k}`` inside ``M_g``;
+    None when S is not resolved, is not closed under products, or the lift
+    of a random element of S, drawn from the policy's seed, fails its
+    commutation check.
+
+    Every X in A' keeps ``JM = range [N_1 ... N_m]``, so ``rho(X) = G* X G =
+    G* Y`` is the action on the top ``M/JM``, an algebra map. If ``X(M)`` lies
+    in JM then ``X^j(M)`` lies in ``J^j M = 0`` for large j, so ``ker rho`` is
+    a nilpotent ideal inside rad(A'), and ``A'/rad(A') = S/rad(S)``
+    (Auslander, Reiten and Smalo, on tops and Nakayama's lemma). Without
+    relations S is all of ``M_g`` and needs no computation, and ``G M`` is
+    the least-norm value with image M. Otherwise a strict cut of the
+    singular values of the images of the orthonormal values (at most 1, and
+    1 at the identity) gives S and, for each of its directions, the
+    least-norm combination of the values that maps onto it.
+    The lift of a coefficient vector is the presentation's element for that
+    combination, so each lifted element is checked (:meth:`SpinUp.element`).
+    """
+    g = su.G.shape[1]
+    if su.Y is None:
+        basis = np.eye(g * g, dtype=complex).reshape(-1, g, g)
+
+        def value(x: np.ndarray) -> np.ndarray:
+            return su.G @ x.reshape(g, g)
+    else:
+        W, s, Vh = svd_robust(np.matmul(su.G.conj().T, su.Y).reshape(su.K, g * g),
+                              full_matrices=False)
+        try:
+            p = rank_cut(s, su.rtol, scale=1.0, strict=True)
+        except NumericalDegeneracyError:
+            return None
+        basis = Vh[:p].reshape(p, g, g)
+        combine = W[:, :p].conj() / s[:p]
+
+        def value(x: np.ndarray) -> np.ndarray:
+            return su.values(combine @ x)
+    rng = np.random.default_rng(policy.seed)
+    if not _closed_under_products(basis, rng):
+        return None
+    p = basis.shape[0]
+    try:
+        su.element(value(rng.standard_normal(p) + 1j * rng.standard_normal(p)))
+    except NumericalDegeneracyError:
+        return None
+    return Corner(E, U, basis, *_radical_coords(basis, policy), su.K,
+                  lambda x: su.element(value(x)))
+
+
+def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
+                  policy: NumericPolicy) -> Corner:
+    """The corner read through a trace-orthonormal basis of A'(T)
+    (:func:`joint_commutant`), with the identity lift."""
+    basis = joint_commutant(T, policy).basis
+    return Corner(E, U, basis, *_radical_coords(basis, policy), basis.shape[0],
+                  lambda x: np.tensordot(x, basis, axes=(0, 0)))
+
+
+def _compressed_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
+                       policy: NumericPolicy) -> Corner:
+    """The corner of the compressed tuple T = U* T_0 U: through rho(A') where
+    the spin-up presents A'(T), through a basis of A'(T) otherwise."""
+    su = _spin_up(T, policy)
+    c = None if su is None else _rho_corner(su, E, U, policy)
+    return c if c is not None else _basis_corner(T, E, U, policy)
+
 
 def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
     U = orthonormal_range(E, E.shape[0] * policy.rank_rtol)
     comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
-    basis = joint_commutant(comp, policy).basis
-    return Corner(E, U, basis, *_radical_coords(basis, policy))
+    return _compressed_corner(comp, E, U, policy)
+
+
+def _whole_corner(T: OperatorTuple, policy: NumericPolicy) -> Corner:
+    """The corner of the whole space, A'(T) itself."""
+    eye = np.eye(T.d, dtype=complex)
+    return _compressed_corner(T, eye, eye, policy)
 
 
 def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
@@ -517,21 +711,21 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
         if all(frob(P @ A - A @ P) <= PRIMARY_COMMUTE_BAR * frob(P) * max(1.0, frob(A))
                for P in projs for A in T):
             return [_corner(T, P, policy) for P in projs]
-    eye = np.eye(T.d, dtype=complex)
-    basis = joint_commutant(T, policy).basis
-    return [Corner(eye, eye, basis, *_radical_coords(basis, policy))]
+    return [_whole_corner(T, policy)]
 
 
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
                              rng: np.random.Generator, equal: bool = False) -> list[np.ndarray]:
     """Lifted idempotents of a split of the corner ``c`` into exactly ``parts``
     Riesz projectors of random elements drawn from the span of the coefficient
-    vectors C (K, kappa); with ``equal``, the parts must have equal ranks.
+    vectors C (p, kappa) against ``c.basis``, lifted by ``c.lift``; with
+    ``equal``, the parts must have equal ranks.
 
-    A draw whose validated split has another number of parts, or unequal ranks
-    when they must be equal, is skipped: a generic element separates all the
-    parts the algebra counts, so such a split merged some of them or cut a
-    defective cloud. Of the rest, a split whose worst projector norm is at
+    A draw whose lifted element fails its commutation check
+    (:meth:`SpinUp.element`) is skipped, and so is one whose validated split
+    has another number of parts, or unequal ranks when they must be equal: a
+    generic element separates all the parts the algebra counts, so such a
+    split merged some of them or cut a defective cloud. Of the rest, a split whose worst projector norm is at
     most ``GOOD_SPLIT_NORM`` is accepted at once; otherwise the
     best-conditioned split over ``SPLIT_ATTEMPTS`` draws is taken, and none
     raises. The projectors are used as :func:`_spectral_split` returns them,
@@ -542,7 +736,11 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
     for _ in range(SPLIT_ATTEMPTS):
         x = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(C.shape[1])
         x /= np.linalg.norm(x)
-        projs = _spectral_split(np.tensordot(C @ x, c.basis, axes=(0, 0)))
+        try:
+            z = c.lift(C @ x)
+        except NumericalDegeneracyError:
+            continue
+        projs = _spectral_split(z)
         if projs is None or len(projs) != parts \
                 or (equal and len({round(np.trace(P).real) for P in projs}) > 1):
             continue
@@ -578,9 +776,10 @@ class AlgebraStructure:
 def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
             rng: np.random.Generator) -> list[Corner]:
     """Corners of the simple blocks of a root: the center of its quotient has
-    as many dimensions as it has blocks, so one split by random central
-    elements gives them all, and a root with a one-dimensional center is one
-    block."""
+    as many dimensions as it has blocks, so one split by random lifted
+    central elements gives them all, and a root with a one-dimensional
+    center is one block. Each block's corner is built afresh (:func:`_corner`),
+    through rho of its own spin-up where that applies."""
     cen = _center_candidates(root.basis, root.quot_coords, rng)
     k = cen.shape[1]
     if k <= 1:
@@ -591,19 +790,21 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
                     seed: int) -> AlgebraStructure:
     rng = np.random.default_rng(seed)
-    rad_dim = sum(root.rad_coords.shape[1] for root in roots)
-    algebra_dim = sum(root.basis.shape[0] for root in roots)
-    blocks = [(c, math.isqrt(c.quotient_dim))
-              for root in roots for c in _blocks(T, root, policy, rng)]
-    for c, n in blocks:
-        if n * n != c.quotient_dim:
+    blocks: list[tuple[Corner, int]] = []
+    for root in roots:
+        found = [(c, math.isqrt(c.quotient_dim)) for c in _blocks(T, root, policy, rng)]
+        for c, n in found:
+            if n * n != c.quotient_dim:
+                raise NumericalDegeneracyError(
+                    f"quotient of a simple block has dimension {c.quotient_dim}, not a square")
+        # the accounting identity sum n_i^2 + dim rad S = dim S of the root's
+        # algebra S, i.e. sum n_i^2 = dim S/rad
+        if sum(n * n for _, n in found) != root.quotient_dim:
+            p = root.basis.shape[0]
             raise NumericalDegeneracyError(
-                f"quotient of a simple block has dimension {c.quotient_dim}, not a square")
-    if sum(n * n for _, n in blocks) + rad_dim != algebra_dim:
-        raise NumericalDegeneracyError(
-            "block dimensions and radical do not account for the algebra "
-            f"dimension: {[n for _, n in blocks]} + rad {rad_dim} != {algebra_dim}"
-        )
+                "block dimensions and radical do not account for the algebra "
+                f"dimension: {[n for _, n in found]} + rad {p - root.quotient_dim} != {p}")
+        blocks.extend(found)
     blocks.sort(key=lambda cn: (-cn[1], -float(np.trace(cn[0].E).real)))
     idems = np.stack([c.E for c, _ in blocks])
     dims = tuple(n for _, n in blocks)
@@ -617,7 +818,9 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     for c, n in blocks:
         prims.extend([c.E] if n == 1 else _split_by_random_element(
             c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
-    return AlgebraStructure(algebra_dim, rad_dim, dims, idems, np.stack(prims))
+    return AlgebraStructure(sum(root.algebra_dim for root in roots),
+                            sum(root.radical_dim for root in roots), dims, idems,
+                            np.stack(prims))
 
 
 def semisimple_structure(T: OperatorTuple,
@@ -626,21 +829,27 @@ def semisimple_structure(T: OperatorTuple,
 
     The roots are the primary corners of ``T`` (one per joint-spectrum
     cluster, split once with the policy's seed); every corner is the
-    commutant of a compressed restriction of ``T``. One seeded walk then
-    splits each corner once, into the number of parts its algebra counts, in
-    two flat stages: each root by random central elements into the k blocks
-    that the dimension of its quotient's center counts (:func:`_blocks`;
-    each block gets a corner), and each block M_n by random elements of its
-    corner into n primitives of equal rank, which get no commutant. Both
-    stages use :func:`_split_by_random_element`, which skips a draw whose
-    split has another number of parts. (k, block sizes) are intrinsic, and
-    the walk's result is held to deterministic certificates: every block's
-    quotient is a square, the accounting identity ``sum n_i^2 + dim rad =
-    dim A'`` holds, the lifted idempotents sum to the identity and block i
-    splits into n_i primitives of equal rank; the last catches a center read
-    too small, which takes several blocks for one. A walk that fails one of
-    them is retried with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and
-    the last error is raised if none succeeds.
+    commutant A' of a compressed restriction of ``T``, read through an
+    algebra S with ``S/rad = A'/rad`` (:class:`Corner`): ``rho(A')`` inside
+    ``M_g`` where the spin-up presents A', so that no basis of A' is built,
+    and a basis of A' elsewhere. One seeded walk then splits each corner
+    once, into the number of parts its algebra counts, in two flat stages:
+    each root by lifted random central elements into the k blocks that the
+    dimension of its quotient's center counts (:func:`_blocks`; each block
+    gets a corner), and each block M_n by lifted random elements of its
+    corner into n primitives of equal rank, which get no corner. Both stages
+    use :func:`_split_by_random_element`, which skips a draw whose split has
+    another number of parts. (k, block sizes) are intrinsic, and the walk's
+    result is held to deterministic certificates: every block's quotient is
+    a square, each root's accounting identity ``sum n_i^2 + dim rad S = dim
+    S`` holds (so ``algebra_dim = sum dim A'`` and ``radical_dim = sum (dim
+    A' - dim A'/rad)`` account for each other), the lifted idempotents sum
+    to the identity and block i splits into n_i primitives of equal rank;
+    the last catches a center read too small, which takes several blocks
+    for one. A walk that fails one of them, or draws a lifted element that
+    fails its commutation check, is retried with the next seed, up to
+    ``STRUCTURE_SEEDS`` seeds, and the last error is raised if none
+    succeeds.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -18,10 +18,9 @@ import numpy as np
 
 from ._linalg import frob
 from .commutant import (
-    _radical_coords,
+    _whole_corner,
     contains_invertible,
     intertwiner_space,
-    joint_commutant,
     semisimple_structure,
 )
 from .policy import (
@@ -40,11 +39,12 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     """True iff the joint commutant of T is local.
 
     Decided structurally: the commutant algebra modulo its radical must be
-    one-dimensional, i.e. algebra_dim = radical_dim + 1. No randomization.
+    one-dimensional, i.e. algebra_dim = radical_dim + 1. The quotient is read
+    through rho(A') inside M_g where the spin-up presents A'(T), so no basis
+    of A'(T) is built there, and through a basis of A'(T) elsewhere; the
+    presentation's checks draw from the policy's seed.
     """
-    A = joint_commutant(T, policy)
-    _, quot = _radical_coords(A.basis, policy)
-    return quot.shape[1] == 1
+    return _whole_corner(T, policy).quotient_dim == 1
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,23 @@ class UnitDecomposition:
         T, P = self.tuple_ref, self.idempotents
         n, d = P.shape[0], T.d
         eps = float(np.finfo(float).eps)
-        floor = 16.0 * d * eps * max(1.0, max(frob(Pi) for Pi in P)) ** 2
-        commute = max(
-            frob(Pi @ A - A @ Pi) / max(1.0, frob(Pi) * frob(A))
-            for Pi in P for A in T
-        )
-        idem = max(frob(Pi @ Pi - Pi) for Pi in P)
+        norms_P = np.linalg.norm(P, axis=(1, 2))
+        norms_T = np.linalg.norm(T.matrices, axis=(1, 2))
+        floor = 16.0 * d * eps * max(1.0, norms_P.max()) ** 2
+        # (n, m, d, d): the commutators [P_i, T_j]
+        comm = np.matmul(P[:, None], T.matrices[None]) - np.matmul(T.matrices[None], P[:, None])
+        commute = float(np.max(np.linalg.norm(comm, axis=(2, 3))
+                               / np.maximum(1.0, norms_P[:, None] * norms_T[None])))
+        idem = float(np.max(np.linalg.norm(np.matmul(P, P) - P, axis=(1, 2))))
+        # row a of the (nd, nd) product [P_a P_b]_{a,b}, one GEMM per row: the
+        # whole product would hold n^2 d^2 entries at once
         annihilate = 0.0
+        cols = P.transpose(1, 0, 2).reshape(d, n * d)
         for a in range(n):
-            for b in range(n):
-                if a != b:
-                    annihilate = max(annihilate, frob(P[a] @ P[b]))
+            prods = (P[a] @ cols).reshape(d, n, d)
+            norms = np.linalg.norm(prods, axis=(0, 2))
+            norms[a] = 0.0
+            annihilate = max(annihilate, float(norms.max()))
         total = frob(P.sum(axis=0) - np.eye(d))
         report = {
             "commute": commute, "idempotent": idem,

@@ -20,6 +20,7 @@ from sidecomp import (
     inflate,
     inflation_commutant_check,
     intertwiner_space,
+    is_strongly_irreducible,
     joint_commutant,
     operator_tuple,
     radical,
@@ -258,6 +259,191 @@ class TestSpinUp:
         assert wrong == []
 
 
+def _shared_eigenvalue_classes(classes, m, cond, rng):
+    """Conjugated direct sum of n copies of one Jordan-polynomial block (lam_1
+    + N, lam_i + c_i N + e_i N^2) for each (r, n) in ``classes``; every class
+    draws its own coefficients, and all share the joint eigenvalue lam."""
+    lam = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    parts = []
+    for r, n in classes:
+        N = jordan(r)
+        block = [N]
+        for _ in range(1, m):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            block.append(c[0] * N + c[1] * N @ N)
+        parts.extend([block] * n)
+    d = sum(r * n for r, n in classes)
+    T = operator_tuple([bd(*[p[i] for p in parts]) + lam[i] * np.eye(d) for i in range(m)])
+    return conjugate(T, conditioned_invertible(d, cond, rng))
+
+
+def _rho_and_basis_counts(T):
+    """(dim A', dim rad A', dim A'/rad, dim of the quotient's center) read
+    through rho(A') inside M_g and through a basis of A', and g."""
+    pol = NumericPolicy()
+    eye = np.eye(T.d, dtype=complex)
+    su = commutant._spin_up(T, pol)
+    assert su is not None
+    rho = commutant._rho_corner(su, eye, eye, pol)
+    basis = commutant._basis_corner(T, eye, eye, pol)
+    assert rho is not None and rho.basis.shape[1] == su.G.shape[1]
+    assert basis.basis.shape[1] == T.d
+    counts = []
+    for c in (rho, basis):
+        width = commutant._center_candidates(c.basis, c.quot_coords,
+                                             np.random.default_rng(1)).shape[1]
+        counts.append((c.algebra_dim, c.radical_dim, c.quotient_dim, width))
+    assert basis.algebra_dim == basis.basis.shape[0]
+    assert basis.radical_dim == basis.rad_coords.shape[1]
+    return counts[0], counts[1], rho
+
+
+class TestRhoAgreesWithTheBasis:
+    """A'/rad read inside M_g, through rho(A') = G* A' G, has the counts
+    that a basis of A' gives: dim A', dim rad, dim A'/rad and the width of
+    the quotient's center."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3),
+           st.floats(1.0, 50.0), st.integers(0, 2**32 - 1))
+    def test_one_eigenvalue_tuples(self, sizes, m, cond, seed):
+        T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
+        from_rho, from_basis, _ = _rho_and_basis_counts(T)
+        assert from_rho == from_basis
+
+    @pytest.mark.parametrize("classes,m,dims", [
+        ([(6, 2), (4, 1)], 2, (2, 1)),
+        ([(3, 2), (2, 1)], 1, (2, 1)),
+        ([(4, 3), (4, 2), (2, 2)], 2, (3, 2, 2)),
+        ([(5, 2), (3, 3), (1, 2)], 3, (3, 2, 2)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_eigenvalue_families(self, classes, m, dims, seed):
+        T = _shared_eigenvalue_classes(classes, m, 100.0, np.random.default_rng(seed))
+        from_rho, from_basis, rho = _rho_and_basis_counts(T)
+        assert from_rho == from_basis
+        assert from_rho[2:] == (sum(n * n for n in dims), len(dims))
+        if m == 1:
+            # the tops of the J_3 copies map onto the top of J_2, and not
+            # back: rho(A') = M_2 (+) M_1 plus a 2-dimensional radical
+            assert (rho.basis.shape[0], rho.quotient_dim) == (7, 5)
+        assert semisimple_structure(T).block_dims == dims
+
+
+class TestRhoCertificates:
+    @staticmethod
+    def shared_tuple():
+        """(J3, N) twice, (J3, N^2) and (J2, 0) at cond 30: d = 11, g = 4,
+        K = 29, answer (3; 2, 1, 1)."""
+        N3 = jordan(3)
+        parts = [(N3, N3), (N3, N3), (N3, N3 @ N3), (jordan(2), np.zeros((2, 2)))]
+        X = conditioned_invertible(11, 30.0, np.random.default_rng(5))
+        return conjugate(operator_tuple([bd(*[p[0] for p in parts]),
+                                         bd(*[p[1] for p in parts])]), X)
+
+    def test_a_span_with_a_non_member_is_not_closed(self, monkeypatch):
+        T = _shared_eigenvalue_classes([(3, 2), (2, 1)], 1, 100.0, np.random.default_rng(0))
+        _, _, rho = _rho_and_basis_counts(T)
+        basis = rho.basis
+        assert commutant._closed_under_products(basis, np.random.default_rng(4))
+        # replace the last direction by a unit matrix orthogonal to the rest
+        p = basis.shape[0]
+        V = basis.reshape(p, -1)
+        r = np.random.default_rng(9)
+        w = r.standard_normal(V.shape[1]) + 1j * r.standard_normal(V.shape[1])
+        w -= V[:-1].T @ (V[:-1].conj() @ w)
+        injected = np.concatenate([V[:-1], (w / np.linalg.norm(w))[None]]).reshape(basis.shape)
+        assert not commutant._closed_under_products(injected, np.random.default_rng(4))
+        # a rho span that fails the check sends the root to the basis path
+        monkeypatch.setattr(commutant, "_closed_under_products", lambda basis, rng: False)
+        eye = np.eye(T.d, dtype=complex)
+        assert commutant._rho_corner(commutant._spin_up(T, NumericPolicy()), eye, eye,
+                                     NumericPolicy()) is None
+        root = commutant._whole_corner(T, NumericPolicy())
+        assert root.basis.shape == (root.algebra_dim, T.d, T.d)
+        assert semisimple_structure(T).block_dims == (2, 1)
+
+    def test_a_corrupted_value_falls_back_to_the_basis_path(self, monkeypatch):
+        T = self.shared_tuple()
+        clean = semisimple_structure(T)
+        assert clean.block_dims == (2, 1, 1) and clean.algebra_dim == 29
+        real_nullspace, real_stack = commutant.nullspace, commutant.stack_commutant
+        generators, corrupted, stacks, rho_roots = [], [], [], []
+
+        def corrupting(M, *args, **kwargs):
+            Y = real_nullspace(M, *args, **kwargs)
+            if Y.shape == (11, 4):         # the root's generators G
+                generators.append(Y)
+            elif M.shape[1] == 11 * 4:     # the root's values, d * g coordinates
+                # rotate the values so that only the first has a component
+                # along the identity's value G, and swap the last for a unit
+                # non-member: the identity is still spanned, so only the
+                # check of a lifted element can see it
+                K, r = Y.shape[1], np.random.default_rng(len(corrupted))
+                a = Y.conj().T @ generators[-1].reshape(-1)
+                Q, _ = np.linalg.qr(np.column_stack([a, r.standard_normal((K, K - 1))]))
+                Y = Y @ Q
+                w = r.standard_normal(Y.shape[0]) + 1j * r.standard_normal(Y.shape[0])
+                w -= Y @ (Y.conj().T @ w)
+                Y = np.column_stack([Y[:, :-1], w / np.linalg.norm(w)])
+                corrupted.append(None)
+            return Y
+
+        def recording_stack(T1, policy):
+            stacks.append(T1.d)
+            return real_stack(T1, policy)
+
+        real_rho, real_element, failed = commutant._rho_corner, commutant.SpinUp.element, []
+
+        def recording_rho(su, *args):
+            rho_roots.append(su.G.shape[0])
+            return real_rho(su, *args)
+
+        def recording_element(su, y):
+            try:
+                return real_element(su, y)
+            except NumericalDegeneracyError:
+                failed.append(su.G.shape[0])
+                raise
+
+        monkeypatch.setattr(commutant, "nullspace", corrupting)
+        monkeypatch.setattr(commutant, "stack_commutant", recording_stack)
+        monkeypatch.setattr(commutant, "_rho_corner", recording_rho)
+        monkeypatch.setattr(commutant.SpinUp, "element", recording_element)
+        S = semisimple_structure(T)
+        assert corrupted and failed and set(failed) == {11}
+        assert stacks == [11] and 11 not in rho_roots
+        assert (S.algebra_dim, S.radical_dim, S.block_dims) == \
+            (clean.algebra_dim, clean.radical_dim, clean.block_dims)
+
+    def test_no_commutant_basis_on_the_invariant_path(self, monkeypatch):
+        # eight copies of one 4 x 4 block at d = 32, K = 256: the invariant
+        # builds no d^2 x K basis, orthonormalizes nothing, takes no trace
+        # form of a d x d basis and lifts one element at a time
+        T = TestTwoFlatStages.eight_copies()
+        radical_sizes, lifted = [], []
+        real_radical, real_maps = commutant._radical_coords, commutant._module_maps
+
+        def no_basis(A):
+            raise AssertionError("a commutant basis was orthonormalized")
+
+        def recording_radical(basis, *args, **kwargs):
+            radical_sizes.append(basis.shape[1])
+            return real_radical(basis, *args, **kwargs)
+
+        def recording_maps(B, Y, pinv):
+            lifted.append(Y.shape[0])
+            return real_maps(B, Y, pinv)
+
+        monkeypatch.setattr(commutant, "cholesky_qr2", no_basis)
+        monkeypatch.setattr(commutant, "_radical_coords", recording_radical)
+        monkeypatch.setattr(commutant, "_module_maps", recording_maps)
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (1, (8,))
+        assert radical_sizes and max(radical_sizes) == 8 < T.d
+        assert lifted and set(lifted) == {1}
+
+
 class TestInflationIdentity:
     @pytest.mark.parametrize("mats,n,dims", [
         ([jordan(2)], 2, (2, 8)),
@@ -271,6 +457,21 @@ class TestInflationIdentity:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             inflation_commutant_check(operator_tuple([np.eye(40)]), 3)
+
+    def test_read_off_the_presentation(self, monkeypatch):
+        # a 4 x 4 Jordan-polynomial block and its inflation have one joint
+        # eigenvalue: K and dim A'/rad come from the spin-up presentation,
+        # and no basis of A' is orthonormalized
+        def no_basis(A):
+            raise AssertionError("a commutant basis was built")
+
+        monkeypatch.setattr(commutant, "cholesky_qr2", no_basis)
+        r = np.random.default_rng(3)
+        B = jordan_polynomial_tuple(4, 0.8, r, 2)
+        T = conjugate(inflate(B, 3), conditioned_invertible(12, 10.0, r))
+        chk = inflation_commutant_check(B, 3)
+        assert (chk.base_dim, chk.inflated_dim, chk.passed) == (4, 36, True)
+        assert is_strongly_irreducible(B) and not is_strongly_irreducible(T)
 
 
 class TestRadical:
@@ -332,18 +533,18 @@ class TestSemisimpleStructure:
         amb = joint_commutant(T)
         rad_dim = radical(amb).shape[0]
         dims, shapes = [], []
-        real_commutant, real_stack = commutant.joint_commutant, commutant._sylvester_stack
+        real_spin_up, real_stack = commutant._spin_up, commutant._sylvester_stack
 
-        def recording_commutant(T1, policy):
+        def recording_spin_up(T1, policy):
             dims.append(T1.d)
-            return real_commutant(T1, policy)
+            return real_spin_up(T1, policy)
 
         def recording_stack(T1, T2):
             M = real_stack(T1, T2)
             shapes.append(M.shape)
             return M
 
-        monkeypatch.setattr(commutant, "joint_commutant", recording_commutant)
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
         monkeypatch.setattr(commutant, "_sylvester_stack", recording_stack)
         S = semisimple_structure(T)
         assert dims and max(dims) < 7
@@ -376,8 +577,8 @@ class TestOneWalk:
     @staticmethod
     def fault_at_root(monkeypatch, fault, walks):
         """Replace the center of the root's quotient by ``fault(A)``, A the
-        root's commutant, in the first ``walks`` walks; returns the list of
-        root visits."""
+        span of the root's algebra S = rho(A') inside M_g, in the first
+        ``walks`` walks; returns the list of root visits."""
         real = commutant._center_candidates
         calls = []
 
@@ -393,16 +594,20 @@ class TestOneWalk:
     @staticmethod
     def identity_only(A):
         """A one-dimensional center: the root reads as one simple block."""
-        return A.coords(np.eye(14))[:, None]
+        return A.coords(np.eye(A.d))[:, None]
 
-    @classmethod
-    def one_primitive(cls, A):
-        """span{I, e, I - e}, e the idempotent onto the first J_2 copy: three
-        directions, as many as the center has, whose every element splits
-        into the two parts {e, I - e}, never into three."""
-        X = cls.conjugator()
-        e = X @ np.diag([1.0] * 2 + [0.0] * 12) @ np.linalg.inv(X)
-        return np.stack([A.coords(np.eye(14)), A.coords(e), A.coords(np.eye(14) - e)], axis=1)
+    @staticmethod
+    def one_primitive(A):
+        """span{I, e, I - e}, e the Riesz projector of a random element of S
+        onto one eigenvalue: three directions, as many as the center has,
+        whose every element lifts to one with the two eigenvalues of a
+        combination of 1 and e in the quotient, and so splits into two parts,
+        never into three."""
+        r = np.random.default_rng(2)
+        z = A.element(r.standard_normal(A.algebra_dim) + 1j * r.standard_normal(A.algebra_dim))
+        e = commutant._spectral_split(z)[0]
+        eye = np.eye(A.d)
+        return np.stack([A.coords(eye), A.coords(e), A.coords(eye - e)], axis=1)
 
     def root_corner(self):
         roots = commutant._primary_corners(self.tuple_(), NumericPolicy(),
@@ -567,13 +772,13 @@ class TestTwoFlatStages:
 
     @staticmethod
     def recording_commutants(monkeypatch):
-        real, dims = commutant.joint_commutant, []
+        real, dims = commutant._spin_up, []
 
         def recording(T1, policy):
             dims.append(T1.d)
             return real(T1, policy)
 
-        monkeypatch.setattr(commutant, "joint_commutant", recording)
+        monkeypatch.setattr(commutant, "_spin_up", recording)
         return dims
 
     @staticmethod

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bd, jordan
 from sidecomp import (
+    UnitDecomposition,
     assemble_intertwiner,
     block_similarity,
     conjugate,
@@ -71,20 +72,41 @@ class TestUnitSiDecomposition:
 
     def test_ambient_commutant_computed_once(self, monkeypatch):
         import sidecomp.commutant as commutant
-        import sidecomp.decomposition as decomposition
         sizes = []
-        original = commutant.joint_commutant
+        original = commutant._spin_up
 
         def counting(T, *args, **kwargs):
             sizes.append(T.d)
             return original(T, *args, **kwargs)
 
-        for module in (commutant, decomposition):
-            monkeypatch.setattr(module, "joint_commutant", counting)
+        monkeypatch.setattr(commutant, "_spin_up", counting)
         X = conditioned_invertible(4, 10.0, np.random.default_rng(3))
         D = unit_si_decomposition(conjugate(operator_tuple([bd(jordan(2), jordan(2))]), X))
         assert D.count == 2
         assert sizes.count(4) == 1
+
+    def test_validate_matches_the_loop_reference(self):
+        # the batched residuals equal those of the pairwise loops to within
+        # the float floor validate reports; idempotents perturbed by 1e-10
+        # (inside every bar) put each residual far above roundoff
+        r = np.random.default_rng(1)
+        T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
+                      conditioned_invertible(7, 10.0, r))
+        D = unit_si_decomposition(T)
+        P = D.idempotents + 1e-10 * (r.standard_normal(D.idempotents.shape)
+                                     + 1j * r.standard_normal(D.idempotents.shape))
+        rep = UnitDecomposition(T, P, D.si_flags).validate()
+        frob = np.linalg.norm
+        n = len(P)
+        reference = {
+            "commute": max(frob(Pi @ A - A @ Pi) / max(1.0, frob(Pi) * frob(A))
+                           for Pi in P for A in T),
+            "idempotent": max(frob(Pi @ Pi - Pi) for Pi in P),
+            "annihilate": max(frob(P[a] @ P[b]) for a in range(n) for b in range(n) if a != b),
+        }
+        for key, value in reference.items():
+            assert value > 1e-11
+            assert abs(rep[key] - value) <= rep["float_floor"], key
 
     def test_validate_reports_all_invariants(self):
         T = operator_tuple([bd(jordan(2), jordan(3, 1.0))])
