@@ -8,15 +8,19 @@ is fixed by its values ``Y = X G`` (``g*d`` unknowns), and ``rho(X) = G* X
 G`` is its action on the top ``C^d / J C^d``, an algebra map into ``M_g``
 whose kernel is nilpotent. So ``A'/rad(A') = rho(A')/rad(rho(A'))``, and
 the simple-block structure of the quotient ``M_{n_1} (+) ... (+) M_{n_k}``
-is read inside ``M_g``, with no basis of ``A'(T)`` itself. Where that
-presentation does not apply or does not verify, ``A'(T)`` is the common
-nullspace of the stacked Sylvester maps ``X -> X T_i - T_i X`` (``d^2``
-unknowns). :func:`joint_commutant` returns a trace-orthonormal basis either
-way (the spin-up's recovered elements are orthonormalized by CholeskyQR2).
-The structure stages work on any algebra S with ``S/rad = A'/rad`` and a
-lift from S to ``A'``: the Jacobson radical via the trace bilinear form, the
-center of the quotient, and splits by Riesz projectors of lifted random
-elements. Intertwiner spaces between two tuples (from the Sylvester stack)
+is read inside ``M_g``, with no basis of ``A'(T)`` itself. A presentation
+without relations (``n_B*g = d``) is free: ``C^d`` is a free ``C[T]``-module
+of rank g, ``A'(T) = M_g(C[T])`` and ``A'/rad = M_g``, so its one block, its
+radical dimension and its g primitive idempotents are read off the
+presentation in closed form. Where the presentation does not apply or does
+not verify, ``A'(T)`` is the common nullspace of the stacked Sylvester maps
+``X -> X T_i - T_i X`` (``d^2`` unknowns). :func:`joint_commutant` returns a
+trace-orthonormal basis either way (the spin-up's recovered elements are
+orthonormalized by CholeskyQR2). The structure stages of a corner that is
+not free work on any algebra S with ``S/rad = A'/rad`` and a lift from S to
+``A'``: the Jacobson radical via the trace bilinear form, the center of the
+quotient, and splits by Riesz projectors of lifted random elements.
+Intertwiner spaces between two tuples (from the Sylvester stack)
 and a randomized search for invertible elements of a matrix span round out
 the toolkit.
 
@@ -41,7 +45,6 @@ from ._linalg import (
     cluster_eigenvalues,
     frob,
     nullspace,
-    orthonormal_range,
     rank_cut,
     spectral_projector,
     svd_robust,
@@ -524,12 +527,14 @@ def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
     return quot_coords @ S
 
 
-def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
-    """Riesz projectors of ``z`` onto its eigenvalue clusters, self-validated.
+def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Riesz projectors of ``z`` onto its eigenvalue clusters, self-validated,
+    each with an orthonormal frame of its range.
 
     One complex Schur form ``z = Z T Z*`` serves the whole split: the
     eigenvalues are read off ``diag(T)``, a cluster is a set of indices into
-    it, and each projector reorders that Schur form (:func:`spectral_projector`).
+    it, and each projector and its frame reorder that Schur form
+    (:func:`spectral_projector`).
     Eigenvalues of elements with nilpotent parts of order s scatter like
     eps^(1/s) under roundoff, so a fixed clustering gap can cut through a
     single defective cloud. The gap therefore escalates through ``SPLIT_GAPS``,
@@ -546,7 +551,8 @@ def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
             break  # larger gaps only merge further
         projs = []
         for g in groups:
-            P = spectral_projector(T, Z, g)
+            part = spectral_projector(T, Z, g)
+            P = None if part is None else part[0]
             # genuine cluster projectors have moderate norm and the cluster's
             # rank; cutting through a defective cloud blows the norm up, wrecks
             # idempotency or fails the reordering
@@ -555,7 +561,7 @@ def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
                     or abs(np.trace(P) - len(g)) > SPLIT_TRACE_SLACK:
                 projs = None
                 break
-            projs.append(P)
+            projs.append(part)
         if projs is not None:
             return projs
     return None
@@ -563,31 +569,41 @@ def _spectral_split(z: np.ndarray) -> list[np.ndarray] | None:
 
 @dataclass(frozen=True)
 class Corner:
-    """The corner E A'(T) E in the orthonormal frame U of range(E), read
-    through an algebra S with ``S/rad(S) = A'/rad(A')`` for the commutant A'
-    of the compressed tuple U* T U (an orthonormal compression, so S is as
-    clean as a fresh computation even for very oblique E).
+    """The corner E A'(T) E in the orthonormal frame U of range(E), for the
+    commutant A' of the compressed tuple U* T U (an orthonormal compression,
+    so A' is as clean as a fresh computation even for very oblique E).
+    ``algebra_dim`` is dim A'.
 
+    A free corner carries the spin-up presentation of A' without relations
+    (``free``): ``C^r`` is a free module of rank g over ``B = C[T]``, so ``A'
+    = M_g(B)`` and ``A'/rad(A') = M_g``, one block of size g whose g
+    primitives are known in closed form (:func:`_free_primitives`). Any other
+    corner is read through an algebra S with ``S/rad(S) = A'/rad(A')``:
     ``basis`` is a trace-orthonormal basis of S; ``rad_coords`` are the
     coefficient vectors of its radical and ``quot_coords`` those of their
     trace-orthonormal complement, one representative per quotient direction.
     ``lift`` maps coefficients against ``basis`` to an element of A' with
-    that image in the quotient. A spin-up corner (:func:`_rho_corner`) has
-    ``S = rho(A')`` inside ``M_g`` and lifts through the presentation's
-    values; a basis corner (:func:`_basis_corner`) has S = A' and the
-    identity lift. ``algebra_dim`` is dim A' either way.
+    that image in the quotient. A spin-up corner with relations
+    (:func:`_rho_corner`) has ``S = rho(A')`` inside ``M_g`` and lifts
+    through the presentation's values; a basis corner (:func:`_basis_corner`)
+    has S = A' and the identity lift.
     """
 
     E: np.ndarray
     U: np.ndarray
-    basis: np.ndarray
-    rad_coords: np.ndarray
-    quot_coords: np.ndarray
     algebra_dim: int
-    lift: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    basis: np.ndarray | None = None
+    rad_coords: np.ndarray | None = None
+    quot_coords: np.ndarray | None = None
+    lift: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
+                                                             compare=False)
+    free: SpinUp | None = field(default=None, repr=False, compare=False)
 
     @property
     def quotient_dim(self) -> int:
+        """dim A'/rad(A'): g^2 on a free corner."""
+        if self.free is not None:
+            return self.free.G.shape[1] ** 2
         return self.quot_coords.shape[1]
 
     @property
@@ -610,52 +626,44 @@ def _closed_under_products(basis: np.ndarray, rng: np.random.Generator) -> bool:
 
 def _rho_corner(su: SpinUp, E: np.ndarray, U: np.ndarray,
                 policy: NumericPolicy) -> Corner | None:
-    """The corner read through ``S = rho(A') = span{G* Y_k}`` inside ``M_g``;
-    None when S is not resolved, is not closed under products, or the lift
-    of a random element of S, drawn from the policy's seed, fails its
-    commutation check.
+    """The corner of a spin-up presentation with relations, read through ``S
+    = rho(A') = span{G* Y_k}`` inside ``M_g``; None when S is not resolved,
+    is not closed under products, or the lift of a random element of S,
+    drawn from the policy's seed, fails its commutation check.
 
     Every X in A' keeps ``JM = range [N_1 ... N_m]``, so ``rho(X) = G* X G =
     G* Y`` is the action on the top ``M/JM``, an algebra map. If ``X(M)`` lies
     in JM then ``X^j(M)`` lies in ``J^j M = 0`` for large j, so ``ker rho`` is
     a nilpotent ideal inside rad(A'), and ``A'/rad(A') = S/rad(S)``
-    (Auslander, Reiten and Smalo, on tops and Nakayama's lemma). Without
-    relations S is all of ``M_g`` and needs no computation, and ``G M`` is
-    the least-norm value with image M. Otherwise a strict cut of the
-    singular values of the images of the orthonormal values (at most 1, and
-    1 at the identity) gives S and, for each of its directions, the
-    least-norm combination of the values that maps onto it.
-    The lift of a coefficient vector is the presentation's element for that
-    combination, so each lifted element is checked (:meth:`SpinUp.element`).
+    (Auslander, Reiten and Smalo, on tops and Nakayama's lemma). A strict cut
+    of the singular values of the images of the orthonormal values (at most
+    1, and 1 at the identity) gives S and, for each of its directions, the
+    least-norm combination of the values that maps onto it. The lift of a
+    coefficient vector is the presentation's element for that combination,
+    so each lifted element is checked (:meth:`SpinUp.element`). A
+    presentation without relations is a free corner and needs none of this.
     """
     g = su.G.shape[1]
-    if su.Y is None:
-        basis = np.eye(g * g, dtype=complex).reshape(-1, g, g)
+    W, s, Vh = svd_robust(np.matmul(su.G.conj().T, su.Y).reshape(su.K, g * g),
+                          full_matrices=False)
+    try:
+        p = rank_cut(s, su.rtol, scale=1.0, strict=True)
+    except NumericalDegeneracyError:
+        return None
+    basis = Vh[:p].reshape(p, g, g)
+    combine = W[:, :p].conj() / s[:p]
 
-        def value(x: np.ndarray) -> np.ndarray:
-            return su.G @ x.reshape(g, g)
-    else:
-        W, s, Vh = svd_robust(np.matmul(su.G.conj().T, su.Y).reshape(su.K, g * g),
-                              full_matrices=False)
-        try:
-            p = rank_cut(s, su.rtol, scale=1.0, strict=True)
-        except NumericalDegeneracyError:
-            return None
-        basis = Vh[:p].reshape(p, g, g)
-        combine = W[:, :p].conj() / s[:p]
+    def lift(x: np.ndarray) -> np.ndarray:
+        return su.element(su.values(combine @ x))
 
-        def value(x: np.ndarray) -> np.ndarray:
-            return su.values(combine @ x)
     rng = np.random.default_rng(policy.seed)
     if not _closed_under_products(basis, rng):
         return None
-    p = basis.shape[0]
     try:
-        su.element(value(rng.standard_normal(p) + 1j * rng.standard_normal(p)))
+        lift(rng.standard_normal(p) + 1j * rng.standard_normal(p))
     except NumericalDegeneracyError:
         return None
-    return Corner(E, U, basis, *_radical_coords(basis, policy), su.K,
-                  lambda x: su.element(value(x)))
+    return Corner(E, U, su.K, basis, *_radical_coords(basis, policy), lift)
 
 
 def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
@@ -663,21 +671,25 @@ def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
     """The corner read through a trace-orthonormal basis of A'(T)
     (:func:`joint_commutant`), with the identity lift."""
     basis = joint_commutant(T, policy).basis
-    return Corner(E, U, basis, *_radical_coords(basis, policy), basis.shape[0],
+    return Corner(E, U, basis.shape[0], basis, *_radical_coords(basis, policy),
                   lambda x: np.tensordot(x, basis, axes=(0, 0)))
 
 
 def _compressed_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
                        policy: NumericPolicy) -> Corner:
-    """The corner of the compressed tuple T = U* T_0 U: through rho(A') where
-    the spin-up presents A'(T), through a basis of A'(T) otherwise."""
+    """The corner of the compressed tuple T = U* T_0 U: free where the
+    spin-up presents A'(T) without relations, through rho(A') where it
+    presents A'(T) with relations, through a basis of A'(T) otherwise."""
     su = _spin_up(T, policy)
+    if su is not None and su.Y is None:
+        return Corner(E, U, su.K, free=su)
     c = None if su is None else _rho_corner(su, E, U, policy)
     return c if c is not None else _basis_corner(T, E, U, policy)
 
 
-def _corner(T: OperatorTuple, E: np.ndarray, policy: NumericPolicy) -> Corner:
-    U = orthonormal_range(E, E.shape[0] * policy.rank_rtol)
+def _corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, policy: NumericPolicy) -> Corner:
+    """The corner of an idempotent E of A'(T), given an orthonormal frame U
+    of range(E)."""
     comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
     return _compressed_corner(comp, E, U, policy)
 
@@ -709,17 +721,19 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
         if projs is None:
             break
         if all(frob(P @ A - A @ P) <= PRIMARY_COMMUTE_BAR * frob(P) * max(1.0, frob(A))
-               for P in projs for A in T):
-            return [_corner(T, P, policy) for P in projs]
+               for P, _ in projs for A in T):
+            return [_corner(T, P, Z, policy) for P, Z in projs]
     return [_whole_corner(T, policy)]
 
 
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
-                             rng: np.random.Generator, equal: bool = False) -> list[np.ndarray]:
+                             rng: np.random.Generator,
+                             equal: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
     """Lifted idempotents of a split of the corner ``c`` into exactly ``parts``
     Riesz projectors of random elements drawn from the span of the coefficient
     vectors C (p, kappa) against ``c.basis``, lifted by ``c.lift``; with
-    ``equal``, the parts must have equal ranks.
+    ``equal``, the parts must have equal ranks. Each comes with an
+    orthonormal frame of its range, ``c.U`` times the projector's Schur frame.
 
     A draw whose lifted element fails its commutation check
     (:meth:`SpinUp.element`) is skipped, and so is one whose validated split
@@ -731,7 +745,7 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
     raises. The projectors are used as :func:`_spectral_split` returns them,
     idempotent to roundoff and checked.
     """
-    best: list[np.ndarray] | None = None
+    best: list[tuple[np.ndarray, np.ndarray]] | None = None
     best_quality = np.inf
     for _ in range(SPLIT_ATTEMPTS):
         x = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(C.shape[1])
@@ -742,9 +756,9 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
             continue
         projs = _spectral_split(z)
         if projs is None or len(projs) != parts \
-                or (equal and len({round(np.trace(P).real) for P in projs}) > 1):
+                or (equal and len({round(np.trace(P).real) for P, _ in projs}) > 1):
             continue
-        quality = max(frob(P) for P in projs)
+        quality = max(frob(P) for P, _ in projs)
         if quality < best_quality:
             best, best_quality = projs, quality
         if quality <= GOOD_SPLIT_NORM:
@@ -754,7 +768,30 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
             f"no random element split a corner into {parts}{' equal' if equal else ''} "
             f"parts in {SPLIT_ATTEMPTS} draws")
     W = c.U.conj().T @ c.E
-    return [c.U @ P @ W for P in best]
+    return [(c.U @ P @ W, c.U @ Z) for P, Z in best]
+
+
+def _free_primitives(c: Corner) -> list[np.ndarray]:
+    """The g primitives of a free corner, in the ambient frame.
+
+    With ``C^r = B G_1 (+) ... (+) B G_g`` free over ``B = C[T]``, the
+    projection X_i onto the i-th summand is the module map with value ``X_i G
+    = G E_ii``, ``X_i = [b_a G E_ii]_a Phi^+``: one :func:`_module_maps` call
+    gives all g. By construction they are idempotent, annihilate each other,
+    sum to I and have rank ``r/g`` each; a rounded trace other than ``r/g``
+    raises :class:`NumericalDegeneracyError`. They are carried to the ambient
+    frame as ``U X_i U* E``.
+    """
+    su = c.free
+    r, g = su.G.shape
+    values = su.G.T[:, :, None] * np.eye(g)[:, None, :]      # (g, r, g): G E_ii
+    X = _module_maps(su.B, values, su.pinv).T.reshape(g, r, r)
+    prims = c.U @ X @ (c.U.conj().T @ c.E)
+    ranks = [round(np.trace(P).real) for P in prims]
+    if any(rank != r // g for rank in ranks):
+        raise NumericalDegeneracyError(
+            f"the primitives of a free corner have ranks {ranks}, not {r // g} each")
+    return list(prims)
 
 
 @dataclass(frozen=True)
@@ -775,16 +812,18 @@ class AlgebraStructure:
 
 def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
             rng: np.random.Generator) -> list[Corner]:
-    """Corners of the simple blocks of a root: the center of its quotient has
-    as many dimensions as it has blocks, so one split by random lifted
-    central elements gives them all, and a root with a one-dimensional
-    center is one block. Each block's corner is built afresh (:func:`_corner`),
-    through rho of its own spin-up where that applies."""
+    """Corners of the simple blocks of a root. A free root is one block M_g.
+    Otherwise the center of the root's quotient has as many dimensions as it
+    has blocks, so one split by random lifted central elements gives them
+    all, and a root with a one-dimensional center is one block. Each block's
+    corner is built afresh (:func:`_corner`) on the frame of its split."""
+    if root.free is not None:
+        return [root]
     cen = _center_candidates(root.basis, root.quot_coords, rng)
     k = cen.shape[1]
     if k <= 1:
         return [root]
-    return [_corner(T, E, policy) for E in _split_by_random_element(root, cen, k, rng)]
+    return [_corner(T, E, U, policy) for E, U in _split_by_random_element(root, cen, k, rng)]
 
 
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
@@ -811,13 +850,18 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     total = np.sum(idems, axis=0)
     if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
-    # a block M_n has n primitives of equal rank, which a random element of
-    # its corner separates at once
+    # a block M_n has n primitives of equal rank: a free block's are known,
+    # and a random element of any other block's corner separates them at once
     rng = np.random.default_rng(seed + 0x5EED)
     prims: list[np.ndarray] = []
     for c, n in blocks:
-        prims.extend([c.E] if n == 1 else _split_by_random_element(
-            c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
+        if n == 1:
+            prims.append(c.E)
+        elif c.free is not None:
+            prims.extend(_free_primitives(c))
+        else:
+            prims.extend(E for E, _ in _split_by_random_element(
+                c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
     return AlgebraStructure(sum(root.algebra_dim for root in roots),
                             sum(root.radical_dim for root in roots), dims, idems,
                             np.stack(prims))
@@ -829,27 +873,30 @@ def semisimple_structure(T: OperatorTuple,
 
     The roots are the primary corners of ``T`` (one per joint-spectrum
     cluster, split once with the policy's seed); every corner is the
-    commutant A' of a compressed restriction of ``T``, read through an
-    algebra S with ``S/rad = A'/rad`` (:class:`Corner`): ``rho(A')`` inside
-    ``M_g`` where the spin-up presents A', so that no basis of A' is built,
-    and a basis of A' elsewhere. One seeded walk then splits each corner
-    once, into the number of parts its algebra counts, in two flat stages:
-    each root by lifted random central elements into the k blocks that the
-    dimension of its quotient's center counts (:func:`_blocks`; each block
-    gets a corner), and each block M_n by lifted random elements of its
-    corner into n primitives of equal rank, which get no corner. Both stages
-    use :func:`_split_by_random_element`, which skips a draw whose split has
-    another number of parts. (k, block sizes) are intrinsic, and the walk's
-    result is held to deterministic certificates: every block's quotient is
-    a square, each root's accounting identity ``sum n_i^2 + dim rad S = dim
+    commutant A' of a compressed restriction of ``T`` (:class:`Corner`). A
+    free corner, which the spin-up presents without relations, is one block
+    ``M_g`` with its g primitives in closed form and takes no walk. Any other
+    corner is read through an algebra S with ``S/rad = A'/rad``: ``rho(A')``
+    inside ``M_g`` where the spin-up presents A' with relations, so that no
+    basis of A' is built, and a basis of A' elsewhere. One seeded walk then
+    splits each such corner once, into the number of parts its algebra
+    counts, in two flat stages: each root by lifted random central elements
+    into the k blocks that the dimension of its quotient's center counts
+    (:func:`_blocks`; each block gets a corner, on the Schur frame of its
+    split), and each block M_n by lifted random elements of its corner into
+    n primitives of equal rank, which get no corner. Both stages use
+    :func:`_split_by_random_element`, which skips a draw whose split has
+    another number of parts. (k, block sizes) are intrinsic, and the result
+    is held to deterministic certificates: every block's quotient is a
+    square, each root's accounting identity ``sum n_i^2 + dim rad S = dim
     S`` holds (so ``algebra_dim = sum dim A'`` and ``radical_dim = sum (dim
     A' - dim A'/rad)`` account for each other), the lifted idempotents sum
-    to the identity and block i splits into n_i primitives of equal rank;
-    the last catches a center read too small, which takes several blocks
-    for one. A walk that fails one of them, or draws a lifted element that
-    fails its commutation check, is retried with the next seed, up to
-    ``STRUCTURE_SEEDS`` seeds, and the last error is raised if none
-    succeeds.
+    to the identity and block i splits into n_i primitives of equal rank
+    (on a free block, of rank ``r/g`` each); the last catches a center read
+    too small, which takes several blocks for one. A walk that fails one of
+    them, or draws a lifted element that fails its commutation check, is
+    retried with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the
+    last error is raised if none succeeds.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,8 +15,10 @@ import sidecomp._linalg as _linalg
 import sidecomp.commutant as commutant
 from conftest import bd, jordan
 from sidecomp import (
+    UnitDecomposition,
     conjugate,
     contains_invertible,
+    decompositions_equivalent,
     direct_sum,
     inflate,
     inflation_commutant_check,
@@ -30,7 +33,7 @@ from sidecomp import (
 )
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
-from sidecomp.planted import jordan_polynomial_tuple, planted_instance
+from sidecomp.planted import EIGENVALUE_GRID, jordan_polynomial_tuple, planted_instance
 from sidecomp.policy import (
     CENTRALITY_BAR,
     INVERTIBLE_TRIALS,
@@ -279,19 +282,24 @@ def _shared_eigenvalue_classes(classes, m, cond, rng):
 
 def _rho_and_basis_counts(T):
     """(dim A', dim rad A', dim A'/rad, dim of the quotient's center) read
-    through rho(A') inside M_g and through a basis of A', and g."""
+    off the spin-up presentation and through a basis of A', and the spin-up
+    side's corner: a free corner in closed form (``A'/rad = M_g``, a
+    one-dimensional center), any other through rho(A') inside M_g."""
     pol = NumericPolicy()
     eye = np.eye(T.d, dtype=complex)
     su = commutant._spin_up(T, pol)
     assert su is not None
-    rho = commutant._rho_corner(su, eye, eye, pol)
+    rho = commutant._compressed_corner(T, eye, eye, pol)
     basis = commutant._basis_corner(T, eye, eye, pol)
-    assert rho is not None and rho.basis.shape[1] == su.G.shape[1]
+    if su.Y is None:
+        assert rho.free is not None and rho.basis is None
+    else:
+        assert rho.basis.shape[1] == su.G.shape[1]
     assert basis.basis.shape[1] == T.d
     counts = []
     for c in (rho, basis):
-        width = commutant._center_candidates(c.basis, c.quot_coords,
-                                             np.random.default_rng(1)).shape[1]
+        width = 1 if c.free is not None else commutant._center_candidates(
+            c.basis, c.quot_coords, np.random.default_rng(1)).shape[1]
         counts.append((c.algebra_dim, c.radical_dim, c.quotient_dim, width))
     assert basis.algebra_dim == basis.basis.shape[0]
     assert basis.radical_dim == basis.rad_coords.shape[1]
@@ -417,31 +425,36 @@ class TestRhoCertificates:
             (clean.algebra_dim, clean.radical_dim, clean.block_dims)
 
     def test_no_commutant_basis_on_the_invariant_path(self, monkeypatch):
-        # eight copies of one 4 x 4 block at d = 32, K = 256: the invariant
-        # builds no d^2 x K basis, orthonormalizes nothing, takes no trace
-        # form of a d x d basis and lifts one element at a time
+        # eight copies of one 4 x 4 block at d = 32, K = 256: the root is
+        # free, so the invariant builds no basis of A' or of rho(A'), takes
+        # no trace form and no center, and splits nothing after the primary
+        # draw: its 8 primitives are the module maps of one K = 8 call,
+        # besides the presentation's own K = 1 check
         T = TestTwoFlatStages.eight_copies()
-        radical_sizes, lifted = [], []
-        real_radical, real_maps = commutant._radical_coords, commutant._module_maps
+        splits, lifted = [], []
+        real_split, real_maps = commutant._spectral_split, commutant._module_maps
 
-        def no_basis(A):
-            raise AssertionError("a commutant basis was orthonormalized")
+        def forbidden(name):
+            def raising(*args, **kwargs):
+                raise AssertionError(f"{name} called on a free root")
+            return raising
 
-        def recording_radical(basis, *args, **kwargs):
-            radical_sizes.append(basis.shape[1])
-            return real_radical(basis, *args, **kwargs)
+        def recording_split(z):
+            splits.append(z.shape[0])
+            return real_split(z)
 
         def recording_maps(B, Y, pinv):
             lifted.append(Y.shape[0])
             return real_maps(B, Y, pinv)
 
-        monkeypatch.setattr(commutant, "cholesky_qr2", no_basis)
-        monkeypatch.setattr(commutant, "_radical_coords", recording_radical)
+        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_rho_corner"):
+            monkeypatch.setattr(commutant, name, forbidden(name))
+        monkeypatch.setattr(commutant, "_spectral_split", recording_split)
         monkeypatch.setattr(commutant, "_module_maps", recording_maps)
         inv = v_semigroup_invariant(T)
         assert (inv.k, inv.multiplicities) == (1, (8,))
-        assert radical_sizes and max(radical_sizes) == 8 < T.d
-        assert lifted and set(lifted) == {1}
+        assert splits == [32]
+        assert sorted(lifted) == [1, 8]
 
 
 class TestInflationIdentity:
@@ -605,7 +618,7 @@ class TestOneWalk:
         never into three."""
         r = np.random.default_rng(2)
         z = A.element(r.standard_normal(A.algebra_dim) + 1j * r.standard_normal(A.algebra_dim))
-        e = commutant._spectral_split(z)[0]
+        e = commutant._spectral_split(z)[0][0]
         eye = np.eye(A.d)
         return np.stack([A.coords(eye), A.coords(e), A.coords(eye - e)], axis=1)
 
@@ -760,15 +773,32 @@ class TestOneWalk:
 class TestTwoFlatStages:
     """Each corner is split once, into the number of parts its algebra
     counts: a root into the k blocks its center counts, a block M_n into n
-    primitives of equal rank. Only roots and blocks get a commutant."""
+    primitives of equal rank. Only roots and blocks get a commutant. A free
+    corner takes no split: its block and primitives are read off its
+    presentation."""
 
     @staticmethod
     def eight_copies():
         """Eight copies of one 4 x 4 Jordan-polynomial block (m = 2) at cond
-        10: d = 32, one block M_8, answer (1; 8)."""
+        10: d = 32, one block M_8, answer (1; 8). The root is free."""
         r = np.random.default_rng(32)
         return conjugate(inflate(jordan_polynomial_tuple(4, 0.8, r, 2), 8),
                          conditioned_invertible(32, 10.0, r))
+
+    @staticmethod
+    def co_cyclic_copies():
+        """Three copies of the co-cyclic pair (a + E31, b + E32) on C^3 at
+        cond 10: d = 9, answer (1; 3). The words are span{I, E31, E32} and
+        each copy has two generators, so n_B * g = 18 > 9: the root has
+        relations, and its primitives come from a Riesz split."""
+        def unit(i, j):
+            E = np.zeros((3, 3), dtype=complex)
+            E[i - 1, j - 1] = 1.0
+            return E
+
+        B = operator_tuple([0.5 * np.eye(3) + unit(3, 1), -0.3j * np.eye(3) + unit(3, 2)])
+        return conjugate(inflate(B, 3), conditioned_invertible(9, 10.0,
+                                                               np.random.default_rng(9)))
 
     @staticmethod
     def recording_commutants(monkeypatch):
@@ -791,7 +821,8 @@ class TestTwoFlatStages:
             projs = real(z)
             if not merged and projs is not None and len(projs) == parts:
                 merged.append(None)
-                return [projs[0] + projs[1]] + projs[2:]
+                (P0, Z0), (P1, Z1) = projs[:2]
+                return [(P0 + P1, np.linalg.qr(np.hstack([Z0, Z1]))[0])] + projs[2:]
             return projs
 
         monkeypatch.setattr(commutant, "_spectral_split", merging)
@@ -805,27 +836,102 @@ class TestTwoFlatStages:
 
     def test_coarse_primitive_split_is_redrawn(self, monkeypatch):
         dims = self.recording_commutants(monkeypatch)
-        merged = self.merge_once(monkeypatch, 8)
-        S = semisimple_structure(self.eight_copies())
-        assert merged and S.primitives.shape == (8, 32, 32)
-        assert dims == [32]
+        merged = self.merge_once(monkeypatch, 3)
+        S = semisimple_structure(self.co_cyclic_copies())
+        assert merged and S.primitives.shape == (3, 9, 9)
+        assert dims == [9]
         for P in S.primitives:
-            assert abs(np.trace(P) - 4.0) <= 1e-8
+            assert abs(np.trace(P) - 3.0) <= 1e-8
 
     def test_coarse_block_split_is_redrawn(self, monkeypatch):
-        # the root of (3; 2, 2, 1) splits into blocks of ranks 4, 6 and 4; a
-        # merged draw has 2 parts, and no corner is built for either
+        # the root of (3; 2, 2, 1), which has relations, splits into blocks
+        # of ranks 4, 6 and 4; a merged draw has 2 parts, and no corner is
+        # built for either
         real, ranks = commutant._corner, []
 
-        def recording(T1, E, policy):
+        def recording(T1, E, U, policy):
             ranks.append(round(np.trace(E).real))
-            return real(T1, E, policy)
+            return real(T1, E, U, policy)
 
         monkeypatch.setattr(commutant, "_corner", recording)
         merged = self.merge_once(monkeypatch, 3)
         S = semisimple_structure(TestOneWalk.tuple_())
         assert merged and sorted(ranks) == [4, 4, 6]
         assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
+
+
+class TestFreeRoots:
+    """A corner that the spin-up presents without relations (n_B * g = d) is
+    free over ``B = C[T]``: ``A' = M_g(B)``, one block M_g, whose g
+    primitives are the module maps with values ``G E_ii``. None of it is
+    walked."""
+
+    @staticmethod
+    def walked(mp):
+        """Send every free presentation through the general rho walk: its
+        values are given as an explicit orthonormal basis of all d x g
+        matrices, so that it reads as a presentation with relations."""
+        real = commutant._spin_up
+
+        def explicit(T, policy):
+            su = real(T, policy)
+            if su is None or su.Y is not None:
+                return su
+            d, g = su.G.shape
+            return dataclasses.replace(su, Y=np.eye(d * g, dtype=complex).reshape(-1, d, g))
+
+        mp.setattr(commutant, "_spin_up", explicit)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.floats(1.0, 100.0),
+           st.integers(0, 2**32 - 1))
+    def test_closed_form_agrees_with_the_walk(self, r, n, m, cond, seed):
+        # n copies of one cyclic r x r block sharing one joint eigenvalue
+        T = _shared_eigenvalue_classes([(r, n)], m, cond, np.random.default_rng(seed))
+        pol = NumericPolicy()
+        assert commutant._whole_corner(T, pol).free is not None
+        closed = semisimple_structure(T)
+        with pytest.MonkeyPatch.context() as mp:
+            self.walked(mp)
+            assert commutant._whole_corner(T, pol).free is None
+            walked = semisimple_structure(T)
+        decomps = []
+        for S in (closed, walked):
+            assert (S.k, S.block_dims) == (1, (n,))
+            assert [round(np.trace(P).real) for P in S.primitives] == [r] * n
+            D = UnitDecomposition(T, S.primitives, (True,) * n)
+            D.validate(pol)
+            decomps.append(D)
+        assert decompositions_equivalent(T, *decomps).equivalent
+
+    def test_strong_irreducibility_is_g_equal_to_one(self, monkeypatch):
+        # a cyclic Jordan-polynomial block and its inflation x 3 are free:
+        # SI exactly when g = 1, with no radical and no rho corner
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a free input was walked")
+
+        monkeypatch.setattr(commutant, "_radical_coords", forbidden)
+        monkeypatch.setattr(commutant, "_rho_corner", forbidden)
+        r = np.random.default_rng(7)
+        B = jordan_polynomial_tuple(4, -0.8, r, 2)
+        assert is_strongly_irreducible(conjugate(B, conditioned_invertible(4, 10.0, r)))
+        assert not is_strongly_irreducible(conjugate(inflate(B, 3),
+                                                     conditioned_invertible(12, 10.0, r)))
+
+    @pytest.mark.parametrize("stream", [10, 38])
+    def test_primitives_are_not_held_to_the_presentation_bar(self, stream):
+        # J6 x 2 (+) J6' x 2 at cond 1e4 (the harsh corpus's J6 #10 and #38):
+        # the primitives of the free blocks have norms 59 and 248 and commute
+        # with the compressed tuple to 3.8e-8 and 2.3e-8 relative, above the
+        # presentation's bars 2.0e-8 and 1.9e-8. They are held to what a
+        # decomposition must meet, and these inputs read (2; 2, 2)
+        rng = np.random.default_rng([900, stream])
+        lam = rng.permutation(np.array(EIGENVALUE_GRID))[:2]
+        A, B = (jordan_polynomial_tuple(6, float(x), rng, 2) for x in lam)
+        T = conjugate(direct_sum(inflate(A, 2), inflate(B, 2)),
+                      conditioned_invertible(24, 1e4, rng))
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (2, (2, 2))
 
 
 class TestIdempotentsNeedNoRepair:
@@ -891,12 +997,12 @@ class TestSpectralSplit:
         # zero part, which is idempotent and of small norm but splits nothing
         z = np.diag([1.0, 2.0, 3.0]).astype(complex)
         projs = commutant._spectral_split(z)
-        assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
+        assert [round(np.trace(P).real) for P, _ in projs] == [1, 1, 1]
         real_projector = commutant.spectral_projector
 
         def first_part_empty(T, Z, idx):
-            P = real_projector(T, Z, idx)
-            return np.zeros_like(P) if np.isclose(T[idx[0], idx[0]], 1.0) else P
+            P, Z1 = real_projector(T, Z, idx)
+            return (np.zeros_like(P) if np.isclose(T[idx[0], idx[0]], 1.0) else P), Z1
 
         monkeypatch.setattr(commutant, "spectral_projector", first_part_empty)
         assert commutant._spectral_split(z) is None
@@ -920,7 +1026,7 @@ class TestSpectralSplit:
         if failures is None:
             assert projs is None and len(calls) == len(SPLIT_GAPS)
         else:
-            assert [round(np.trace(P).real) for P in projs] == [1, 1, 1]
+            assert [round(np.trace(P).real) for P, _ in projs] == [1, 1, 1]
 
     @pytest.mark.parametrize("which", ["diagonalizable", "escalating"])
     def test_one_schur_form_per_split(self, monkeypatch, which):
@@ -953,8 +1059,14 @@ class TestSpectralSplit:
         projs = commutant._spectral_split(z)
         refs = [self.reference_projector(z, c, 0.5) for c in centers]
         assert len(projs) == len(refs)
-        for P, ref in zip(projs, refs):
+        for (P, Z), ref in zip(projs, refs):
             assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
+            # the frame is orthonormal and spans range(P): P fixes it, and
+            # it has as many columns as P has rank
+            k = round(np.trace(P).real)
+            assert Z.shape == (z.shape[0], k)
+            assert np.linalg.norm(Z.conj().T @ Z - np.eye(k)) <= 1e-12
+            assert np.linalg.norm(P @ Z - Z) <= 1e-10 * np.linalg.norm(P)
 
 
 class TestIntertwiners:
