@@ -64,7 +64,7 @@ print(f"  {D.count} primitive idempotents, all restrictions SI: {all(D.si_flags)
 for i, P in enumerate(D.idempotents):
     print(f"  P_{i}: rank {np.trace(P).real:.0f}, ||P^2-P|| = "
           f"{np.linalg.norm(P @ P - P):.1e}")
-resid = D.validate()
+resid = D.residuals
 print(f"  invariants: sum to identity {resid['sum_identity']:.1e}, "
       f"mutual products {resid['annihilate']:.1e}")
 

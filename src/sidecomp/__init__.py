@@ -15,6 +15,7 @@ from .tuples import (
     JointKernelBasis,
     OperatorTuple,
     cd_index_profile,
+    compress,
     conjugate,
     direct_sum,
     inflate,
@@ -43,6 +44,7 @@ from .decomposition import (
     assemble_intertwiner,
     block_similarity,
     decompositions_equivalent,
+    idempotent_frames,
     is_strongly_irreducible,
     transport_decomposition,
     unit_si_decomposition,

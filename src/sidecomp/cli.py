@@ -31,7 +31,7 @@ from .rkhs import (
     spherical_shift,
     truncated_tuple,
 )
-from .tuples import conjugate, restrict, validate_commuting
+from .tuples import compress, conjugate, validate_commuting
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -156,15 +156,14 @@ def cmd_decompose(args) -> int:
     pol = _resolve_policy(args)
     T = _load_commuting(args.input, pol)
     D = unit_si_decomposition(T, pol)
-    residuals = D.validate(pol)
     blocks = []
-    for P in D.idempotents:
-        R = restrict(T, P, pol)
+    for L in D.frames:
+        R = compress(T, L)
         blocks.append({"dim": R.d, "spectrum_first_component": _spectrum(R[0])})
     report = _header(args, pol) | {
         "count": D.count,
         "si_flags": list(D.si_flags),
-        "residuals": {k: float(v) for k, v in residuals.items()},
+        "residuals": {k: float(v) for k, v in D.residuals.items()},
         "idempotents": [sio.matrix_to_obj(P) for P in D.idempotents],
         "blocks": blocks,
     }

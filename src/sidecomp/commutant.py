@@ -72,7 +72,7 @@ from .policy import (
     NumericPolicy,
     NumericalDegeneracyError,
 )
-from .tuples import OperatorTuple, inflate
+from .tuples import OperatorTuple, compress, inflate
 
 
 @dataclass(frozen=True)
@@ -252,13 +252,21 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     not verify.
 
     Every rank decision is strict (:func:`rank_cut`). None is returned when a
-    rank decision straddles its threshold, when the generators do not
-    generate (``rank Phi < d``, e.g. several joint eigenvalues), when the
-    words outnumber Schur's bound on a commutative algebra, when the relation
-    matrix would be larger than the stack, when the lift is too ill
-    conditioned (below), when the values miss those of the identity (``Y =
-    G``), or when a random element, drawn from the policy's seed, fails the
-    commutation bar of :meth:`SpinUp.element`.
+    rank decision straddles its threshold, when the tuple has more than one
+    joint eigenvalue (below), when the generators do not generate (``rank
+    Phi < d``), when the words outnumber Schur's bound on a commutative
+    algebra, when the relation matrix would be larger than the stack, when
+    the lift is too ill conditioned (below), when the values miss those of
+    the identity (``Y = G``), or when a random element, drawn from the
+    policy's seed, fails the commutation bar of :meth:`SpinUp.element`.
+
+    One joint eigenvalue is certified by the trace form ``tr(b_a b_b)`` of
+    the words orthogonal to I, which must have rank 0 under a strict cut at
+    ``rtol``: the trace-zero words of a local commutative algebra are
+    nilpotent, while a nontrivial idempotent e of ``C[T]`` gives the
+    trace-zero word ``e - (tr e/d) I`` of square trace ``tr e - (tr e)^2/d >
+    0``. That G generates does not certify it: it can when the mean of the
+    ``T_i`` is itself a joint eigenvalue (``X diag(0, 1, -1) X^-1``).
 
     The conditioning guard bounds the spread of the lift ``Y -> X``: ``X G =
     Y`` bounds it below by 1, and ``||[b_a Y]_a||_F <= sqrt(nb) ||Y||_F`` for
@@ -275,6 +283,12 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
         B = _word_algebra(N, rtol, scale)
         G = nullspace(np.hstack(N).conj().T, rtol, scale=scale, strict=True)
         nb, g = B.shape[0], G.shape[1]
+        # one joint eigenvalue: the trace form of the trace-zero words vanishes
+        if nb > 1:
+            W = B[1:].reshape(nb - 1, d * d)
+            F = W @ B[1:].transpose(0, 2, 1).reshape(nb - 1, d * d).T
+            if rank_cut(svdvals_robust(F), rtol, scale=1.0, strict=True):
+                return None
         Phi = np.matmul(B, G).transpose(1, 0, 2).reshape(d, nb * g)
         U, s, Vh = svd_robust(Phi)
         # G must generate; and a relation matrix (d*r x d*g, r = nb*g - d)
@@ -690,8 +704,7 @@ def _compressed_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
 def _corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, policy: NumericPolicy) -> Corner:
     """The corner of an idempotent E of A'(T), given an orthonormal frame U
     of range(E)."""
-    comp = OperatorTuple(np.stack([U.conj().T @ Ti @ U for Ti in T]))
-    return _compressed_corner(comp, E, U, policy)
+    return _compressed_corner(compress(T, U), E, U, policy)
 
 
 def _whole_corner(T: OperatorTuple, policy: NumericPolicy) -> Corner:
@@ -771,32 +784,46 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
     return [(c.U @ P @ W, c.U @ Z) for P, Z in best]
 
 
-def _free_primitives(c: Corner) -> list[np.ndarray]:
-    """The g primitives of a free corner, in the ambient frame.
+def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The g primitives of a free corner, in the ambient frame, each with an
+    orthonormal frame of its range.
 
     With ``C^r = B G_1 (+) ... (+) B G_g`` free over ``B = C[T]``, the
     projection X_i onto the i-th summand is the module map with value ``X_i G
-    = G E_ii``, ``X_i = [b_a G E_ii]_a Phi^+``: one :func:`_module_maps` call
-    gives all g. By construction they are idempotent, annihilate each other,
-    sum to I and have rank ``r/g`` each; a rounded trace other than ``r/g``
-    raises :class:`NumericalDegeneracyError`. They are carried to the ambient
-    frame as ``U X_i U* E``.
+    = G E_ii``, ``X_i = [b_a G E_ii]_a Phi^+ = S_i M_i``: the ``r/g`` columns
+    ``S_i = [b_a G e_i]_a`` span the summand, and ``M_i`` are the matching
+    rows ``a*g + i`` of ``Phi^+``. With the QR factors ``S_i = Q_i R_i``, the
+    primitive carried to the ambient frame is ``U X_i U* E = L_i (R_i M_i U*
+    E)``, read off the presentation with its frame ``L_i = U Q_i`` and no d x
+    d product per primitive. By construction the primitives are idempotent,
+    annihilate each other, sum to I and have rank ``r/g`` each; a rounded
+    trace other than ``r/g`` raises :class:`NumericalDegeneracyError`.
     """
     su = c.free
     r, g = su.G.shape
-    values = su.G.T[:, :, None] * np.eye(g)[:, None, :]      # (g, r, g): G E_ii
-    X = _module_maps(su.B, values, su.pinv).T.reshape(g, r, r)
-    prims = c.U @ X @ (c.U.conj().T @ c.E)
-    ranks = [round(np.trace(P).real) for P in prims]
-    if any(rank != r // g for rank in ranks):
+    nb = su.B.shape[0]
+    Q, R = np.linalg.qr(np.matmul(su.B, su.G).transpose(2, 1, 0))   # S_i: (g, r, nb)
+    M = su.pinv.reshape(nb, g, r).transpose(1, 0, 2)                # M_i: (g, nb, r)
+    frames = c.U @ Q
+    prims = frames @ (R @ M @ (c.U.conj().T @ c.E))
+    ranks = np.rint(np.trace(prims, axis1=1, axis2=2).real).astype(int)
+    if np.any(ranks != r // g):
         raise NumericalDegeneracyError(
-            f"the primitives of a free corner have ranks {ranks}, not {r // g} each")
-    return list(prims)
+            f"the primitives of a free corner have ranks {ranks.tolist()}, not {r // g} each")
+    return list(zip(prims, frames))
 
 
 @dataclass(frozen=True)
 class AlgebraStructure:
-    """Simple-block data of A/rad(A) with block idempotents lifted into A."""
+    """Simple-block data of A/rad(A) with block idempotents lifted into A.
+
+    Each primitive comes with an orthonormal frame of its range, kept from
+    where the primitive is built: the frame of its block's corner when the
+    block is M_1, the QR factor of its summand ``B G_i`` on a free block, and
+    the Schur frame of its Riesz split otherwise. A primitive P and its frame
+    L factor as ``P = L (L* P)``, which is what a decomposition validates and
+    what a restriction ``L* T L`` of T to range P reads.
+    """
 
     algebra_dim: int
     radical_dim: int
@@ -804,6 +831,8 @@ class AlgebraStructure:
     central_idempotents: np.ndarray          # (k, d, d), mutually annihilating
     # (sum n_i, d, d): the n_i primitive idempotents of each block, in block order
     primitives: np.ndarray = field(repr=False, compare=False)
+    # one (d, rank) orthonormal frame of the range of each primitive
+    frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -853,18 +882,18 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     # a block M_n has n primitives of equal rank: a free block's are known,
     # and a random element of any other block's corner separates them at once
     rng = np.random.default_rng(seed + 0x5EED)
-    prims: list[np.ndarray] = []
+    prims: list[tuple[np.ndarray, np.ndarray]] = []
     for c, n in blocks:
         if n == 1:
-            prims.append(c.E)
+            prims.append((c.E, c.U))
         elif c.free is not None:
             prims.extend(_free_primitives(c))
         else:
-            prims.extend(E for E, _ in _split_by_random_element(
+            prims.extend(_split_by_random_element(
                 c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
     return AlgebraStructure(sum(root.algebra_dim for root in roots),
                             sum(root.radical_dim for root in roots), dims, idems,
-                            np.stack(prims))
+                            np.stack([P for P, _ in prims]), tuple(L for _, L in prims))
 
 
 def semisimple_structure(T: OperatorTuple,
@@ -884,7 +913,8 @@ def semisimple_structure(T: OperatorTuple,
     into the k blocks that the dimension of its quotient's center counts
     (:func:`_blocks`; each block gets a corner, on the Schur frame of its
     split), and each block M_n by lifted random elements of its corner into
-    n primitives of equal rank, which get no corner. Both stages use
+    n primitives of equal rank, which get no corner but keep the frame of
+    their range (:class:`AlgebraStructure`). Both stages use
     :func:`_split_by_random_element`, which skips a draw whose split has
     another number of parts. (k, block sizes) are intrinsic, and the result
     is held to deterministic certificates: every block's quotient is a

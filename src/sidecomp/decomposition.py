@@ -3,8 +3,10 @@
 A decomposition of a commuting tuple ``T`` is an ordered list of mutually
 annihilating idempotents in the joint commutant summing to the identity;
 it is strongly irreducible (SI) when every restriction ``T|_{range P_i}``
-has a local commutant (no nontrivial idempotent commutes with it). This
-module produces such decompositions from the commutant's block structure,
+has a local commutant (no nontrivial idempotent commutes with it). Each
+idempotent travels with an orthonormal frame of its range, on which the
+decomposition is validated and its blocks are restricted. This module
+produces such decompositions from the commutant's block structure,
 transports them through similarities, decides similarity of two blocks via
 invertible intertwiners, and matches two decompositions of one tuple by a
 global invertible element of the commutant assembled from blockwise
@@ -12,12 +14,13 @@ intertwiners.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._linalg import frob
 from .commutant import (
+    AlgebraStructure,
     _whole_corner,
     contains_invertible,
     intertwiner_space,
@@ -31,7 +34,7 @@ from .policy import (
     NumericPolicy,
     NumericalDegeneracyError,
 )
-from .tuples import OperatorTuple, check_idempotent_in_commutant, conjugate, \
+from .tuples import OperatorTuple, check_idempotent_in_commutant, compress, conjugate, \
     range_basis
 
 
@@ -49,13 +52,37 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     return _whole_corner(T, policy).quotient_dim == 1
 
 
+def idempotent_frames(idempotents, policy: NumericPolicy = DEFAULT_POLICY
+                      ) -> tuple[np.ndarray, ...]:
+    """Orthonormal frames of the ranges of idempotents that come without one,
+    by :func:`range_basis` (one SVD each)."""
+    return tuple(range_basis(P, policy) for P in idempotents)
+
+
 @dataclass(frozen=True)
 class UnitDecomposition:
-    """Ordered mutually annihilating idempotents in A'(T) summing to I."""
+    """Ordered mutually annihilating idempotents in A'(T) summing to I, each
+    with an orthonormal frame of its range.
+
+    ``frames[a]`` is a (d, rank P_a) matrix with orthonormal columns spanning
+    range P_a, so that ``P_a = L_a R_a*`` with ``R_a* = L_a* P_a``: the
+    decomposition is validated on these factors, and ``L_a* T L_a`` is the
+    restriction of T to range P_a. Decompositions built from the commutant's
+    structure carry the frames their primitives were built with; given no
+    frames, they are computed once by :func:`idempotent_frames`. A
+    decomposition returned by :meth:`validated` carries the residuals of its
+    validation.
+    """
 
     tuple_ref: OperatorTuple
     idempotents: np.ndarray          # (n, d, d)
     si_flags: tuple[bool, ...]
+    frames: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    residuals: dict | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.frames is None:
+            object.__setattr__(self, "frames", idempotent_frames(self.idempotents))
 
     @property
     def count(self) -> int:
@@ -64,10 +91,26 @@ class UnitDecomposition:
     def validate(self, policy: NumericPolicy = DEFAULT_POLICY) -> dict:
         """Check all structural invariants; returns the residuals measured.
 
-        Thresholds are the policy tolerances, floored at the float64 level
-        attainable for the idempotents' norms (forming P^2 rounds at
-        ~ d*eps*||P||^2, which exceeds an absolute 1e-8 only for extremely
-        oblique inputs); raw residuals are always reported.
+        Every residual is read off the factors ``P_a = L_a R_a*``, ``R_a* =
+        L_a* P_a``, in O(m d^3) flops; no product of two d x d idempotents is
+        formed:
+
+        - ``frame``: ``||P_a - L_a R_a*||_F``, and the width of ``L_a`` must
+          be ``round(tr P_a)``; together they certify that the frame spans
+          range P_a, so that the residuals below are those of the P_a;
+        - ``idempotent``: ``||P_a^2 - P_a|| = ||(R_a* L_a - I) R_a*||``;
+        - ``annihilate``: ``||P_a P_b|| = ||(R_a* L_b) R_b*||``, a != b;
+        - ``commute``: ``||L_a (R_a* T_j) - (T_j L_a) R_a*||`` relative to
+          ``max(1, ||P_a|| ||T_j||)``;
+        - ``sum_identity``: ``||sum_a P_a - I||``.
+
+        The products are batched over idempotents of equal rank. Thresholds
+        are the policy tolerances, floored at the float64 level attainable
+        for the idempotents' norms (forming P^2 rounds at ~ d*eps*||P||^2,
+        which exceeds an absolute 1e-8 only for extremely oblique inputs);
+        the frame residual is held to the idempotency bar. Raw residuals are
+        always reported; a violated invariant raises
+        :class:`NumericalDegeneracyError`.
         """
         T, P = self.tuple_ref, self.idempotents
         n, d = P.shape[0], T.d
@@ -75,38 +118,78 @@ class UnitDecomposition:
         norms_P = np.linalg.norm(P, axis=(1, 2))
         norms_T = np.linalg.norm(T.matrices, axis=(1, 2))
         floor = 16.0 * d * eps * max(1.0, norms_P.max()) ** 2
-        # (n, m, d, d): the commutators [P_i, T_j]
-        comm = np.matmul(P[:, None], T.matrices[None]) - np.matmul(T.matrices[None], P[:, None])
-        commute = float(np.max(np.linalg.norm(comm, axis=(2, 3))
-                               / np.maximum(1.0, norms_P[:, None] * norms_T[None])))
-        idem = float(np.max(np.linalg.norm(np.matmul(P, P) - P, axis=(1, 2))))
-        # row a of the (nd, nd) product [P_a P_b]_{a,b}, one GEMM per row: the
-        # whole product would hold n^2 d^2 entries at once
-        annihilate = 0.0
-        cols = P.transpose(1, 0, 2).reshape(d, n * d)
-        for a in range(n):
-            prods = (P[a] @ cols).reshape(d, n, d)
-            norms = np.linalg.norm(prods, axis=(0, 2))
-            norms[a] = 0.0
-            annihilate = max(annihilate, float(norms.max()))
+        widths = np.array([L.shape[1] for L in self.frames])
+        traces = np.trace(P, axis1=1, axis2=2).real
+        if np.any(widths != np.round(traces)):
+            raise NumericalDegeneracyError(
+                f"frame widths {widths.tolist()} differ from the idempotents' rounded "
+                f"traces {np.round(traces).astype(int).tolist()}")
+        # the factors R_a* = L_a* P_a, batched over idempotents of equal rank;
+        # the columns of Lall = [L_a]_a and the rows of Rall = [R_a*]_a are in
+        # the order of a
+        Lall = np.concatenate(self.frames, axis=1)
+        Rall = np.empty((Lall.shape[1], d), dtype=complex)
+        starts = np.cumsum(widths) - widths
+        groups = []
+        for r in np.unique(widths):
+            g = np.flatnonzero(widths == r)
+            cols = (starts[g, None] + np.arange(r)).reshape(-1)
+            L = Lall[:, cols].reshape(d, len(g), r).transpose(1, 0, 2)  # (len g, d, r)
+            R = L.conj().transpose(0, 2, 1) @ P[g]                      # (len g, r, d)
+            Rall[cols] = R.reshape(-1, d)
+            groups.append((g, cols, L, R))
+        C = Rall @ Lall                                                 # blocks R_a* L_b
+        # member[a, i]: row i of Rall is a row of R_a*
+        member = (np.repeat(np.arange(n), widths)[None, :] == np.arange(n)[:, None])
+        frame = idem = annihilate = commute = 0.0
+        for g, cols, L, R in groups:
+            frame = max(frame, float(np.max(np.linalg.norm(P[g] - L @ R, axis=(1, 2)))))
+            idem = max(idem, float(np.max(np.linalg.norm(R @ L @ R - R, axis=(1, 2)))))
+            # ||P_a P_b||_F^2 for b in g: the squares of C[:, b] R_b* summed over a's rows
+            Cb = C[:, cols].reshape(-1, len(g), R.shape[1]).transpose(1, 0, 2)
+            sq = np.sum(np.abs(Cb @ R) ** 2, axis=2) @ member.T         # (len g, n)
+            sq[np.arange(len(g)), g] = 0.0
+            annihilate = max(annihilate, float(np.sqrt(sq.max())))
+        for A, nA in zip(T, norms_T):
+            RA, AL = Rall @ A, A @ Lall         # the rows R_a* T_j, the columns T_j L_a
+            for g, cols, L, R in groups:
+                comm = L @ RA[cols].reshape(R.shape) \
+                    - AL[:, cols].reshape(d, len(g), -1).transpose(1, 0, 2) @ R
+                commute = max(commute, float(np.max(np.linalg.norm(comm, axis=(1, 2))
+                                                    / np.maximum(1.0, norms_P[g] * nA))))
         total = frob(P.sum(axis=0) - np.eye(d))
         report = {
             "commute": commute, "idempotent": idem,
             "annihilate": annihilate, "sum_identity": total,
-            "float_floor": floor,
+            "frame": frame, "float_floor": floor,
         }
-        if commute > policy.tol \
-                or idem > max(policy.tol, floor) \
-                or annihilate > max(ANNIHILATION_BAR, floor) \
-                or total > max(IDENTITY_SUM_BAR, floor):
-            raise NumericalDegeneracyError(f"decomposition invariants violated: {report}")
+        bars = {"commute": policy.tol, "idempotent": max(policy.tol, floor),
+                "frame": max(policy.tol, floor), "annihilate": max(ANNIHILATION_BAR, floor),
+                "sum_identity": max(IDENTITY_SUM_BAR, floor)}
+        failed = [key for key, bar in bars.items() if report[key] > bar]
+        if failed:
+            raise NumericalDegeneracyError(
+                f"decomposition invariants violated ({', '.join(failed)}): {report}")
         return report
+
+    def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
+        """This decomposition with the residuals of :meth:`validate`; raises
+        like it."""
+        return replace(self, residuals=self.validate(policy))
+
+
+def _structure_decomposition(T: OperatorTuple, struct: AlgebraStructure,
+                             policy: NumericPolicy) -> UnitDecomposition:
+    """The primitives of ``struct`` with their frames, as a validated
+    decomposition of T."""
+    return UnitDecomposition(T, struct.primitives, (True,) * len(struct.frames),
+                             struct.frames).validated(policy)
 
 
 def unit_si_decomposition(T: OperatorTuple,
                           policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Complete list of primitive idempotents of A'(T), ordered by
-    (block of the quotient, copy within the block).
+    (block of the quotient, copy within the block), with their frames.
 
     The primitives are those of :func:`semisimple_structure`, which splits
     block i into exactly n_i of them, of equal rank, and retries a walk that
@@ -114,22 +197,22 @@ def unit_si_decomposition(T: OperatorTuple,
     primitive idempotent's corner is local); the family is validated as a
     decomposition here.
     """
-    prims = semisimple_structure(T, policy).primitives
-    D = UnitDecomposition(T, prims, tuple(True for _ in prims))
-    D.validate(policy)
-    return D
+    return _structure_decomposition(T, semisimple_structure(T, policy), policy)
 
 
 def transport_decomposition(D: UnitDecomposition, X,
                             policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
-    """Push a decomposition of T through X to a decomposition of X T X^-1."""
+    """Push a decomposition of T through X to a decomposition of X T X^-1.
+
+    The range of ``X P X^-1`` is ``X range(P)``, so each frame is carried as
+    the Q factor of ``X L``.
+    """
     Tc = conjugate(D.tuple_ref, X, policy)
     X = np.asarray(X, dtype=complex)
     Xi = np.linalg.inv(X)
     idems = np.stack([X @ P @ Xi for P in D.idempotents])
-    out = UnitDecomposition(Tc, idems, D.si_flags)
-    out.validate(policy)
-    return out
+    frames = tuple(np.linalg.qr(X @ L)[0] for L in D.frames)
+    return UnitDecomposition(Tc, idems, D.si_flags, frames).validated(policy)
 
 
 @dataclass(frozen=True)
@@ -157,6 +240,18 @@ def _invertible_intertwiner(A: OperatorTuple, B: OperatorTuple,
     return inv.element, inv.found or inv.rank_deficient
 
 
+def _frame_similarity(T: OperatorTuple, UP: np.ndarray, UQ: np.ndarray,
+                      policy: NumericPolicy) -> BlockSimilarityResult:
+    """:func:`block_similarity` of two idempotents given by orthonormal frames
+    UP and UQ of their ranges: the restrictions are the compressions."""
+    if UP.shape[1] != UQ.shape[1]:
+        return BlockSimilarityResult(False, True, None)
+    if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
+        return BlockSimilarityResult(True, True, np.zeros((0, 0), dtype=complex))
+    X, definitive = _invertible_intertwiner(compress(T, UP), compress(T, UQ), policy)
+    return BlockSimilarityResult(X is not None, definitive, X)
+
+
 def block_similarity(T: OperatorTuple, P, Q,
                      policy: NumericPolicy = DEFAULT_POLICY) -> BlockSimilarityResult:
     """Invertible intertwiner between T|range(P) and T|range(Q), if one exists.
@@ -168,30 +263,24 @@ def block_similarity(T: OperatorTuple, P, Q,
     """
     check_idempotent_in_commutant(T, P, policy)
     check_idempotent_in_commutant(T, Q, policy)
-    UP, UQ = range_basis(P, policy), range_basis(Q, policy)
-    if UP.shape[1] != UQ.shape[1]:
-        return BlockSimilarityResult(False, True, None)
-    if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
-        return BlockSimilarityResult(True, True, np.zeros((0, 0), dtype=complex))
-    TP = OperatorTuple(np.stack([UP.conj().T @ A @ UP for A in T]))
-    TQ = OperatorTuple(np.stack([UQ.conj().T @ A @ UQ for A in T]))
-    X, definitive = _invertible_intertwiner(TP, TQ, policy)
-    return BlockSimilarityResult(X is not None, definitive, X)
+    return _frame_similarity(T, range_basis(P, policy), range_basis(Q, policy), policy)
 
 
 def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
                          policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Direct sum of blockwise intertwiners in ambient coordinates.
 
-    ``pairs`` is a list of (P_i, Q_i, Xhat_i): P_i from a unit decomposition
-    for T, Q_i from one for S, and Xhat_i an invertible intertwiner between
-    the restricted tuples in the orthonormal range bases. The assembled
-    X = sum_i U_{Q_i} Xhat_i U_{P_i}^* P_i satisfies X T_j = S_j X and is
-    invertible; both are verified.
+    ``pairs`` is a list of (P_i, Q_i, Xhat_i) or (P_i, Q_i, Xhat_i, U_{P_i},
+    U_{Q_i}): P_i from a unit decomposition for T, Q_i from one for S, and
+    Xhat_i an invertible intertwiner between the restricted tuples in the
+    orthonormal frames U_{P_i} and U_{Q_i} of their ranges, which are those
+    of :func:`range_basis` when not given. The assembled X = sum_i U_{Q_i}
+    Xhat_i U_{P_i}^* P_i satisfies X T_j = S_j X and is invertible; both are
+    verified.
     """
     X = np.zeros((S.d, T.d), dtype=complex)
-    for P, Q, Xhat in pairs:
-        UP, UQ = range_basis(P, policy), range_basis(Q, policy)
+    for P, Q, Xhat, *frames in pairs:
+        UP, UQ = frames or (range_basis(P, policy), range_basis(Q, policy))
         if Xhat.shape != (UQ.shape[1], UP.shape[1]):
             raise ValueError(
                 f"incompatible pairing data: intertwiner shape {Xhat.shape} vs "
@@ -234,7 +323,8 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
 
     Greedy bipartite matching by block similarity (valid because similarity of
     SI restrictions is an equivalence relation; ties break to the lowest
-    index), then the blockwise intertwiners are assembled into a global
+    index), on the restrictions to the frames the two decompositions carry;
+    then the blockwise intertwiners are assembled on those frames into a global
     conjugator X in GL(A'(T)) (:func:`assemble_intertwiner` of T with itself)
     whose transport residual max_i ||X P_i X^-1 - Q_perm(i)||_F is verified
     against ``ASSEMBLY_BAR`` relative to max(1, max_i ||P_i||_F).
@@ -249,18 +339,19 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
         for j in range(n):
             if used[j]:
                 continue
-            res = block_similarity(T, D1.idempotents[i], D2.idempotents[j], policy)
+            res = _frame_similarity(T, D1.frames[i], D2.frames[j], policy)
             if res.similar:
                 used[j] = True
                 perm[i] = j
-                pairs.append((D1.idempotents[i], D2.idempotents[j], res.intertwiner))
+                pairs.append((D1.idempotents[i], D2.idempotents[j], res.intertwiner,
+                              D1.frames[i], D2.frames[j]))
                 break
         if perm[i] < 0:
             return EquivalenceOutcome(None, f"no similar partner for block {i}")
     X = assemble_intertwiner(T, T, pairs, policy)
     Xi = np.linalg.inv(X)
-    resid = max(frob(X @ P @ Xi - Q) for P, Q, _ in pairs)
-    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, _, _ in pairs)):
+    resid = max(frob(X @ P @ Xi - Q) for P, Q, *_ in pairs)
+    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, *_ in pairs)):
         raise NumericalDegeneracyError(
             f"assembled element does not transport the idempotents (residual {resid:.3e})"
         )

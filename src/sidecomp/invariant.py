@@ -24,11 +24,12 @@ from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
     _invertible_intertwiner,
+    _structure_decomposition,
     assemble_intertwiner,
     block_similarity,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
-from .tuples import OperatorTuple, restrict
+from .tuples import OperatorTuple, compress
 
 
 def _spectrum_key(T: OperatorTuple) -> tuple:
@@ -66,15 +67,15 @@ def v_semigroup_invariant(T: OperatorTuple,
     """Similarity classes and multiplicities of the SI blocks of T.
 
     Class i is the run of n_i primitives of simple block i of A'(T)/rad,
-    represented by the restriction to its first primitive. Classes are sorted
-    by descending multiplicity, ties broken by representative dimension and
-    then by the spectrum of the first component.
+    represented by the restriction ``L* T L`` to the frame L of its first
+    primitive, which the validated decomposition carries: no SVD finds the
+    range. Classes are sorted by descending multiplicity, ties broken by
+    representative dimension and then by the spectrum of the first component.
     """
     struct = semisimple_structure(T, policy)
-    D = UnitDecomposition(T, struct.primitives, tuple(True for _ in struct.primitives))
-    D.validate(policy)
+    D = _structure_decomposition(T, struct, policy)
     ends = np.cumsum(struct.block_dims).tolist()
-    blocks = [(range(e - n, e), restrict(T, D.idempotents[e - n], policy))
+    blocks = [(range(e - n, e), compress(T, D.frames[e - n]))
               for e, n in zip(ends, struct.block_dims)]
     blocks.sort(key=lambda cr: (-len(cr[0]), cr[1].d, _spectrum_key(cr[1])))
     classes, reps = zip(*blocks)
@@ -135,7 +136,11 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
     blockwise similarity of representatives; the tuples are similar exactly
     when the matching is a multiplicity-preserving bijection. With
     ``want_witness`` an invertible X with X T_i X^-1 = S_i is assembled from
-    blockwise intertwiners and verified (max residual reported).
+    blockwise intertwiners and verified (max residual reported). Every block
+    is restricted to the frame its decomposition carries, the frame the class
+    representatives were read in, and the witness is assembled on the same
+    frames, so the representatives' intertwiners serve the first block pair
+    of each class as they are.
     """
     if T.m != S.m:
         raise ValueError(f"arity mismatch: {T.m} vs {S.m}")
@@ -174,21 +179,21 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
     residual = None
     if want_witness:
         pairs = []
+        DT, DS = invT.decomposition, invS.decomposition
         for a, (b, Xrep) in enumerate(match):
             blocksT = invT.class_blocks[a]
             blocksS = invS.class_blocks[b]
             for j, (iT, iS) in enumerate(zip(blocksT, blocksS)):
-                P = invT.decomposition.idempotents[iT]
-                Q = invS.decomposition.idempotents[iS]
+                LP, LQ = DT.frames[iT], DS.frames[iS]
                 # the first blocks restrict to the class representatives,
                 # whose intertwiner the matching above already found
                 Xhat = Xrep if j == 0 else _invertible_intertwiner(
-                    restrict(T, P, policy), restrict(S, Q, policy), policy)[0]
+                    compress(T, LP), compress(S, LQ), policy)[0]
                 if Xhat is None:
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"
                     )
-                pairs.append((P, Q, Xhat))
+                pairs.append((DT.idempotents[iT], DS.idempotents[iS], Xhat, LP, LQ))
         witness = assemble_intertwiner(T, S, pairs, policy)
         Xi = np.linalg.inv(witness)
         residual = float(max(frob(witness @ T[i] @ Xi - S[i]) for i in range(T.m)))

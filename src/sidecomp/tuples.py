@@ -4,8 +4,9 @@ An :class:`OperatorTuple` is ``m`` pairwise-commuting ``d x d`` complex
 matrices, the finite-dimensional stand-in for a commuting tuple of bounded
 operators. This module provides the constructions every other module
 consumes: direct sums, inflations (direct sums of copies), conjugation by
-an invertible matrix, restriction to the range of a commuting idempotent,
-and joint kernels ``ker(T - w) = intersect_i ker(T_i - w_i)``.
+an invertible matrix, compression to an orthonormal frame, restriction to
+the range of a commuting idempotent, and joint kernels
+``ker(T - w) = intersect_i ker(T_i - w_i)``.
 
 All operations are pure functions of their inputs; values are immutable
 after construction and safe to share between threads.
@@ -187,6 +188,16 @@ def check_idempotent_in_commutant(T: OperatorTuple, P,
             )
 
 
+def compress(T: OperatorTuple, U: np.ndarray) -> OperatorTuple:
+    """The compression ``U* T U`` of T to the span of the orthonormal columns U.
+
+    When U is a frame of range(P) for an idempotent P commuting with T, this
+    is the restriction of T to range(P), in the basis U; a caller that
+    carries P's frame restricts with it and needs no SVD.
+    """
+    return OperatorTuple(np.stack([U.conj().T @ A @ U for A in T]))
+
+
 def restrict(T: OperatorTuple, P, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorTuple:
     """Restriction of T to range(P) for an idempotent P commuting with T.
 
@@ -194,8 +205,7 @@ def restrict(T: OperatorTuple, P, policy: NumericPolicy = DEFAULT_POLICY) -> Ope
     (not in P's columns), so it stays well-conditioned for oblique P.
     """
     check_idempotent_in_commutant(T, P, policy)
-    U = range_basis(P, policy)
-    return OperatorTuple(np.stack([U.conj().T @ A @ U for A in T]))
+    return compress(T, range_basis(P, policy))
 
 
 @dataclass(frozen=True)

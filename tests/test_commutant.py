@@ -428,8 +428,8 @@ class TestRhoCertificates:
         # eight copies of one 4 x 4 block at d = 32, K = 256: the root is
         # free, so the invariant builds no basis of A' or of rho(A'), takes
         # no trace form and no center, and splits nothing after the primary
-        # draw: its 8 primitives are the module maps of one K = 8 call,
-        # besides the presentation's own K = 1 check
+        # draw: its 8 primitives are read off the presentation in factored
+        # form, so the only module map is the presentation's own K = 1 check
         T = TestTwoFlatStages.eight_copies()
         splits, lifted = [], []
         real_split, real_maps = commutant._spectral_split, commutant._module_maps
@@ -454,7 +454,19 @@ class TestRhoCertificates:
         inv = v_semigroup_invariant(T)
         assert (inv.k, inv.multiplicities) == (1, (8,))
         assert splits == [32]
-        assert sorted(lifted) == [1, 8]
+        assert lifted == [1]
+
+    def test_no_range_svd_on_the_invariant_path(self, monkeypatch):
+        # every primitive comes with its frame: the validation and the class
+        # representative take no SVD of a primitive to find its range
+        def forbidden(*args, **kwargs):
+            raise AssertionError("orthonormal_range on the invariant path")
+
+        monkeypatch.setattr(_linalg, "orthonormal_range", forbidden)
+        monkeypatch.setattr(sidecomp.tuples, "orthonormal_range", forbidden)
+        inv = v_semigroup_invariant(TestTwoFlatStages.eight_copies())
+        assert (inv.k, inv.multiplicities) == (1, (8,))
+        assert inv.class_representatives[0].d == 4
 
 
 class TestInflationIdentity:

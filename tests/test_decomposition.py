@@ -17,9 +17,12 @@ from sidecomp import (
     transport_decomposition,
     unit_si_decomposition,
 )
+import sidecomp.commutant as commutant
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import contains_invertible, intertwiner_space
 from sidecomp.oracle import oracle_is_strongly_irreducible
+from sidecomp.planted import planted_instance
+from sidecomp.policy import NumericPolicy, NumericalDegeneracyError
 
 
 class TestStrongIrreducibility:
@@ -32,6 +35,19 @@ class TestStrongIrreducibility:
     ])
     def test_examples(self, mats, expected):
         assert is_strongly_irreducible(operator_tuple(mats)) is expected
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_mean_at_a_joint_eigenvalue_is_not_si(self, m):
+        # X diag(0, 1, -1) X^-1 (and the pair with 0): three joint
+        # eigenvalues, one of them the mean. One generator generates C^3, so
+        # without the check of the words' trace form the spin-up would
+        # present A' as free of rank 1, i.e. local
+        r = np.random.default_rng(2)
+        X = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
+        A = X @ np.diag([0.0, 1.0, -1.0]) @ np.linalg.inv(X)
+        T = operator_tuple([A, np.zeros((3, 3))][:m])
+        assert commutant._spin_up(T, NumericPolicy()) is None
+        assert not is_strongly_irreducible(T) and not oracle_is_strongly_irreducible(T)
 
     @pytest.mark.parametrize("mats", [
         [jordan(3)], [np.diag([1.0, 2.0])], [bd(jordan(2), jordan(2, 1.0))],
@@ -86,16 +102,19 @@ class TestUnitSiDecomposition:
         assert sizes.count(4) == 1
 
     def test_validate_matches_the_loop_reference(self):
-        # the batched residuals equal those of the pairwise loops to within
+        # the factored residuals equal those of the pairwise loops to within
         # the float floor validate reports; idempotents perturbed by 1e-10
-        # (inside every bar) put each residual far above roundoff
+        # inside their frames, P_a = L_a (L_a* P_a + E_a) (inside every bar),
+        # put each residual far above roundoff. A perturbation off the frame
+        # is the frame residual's to catch (test_frame_off_the_range_fails)
         r = np.random.default_rng(1)
         T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
                       conditioned_invertible(7, 10.0, r))
         D = unit_si_decomposition(T)
-        P = D.idempotents + 1e-10 * (r.standard_normal(D.idempotents.shape)
-                                     + 1j * r.standard_normal(D.idempotents.shape))
-        rep = UnitDecomposition(T, P, D.si_flags).validate()
+        P = np.stack([Pa + 1e-10 * L @ (r.standard_normal((L.shape[1], T.d))
+                                        + 1j * r.standard_normal((L.shape[1], T.d)))
+                      for Pa, L in zip(D.idempotents, D.frames)])
+        rep = UnitDecomposition(T, P, D.si_flags, D.frames).validate()
         frob = np.linalg.norm
         n = len(P)
         reference = {
@@ -113,6 +132,46 @@ class TestUnitSiDecomposition:
         D = unit_si_decomposition(T)
         rep = D.validate()
         assert rep["sum_identity"] <= 1e-8 and rep["annihilate"] <= 1e-6
+        assert rep["frame"] <= rep["float_floor"] and D.residuals == rep
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_factored_residuals_equal_the_loop_reference(self, seed):
+        # mixed-rank planted profiles: the residuals read off the frames the
+        # structure built equal the pairwise loops over the idempotents to
+        # within the float floor
+        T = planted_instance(seed % 997, d_max=14).realized
+        D = unit_si_decomposition(T)
+        P, frob = D.idempotents, np.linalg.norm
+        n = len(P)
+        reference = {
+            "commute": max(frob(Pi @ A - A @ Pi) / max(1.0, frob(Pi) * frob(A))
+                           for Pi in P for A in T),
+            "idempotent": max(frob(Pi @ Pi - Pi) for Pi in P),
+            "annihilate": max((frob(P[a] @ P[b]) for a in range(n) for b in range(n)
+                               if a != b), default=0.0),
+            "frame": max(frob(Pi - L @ (L.conj().T @ Pi)) for Pi, L in zip(P, D.frames)),
+            "sum_identity": frob(P.sum(axis=0) - np.eye(T.d)),
+        }
+        for key, value in reference.items():
+            assert abs(D.residuals[key] - value) <= D.residuals["float_floor"], key
+
+    def test_frame_off_the_range_fails(self):
+        # a frame rotated off range P, or one of the wrong width, fails the
+        # frame certificate
+        T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
+                      conditioned_invertible(7, 10.0, np.random.default_rng(4)))
+        D = unit_si_decomposition(T)
+        L = D.frames[0]
+        off = np.linalg.qr(np.hstack([L, np.eye(T.d)]))[0][:, L.shape[1]]
+        rotated = L.copy()
+        rotated[:, -1] = np.cos(1e-3) * L[:, -1] + np.sin(1e-3) * off
+        with pytest.raises(NumericalDegeneracyError, match=r"violated \(.*frame"):
+            UnitDecomposition(T, D.idempotents, D.si_flags,
+                              (rotated,) + D.frames[1:]).validate()
+        with pytest.raises(NumericalDegeneracyError, match="frame widths"):
+            UnitDecomposition(T, D.idempotents, D.si_flags,
+                              (L[:, 1:],) + D.frames[1:]).validate()
 
 
 class TestTransport:
@@ -135,6 +194,19 @@ class TestTransport:
         D = unit_si_decomposition(T)
         with pytest.raises(ValueError, match="singular conjugator"):
             transport_decomposition(D, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_transported_frames_validate(self):
+        # the frame of X P X^-1 is the Q factor of X L: orthonormal, spanning
+        # the transported range
+        r = np.random.default_rng(6)
+        T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
+                      conditioned_invertible(7, 10.0, r))
+        D2 = transport_decomposition(unit_si_decomposition(T),
+                                     conditioned_invertible(7, 50.0, r))
+        for Q, L in zip(D2.idempotents, D2.frames):
+            assert np.linalg.norm(L.conj().T @ L - np.eye(L.shape[1])) <= 1e-13
+            assert L.shape[1] == round(np.trace(Q).real)
+        assert D2.residuals["frame"] <= D2.residuals["float_floor"]
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10**6))

@@ -72,21 +72,21 @@ class TestInvariant:
 
     def test_classes_come_from_the_structure_blocks(self, monkeypatch):
         # the classes are the simple blocks of A'(T)/rad: no intertwiner
-        # search, and one restriction per class rather than per primitive
+        # search, and one frame restriction per class rather than per primitive
         import sidecomp.invariant as invariant
 
         def forbidden(*args, **kwargs):
             raise AssertionError("intertwiner search inside the invariant")
 
         calls = []
-        original = invariant.restrict
+        original = invariant.compress
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(invariant, "_invertible_intertwiner", forbidden)
-        monkeypatch.setattr(invariant, "restrict", counting)
+        monkeypatch.setattr(invariant, "compress", counting)
         T = operator_tuple([bd(jordan(2), jordan(2), jordan(2, 1.0))])
         T = conjugate(T, conditioned_invertible(6, 10.0, np.random.default_rng(3)))
         inv = v_semigroup_invariant(T)
