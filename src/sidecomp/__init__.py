@@ -44,7 +44,6 @@ from .decomposition import (
     assemble_intertwiner,
     block_similarity,
     decompositions_equivalent,
-    idempotent_frames,
     is_strongly_irreducible,
     transport_decomposition,
     unit_si_decomposition,

@@ -52,13 +52,6 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     return _whole_corner(T, policy).quotient_dim == 1
 
 
-def idempotent_frames(idempotents, policy: NumericPolicy = DEFAULT_POLICY
-                      ) -> tuple[np.ndarray, ...]:
-    """Orthonormal frames of the ranges of idempotents that come without one,
-    by :func:`range_basis` (one SVD each)."""
-    return tuple(range_basis(P, policy) for P in idempotents)
-
-
 @dataclass(frozen=True)
 class UnitDecomposition:
     """Ordered mutually annihilating idempotents in A'(T) summing to I, each
@@ -68,10 +61,10 @@ class UnitDecomposition:
     range P_a, so that ``P_a = L_a R_a*`` with ``R_a* = L_a* P_a``: the
     decomposition is validated on these factors, and ``L_a* T L_a`` is the
     restriction of T to range P_a. Decompositions built from the commutant's
-    structure carry the frames their primitives were built with; given no
-    frames, they are computed once by :func:`idempotent_frames`. A
-    decomposition returned by :meth:`validated` carries the residuals of its
-    validation.
+    structure carry the frames their primitives were built with. One built
+    without frames is validated on frames taken by :func:`range_basis` at the
+    policy of the validation. A decomposition returned by :meth:`validated`
+    carries its frames and the residuals of its validation.
     """
 
     tuple_ref: OperatorTuple
@@ -80,10 +73,6 @@ class UnitDecomposition:
     frames: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     residuals: dict | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.frames is None:
-            object.__setattr__(self, "frames", idempotent_frames(self.idempotents))
-
     @property
     def count(self) -> int:
         return self.idempotents.shape[0]
@@ -91,47 +80,64 @@ class UnitDecomposition:
     def validate(self, policy: NumericPolicy = DEFAULT_POLICY) -> dict:
         """Check all structural invariants; returns the residuals measured.
 
-        Every residual is read off the factors ``P_a = L_a R_a*``, ``R_a* =
-        L_a* P_a``, in O(m d^3) flops; no product of two d x d idempotents is
-        formed:
+        Every residual is read off the factored parts ``F_a = L_a R_a*``,
+        ``R_a* = L_a* P_a``, in O(m d^3) flops; no product of two d x d
+        idempotents is formed:
 
-        - ``frame``: ``||P_a - L_a R_a*||_F``, and the width of ``L_a`` must
-          be ``round(tr P_a)``; together they certify that the frame spans
-          range P_a, so that the residuals below are those of the P_a;
-        - ``idempotent``: ``||P_a^2 - P_a|| = ||(R_a* L_a - I) R_a*||``;
-        - ``annihilate``: ``||P_a P_b|| = ||(R_a* L_b) R_b*||``, a != b;
-        - ``commute``: ``||L_a (R_a* T_j) - (T_j L_a) R_a*||`` relative to
-          ``max(1, ||P_a|| ||T_j||)``;
+        - ``frame``: ``||P_a - F_a||_F``, and the width of ``L_a`` must be
+          ``round(tr P_a)``; together they certify that the frame spans
+          range P_a;
+        - ``idempotent``: ``||F_a^2 - F_a|| = ||(R_a* L_a - I) R_a*||``, plus
+          ``frame_a (2 ||P_a|| + 1)``;
+        - ``annihilate``: ``||F_a F_b|| = ||(R_a* L_b) R_b*||``, a != b, plus
+          ``frame_a ||P_b|| + ||P_a|| frame_b``;
+        - ``commute``: ``||L_a (R_a* T_j) - (T_j L_a) R_a*||`` plus
+          ``2 frame_a ||T_j||``, relative to ``max(1, ||P_a|| ||T_j||)``;
         - ``sum_identity``: ``||sum_a P_a - I||``.
 
-        The products are batched over idempotents of equal rank. Thresholds
-        are the policy tolerances, floored at the float64 level attainable
-        for the idempotents' norms (forming P^2 rounds at ~ d*eps*||P||^2,
-        which exceeds an absolute 1e-8 only for extremely oblique inputs);
-        the frame residual is held to the idempotency bar. Raw residuals are
-        always reported; a violated invariant raises
-        :class:`NumericalDegeneracyError`.
+        The terms added are the most ``P_a - F_a`` can change a residual by,
+        so each reported residual bounds that of the P_a themselves
+        (``||P_a^2 - P_a||``, ``||P_a P_b||``, ``||[P_a, T_j]||``) and equals
+        it to roundoff where the frame residuals are. The products are batched
+        over idempotents of equal rank; an idempotent of rank 0 has no
+        factored part. Thresholds are the policy tolerances, floored at the
+        float64 level attainable for the idempotents' norms (forming P^2
+        rounds at ~ d*eps*||P||^2, which exceeds an absolute 1e-8 only for
+        extremely oblique inputs); the frame residual is held to the
+        idempotency bar. Raw residuals are always reported; a violated
+        invariant raises :class:`NumericalDegeneracyError`.
         """
+        return self._frames_and_residuals(policy)[1]
+
+    def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
+        """This decomposition with the frames it was validated on and the
+        residuals of :meth:`validate`; raises like it."""
+        frames, report = self._frames_and_residuals(policy)
+        return replace(self, frames=frames, residuals=report)
+
+    def _frames_and_residuals(self, policy: NumericPolicy) -> tuple[tuple, dict]:
         T, P = self.tuple_ref, self.idempotents
         n, d = P.shape[0], T.d
+        frames = self.frames if self.frames is not None \
+            else tuple(range_basis(Pa, policy) for Pa in P)
         eps = float(np.finfo(float).eps)
         norms_P = np.linalg.norm(P, axis=(1, 2))
         norms_T = np.linalg.norm(T.matrices, axis=(1, 2))
         floor = 16.0 * d * eps * max(1.0, norms_P.max()) ** 2
-        widths = np.array([L.shape[1] for L in self.frames])
+        widths = np.array([L.shape[1] for L in frames], dtype=int)
         traces = np.trace(P, axis1=1, axis2=2).real
         if np.any(widths != np.round(traces)):
             raise NumericalDegeneracyError(
                 f"frame widths {widths.tolist()} differ from the idempotents' rounded "
                 f"traces {np.round(traces).astype(int).tolist()}")
-        # the factors R_a* = L_a* P_a, batched over idempotents of equal rank;
-        # the columns of Lall = [L_a]_a and the rows of Rall = [R_a*]_a are in
-        # the order of a
-        Lall = np.concatenate(self.frames, axis=1)
+        # the factors R_a* = L_a* P_a, batched over idempotents of equal
+        # positive rank; the columns of Lall = [L_a]_a and the rows of
+        # Rall = [R_a*]_a are in the order of a
+        Lall = np.concatenate(frames, axis=1)
         Rall = np.empty((Lall.shape[1], d), dtype=complex)
         starts = np.cumsum(widths) - widths
         groups = []
-        for r in np.unique(widths):
+        for r in np.unique(widths[widths > 0]):
             g = np.flatnonzero(widths == r)
             cols = (starts[g, None] + np.arange(r)).reshape(-1)
             L = Lall[:, cols].reshape(d, len(g), r).transpose(1, 0, 2)  # (len g, d, r)
@@ -141,27 +147,36 @@ class UnitDecomposition:
         C = Rall @ Lall                                                 # blocks R_a* L_b
         # member[a, i]: row i of Rall is a row of R_a*
         member = (np.repeat(np.arange(n), widths)[None, :] == np.arange(n)[:, None])
-        frame = idem = annihilate = commute = 0.0
+        # the residuals of the F_a, zero where F_a = 0
+        frame = norms_P.copy()
+        idem = np.zeros(n)
+        annihilate = np.zeros((n, n))       # [b, a]: ||F_a F_b||
+        commute = np.zeros((n, T.m))        # [a, j]: ||[F_a, T_j]||
         for g, cols, L, R in groups:
-            frame = max(frame, float(np.max(np.linalg.norm(P[g] - L @ R, axis=(1, 2)))))
-            idem = max(idem, float(np.max(np.linalg.norm(R @ L @ R - R, axis=(1, 2)))))
-            # ||P_a P_b||_F^2 for b in g: the squares of C[:, b] R_b* summed over a's rows
+            frame[g] = np.linalg.norm(P[g] - L @ R, axis=(1, 2))
+            idem[g] = np.linalg.norm(R @ L @ R - R, axis=(1, 2))
+            # ||F_a F_b||_F^2 for b in g: the squares of C[:, b] R_b* summed over a's rows
             Cb = C[:, cols].reshape(-1, len(g), R.shape[1]).transpose(1, 0, 2)
-            sq = np.sum(np.abs(Cb @ R) ** 2, axis=2) @ member.T         # (len g, n)
-            sq[np.arange(len(g)), g] = 0.0
-            annihilate = max(annihilate, float(np.sqrt(sq.max())))
-        for A, nA in zip(T, norms_T):
+            annihilate[g] = np.sqrt(np.sum(np.abs(Cb @ R) ** 2, axis=2) @ member.T)
+        for j, A in enumerate(T):
             RA, AL = Rall @ A, A @ Lall         # the rows R_a* T_j, the columns T_j L_a
             for g, cols, L, R in groups:
                 comm = L @ RA[cols].reshape(R.shape) \
                     - AL[:, cols].reshape(d, len(g), -1).transpose(1, 0, 2) @ R
-                commute = max(commute, float(np.max(np.linalg.norm(comm, axis=(1, 2))
-                                                    / np.maximum(1.0, norms_P[g] * nA))))
-        total = frob(P.sum(axis=0) - np.eye(d))
+                commute[g, j] = np.linalg.norm(comm, axis=(1, 2))
+        # with E_a = P_a - F_a: P_a^2 - P_a = F_a^2 - F_a + F_a E_a + E_a P_a - E_a,
+        # P_a P_b = F_a F_b + F_a E_b + E_a P_b and [P_a, T_j] = [F_a, T_j] +
+        # [E_a, T_j], where ||F_a|| <= ||P_a||
+        idem += frame * (2.0 * norms_P + 1.0)
+        annihilate += np.outer(frame, norms_P) + np.outer(norms_P, frame)
+        np.fill_diagonal(annihilate, 0.0)
+        commute = (commute + 2.0 * np.outer(frame, norms_T)) \
+            / np.maximum(1.0, np.outer(norms_P, norms_T))
         report = {
-            "commute": commute, "idempotent": idem,
-            "annihilate": annihilate, "sum_identity": total,
-            "frame": frame, "float_floor": floor,
+            "commute": float(commute.max()), "idempotent": float(idem.max()),
+            "annihilate": float(annihilate.max()),
+            "sum_identity": frob(P.sum(axis=0) - np.eye(d)),
+            "frame": float(frame.max()), "float_floor": floor,
         }
         bars = {"commute": policy.tol, "idempotent": max(policy.tol, floor),
                 "frame": max(policy.tol, floor), "annihilate": max(ANNIHILATION_BAR, floor),
@@ -170,12 +185,7 @@ class UnitDecomposition:
         if failed:
             raise NumericalDegeneracyError(
                 f"decomposition invariants violated ({', '.join(failed)}): {report}")
-        return report
-
-    def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
-        """This decomposition with the residuals of :meth:`validate`; raises
-        like it."""
-        return replace(self, residuals=self.validate(policy))
+        return frames, report
 
 
 def _structure_decomposition(T: OperatorTuple, struct: AlgebraStructure,
@@ -270,17 +280,15 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
                          policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Direct sum of blockwise intertwiners in ambient coordinates.
 
-    ``pairs`` is a list of (P_i, Q_i, Xhat_i) or (P_i, Q_i, Xhat_i, U_{P_i},
-    U_{Q_i}): P_i from a unit decomposition for T, Q_i from one for S, and
-    Xhat_i an invertible intertwiner between the restricted tuples in the
-    orthonormal frames U_{P_i} and U_{Q_i} of their ranges, which are those
-    of :func:`range_basis` when not given. The assembled X = sum_i U_{Q_i}
-    Xhat_i U_{P_i}^* P_i satisfies X T_j = S_j X and is invertible; both are
-    verified.
+    ``pairs`` is a list of (P_i, Q_i, Xhat_i, U_{P_i}, U_{Q_i}): P_i from a
+    unit decomposition for T, Q_i from one for S, U_{P_i} and U_{Q_i}
+    orthonormal frames of their ranges, and Xhat_i an invertible intertwiner
+    between the restricted tuples in those frames. The assembled X = sum_i
+    U_{Q_i} Xhat_i U_{P_i}^* P_i satisfies X T_j = S_j X and is invertible;
+    both are verified.
     """
     X = np.zeros((S.d, T.d), dtype=complex)
-    for P, Q, Xhat, *frames in pairs:
-        UP, UQ = frames or (range_basis(P, policy), range_basis(Q, policy))
+    for P, Q, Xhat, UP, UQ in pairs:
         if Xhat.shape != (UQ.shape[1], UP.shape[1]):
             raise ValueError(
                 f"incompatible pairing data: intertwiner shape {Xhat.shape} vs "
@@ -328,7 +336,13 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
     conjugator X in GL(A'(T)) (:func:`assemble_intertwiner` of T with itself)
     whose transport residual max_i ||X P_i X^-1 - Q_perm(i)||_F is verified
     against ``ASSEMBLY_BAR`` relative to max(1, max_i ||P_i||_F).
+
+    A decomposition that was not validated for T itself (one built directly,
+    or one of another tuple, such as a transported one) is validated against
+    T first, and raises like :meth:`UnitDecomposition.validate`.
     """
+    D1, D2 = (D if D.tuple_ref is T and D.residuals is not None
+              else replace(D, tuple_ref=T).validated(policy) for D in (D1, D2))
     if D1.count != D2.count:
         return EquivalenceOutcome(None, "count mismatch")
     n = D1.count

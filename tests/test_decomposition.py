@@ -23,6 +23,7 @@ from sidecomp.commutant import contains_invertible, intertwiner_space
 from sidecomp.oracle import oracle_is_strongly_irreducible
 from sidecomp.planted import planted_instance
 from sidecomp.policy import NumericPolicy, NumericalDegeneracyError
+from sidecomp.tuples import range_basis
 
 
 class TestStrongIrreducibility:
@@ -102,18 +103,17 @@ class TestUnitSiDecomposition:
         assert sizes.count(4) == 1
 
     def test_validate_matches_the_loop_reference(self):
-        # the factored residuals equal those of the pairwise loops to within
-        # the float floor validate reports; idempotents perturbed by 1e-10
-        # inside their frames, P_a = L_a (L_a* P_a + E_a) (inside every bar),
-        # put each residual far above roundoff. A perturbation off the frame
-        # is the frame residual's to catch (test_frame_off_the_range_fails)
+        # idempotents perturbed entrywise by 1e-10 (inside every bar, and off
+        # the frames they are validated on) put each residual far above
+        # roundoff: every reported residual bounds that of the pairwise loops
+        # over the perturbed idempotents, and exceeds it by at most twice the
+        # stated frame term (the frame term itself, and the float floor)
         r = np.random.default_rng(1)
         T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
                       conditioned_invertible(7, 10.0, r))
         D = unit_si_decomposition(T)
-        P = np.stack([Pa + 1e-10 * L @ (r.standard_normal((L.shape[1], T.d))
-                                        + 1j * r.standard_normal((L.shape[1], T.d)))
-                      for Pa, L in zip(D.idempotents, D.frames)])
+        P = D.idempotents + 1e-10 * (r.standard_normal(D.idempotents.shape)
+                                     + 1j * r.standard_normal(D.idempotents.shape))
         rep = UnitDecomposition(T, P, D.si_flags, D.frames).validate()
         frob = np.linalg.norm
         n = len(P)
@@ -122,10 +122,16 @@ class TestUnitSiDecomposition:
                            for Pi in P for A in T),
             "idempotent": max(frob(Pi @ Pi - Pi) for Pi in P),
             "annihilate": max(frob(P[a] @ P[b]) for a in range(n) for b in range(n) if a != b),
+            "frame": max(frob(Pi - L @ (L.conj().T @ Pi)) for Pi, L in zip(P, D.frames)),
         }
+        e, nP, nT = rep["frame"], max(frob(Pi) for Pi in P), max(frob(A) for A in T)
+        slack = {"commute": 4.0 * e * nT, "idempotent": 2.0 * e * (2.0 * nP + 1.0),
+                 "annihilate": 4.0 * e * nP, "frame": 0.0}
+        assert e > 1e-11
         for key, value in reference.items():
             assert value > 1e-11
-            assert abs(rep[key] - value) <= rep["float_floor"], key
+            assert value - rep["float_floor"] <= rep[key] \
+                <= value + slack[key] + rep["float_floor"], key
 
     def test_validate_reports_all_invariants(self):
         T = operator_tuple([bd(jordan(2), jordan(3, 1.0))])
@@ -133,6 +139,16 @@ class TestUnitSiDecomposition:
         rep = D.validate()
         assert rep["sum_identity"] <= 1e-8 and rep["annihilate"] <= 1e-6
         assert rep["frame"] <= rep["float_floor"] and D.residuals == rep
+
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_zero_idempotent_validates(self, framed):
+        # an idempotent of rank 0 has a frame of width 0 and no residual
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        P = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]).astype(complex)
+        frames = (np.eye(2)[:, :1], np.eye(2)[:, 1:], np.zeros((2, 0))) if framed else None
+        D = UnitDecomposition(T, P, (True, True, False), frames).validated()
+        assert [L.shape[1] for L in D.frames] == [1, 1, 0]
+        assert max(v for k, v in D.residuals.items() if k != "float_floor") <= 1e-15
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
@@ -264,8 +280,10 @@ class TestAssembleIntertwiner:
         T = operator_tuple([np.diag([1.0, 2.0])])
         P = np.diag([1.0, 0.0]).astype(complex)
         Q = np.diag([0.0, 1.0]).astype(complex)
-        X = assemble_intertwiner(T, T, [(P, P, np.eye(1, dtype=complex)),
-                                        (Q, Q, np.eye(1, dtype=complex))])
+        X = assemble_intertwiner(T, T, [(P, P, np.eye(1, dtype=complex),
+                                         range_basis(P), range_basis(P)),
+                                        (Q, Q, np.eye(1, dtype=complex),
+                                         range_basis(Q), range_basis(Q))])
         assert np.allclose(X, np.eye(2))
 
     def test_cross_pairing_of_equal_copies_swaps(self):
@@ -274,8 +292,9 @@ class TestAssembleIntertwiner:
         P2 = bd(np.zeros((2, 2)), np.eye(2))
         r1 = block_similarity(T, P1, P2)
         r2 = block_similarity(T, P2, P1)
-        X = assemble_intertwiner(T, T, [(P1, P2, r1.intertwiner),
-                                        (P2, P1, r2.intertwiner)])
+        U1, U2 = range_basis(P1), range_basis(P2)
+        X = assemble_intertwiner(T, T, [(P1, P2, r1.intertwiner, U1, U2),
+                                        (P2, P1, r2.intertwiner, U2, U1)])
         Xi = np.linalg.inv(X)
         for A in T:
             assert np.linalg.norm(X @ A @ Xi - A) <= 1e-8
@@ -310,6 +329,17 @@ class TestDecompositionEquivalence:
         D2 = UnitDecomposition(T, D.idempotents[::-1].copy(), D.si_flags)
         out = decompositions_equivalent(T, D, D2)
         assert out.equivalent and out.equivalence.permutation == (1, 0)
+
+    def test_decompositions_not_of_the_tuple_are_refused(self, rng):
+        # a decomposition of another tuple, built directly or validated for
+        # that tuple, is validated against T before any block is compared,
+        # and fails there rather than certifying a non-equivalence
+        T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])
+        D = unit_si_decomposition(T)
+        other = unit_si_decomposition(conjugate(T, conditioned_invertible(4, 10.0, rng)))
+        for D2 in (other, UnitDecomposition(T, other.idempotents, other.si_flags)):
+            with pytest.raises(NumericalDegeneracyError, match="commute"):
+                decompositions_equivalent(T, D, D2)
 
     def test_count_mismatch_certificate(self):
         T = operator_tuple([np.eye(2)])
