@@ -4,25 +4,21 @@ The joint commutant ``A'(T)`` of a tuple ``T`` is the unital algebra of all
 matrices commuting with every component. For a tuple with one joint
 eigenvalue this module presents ``A'(T)`` by spin-up from generators G of
 ``C^d`` as a module over ``C[T]`` (:class:`SpinUp`): a commutant element X
-is fixed by its values ``Y = X G`` (``g*d`` unknowns), and ``rho(X) = G* X
-G`` is its action on the top ``C^d / J C^d``, an algebra map into ``M_g``
-whose kernel is nilpotent. So ``A'/rad(A') = rho(A')/rad(rho(A'))``, and
-the simple-block structure of the quotient ``M_{n_1} (+) ... (+) M_{n_k}``
-is read inside ``M_g``, with no basis of ``A'(T)`` itself. A presentation
-without relations (``n_B*g = d``) is free: ``C^d`` is a free ``C[T]``-module
-of rank g, ``A'(T) = M_g(C[T])`` and ``A'/rad = M_g``, so its one block, its
-radical dimension and its g primitive idempotents are read off the
-presentation in closed form. Where the presentation does not apply or does
-not verify, ``A'(T)`` is the common nullspace of the stacked Sylvester maps
-``X -> X T_i - T_i X`` (``d^2`` unknowns). :func:`joint_commutant` returns a
-trace-orthonormal basis either way (the spin-up's recovered elements are
-orthonormalized by CholeskyQR2). The structure stages of a corner that is
-not free work on any algebra S with ``S/rad = A'/rad`` and a lift from S to
-``A'``: the Jacobson radical via the trace bilinear form, the center of the
-quotient, and splits by Riesz projectors of lifted random elements.
-Intertwiner spaces between two tuples (from the Sylvester stack)
-and a randomized search for invertible elements of a matrix span round out
-the toolkit.
+is fixed by its values ``Y = X G`` (``g*d`` unknowns). Since ``A'(T) =
+A'(T*)*``, the spin-up runs on the side, T or its adjoint, with fewer
+generators. A presentation without relations (``n_B*g = d``) is free:
+``C^d`` is a free module of rank g, ``A' = M_g(C[T])`` and ``A'/rad =
+M_g``, so its one block, its radical dimension and its g primitive
+idempotents are read off the presentation in closed form. Any other
+presentation gives a trace-orthonormal basis of ``A'(T)`` (the recovered
+elements orthonormalized by CholeskyQR2); where there is no presentation or
+it does not verify, ``A'(T)`` is the common nullspace of the stacked
+Sylvester maps ``X -> X T_i - T_i X`` (``d^2`` unknowns). The structure
+stages of a corner that is not free work on that basis: the Jacobson
+radical via the trace bilinear form, the center of the quotient, and splits
+by Riesz projectors of random elements. Intertwiner spaces between two
+tuples (from the Sylvester stack) and a randomized search for invertible
+elements of a matrix span round out the toolkit.
 
 Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
@@ -34,7 +30,6 @@ the identity, and n_i primitives of equal rank per block).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,16 +112,13 @@ def _sylvester_stack(T: OperatorTuple, S: OperatorTuple) -> np.ndarray:
 def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
     """Trace-orthonormal basis of A'(T) = {X : X T_i = T_i X for all i}.
 
-    Computed by spin-up from module generators (:func:`_spin_up_commutant`,
-    ``g*d`` unknowns) when that presentation applies and verifies; otherwise
-    by the ``m d^2 x d^2`` Sylvester stack (:func:`stack_commutant`). The
-    fallback is taken when :func:`_spin_up` gives no presentation, when the
-    CholeskyQR2 of the recovered elements breaks down, or when a basis
-    element commutes only to within a factor 10 of the stack's own cut. The
-    choice depends only on the input.
+    Computed by spin-up from module generators (:func:`_spin_up`, on the
+    side of T or T* with fewer generators, ``g*d`` unknowns) when that
+    presentation applies and verifies as a basis
+    (:func:`_spin_up_commutant`); otherwise by the ``m d^2 x d^2`` Sylvester
+    stack (:func:`stack_commutant`). The choice depends only on the input.
     """
-    cb = _spin_up_commutant(T, policy)
-    return cb if cb is not None else stack_commutant(T, policy)
+    return _commutant(T, _spin_up(T, policy), policy)
 
 
 def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
@@ -207,6 +199,10 @@ class SpinUp:
     Y]_a Phi^+``: g*d unknowns instead of d^2. ``Y`` is an orthonormal basis
     (K, d, g) of the values, or None when there are no relations (``nb*g =
     d``), where every d x g matrix is one and ``K = d*g``.
+
+    With ``adjoint`` the presentation is of the adjoint tuple, ``T`` holds
+    T* of the input, ``B`` the words ``B*`` of ``C[T*]``, and the input's
+    commutant is ``A'(T)*``.
     """
 
     T: OperatorTuple
@@ -216,18 +212,13 @@ class SpinUp:
     Y: np.ndarray | None         # (K, d, g) orthonormal values; None: all of them
     rtol: float                  # relative cut of the stack, d * rank_rtol
     bar: float                   # commutation bar of a unit element, rtol * scale / 10
+    adjoint: bool                # presented on T* of the input
 
     @property
     def K(self) -> int:
         """dim A'(T)."""
         d, g = self.G.shape
         return d * g if self.Y is None else self.Y.shape[0]
-
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """The value (d, g) with coordinates c (K,) in the values' basis."""
-        if self.Y is None:
-            return c.reshape(self.G.shape)
-        return np.tensordot(c, self.Y, axes=(0, 0))
 
     def element(self, y: np.ndarray) -> np.ndarray:
         """The member X of A'(T) with ``X G = y``, for a value y (d, g).
@@ -248,8 +239,17 @@ class SpinUp:
 
 
 def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
-    """The spin-up presentation of A'(T); None when it does not apply or does
-    not verify.
+    """The spin-up presentation of A'(T), on T or on T*; None when it does not
+    apply or does not verify.
+
+    Side rule: ``X T_i = T_i X`` iff ``T_i* X* = X* T_i*``, so ``A'(T) =
+    A'(T*)*``, and ``C[T*]`` has the words ``B*``. The generators of T* are an
+    orthonormal basis of ``null [N_1; ...; N_m]``, the complement of ``range
+    [N_1* ... N_m*]``. A free side has the fewest generators possible (``g =
+    d/nb``), so those of T* are computed only when T has relations (``nb*g >
+    d``), and the presentation moves to T* only when T* has strictly fewer; a
+    tie, or a straddle in the cut of T*'s generators, keeps T. A presentation
+    refused on the chosen side returns None; the other side is not tried.
 
     Every rank decision is strict (:func:`rank_cut`). None is returned when a
     rank decision straddles its threshold, when the tuple has more than one
@@ -289,6 +289,15 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
             F = W @ B[1:].transpose(0, 2, 1).reshape(nb - 1, d * d).T
             if rank_cut(svdvals_robust(F), rtol, scale=1.0, strict=True):
                 return None
+        adjoint = False
+        if nb * g > d:
+            try:
+                G_adj = nullspace(np.vstack(N), rtol, scale=scale, strict=True)
+            except NumericalDegeneracyError:
+                G_adj = G       # a straddle keeps T
+            if G_adj.shape[1] < g:
+                T = OperatorTuple(T.matrices.conj().transpose(0, 2, 1))
+                B, G, g, adjoint = B.conj().transpose(0, 2, 1), G_adj, G_adj.shape[1], True
         Phi = np.matmul(B, G).transpose(1, 0, 2).reshape(d, nb * g)
         U, s, Vh = svd_robust(Phi)
         # G must generate; and a relation matrix (d*r x d*g, r = nb*g - d)
@@ -306,18 +315,19 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
             Yv, Gv = Y.reshape(len(Y), -1), G.reshape(-1)
             if frob(Gv - (Yv.conj() @ Gv) @ Yv) > SPAN_MEMBERSHIP_TOL * max(1.0, frob(G)):
                 return None
-        su = SpinUp(T, B, G, pinv, Y, rtol, rtol * scale / 10.0)
+        su = SpinUp(T, B, G, pinv, Y, rtol, rtol * scale / 10.0, adjoint)
         rng = np.random.default_rng(policy.seed)
-        su.element(su.values(rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)))
+        c = rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)
+        su.element(c.reshape(d, g) if Y is None else np.tensordot(c, Y, axes=(0, 0)))
     except NumericalDegeneracyError:
         return None
     return su
 
 
-def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasis | None:
+def _spin_up_commutant(su: SpinUp) -> CommutantBasis | None:
     """A'(T) as a trace-orthonormal basis of the module maps of the spin-up
-    presentation (:func:`_spin_up`); None when there is none or it does not
-    verify as a basis.
+    presentation ``su`` of T (:func:`_spin_up`), conjugate-transposed when it
+    is presented on T*; None when it does not verify as a basis.
 
     The K elements recovered from an orthonormal basis of the values are
     independent by construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K
@@ -328,11 +338,9 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
     lie in ``[1, ||R||_F]``, so a strict cut of them keeps all K otherwise.
     Each element of the result must commute with T to within a tenth of the
     stack's cut ``d * rank_rtol * scale``, since a residual within a factor
-    10 of the cut is as ambiguous as a straddling singular value.
+    10 of the cut is as ambiguous as a straddling singular value. The
+    adjoint keeps a trace-orthonormal basis trace-orthonormal.
     """
-    su = _spin_up(T, policy)
-    if su is None:
-        return None
     d, g = su.G.shape
     Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
     try:
@@ -343,14 +351,23 @@ def _spin_up_commutant(T: OperatorTuple, policy: NumericPolicy) -> CommutantBasi
         return None
     basis = Q.T.reshape(su.K, d, d)
     resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
-                               axis=(1, 2)) for A in T))
-    return None if np.any(resid > su.bar) else CommutantBasis(basis)
+                               axis=(1, 2)) for A in su.T))
+    if np.any(resid > su.bar):
+        return None
+    return CommutantBasis(basis.conj().transpose(0, 2, 1) if su.adjoint else basis)
+
+
+def _commutant(T: OperatorTuple, su: SpinUp | None, policy: NumericPolicy) -> CommutantBasis:
+    """A'(T) from its spin-up presentation ``su`` where that gives a basis,
+    from the Sylvester stack otherwise."""
+    cb = None if su is None else _spin_up_commutant(su)
+    return cb if cb is not None else stack_commutant(T, policy)
 
 
 def _commutant_dim(T: OperatorTuple, policy: NumericPolicy) -> int:
     """dim A'(T), read off the spin-up presentation where there is one."""
     su = _spin_up(T, policy)
-    return su.K if su is not None else joint_commutant(T, policy).algebra_dim
+    return su.K if su is not None else stack_commutant(T, policy).algebra_dim
 
 
 def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
@@ -439,8 +456,9 @@ def inflation_commutant_check(T: OperatorTuple, n: int,
                               policy: NumericPolicy = DEFAULT_POLICY) -> InflationCheck:
     """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity).
 
-    Both dimensions are read off the spin-up presentation where it applies
-    (no basis is built), and off the Sylvester stack otherwise.
+    Both dimensions are read off the spin-up presentation where it applies,
+    on the side of T or T* with fewer generators (no basis is built), and off
+    the Sylvester stack otherwise.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -589,18 +607,13 @@ class Corner:
     ``algebra_dim`` is dim A'.
 
     A free corner carries the spin-up presentation of A' without relations
-    (``free``): ``C^r`` is a free module of rank g over ``B = C[T]``, so ``A'
-    = M_g(B)`` and ``A'/rad(A') = M_g``, one block of size g whose g
+    (``free``), on T or on T*: ``C^r`` is a free module of rank g, so ``A' =
+    M_g(C[T])`` and ``A'/rad(A') = M_g``, one block of size g whose g
     primitives are known in closed form (:func:`_free_primitives`). Any other
-    corner is read through an algebra S with ``S/rad(S) = A'/rad(A')``:
-    ``basis`` is a trace-orthonormal basis of S; ``rad_coords`` are the
-    coefficient vectors of its radical and ``quot_coords`` those of their
-    trace-orthonormal complement, one representative per quotient direction.
-    ``lift`` maps coefficients against ``basis`` to an element of A' with
-    that image in the quotient. A spin-up corner with relations
-    (:func:`_rho_corner`) has ``S = rho(A')`` inside ``M_g`` and lifts
-    through the presentation's values; a basis corner (:func:`_basis_corner`)
-    has S = A' and the identity lift.
+    corner is read through a trace-orthonormal ``basis`` of A'
+    (:func:`_basis_corner`); ``rad_coords`` are the coefficient vectors of
+    its radical and ``quot_coords`` those of their trace-orthonormal
+    complement, one representative per quotient direction.
     """
 
     E: np.ndarray
@@ -609,8 +622,6 @@ class Corner:
     basis: np.ndarray | None = None
     rad_coords: np.ndarray | None = None
     quot_coords: np.ndarray | None = None
-    lift: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
-                                                             compare=False)
     free: SpinUp | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -626,79 +637,23 @@ class Corner:
         return self.algebra_dim - self.quotient_dim
 
 
-def _closed_under_products(basis: np.ndarray, rng: np.random.Generator) -> bool:
-    """Whether the product of two random elements of the span of a
-    vec-orthonormal ``basis`` (p, g, g) lies in it, to ``SPAN_MEMBERSHIP_TOL``
-    relative: a span that is not an algebra fails almost surely."""
-    p = basis.shape[0]
-    a, b = (np.tensordot(rng.standard_normal(p) + 1j * rng.standard_normal(p), basis,
-                         axes=(0, 0)) for _ in range(2))
-    V = basis.reshape(p, -1)
-    prod = (a @ b).reshape(-1)
-    return frob(prod - (V.conj() @ prod) @ V) <= SPAN_MEMBERSHIP_TOL * max(1.0, frob(prod))
-
-
-def _rho_corner(su: SpinUp, E: np.ndarray, U: np.ndarray,
-                policy: NumericPolicy) -> Corner | None:
-    """The corner of a spin-up presentation with relations, read through ``S
-    = rho(A') = span{G* Y_k}`` inside ``M_g``; None when S is not resolved,
-    is not closed under products, or the lift of a random element of S,
-    drawn from the policy's seed, fails its commutation check.
-
-    Every X in A' keeps ``JM = range [N_1 ... N_m]``, so ``rho(X) = G* X G =
-    G* Y`` is the action on the top ``M/JM``, an algebra map. If ``X(M)`` lies
-    in JM then ``X^j(M)`` lies in ``J^j M = 0`` for large j, so ``ker rho`` is
-    a nilpotent ideal inside rad(A'), and ``A'/rad(A') = S/rad(S)``
-    (Auslander, Reiten and Smalo, on tops and Nakayama's lemma). A strict cut
-    of the singular values of the images of the orthonormal values (at most
-    1, and 1 at the identity) gives S and, for each of its directions, the
-    least-norm combination of the values that maps onto it. The lift of a
-    coefficient vector is the presentation's element for that combination,
-    so each lifted element is checked (:meth:`SpinUp.element`). A
-    presentation without relations is a free corner and needs none of this.
-    """
-    g = su.G.shape[1]
-    W, s, Vh = svd_robust(np.matmul(su.G.conj().T, su.Y).reshape(su.K, g * g),
-                          full_matrices=False)
-    try:
-        p = rank_cut(s, su.rtol, scale=1.0, strict=True)
-    except NumericalDegeneracyError:
-        return None
-    basis = Vh[:p].reshape(p, g, g)
-    combine = W[:, :p].conj() / s[:p]
-
-    def lift(x: np.ndarray) -> np.ndarray:
-        return su.element(su.values(combine @ x))
-
-    rng = np.random.default_rng(policy.seed)
-    if not _closed_under_products(basis, rng):
-        return None
-    try:
-        lift(rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    except NumericalDegeneracyError:
-        return None
-    return Corner(E, U, su.K, basis, *_radical_coords(basis, policy), lift)
-
-
-def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
+def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, su: SpinUp | None,
                   policy: NumericPolicy) -> Corner:
-    """The corner read through a trace-orthonormal basis of A'(T)
-    (:func:`joint_commutant`), with the identity lift."""
-    basis = joint_commutant(T, policy).basis
-    return Corner(E, U, basis.shape[0], basis, *_radical_coords(basis, policy),
-                  lambda x: np.tensordot(x, basis, axes=(0, 0)))
+    """The corner read through a trace-orthonormal basis of A'(T), from its
+    spin-up presentation ``su`` where that gives one (:func:`_commutant`)."""
+    basis = _commutant(T, su, policy).basis
+    return Corner(E, U, basis.shape[0], basis, *_radical_coords(basis, policy))
 
 
 def _compressed_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
                        policy: NumericPolicy) -> Corner:
     """The corner of the compressed tuple T = U* T_0 U: free where the
-    spin-up presents A'(T) without relations, through rho(A') where it
-    presents A'(T) with relations, through a basis of A'(T) otherwise."""
+    spin-up presents A'(T) without relations, on T or on T*, and through a
+    basis of A'(T) otherwise. The presentation is built once per corner."""
     su = _spin_up(T, policy)
     if su is not None and su.Y is None:
         return Corner(E, U, su.K, free=su)
-    c = None if su is None else _rho_corner(su, E, U, policy)
-    return c if c is not None else _basis_corner(T, E, U, policy)
+    return _basis_corner(T, E, U, su, policy)
 
 
 def _corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, policy: NumericPolicy) -> Corner:
@@ -742,17 +697,16 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
                              rng: np.random.Generator,
                              equal: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Lifted idempotents of a split of the corner ``c`` into exactly ``parts``
-    Riesz projectors of random elements drawn from the span of the coefficient
-    vectors C (p, kappa) against ``c.basis``, lifted by ``c.lift``; with
+    """Idempotents of a split of the corner ``c`` into exactly ``parts`` Riesz
+    projectors of random elements drawn from the span of the coefficient
+    vectors C (p, kappa) against ``c.basis``, in the ambient frame; with
     ``equal``, the parts must have equal ranks. Each comes with an
     orthonormal frame of its range, ``c.U`` times the projector's Schur frame.
 
-    A draw whose lifted element fails its commutation check
-    (:meth:`SpinUp.element`) is skipped, and so is one whose validated split
-    has another number of parts, or unequal ranks when they must be equal: a
-    generic element separates all the parts the algebra counts, so such a
-    split merged some of them or cut a defective cloud. Of the rest, a split whose worst projector norm is at
+    A draw whose validated split has another number of parts, or unequal
+    ranks when they must be equal, is skipped: a generic element separates
+    all the parts the algebra counts, so such a split merged some of them or
+    cut a defective cloud. Of the rest, a split whose worst projector norm is at
     most ``GOOD_SPLIT_NORM`` is accepted at once; otherwise the
     best-conditioned split over ``SPLIT_ATTEMPTS`` draws is taken, and none
     raises. The projectors are used as :func:`_spectral_split` returns them,
@@ -763,11 +717,7 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
     for _ in range(SPLIT_ATTEMPTS):
         x = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(C.shape[1])
         x /= np.linalg.norm(x)
-        try:
-            z = c.lift(C @ x)
-        except NumericalDegeneracyError:
-            continue
-        projs = _spectral_split(z)
+        projs = _spectral_split(np.tensordot(C @ x, c.basis, axes=(0, 0)))
         if projs is None or len(projs) != parts \
                 or (equal and len({round(np.trace(P).real) for P, _ in projs}) > 1):
             continue
@@ -792,18 +742,24 @@ def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
     projection X_i onto the i-th summand is the module map with value ``X_i G
     = G E_ii``, ``X_i = [b_a G E_ii]_a Phi^+ = S_i M_i``: the ``r/g`` columns
     ``S_i = [b_a G e_i]_a`` span the summand, and ``M_i`` are the matching
-    rows ``a*g + i`` of ``Phi^+``. With the QR factors ``S_i = Q_i R_i``, the
-    primitive carried to the ambient frame is ``U X_i U* E = L_i (R_i M_i U*
-    E)``, read off the presentation with its frame ``L_i = U Q_i`` and no d x
-    d product per primitive. By construction the primitives are idempotent,
-    annihilate each other, sum to I and have rank ``r/g`` each; a rounded
-    trace other than ``r/g`` raises :class:`NumericalDegeneracyError`.
+    rows ``a*g + i`` of ``Phi^+``. On a presentation of T* the primitives of
+    A'(T) are the adjoints ``X_i* = M_i* S_i*``, so the two factors swap
+    roles: ``M_i*`` spans the range. With the QR factors ``S_i = Q_i R_i``
+    (``M_i* = Q_i R_i`` on T*), the primitive carried to the ambient frame is
+    ``U X_i U* E = L_i (R_i M_i U* E)`` (``L_i (R_i S_i* U* E)`` on T*), read
+    off the presentation with its frame ``L_i = U Q_i`` and no d x d product
+    per primitive. By construction the primitives are idempotent, annihilate
+    each other, sum to I and have rank ``r/g`` each; a rounded trace other
+    than ``r/g`` raises :class:`NumericalDegeneracyError`.
     """
     su = c.free
     r, g = su.G.shape
     nb = su.B.shape[0]
-    Q, R = np.linalg.qr(np.matmul(su.B, su.G).transpose(2, 1, 0))   # S_i: (g, r, nb)
+    S = np.matmul(su.B, su.G).transpose(2, 1, 0)                    # S_i: (g, r, nb)
     M = su.pinv.reshape(nb, g, r).transpose(1, 0, 2)                # M_i: (g, nb, r)
+    if su.adjoint:
+        S, M = M.conj().transpose(0, 2, 1), S.conj().transpose(0, 2, 1)
+    Q, R = np.linalg.qr(S)
     frames = c.U @ Q
     prims = frames @ (R @ M @ (c.U.conj().T @ c.E))
     ranks = np.rint(np.trace(prims, axis1=1, axis2=2).real).astype(int)
@@ -843,8 +799,7 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
             rng: np.random.Generator) -> list[Corner]:
     """Corners of the simple blocks of a root. A free root is one block M_g.
     Otherwise the center of the root's quotient has as many dimensions as it
-    has blocks, so one split by random lifted central elements gives them
-    all, and a root with a one-dimensional center is one block. Each block's
+    has blocks, so one split by random central elements gives them all, and a root with a one-dimensional center is one block. Each block's
     corner is built afresh (:func:`_corner`) on the frame of its split."""
     if root.free is not None:
         return [root]
@@ -865,13 +820,12 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
             if n * n != c.quotient_dim:
                 raise NumericalDegeneracyError(
                     f"quotient of a simple block has dimension {c.quotient_dim}, not a square")
-        # the accounting identity sum n_i^2 + dim rad S = dim S of the root's
-        # algebra S, i.e. sum n_i^2 = dim S/rad
+        # the accounting identity sum n_i^2 + dim rad A' = dim A', i.e. sum
+        # n_i^2 = dim A'/rad
         if sum(n * n for _, n in found) != root.quotient_dim:
-            p = root.basis.shape[0]
             raise NumericalDegeneracyError(
-                "block dimensions and radical do not account for the algebra "
-                f"dimension: {[n for _, n in found]} + rad {p - root.quotient_dim} != {p}")
+                "block dimensions and radical do not account for the algebra dimension: "
+                f"{[n for _, n in found]} + rad {root.radical_dim} != {root.algebra_dim}")
         blocks.extend(found)
     blocks.sort(key=lambda cn: (-cn[1], -float(np.trace(cn[0].E).real)))
     idems = np.stack([c.E for c, _ in blocks])
@@ -903,30 +857,26 @@ def semisimple_structure(T: OperatorTuple,
     The roots are the primary corners of ``T`` (one per joint-spectrum
     cluster, split once with the policy's seed); every corner is the
     commutant A' of a compressed restriction of ``T`` (:class:`Corner`). A
-    free corner, which the spin-up presents without relations, is one block
-    ``M_g`` with its g primitives in closed form and takes no walk. Any other
-    corner is read through an algebra S with ``S/rad = A'/rad``: ``rho(A')``
-    inside ``M_g`` where the spin-up presents A' with relations, so that no
-    basis of A' is built, and a basis of A' elsewhere. One seeded walk then
-    splits each such corner once, into the number of parts its algebra
-    counts, in two flat stages: each root by lifted random central elements
-    into the k blocks that the dimension of its quotient's center counts
-    (:func:`_blocks`; each block gets a corner, on the Schur frame of its
-    split), and each block M_n by lifted random elements of its corner into
-    n primitives of equal rank, which get no corner but keep the frame of
+    free corner, which the spin-up presents without relations on T or on T*,
+    is one block ``M_g`` with its g primitives in closed form and takes no
+    walk. Any other corner is read through a trace-orthonormal basis of A'.
+    One seeded walk then splits each such corner once, into the number of
+    parts its algebra counts, in two flat stages: each root by random central
+    elements into the k blocks that the dimension of its quotient's center
+    counts (:func:`_blocks`; each block gets a corner, on the Schur frame of
+    its split), and each block M_n by random elements of its corner into n
+    primitives of equal rank, which get no corner but keep the frame of
     their range (:class:`AlgebraStructure`). Both stages use
     :func:`_split_by_random_element`, which skips a draw whose split has
     another number of parts. (k, block sizes) are intrinsic, and the result
     is held to deterministic certificates: every block's quotient is a
-    square, each root's accounting identity ``sum n_i^2 + dim rad S = dim
-    S`` holds (so ``algebra_dim = sum dim A'`` and ``radical_dim = sum (dim
-    A' - dim A'/rad)`` account for each other), the lifted idempotents sum
-    to the identity and block i splits into n_i primitives of equal rank
-    (on a free block, of rank ``r/g`` each); the last catches a center read
-    too small, which takes several blocks for one. A walk that fails one of
-    them, or draws a lifted element that fails its commutation check, is
-    retried with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the
-    last error is raised if none succeeds.
+    square, each root's accounting identity ``sum n_i^2 + dim rad A' = dim
+    A'`` holds, the lifted idempotents sum to the identity and block i
+    splits into n_i primitives of equal rank (on a free block, of rank
+    ``r/g`` each); the last catches a center read too small, which takes
+    several blocks for one. A walk that fails one of them is retried with
+    the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the last error is
+    raised if none succeeds.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -43,11 +43,10 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
 
     Decided structurally: the commutant algebra modulo its radical must be
     one-dimensional, i.e. algebra_dim = radical_dim + 1. Where the spin-up
-    presents A'(T) without relations the quotient is M_g, so T is SI exactly
-    when g = 1; where it presents A'(T) with relations the quotient is read
-    through rho(A') inside M_g, so no basis of A'(T) is built there, and
-    through a basis of A'(T) elsewhere; the presentation's checks draw from
-    the policy's seed.
+    presents A'(T) without relations, on T or on T* (whichever has fewer
+    generators), the quotient is M_g, so T is SI exactly when g = 1 and no
+    basis of A'(T) is built; elsewhere the quotient is read through a basis
+    of A'(T). The presentation's checks draw from the policy's seed.
     """
     return _whole_corner(T, policy).quotient_dim == 1
 

@@ -34,6 +34,7 @@ from sidecomp import (
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import stack_commutant
 from sidecomp.planted import EIGENVALUE_GRID, jordan_polynomial_tuple, planted_instance
+from sidecomp.rkhs import DiagonalKernelSpec, TruncationGrid, truncated_tuple
 from sidecomp.policy import (
     CENTRALITY_BAR,
     INVERTIBLE_TRIALS,
@@ -109,6 +110,13 @@ def _span_gap(A, B):
     return 1.0 - np.linalg.svd(Va.conj() @ Vb.T, compute_uv=False).min()
 
 
+def _presented(T):
+    """The basis of A'(T) that the spin-up presentation gives; None when
+    there is no presentation or it does not verify as a basis."""
+    su = commutant._spin_up(T, NumericPolicy())
+    return None if su is None else commutant._spin_up_commutant(su)
+
+
 def _one_eigenvalue_tuple(sizes, m, cond, rng):
     """Conjugated direct sum of Jordan-polynomial blocks (lam_1 + N, lam_i +
     c_i N + e_i N^2) that all share the joint eigenvalue lam."""
@@ -130,7 +138,7 @@ class TestSpinUp:
            st.floats(1.0, 50.0), st.integers(0, 2**32 - 1))
     def test_span_equals_the_stack(self, sizes, m, cond, seed):
         T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
-        A = commutant._spin_up_commutant(T, NumericPolicy())
+        A = _presented(T)
         B = stack_commutant(T)
         assert A is not None and A.algebra_dim == B.algebra_dim
         assert _span_gap(A, B) <= 1e-8
@@ -155,7 +163,7 @@ class TestSpinUp:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(commutant, "cholesky_qr2", recording)
-            commutant._spin_up_commutant(T, NumericPolicy())
+            _presented(T)
         for R in factors:
             assert np.linalg.svd(R, compute_uv=False).min() >= 1.0 - 1e-12
 
@@ -174,7 +182,7 @@ class TestSpinUp:
 
         monkeypatch.setattr(_linalg, "zpotrf", breakdown)
         monkeypatch.setattr(commutant, "stack_commutant", recording)
-        assert commutant._spin_up_commutant(T, NumericPolicy()) is None
+        assert _presented(T) is None
         A = joint_commutant(T)
         assert stacks == [7]
         assert A.algebra_dim == ref.algebra_dim and _span_gap(A, ref) <= 1e-8
@@ -215,7 +223,7 @@ class TestSpinUp:
             return real_nullspace(M, *args, **kwargs)
 
         monkeypatch.setattr(commutant, "nullspace", recording)
-        A = commutant._spin_up_commutant(T, NumericPolicy())
+        A = _presented(T)
         assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 29
         relations_rows = shapes[-1][0]
         assert relations_rows > 0
@@ -229,13 +237,13 @@ class TestSpinUp:
 
         T = operator_tuple([unit(3, 1), unit(3, 2), unit(4, 1), unit(4, 2)])
         assert commutant._word_algebra(list(T.matrices), 4e-10, 1.0).shape[0] == 5
-        A = commutant._spin_up_commutant(T, NumericPolicy())
+        A = _presented(T)
         assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 5
 
     def test_several_joint_eigenvalues_fall_back_to_the_stack(self):
         # the centred diag(1, 2) is invertible: no generator, rank Phi < d
         T = operator_tuple([np.diag([1.0, 2.0])])
-        assert commutant._spin_up_commutant(T, NumericPolicy()) is None
+        assert _presented(T) is None
         assert joint_commutant(T).algebra_dim == stack_commutant(T).algebra_dim == 2
 
     @pytest.mark.parametrize("seed", [139, 410, 616])
@@ -280,44 +288,45 @@ def _shared_eigenvalue_classes(classes, m, cond, rng):
     return conjugate(T, conditioned_invertible(d, cond, rng))
 
 
-def _rho_and_basis_counts(T):
+def _presented_and_stack_counts(T):
     """(dim A', dim rad A', dim A'/rad, dim of the quotient's center) read
-    off the spin-up presentation and through a basis of A', and the spin-up
-    side's corner: a free corner in closed form (``A'/rad = M_g``, a
-    one-dimensional center), any other through rho(A') inside M_g."""
+    off the corner that the spin-up presentation gives and off a corner
+    read through the stack's basis of A', and the presented corner: a free
+    corner in closed form (``A'/rad = M_g``, a one-dimensional center), any
+    other through the presentation's basis of A'."""
     pol = NumericPolicy()
     eye = np.eye(T.d, dtype=complex)
     su = commutant._spin_up(T, pol)
     assert su is not None
-    rho = commutant._compressed_corner(T, eye, eye, pol)
-    basis = commutant._basis_corner(T, eye, eye, pol)
+    presented = commutant._compressed_corner(T, eye, eye, pol)
+    stacked = commutant._basis_corner(T, eye, eye, None, pol)
     if su.Y is None:
-        assert rho.free is not None and rho.basis is None
+        assert presented.free is not None and presented.basis is None
     else:
-        assert rho.basis.shape[1] == su.G.shape[1]
-    assert basis.basis.shape[1] == T.d
+        assert presented.basis.shape == (su.K, T.d, T.d)
     counts = []
-    for c in (rho, basis):
+    for c in (presented, stacked):
         width = 1 if c.free is not None else commutant._center_candidates(
             c.basis, c.quot_coords, np.random.default_rng(1)).shape[1]
         counts.append((c.algebra_dim, c.radical_dim, c.quotient_dim, width))
-    assert basis.algebra_dim == basis.basis.shape[0]
-    assert basis.radical_dim == basis.rad_coords.shape[1]
-    return counts[0], counts[1], rho
+    assert stacked.algebra_dim == stacked.basis.shape[0]
+    assert stacked.radical_dim == stacked.rad_coords.shape[1]
+    return counts[0], counts[1], presented
 
 
 class TestRhoAgreesWithTheBasis:
-    """A'/rad read inside M_g, through rho(A') = G* A' G, has the counts
-    that a basis of A' gives: dim A', dim rad, dim A'/rad and the width of
-    the quotient's center."""
+    """A'/rad read off the spin-up presentation, in closed form on a free
+    corner and through the presentation's basis of A' otherwise, has the
+    counts that the stack's basis of A' gives: dim A', dim rad, dim A'/rad
+    and the width of the quotient's center."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3),
            st.floats(1.0, 50.0), st.integers(0, 2**32 - 1))
     def test_one_eigenvalue_tuples(self, sizes, m, cond, seed):
         T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
-        from_rho, from_basis, _ = _rho_and_basis_counts(T)
-        assert from_rho == from_basis
+        from_presentation, from_stack, _ = _presented_and_stack_counts(T)
+        assert from_presentation == from_stack
 
     @pytest.mark.parametrize("classes,m,dims", [
         ([(6, 2), (4, 1)], 2, (2, 1)),
@@ -328,13 +337,13 @@ class TestRhoAgreesWithTheBasis:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shared_eigenvalue_families(self, classes, m, dims, seed):
         T = _shared_eigenvalue_classes(classes, m, 100.0, np.random.default_rng(seed))
-        from_rho, from_basis, rho = _rho_and_basis_counts(T)
-        assert from_rho == from_basis
-        assert from_rho[2:] == (sum(n * n for n in dims), len(dims))
+        from_presentation, from_stack, presented = _presented_and_stack_counts(T)
+        assert from_presentation == from_stack
+        assert from_presentation[2:] == (sum(n * n for n in dims), len(dims))
         if m == 1:
-            # the tops of the J_3 copies map onto the top of J_2, and not
-            # back: rho(A') = M_2 (+) M_1 plus a 2-dimensional radical
-            assert (rho.basis.shape[0], rho.quotient_dim) == (7, 5)
+            # J_3 (+) J_3 (+) J_2: dim A' = sum_ij min(r_i, r_j) = 22, and the
+            # quotient is M_2 (+) M_1
+            assert (presented.algebra_dim, presented.quotient_dim) == (22, 5)
         assert semisimple_structure(T).block_dims == dims
 
 
@@ -349,38 +358,16 @@ class TestRhoCertificates:
         return conjugate(operator_tuple([bd(*[p[0] for p in parts]),
                                          bd(*[p[1] for p in parts])]), X)
 
-    def test_a_span_with_a_non_member_is_not_closed(self, monkeypatch):
-        T = _shared_eigenvalue_classes([(3, 2), (2, 1)], 1, 100.0, np.random.default_rng(0))
-        _, _, rho = _rho_and_basis_counts(T)
-        basis = rho.basis
-        assert commutant._closed_under_products(basis, np.random.default_rng(4))
-        # replace the last direction by a unit matrix orthogonal to the rest
-        p = basis.shape[0]
-        V = basis.reshape(p, -1)
-        r = np.random.default_rng(9)
-        w = r.standard_normal(V.shape[1]) + 1j * r.standard_normal(V.shape[1])
-        w -= V[:-1].T @ (V[:-1].conj() @ w)
-        injected = np.concatenate([V[:-1], (w / np.linalg.norm(w))[None]]).reshape(basis.shape)
-        assert not commutant._closed_under_products(injected, np.random.default_rng(4))
-        # a rho span that fails the check sends the root to the basis path
-        monkeypatch.setattr(commutant, "_closed_under_products", lambda basis, rng: False)
-        eye = np.eye(T.d, dtype=complex)
-        assert commutant._rho_corner(commutant._spin_up(T, NumericPolicy()), eye, eye,
-                                     NumericPolicy()) is None
-        root = commutant._whole_corner(T, NumericPolicy())
-        assert root.basis.shape == (root.algebra_dim, T.d, T.d)
-        assert semisimple_structure(T).block_dims == (2, 1)
-
     def test_a_corrupted_value_falls_back_to_the_basis_path(self, monkeypatch):
         T = self.shared_tuple()
         clean = semisimple_structure(T)
         assert clean.block_dims == (2, 1, 1) and clean.algebra_dim == 29
         real_nullspace, real_stack = commutant.nullspace, commutant.stack_commutant
-        generators, corrupted, stacks, rho_roots = [], [], [], []
+        generators, corrupted, stacks = [], [], []
 
         def corrupting(M, *args, **kwargs):
             Y = real_nullspace(M, *args, **kwargs)
-            if Y.shape == (11, 4):         # the root's generators G
+            if Y.shape == (11, 4):         # the root's generators G, then those of T*
                 generators.append(Y)
             elif M.shape[1] == 11 * 4:     # the root's values, d * g coordinates
                 # rotate the values so that only the first has a component
@@ -388,7 +375,7 @@ class TestRhoCertificates:
                 # non-member: the identity is still spanned, so only the
                 # check of a lifted element can see it
                 K, r = Y.shape[1], np.random.default_rng(len(corrupted))
-                a = Y.conj().T @ generators[-1].reshape(-1)
+                a = Y.conj().T @ generators[0].reshape(-1)   # a tie keeps T
                 Q, _ = np.linalg.qr(np.column_stack([a, r.standard_normal((K, K - 1))]))
                 Y = Y @ Q
                 w = r.standard_normal(Y.shape[0]) + 1j * r.standard_normal(Y.shape[0])
@@ -401,11 +388,7 @@ class TestRhoCertificates:
             stacks.append(T1.d)
             return real_stack(T1, policy)
 
-        real_rho, real_element, failed = commutant._rho_corner, commutant.SpinUp.element, []
-
-        def recording_rho(su, *args):
-            rho_roots.append(su.G.shape[0])
-            return real_rho(su, *args)
+        real_element, failed = commutant.SpinUp.element, []
 
         def recording_element(su, y):
             try:
@@ -416,17 +399,17 @@ class TestRhoCertificates:
 
         monkeypatch.setattr(commutant, "nullspace", corrupting)
         monkeypatch.setattr(commutant, "stack_commutant", recording_stack)
-        monkeypatch.setattr(commutant, "_rho_corner", recording_rho)
         monkeypatch.setattr(commutant.SpinUp, "element", recording_element)
         S = semisimple_structure(T)
-        assert corrupted and failed and set(failed) == {11}
-        assert stacks == [11] and 11 not in rho_roots
+        # the root's presentation is refused, and the root takes the stack
+        assert len(corrupted) == 1 and set(failed) == {11}
+        assert stacks == [11]
         assert (S.algebra_dim, S.radical_dim, S.block_dims) == \
             (clean.algebra_dim, clean.radical_dim, clean.block_dims)
 
     def test_no_commutant_basis_on_the_invariant_path(self, monkeypatch):
         # eight copies of one 4 x 4 block at d = 32, K = 256: the root is
-        # free, so the invariant builds no basis of A' or of rho(A'), takes
+        # free, so the invariant builds no basis of A', takes
         # no trace form and no center, and splits nothing after the primary
         # draw: its 8 primitives are read off the presentation in factored
         # form, so the only module map is the presentation's own K = 1 check
@@ -447,7 +430,7 @@ class TestRhoCertificates:
             lifted.append(Y.shape[0])
             return real_maps(B, Y, pinv)
 
-        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_rho_corner"):
+        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_basis_corner"):
             monkeypatch.setattr(commutant, name, forbidden(name))
         monkeypatch.setattr(commutant, "_spectral_split", recording_split)
         monkeypatch.setattr(commutant, "_module_maps", recording_maps)
@@ -602,8 +585,8 @@ class TestOneWalk:
     @staticmethod
     def fault_at_root(monkeypatch, fault, walks):
         """Replace the center of the root's quotient by ``fault(A)``, A the
-        span of the root's algebra S = rho(A') inside M_g, in the first
-        ``walks`` walks; returns the list of root visits."""
+        root's basis of A', in the first ``walks`` walks; returns the list of
+        root visits."""
         real = commutant._center_candidates
         calls = []
 
@@ -798,18 +781,20 @@ class TestTwoFlatStages:
                          conditioned_invertible(32, 10.0, r))
 
     @staticmethod
-    def co_cyclic_copies():
-        """Three copies of the co-cyclic pair (a + E31, b + E32) on C^3 at
-        cond 10: d = 9, answer (1; 3). The words are span{I, E31, E32} and
-        each copy has two generators, so n_B * g = 18 > 9: the root has
-        relations, and its primitives come from a Riesz split."""
+    def two_sided_copies():
+        """Three copies of (a + E31, b + E32, E41, E42) on C^4 at cond 10: d =
+        12, answer (1; 3). Each copy has two generators on either side (e_1
+        and e_2 on T, e_3 and e_4 on T*) and the words span{I, E31, E32, E41,
+        E42}, so n_B * g = 30 > 12 on both sides: the tie keeps T, the root
+        has relations, and its primitives come from a Riesz split."""
         def unit(i, j):
-            E = np.zeros((3, 3), dtype=complex)
+            E = np.zeros((4, 4), dtype=complex)
             E[i - 1, j - 1] = 1.0
             return E
 
-        B = operator_tuple([0.5 * np.eye(3) + unit(3, 1), -0.3j * np.eye(3) + unit(3, 2)])
-        return conjugate(inflate(B, 3), conditioned_invertible(9, 10.0,
+        B = operator_tuple([0.5 * np.eye(4) + unit(3, 1), -0.3j * np.eye(4) + unit(3, 2),
+                            unit(4, 1), unit(4, 2)])
+        return conjugate(inflate(B, 3), conditioned_invertible(12, 10.0,
                                                                np.random.default_rng(9)))
 
     @staticmethod
@@ -849,11 +834,11 @@ class TestTwoFlatStages:
     def test_coarse_primitive_split_is_redrawn(self, monkeypatch):
         dims = self.recording_commutants(monkeypatch)
         merged = self.merge_once(monkeypatch, 3)
-        S = semisimple_structure(self.co_cyclic_copies())
-        assert merged and S.primitives.shape == (3, 9, 9)
-        assert dims == [9]
+        S = semisimple_structure(self.two_sided_copies())
+        assert merged and S.primitives.shape == (3, 12, 12)
+        assert dims == [12]
         for P in S.primitives:
-            assert abs(np.trace(P) - 3.0) <= 1e-8
+            assert abs(np.trace(P) - 4.0) <= 1e-8
 
     def test_coarse_block_split_is_redrawn(self, monkeypatch):
         # the root of (3; 2, 2, 1), which has relations, splits into blocks
@@ -880,9 +865,10 @@ class TestFreeRoots:
 
     @staticmethod
     def walked(mp):
-        """Send every free presentation through the general rho walk: its
-        values are given as an explicit orthonormal basis of all d x g
-        matrices, so that it reads as a presentation with relations."""
+        """Send every free presentation through the basis walk: its values
+        are given as an explicit orthonormal basis of all d x g matrices, so
+        that it reads as a presentation with relations, and the corner is
+        read through the presentation's basis of A'."""
         real = commutant._spin_up
 
         def explicit(T, policy):
@@ -918,12 +904,12 @@ class TestFreeRoots:
 
     def test_strong_irreducibility_is_g_equal_to_one(self, monkeypatch):
         # a cyclic Jordan-polynomial block and its inflation x 3 are free:
-        # SI exactly when g = 1, with no radical and no rho corner
+        # SI exactly when g = 1, with no radical and no basis of A'
         def forbidden(*args, **kwargs):
             raise AssertionError("a free input was walked")
 
         monkeypatch.setattr(commutant, "_radical_coords", forbidden)
-        monkeypatch.setattr(commutant, "_rho_corner", forbidden)
+        monkeypatch.setattr(commutant, "_basis_corner", forbidden)
         r = np.random.default_rng(7)
         B = jordan_polynomial_tuple(4, -0.8, r, 2)
         assert is_strongly_irreducible(conjugate(B, conditioned_invertible(4, 10.0, r)))
@@ -944,6 +930,86 @@ class TestFreeRoots:
                       conditioned_invertible(24, 1e4, rng))
         inv = v_semigroup_invariant(T)
         assert (inv.k, inv.multiplicities) == (2, (2, 2))
+
+
+def _model(m, D, kernel="da", mode="adjoint"):
+    """The truncated multishift on the grid of degree <= D in m variables:
+    Drury-Arveson, or Bergman with exponent ``kernel``."""
+    spec = DiagonalKernelSpec.drury_arveson(m) if kernel == "da" \
+        else DiagonalKernelSpec.bergman(m, kernel)
+    return truncated_tuple(spec, TruncationGrid.build(m, D), mode)
+
+
+class TestAdjointSide:
+    """``A'(T) = A'(T*)*``: the spin-up runs on the side with fewer
+    generators. A backward multishift is co-cyclic, with D + 1 generators
+    at m = 2 and relations, and its adjoint is cyclic and free (g = 1), so
+    the paper's models and their inflations are read on T*."""
+
+    @pytest.mark.parametrize("T,adjoint,g", [
+        (_model(2, 3), True, 1),                        # co-cyclic: T* has g = 1
+        (inflate(_model(3, 2), 2), True, 2),
+        (_model(2, 3, mode="forward"), False, 1),       # cyclic: free on T
+        (TestTwoFlatStages.two_sided_copies(), False, 6),   # a tie keeps T
+    ])
+    def test_side_rule(self, T, adjoint, g):
+        su = commutant._spin_up(T, NumericPolicy())
+        assert (su.adjoint, su.G.shape[1]) == (adjoint, g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(2, D, 1) for D in range(1, 6)] + [(3, D, 1) for D in range(1, 4)]
+                           + [(2, D, 2) for D in range(1, 4)] + [(3, D, 2) for D in range(1, 3)]),
+           st.one_of(st.just("da"), st.floats(1.0, 4.0)), st.floats(1.0, 50.0),
+           st.integers(0, 2**32 - 1))
+    def test_span_equals_the_stack(self, grid, kernel, cond, seed):
+        # grids up to (2, 5) and (3, 3), inflations x 2 up to d = 20: past
+        # that the stack alone takes ~10 s
+        m, D, n = grid
+        T0 = inflate(_model(m, D, kernel), n)
+        T = conjugate(T0, conditioned_invertible(T0.d, cond, np.random.default_rng(seed)))
+        su = commutant._spin_up(T, NumericPolicy())
+        assert su.adjoint and su.G.shape[1] == n
+        A = commutant._spin_up_commutant(su)
+        B = stack_commutant(T)
+        assert A is not None and A.algebra_dim == B.algebra_dim == n * T0.d   # n^2 d_0
+        assert _span_gap(A, B) <= 1e-8
+        V = A.basis.reshape(A.algebra_dim, -1)
+        assert np.linalg.norm(V.conj() @ V.T - np.eye(A.algebra_dim)) <= 1e-12
+
+    def test_models_build_no_stack(self, monkeypatch):
+        # DA (3, 4), d = 35, went to the stack on T (ROADMAP item 2)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Sylvester stack was built")
+
+        monkeypatch.setattr(commutant, "_sylvester_stack", forbidden)
+        T = _model(3, 4)
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (1, (1,))
+        assert is_strongly_irreducible(T)
+        assert joint_commutant(T).algebra_dim == 35
+        chk = inflation_commutant_check(T, 2)
+        assert (chk.base_dim, chk.inflated_dim, chk.passed) == (35, 140, True)
+
+    def test_free_primitives_of_an_inflated_model(self):
+        # DA (2, 4) x 3 at cond 10: three primitives of rank 15, read off the
+        # presentation of T*, validate and match those of the basis walk
+        r = np.random.default_rng(4)
+        T = conjugate(inflate(_model(2, 4), 3), conditioned_invertible(45, 10.0, r))
+        pol = NumericPolicy()
+        assert commutant._whole_corner(T, pol).free.adjoint
+        closed = semisimple_structure(T)
+        with pytest.MonkeyPatch.context() as mp:
+            TestFreeRoots.walked(mp)
+            assert commutant._whole_corner(T, pol).free is None
+            walked = semisimple_structure(T)
+        decomps = []
+        for S in (closed, walked):
+            assert (S.k, S.block_dims) == (1, (3,))
+            assert [round(np.trace(P).real) for P in S.primitives] == [15] * 3
+            D = UnitDecomposition(T, S.primitives, (True,) * 3, S.frames)
+            D.validate(pol)
+            decomps.append(D)
+        assert decompositions_equivalent(T, *decomps).equivalent
 
 
 class TestIdempotentsNeedNoRepair:

@@ -9,6 +9,7 @@ from sidecomp import (
     block_similarity,
     conjugate,
     decompositions_equivalent,
+    direct_sum,
     idempotent_classes_equal,
     inflate,
     is_strongly_irreducible,
@@ -21,7 +22,7 @@ import sidecomp.commutant as commutant
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.commutant import contains_invertible, intertwiner_space
 from sidecomp.oracle import oracle_is_strongly_irreducible
-from sidecomp.planted import planted_instance
+from sidecomp.planted import EIGENVALUE_GRID, jordan_polynomial_tuple, planted_instance
 from sidecomp.policy import NumericPolicy, NumericalDegeneracyError
 from sidecomp.tuples import range_basis
 
@@ -101,6 +102,32 @@ class TestUnitSiDecomposition:
         D = unit_si_decomposition(conjugate(operator_tuple([bd(jordan(2), jordan(2))]), X))
         assert D.count == 2
         assert sizes.count(4) == 1
+
+    def test_one_presentation_per_basis_corner(self, monkeypatch):
+        # J8 x 2 (+) J8' x 2 at cond 1e4 (the harsh corpus's J8 #10): no
+        # primary split is accepted, so the root is the whole space, and it
+        # and both its blocks are read through a basis of A'. Each corner
+        # builds its spin-up presentation once, and its basis comes from it
+        rng = np.random.default_rng([900, 10])
+        lam = rng.permutation(np.array(EIGENVALUE_GRID))[:2]
+        A, B = (jordan_polynomial_tuple(8, float(x), rng, 2) for x in lam)
+        T = conjugate(direct_sum(inflate(A, 2), inflate(B, 2)),
+                      conditioned_invertible(32, 1e4, rng))
+        presentations, corners, bases = [], [], []
+
+        def recording(name, calls):
+            real = getattr(commutant, name)
+
+            def record(T1, *args):
+                calls.append(T1.d)
+                return real(T1, *args)
+            monkeypatch.setattr(commutant, name, record)
+
+        recording("_spin_up", presentations)
+        recording("_compressed_corner", corners)
+        recording("_basis_corner", bases)
+        assert commutant.semisimple_structure(T).block_dims == (2, 2)
+        assert presentations == corners == bases == [32, 16, 16]
 
     def test_validate_matches_the_loop_reference(self):
         # idempotents perturbed entrywise by 1e-10 (inside every bar, and off

@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,23 @@ def test_every_imported_name_is_read():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def _reads(node):
+    """Names and attributes read anywhere under ``node``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_function_is_called():
+    # a private function, class or method that nothing in the package reads
+    # (outside its own body) is a path that no longer runs; delete it
+    trees = [ast.parse(path.read_text(), filename=path.name) for path in sorted(SRC.glob("*.py"))]
+    defs = [(tree, node) for tree in trees for top in tree.body
+            for node in [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+    reads = Counter(name for tree in trees for name in _reads(tree))
+    unread = [node.name for _, node in defs
+              if reads[node.name] == Counter(_reads(node))[node.name]]
+    assert len(defs) > 30 and unread == []
