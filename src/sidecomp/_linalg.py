@@ -179,17 +179,17 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray,
                        idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Riesz projector onto the invariant subspace of the eigenvalues ``T[idx, idx]``
     of ``M = Z T Z*``, given its complex Schur form (T upper triangular, Z unitary),
-    and an orthonormal frame of its range.
+    as its factors ``(L, R*)``, ``P = L R*`` with L an orthonormal frame of its range.
 
     LAPACK ``ztrsen`` moves the selected eigenvalues to the leading block,
     ``M = Zs [T11 T12; 0 T22] Zs*``; ``ztrsyl`` solves ``T11 R - R T22 = T12``
     on the triangular blocks (Bavely and Stewart's block diagonalization), and
-    the projector is ``Zs [I R; 0 0] Zs*``. It is idempotent and commutes with
-    ``M`` up to roundoff, and is a polynomial in ``M``, hence lies in any
-    algebra containing ``M``. Its range is the span of the leading columns
-    ``Zs[:, :k]``, which are the frame. ``idx`` leaves at least one eigenvalue
-    out. Returns None when the reordering fails or the Sylvester solve is
-    perturbed (close eigenvalues on both sides).
+    the projector is ``Zs [I R; 0 0] Zs*``, so ``L = Zs[:, :k]`` and ``R* = L*
+    + R Zs[:, k:]*``. It is idempotent and commutes with ``M`` up to roundoff,
+    and is a polynomial in ``M``, hence lies in any algebra containing ``M``.
+    ``idx`` leaves at least one eigenvalue out. Returns None when the
+    reordering fails or the Sylvester solve is perturbed (close eigenvalues on
+    both sides).
     """
     select = np.zeros(T.shape[0], dtype=np.int32)
     select[idx] = 1
@@ -201,7 +201,7 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray,
     if info != 0:
         return None
     Z1 = Zs[:, :k]
-    return Z1 @ (Z1.conj().T + (R / scale) @ Zs[:, k:].conj().T), Z1
+    return Z1, Z1.conj().T + (R / scale) @ Zs[:, k:].conj().T
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

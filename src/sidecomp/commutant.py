@@ -63,6 +63,7 @@ from .policy import (
     SPLIT_IDEMPOTENCY_BAR,
     SPLIT_PROJECTOR_NORM_CAP,
     SPLIT_TRACE_SLACK,
+    STACK_BYTE_BUDGET,
     STRUCTURE_SEEDS,
     NumericPolicy,
     NumericalDegeneracyError,
@@ -375,10 +376,16 @@ def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
     """Orthonormal basis (K, dS, dT) of {X : X T_i = S_i X for all i}.
 
     Rectangular spaces are allowed; an empty first axis means the only
-    intertwiner is zero.
+    intertwiner is zero. A stack of more than ``STACK_BYTE_BUDGET`` bytes
+    raises :class:`NumericalDegeneracyError` before it is built.
     """
     if T.m != S.m:
         raise ValueError(f"arity mismatch: {T.m} vs {S.m}")
+    size = 16 * T.m * (T.d * S.d) ** 2
+    if size > STACK_BYTE_BUDGET:
+        raise NumericalDegeneracyError(
+            f"the Sylvester stack of m={T.m}, d_T={T.d}, d_S={S.d} needs {size} bytes, "
+            f"more than the budget of {STACK_BYTE_BUDGET}")
     rtol, scale = _stack_cut(T, S, policy)
     ns = nullspace(_sylvester_stack(T, S), rtol, scale=scale)
     return np.ascontiguousarray(ns.T.reshape(-1, S.d, T.d))
@@ -560,20 +567,21 @@ def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
 
 
 def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Riesz projectors of ``z`` onto its eigenvalue clusters, self-validated,
-    each with an orthonormal frame of its range.
+    """Riesz projectors ``P = L R*`` of ``z`` onto its eigenvalue clusters,
+    self-validated, each as its factors ``(L, R*)`` (:func:`spectral_projector`).
 
     One complex Schur form ``z = Z T Z*`` serves the whole split: the
     eigenvalues are read off ``diag(T)``, a cluster is a set of indices into
-    it, and each projector and its frame reorder that Schur form
-    (:func:`spectral_projector`).
+    it, and each projector reorders that Schur form.
     Eigenvalues of elements with nilpotent parts of order s scatter like
     eps^(1/s) under roundoff, so a fixed clustering gap can cut through a
     single defective cloud. The gap therefore escalates through ``SPLIT_GAPS``,
     on the same Schur form, until every projector of the split is numerically
     idempotent and has the cluster's size as its trace; cutting a cloud
     produces wildly ill-conditioned projectors or a failed reordering, which
-    this rejects. Returns None when no validated split with >= 2 parts exists.
+    this rejects. The checks read the factors: L is orthonormal, so ``||P||_F
+    = ||R*||_F``, ``||P^2 - P||_F = ||(R* L - I) R*||_F`` and ``tr P = tr(R*
+    L)``. Returns None when no validated split with >= 2 parts exists.
     """
     T, Z = sla.schur(np.asarray(z, dtype=complex), output="complex")
     eigs = np.diag(T)
@@ -584,27 +592,30 @@ def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None
         projs = []
         for g in groups:
             part = spectral_projector(T, Z, g)
-            P = None if part is None else part[0]
+            if part is None:
+                break
+            L, R = part
+            RL, norm = R @ L, frob(R)
             # genuine cluster projectors have moderate norm and the cluster's
             # rank; cutting through a defective cloud blows the norm up, wrecks
             # idempotency or fails the reordering
-            if P is None or frob(P) > SPLIT_PROJECTOR_NORM_CAP \
-                    or frob(P @ P - P) > SPLIT_IDEMPOTENCY_BAR * (1.0 + frob(P)) \
-                    or abs(np.trace(P) - len(g)) > SPLIT_TRACE_SLACK:
-                projs = None
+            if norm > SPLIT_PROJECTOR_NORM_CAP \
+                    or frob(RL @ R - R) > SPLIT_IDEMPOTENCY_BAR * (1.0 + norm) \
+                    or abs(np.trace(RL) - len(g)) > SPLIT_TRACE_SLACK:
                 break
             projs.append(part)
-        if projs is not None:
+        else:
             return projs
     return None
 
 
 @dataclass(frozen=True)
 class Corner:
-    """The corner E A'(T) E in the orthonormal frame U of range(E), for the
-    commutant A' of the compressed tuple U* T U (an orthonormal compression,
-    so A' is as clean as a fresh computation even for very oblique E).
-    ``algebra_dim`` is dim A'.
+    """The corner E A'(T) E of an idempotent ``E = U W*`` of A'(T), in the
+    orthonormal frame U of range(E), for the commutant A' of the compressed
+    tuple U* T U (an orthonormal compression, so A' is as clean as a fresh
+    computation even for very oblique E). ``W`` holds the row factor ``W* =
+    U* E``. ``algebra_dim`` is dim A'.
 
     A free corner carries the spin-up presentation of A' without relations
     (``free``), on T or on T*: ``C^r`` is a free module of rank g, so ``A' =
@@ -616,8 +627,8 @@ class Corner:
     complement, one representative per quotient direction.
     """
 
-    E: np.ndarray
-    U: np.ndarray
+    U: np.ndarray                # (d, r) orthonormal frame of range(E)
+    W: np.ndarray                # (r, d) row factor W* = U* E
     algebra_dim: int
     basis: np.ndarray | None = None
     rad_coords: np.ndarray | None = None
@@ -637,29 +648,29 @@ class Corner:
         return self.algebra_dim - self.quotient_dim
 
 
-def _basis_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, su: SpinUp | None,
+def _basis_corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, su: SpinUp | None,
                   policy: NumericPolicy) -> Corner:
     """The corner read through a trace-orthonormal basis of A'(T), from its
     spin-up presentation ``su`` where that gives one (:func:`_commutant`)."""
     basis = _commutant(T, su, policy).basis
-    return Corner(E, U, basis.shape[0], basis, *_radical_coords(basis, policy))
+    return Corner(U, W, basis.shape[0], basis, *_radical_coords(basis, policy))
 
 
-def _compressed_corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray,
+def _compressed_corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray,
                        policy: NumericPolicy) -> Corner:
     """The corner of the compressed tuple T = U* T_0 U: free where the
     spin-up presents A'(T) without relations, on T or on T*, and through a
     basis of A'(T) otherwise. The presentation is built once per corner."""
     su = _spin_up(T, policy)
     if su is not None and su.Y is None:
-        return Corner(E, U, su.K, free=su)
-    return _basis_corner(T, E, U, su, policy)
+        return Corner(U, W, su.K, free=su)
+    return _basis_corner(T, U, W, su, policy)
 
 
-def _corner(T: OperatorTuple, E: np.ndarray, U: np.ndarray, policy: NumericPolicy) -> Corner:
-    """The corner of an idempotent E of A'(T), given an orthonormal frame U
-    of range(E)."""
-    return _compressed_corner(compress(T, U), E, U, policy)
+def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy) -> Corner:
+    """The corner of the idempotent ``U W*`` of A'(T), U an orthonormal frame
+    of its range."""
+    return _compressed_corner(compress(T, U), U, W, policy)
 
 
 def _whole_corner(T: OperatorTuple, policy: NumericPolicy) -> Corner:
@@ -677,8 +688,8 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
     is the direct sum of the commutants of the restrictions to their ranges
     (primary decomposition). Each part is therefore a commutant of dimension
     d_j instead of d, with one joint eigenvalue, where the spin-up applies. A
-    split is accepted only if every projector commutes with every T_i to
-    within PRIMARY_COMMUTE_BAR.
+    split is accepted only if every projector ``L R*`` commutes with every
+    T_i to within PRIMARY_COMMUTE_BAR.
     A draw with a single validated cluster ends the search, because generic
     draws see the same joint-spectrum clusters; then, or when no draw
     qualifies, the one root is the commutant of ``T`` on the whole space.
@@ -688,9 +699,10 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
         projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
         if projs is None:
             break
-        if all(frob(P @ A - A @ P) <= PRIMARY_COMMUTE_BAR * frob(P) * max(1.0, frob(A))
-               for P, _ in projs for A in T):
-            return [_corner(T, P, Z, policy) for P, Z in projs]
+        if all(frob(L @ (R @ A) - (A @ L) @ R)
+               <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
+               for L, R in projs for A in T):
+            return [_corner(T, L, R, policy) for L, R in projs]
     return [_whole_corner(T, policy)]
 
 
@@ -700,8 +712,8 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
     """Idempotents of a split of the corner ``c`` into exactly ``parts`` Riesz
     projectors of random elements drawn from the span of the coefficient
     vectors C (p, kappa) against ``c.basis``, in the ambient frame; with
-    ``equal``, the parts must have equal ranks. Each comes with an
-    orthonormal frame of its range, ``c.U`` times the projector's Schur frame.
+    ``equal``, the parts must have equal ranks. A part ``Z R*`` of the
+    corner's split is returned as the factors ``(U Z, R* W*)``.
 
     A draw whose validated split has another number of parts, or unequal
     ranks when they must be equal, is skipped: a generic element separates
@@ -719,9 +731,9 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
         x /= np.linalg.norm(x)
         projs = _spectral_split(np.tensordot(C @ x, c.basis, axes=(0, 0)))
         if projs is None or len(projs) != parts \
-                or (equal and len({round(np.trace(P).real) for P, _ in projs}) > 1):
+                or (equal and len({Z.shape[1] for Z, _ in projs}) > 1):
             continue
-        quality = max(frob(P) for P, _ in projs)
+        quality = max(frob(R) for _, R in projs)
         if quality < best_quality:
             best, best_quality = projs, quality
         if quality <= GOOD_SPLIT_NORM:
@@ -730,13 +742,11 @@ def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
         raise NumericalDegeneracyError(
             f"no random element split a corner into {parts}{' equal' if equal else ''} "
             f"parts in {SPLIT_ATTEMPTS} draws")
-    W = c.U.conj().T @ c.E
-    return [(c.U @ P @ W, c.U @ Z) for P, Z in best]
+    return [(c.U @ Z, R @ c.W) for Z, R in best]
 
 
 def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The g primitives of a free corner, in the ambient frame, each with an
-    orthonormal frame of its range.
+    """The g primitives of a free corner, in the ambient frame, as factors.
 
     With ``C^r = B G_1 (+) ... (+) B G_g`` free over ``B = C[T]``, the
     projection X_i onto the i-th summand is the module map with value ``X_i G
@@ -746,11 +756,11 @@ def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
     A'(T) are the adjoints ``X_i* = M_i* S_i*``, so the two factors swap
     roles: ``M_i*`` spans the range. With the QR factors ``S_i = Q_i R_i``
     (``M_i* = Q_i R_i`` on T*), the primitive carried to the ambient frame is
-    ``U X_i U* E = L_i (R_i M_i U* E)`` (``L_i (R_i S_i* U* E)`` on T*), read
-    off the presentation with its frame ``L_i = U Q_i`` and no d x d product
-    per primitive. By construction the primitives are idempotent, annihilate
-    each other, sum to I and have rank ``r/g`` each; a rounded trace other
-    than ``r/g`` raises :class:`NumericalDegeneracyError`.
+    ``U X_i W* = L_i (R_i M_i W*)`` (``L_i (R_i S_i* W*)`` on T*), read off
+    the presentation with its frame ``L_i = U Q_i`` and no d x d product. By
+    construction the primitives are idempotent, annihilate each other, sum
+    to I and have rank ``r/g`` each; a rounded trace other than ``r/g``
+    raises :class:`NumericalDegeneracyError`.
     """
     su = c.free
     r, g = su.G.shape
@@ -761,38 +771,48 @@ def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
         S, M = M.conj().transpose(0, 2, 1), S.conj().transpose(0, 2, 1)
     Q, R = np.linalg.qr(S)
     frames = c.U @ Q
-    prims = frames @ (R @ M @ (c.U.conj().T @ c.E))
-    ranks = np.rint(np.trace(prims, axis1=1, axis2=2).real).astype(int)
+    rows = R @ M @ c.W
+    ranks = np.rint(np.trace(rows @ frames, axis1=1, axis2=2).real).astype(int)
     if np.any(ranks != r // g):
         raise NumericalDegeneracyError(
             f"the primitives of a free corner have ranks {ranks.tolist()}, not {r // g} each")
-    return list(zip(prims, frames))
+    return list(zip(frames, rows))
 
 
 @dataclass(frozen=True)
 class AlgebraStructure:
     """Simple-block data of A/rad(A) with block idempotents lifted into A.
 
-    Each primitive comes with an orthonormal frame of its range, kept from
-    where the primitive is built: the frame of its block's corner when the
-    block is M_1, the QR factor of its summand ``B G_i`` on a free block, and
-    the Schur frame of its Riesz split otherwise. A primitive P and its frame
-    L factor as ``P = L (L* P)``, which is what a decomposition validates and
-    what a restriction ``L* T L`` of T to range P reads.
+    Every idempotent is held as its factors ``P = L R*``, an orthonormal
+    frame L of its range and a row factor R*, kept from where it is built:
+    a block's frame is that of its corner, and a primitive's is its block's
+    when the block is M_1, the QR factor of its summand ``B G_i`` on a free
+    block, and the Schur frame of its Riesz split otherwise. The dense
+    idempotents are formed only on request.
     """
 
     algebra_dim: int
     radical_dim: int
     block_dims: tuple[int, ...]              # n_1 >= ... >= n_k
-    central_idempotents: np.ndarray          # (k, d, d), mutually annihilating
-    # (sum n_i, d, d): the n_i primitive idempotents of each block, in block order
-    primitives: np.ndarray = field(repr=False, compare=False)
-    # one (d, rank) orthonormal frame of the range of each primitive
+    # the factors of the k block idempotents and of the n_i primitives of each
+    block_frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    block_rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.block_dims)
+
+    @property
+    def central_idempotents(self) -> np.ndarray:
+        """The block idempotents, dense (k, d, d)."""
+        return np.stack([L @ R for L, R in zip(self.block_frames, self.block_rows)])
+
+    @property
+    def primitives(self) -> np.ndarray:
+        """The primitive idempotents, dense (sum n_i, d, d)."""
+        return np.stack([L @ R for L, R in zip(self.frames, self.rows)])
 
 
 def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
@@ -807,7 +827,7 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
     k = cen.shape[1]
     if k <= 1:
         return [root]
-    return [_corner(T, E, U, policy) for E, U in _split_by_random_element(root, cen, k, rng)]
+    return [_corner(T, U, W, policy) for U, W in _split_by_random_element(root, cen, k, rng)]
 
 
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
@@ -827,10 +847,11 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
                 "block dimensions and radical do not account for the algebra dimension: "
                 f"{[n for _, n in found]} + rad {root.radical_dim} != {root.algebra_dim}")
         blocks.extend(found)
-    blocks.sort(key=lambda cn: (-cn[1], -float(np.trace(cn[0].E).real)))
-    idems = np.stack([c.E for c, _ in blocks])
+    # by size, then by rank; the sort is stable, so equal blocks keep the
+    # order in which the walk found them
+    blocks.sort(key=lambda cn: (-cn[1], -cn[0].U.shape[1]))
     dims = tuple(n for _, n in blocks)
-    total = np.sum(idems, axis=0)
+    total = np.hstack([c.U for c, _ in blocks]) @ np.vstack([c.W for c, _ in blocks])
     if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
         raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
     # a block M_n has n primitives of equal rank: a free block's are known,
@@ -839,15 +860,16 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     prims: list[tuple[np.ndarray, np.ndarray]] = []
     for c, n in blocks:
         if n == 1:
-            prims.append((c.E, c.U))
+            prims.append((c.U, c.W))
         elif c.free is not None:
             prims.extend(_free_primitives(c))
         else:
             prims.extend(_split_by_random_element(
                 c, np.eye(c.basis.shape[0], dtype=complex), n, rng, equal=True))
     return AlgebraStructure(sum(root.algebra_dim for root in roots),
-                            sum(root.radical_dim for root in roots), dims, idems,
-                            np.stack([P for P, _ in prims]), tuple(L for _, L in prims))
+                            sum(root.radical_dim for root in roots), dims,
+                            tuple(c.U for c, _ in blocks), tuple(c.W for c, _ in blocks),
+                            tuple(L for L, _ in prims), tuple(R for _, R in prims))
 
 
 def semisimple_structure(T: OperatorTuple,

@@ -4,8 +4,9 @@ A decomposition of a commuting tuple ``T`` is an ordered list of mutually
 annihilating idempotents in the joint commutant summing to the identity;
 it is strongly irreducible (SI) when every restriction ``T|_{range P_i}``
 has a local commutant (no nontrivial idempotent commutes with it). Each
-idempotent travels with an orthonormal frame of its range, on which the
-decomposition is validated and its blocks are restricted. This module
+idempotent is held as its factors ``P = L R*``, an orthonormal frame L of
+its range and a row factor R*, on which the decomposition is validated and
+its blocks are restricted and matched. This module
 produces such decompositions from the commutant's block structure,
 transports them through similarities, decides similarity of two blocks via
 invertible intertwiners, and matches two decompositions of one tuple by a
@@ -20,7 +21,6 @@ import numpy as np
 
 from ._linalg import frob
 from .commutant import (
-    AlgebraStructure,
     _whole_corner,
     contains_invertible,
     intertwiner_space,
@@ -54,151 +54,139 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
 @dataclass(frozen=True)
 class UnitDecomposition:
     """Ordered mutually annihilating idempotents in A'(T) summing to I, each
-    with an orthonormal frame of its range.
-
-    ``frames[a]`` is a (d, rank P_a) matrix with orthonormal columns spanning
-    range P_a, so that ``P_a = L_a R_a*`` with ``R_a* = L_a* P_a``: the
-    decomposition is validated on these factors, and ``L_a* T L_a`` is the
-    restriction of T to range P_a. Decompositions built from the commutant's
-    structure carry the frames their primitives were built with. One built
-    without frames is validated on frames taken by :func:`range_basis` at the
-    policy of the validation. A decomposition returned by :meth:`validated`
-    carries its frames and the residuals of its validation.
+    held as its factors ``P_a = L_a R_a*``: ``frames[a]``, a (d, rank P_a)
+    matrix L_a with orthonormal columns spanning range P_a, and ``rows[a]``,
+    the (rank P_a, d) row factor R_a*. ``L_a* T L_a`` is the restriction of
+    T to range P_a. :meth:`from_idempotents` factors dense idempotents, and a
+    decomposition returned by :meth:`validated` carries its residuals.
     """
 
     tuple_ref: OperatorTuple
-    idempotents: np.ndarray          # (n, d, d)
+    frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     si_flags: tuple[bool, ...]
-    frames: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     residuals: dict | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_idempotents(cls, T: OperatorTuple, P, si_flags: tuple[bool, ...],
+                         policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
+        """The (unvalidated) decomposition of T with the dense idempotents P,
+        factored on :func:`range_basis` frames with ``R_a* = L_a* P_a``; raises
+        :class:`NumericalDegeneracyError` when a frame misses its idempotent's
+        range, ``||P_a - L_a R_a*||_F`` above the idempotency bar."""
+        P = np.asarray(P, dtype=complex)
+        frames = tuple(range_basis(Pa, policy) for Pa in P)
+        rows = tuple(L.conj().T @ Pa for L, Pa in zip(frames, P))
+        off = max(frob(Pa - L @ R) for Pa, L, R in zip(P, frames, rows))
+        bar = max(policy.tol, _float_floor(T.d, max(frob(Pa) for Pa in P)))
+        if off > bar:
+            raise NumericalDegeneracyError(
+                f"a frame misses its idempotent's range (residual {off:.3e} > {bar:.3e})")
+        return cls(T, frames, rows, tuple(si_flags))
 
     @property
     def count(self) -> int:
-        return self.idempotents.shape[0]
+        return len(self.frames)
+
+    @property
+    def idempotents(self) -> np.ndarray:
+        """The idempotents, dense (n, d, d)."""
+        return np.stack([L @ R for L, R in zip(self.frames, self.rows)])
 
     def validate(self, policy: NumericPolicy = DEFAULT_POLICY) -> dict:
         """Check all structural invariants; returns the residuals measured.
 
-        Every residual is read off the factored parts ``F_a = L_a R_a*``,
-        ``R_a* = L_a* P_a``, in O(m d^3) flops; no product of two d x d
-        idempotents is formed:
+        Each residual is that of the ``P_a = L_a R_a*`` themselves, read off
+        the orthonormal frames and, with the QR factorization ``R_a = Q_a
+        S_a``, ``||X R_a*||_F = ||X S_a*||_F`` (so ``||P_a|| = ||S_a||``),
+        in O(m d^3) flops and O(d^2) memory, batched over equal ranks:
 
-        - ``frame``: ``||P_a - F_a||_F``, and the width of ``L_a`` must be
-          ``round(tr P_a)``; together they certify that the frame spans
-          range P_a;
-        - ``idempotent``: ``||F_a^2 - F_a|| = ||(R_a* L_a - I) R_a*||``, plus
-          ``frame_a (2 ||P_a|| + 1)``;
-        - ``annihilate``: ``||F_a F_b|| = ||(R_a* L_b) R_b*||``, a != b, plus
-          ``frame_a ||P_b|| + ||P_a|| frame_b``;
-        - ``commute``: ``||L_a (R_a* T_j) - (T_j L_a) R_a*||`` plus
-          ``2 frame_a ||T_j||``, relative to ``max(1, ||P_a|| ||T_j||)``;
-        - ``sum_identity``: ``||sum_a P_a - I||``.
+        - ``idempotent``: ``||P_a^2 - P_a|| = ||(R_a* L_a - I) S_a*||``;
+        - ``annihilate``: ``||P_a P_b|| = ||(R_a* L_b) S_b*||``, a != b;
+        - ``commute``: ``||[P_a, T_j]||`` relative to ``max(1, ||P_a||
+          ||T_j||)``; with ``Y = T_j L_a``, the commutator ``L_a (R_a* T_j) -
+          Y R_a*`` has the orthogonal parts ``L_a (R_a* T_j - (L_a* Y)
+          R_a*)`` on range L_a and ``-(Y - L_a L_a* Y) R_a*`` off it;
+        - ``sum_identity``: ``||sum_a L_a R_a* - I||``.
 
-        The terms added are the most ``P_a - F_a`` can change a residual by,
-        so each reported residual bounds that of the P_a themselves
-        (``||P_a^2 - P_a||``, ``||P_a P_b||``, ``||[P_a, T_j]||``) and equals
-        it to roundoff where the frame residuals are. The products are batched
-        over idempotents of equal rank; an idempotent of rank 0 has no
-        factored part. Thresholds are the policy tolerances, floored at the
-        float64 level attainable for the idempotents' norms (forming P^2
-        rounds at ~ d*eps*||P||^2, which exceeds an absolute 1e-8 only for
-        extremely oblique inputs); the frame residual is held to the
-        idempotency bar. Raw residuals are always reported; a violated
+        Each ``L_a`` must be orthonormal to within the policy's tol, and its
+        width must be ``round(tr(R_a* L_a))``; a rank-0 P_a has empty factors
+        and no residual. Thresholds are the policy tolerances, floored at the
+        float64 level attainable for the norms (forming P^2 rounds at ~
+        d*eps*||P||^2). Raw residuals are always reported; a violated
         invariant raises :class:`NumericalDegeneracyError`.
         """
-        return self._frames_and_residuals(policy)[1]
-
-    def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
-        """This decomposition with the frames it was validated on and the
-        residuals of :meth:`validate`; raises like it."""
-        frames, report = self._frames_and_residuals(policy)
-        return replace(self, frames=frames, residuals=report)
-
-    def _frames_and_residuals(self, policy: NumericPolicy) -> tuple[tuple, dict]:
-        T, P = self.tuple_ref, self.idempotents
-        n, d = P.shape[0], T.d
-        frames = self.frames if self.frames is not None \
-            else tuple(range_basis(Pa, policy) for Pa in P)
-        eps = float(np.finfo(float).eps)
-        norms_P = np.linalg.norm(P, axis=(1, 2))
-        norms_T = np.linalg.norm(T.matrices, axis=(1, 2))
-        floor = 16.0 * d * eps * max(1.0, norms_P.max()) ** 2
-        widths = np.array([L.shape[1] for L in frames], dtype=int)
-        traces = np.trace(P, axis1=1, axis2=2).real
+        T, n = self.tuple_ref, self.count
+        widths = np.array([L.shape[1] for L in self.frames], dtype=int)
+        Lall = np.concatenate(self.frames, axis=1)      # the columns of each L_a, in a's order
+        Rall = np.concatenate(self.rows, axis=0)        # the rows of each R_a*, likewise
+        owner = np.repeat(np.arange(n), widths)         # the a of each column of Lall
+        C = Rall @ Lall                                 # blocks R_a* L_b
+        traces = np.bincount(owner, weights=np.diagonal(C).real, minlength=n)
         if np.any(widths != np.round(traces)):
             raise NumericalDegeneracyError(
                 f"frame widths {widths.tolist()} differ from the idempotents' rounded "
                 f"traces {np.round(traces).astype(int).tolist()}")
-        # the factors R_a* = L_a* P_a, batched over idempotents of equal
-        # positive rank; the columns of Lall = [L_a]_a and the rows of
-        # Rall = [R_a*]_a are in the order of a
-        Lall = np.concatenate(frames, axis=1)
-        Rall = np.empty((Lall.shape[1], d), dtype=complex)
-        starts = np.cumsum(widths) - widths
-        groups = []
+        # the rows R_a* T_j and the columns T_j L_a of every a, for every j
+        RA, AL = Rall @ T.matrices, T.matrices @ Lall
+        member = owner == np.arange(n)[:, None]         # [a, i]: column i is L_a's
+        norms, idem = np.zeros(n), np.zeros(n)
+        annihilate = np.zeros((n, n))                   # [a, b]: ||P_a P_b||
+        commute = np.zeros((n, T.m))                    # [a, j]: ||[P_a, T_j]||
         for r in np.unique(widths[widths > 0]):
+            # batched over the idempotents a in g, of rank r; cols[a] are L_a's columns
             g = np.flatnonzero(widths == r)
-            cols = (starts[g, None] + np.arange(r)).reshape(-1)
-            L = Lall[:, cols].reshape(d, len(g), r).transpose(1, 0, 2)  # (len g, d, r)
-            R = L.conj().transpose(0, 2, 1) @ P[g]                      # (len g, r, d)
-            Rall[cols] = R.reshape(-1, d)
-            groups.append((g, cols, L, R))
-        C = Rall @ Lall                                                 # blocks R_a* L_b
-        # member[a, i]: row i of Rall is a row of R_a*
-        member = (np.repeat(np.arange(n), widths)[None, :] == np.arange(n)[:, None])
-        # the residuals of the F_a, zero where F_a = 0
-        frame = norms_P.copy()
-        idem = np.zeros(n)
-        annihilate = np.zeros((n, n))       # [b, a]: ||F_a F_b||
-        commute = np.zeros((n, T.m))        # [a, j]: ||[F_a, T_j]||
-        for g, cols, L, R in groups:
-            frame[g] = np.linalg.norm(P[g] - L @ R, axis=(1, 2))
-            idem[g] = np.linalg.norm(R @ L @ R - R, axis=(1, 2))
-            # ||F_a F_b||_F^2 for b in g: the squares of C[:, b] R_b* summed over a's rows
-            Cb = C[:, cols].reshape(-1, len(g), R.shape[1]).transpose(1, 0, 2)
-            annihilate[g] = np.sqrt(np.sum(np.abs(Cb @ R) ** 2, axis=2) @ member.T)
-        for j, A in enumerate(T):
-            RA, AL = Rall @ A, A @ Lall         # the rows R_a* T_j, the columns T_j L_a
-            for g, cols, L, R in groups:
-                comm = L @ RA[cols].reshape(R.shape) \
-                    - AL[:, cols].reshape(d, len(g), -1).transpose(1, 0, 2) @ R
-                commute[g, j] = np.linalg.norm(comm, axis=(1, 2))
-        # with E_a = P_a - F_a: P_a^2 - P_a = F_a^2 - F_a + F_a E_a + E_a P_a - E_a,
-        # P_a P_b = F_a F_b + F_a E_b + E_a P_b and [P_a, T_j] = [F_a, T_j] +
-        # [E_a, T_j], where ||F_a|| <= ||P_a||
-        idem += frame * (2.0 * norms_P + 1.0)
-        annihilate += np.outer(frame, norms_P) + np.outer(norms_P, frame)
+            cols = np.flatnonzero(np.isin(owner, g)).reshape(len(g), r)
+            L, R = Lall[:, cols].transpose(1, 0, 2), Rall[cols]             # (g, d, r), (g, r, d)
+            LH = L.conj().transpose(0, 2, 1)
+            bad = np.linalg.norm(LH @ L - np.eye(r), axis=(1, 2)) > policy.tol
+            if bad.any():
+                raise NumericalDegeneracyError(
+                    f"frames {g[bad].tolist()} are not orthonormal at tol {policy.tol}")
+            Sh = np.linalg.qr(R.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
+            norms[g] = np.linalg.norm(Sh, axis=(1, 2))
+            CS = C[:, cols].transpose(1, 0, 2) @ Sh     # [b, i]: row i of [R_a* L_b S_b*]_a
+            CSb = np.take_along_axis(CS, cols[:, :, None], 1)               # R_b* L_b S_b*
+            idem[g] = np.linalg.norm(CSb - Sh, axis=(1, 2))
+            annihilate[:, g] = np.sqrt(member @ np.sum(np.abs(CS) ** 2, axis=2).T)
+            Y = AL[:, :, cols].transpose(2, 0, 1, 3)    # T_j L_a: (g, m, d, r)
+            LY = LH[:, None] @ Y
+            commute[g] = np.hypot(
+                np.linalg.norm(RA[:, cols].transpose(1, 0, 2, 3) - LY @ R[:, None], axis=(2, 3)),
+                np.linalg.norm((Y - L[:, None] @ LY) @ Sh[:, None], axis=(2, 3)))
         np.fill_diagonal(annihilate, 0.0)
-        commute = (commute + 2.0 * np.outer(frame, norms_T)) \
-            / np.maximum(1.0, np.outer(norms_P, norms_T))
+        commute /= np.maximum(1.0, np.outer(norms, np.linalg.norm(T.matrices, axis=(1, 2))))
+        floor = _float_floor(T.d, norms.max())
         report = {
             "commute": float(commute.max()), "idempotent": float(idem.max()),
             "annihilate": float(annihilate.max()),
-            "sum_identity": frob(P.sum(axis=0) - np.eye(d)),
-            "frame": float(frame.max()), "float_floor": floor,
+            "sum_identity": frob(Lall @ Rall - np.eye(T.d)), "float_floor": floor,
         }
         bars = {"commute": policy.tol, "idempotent": max(policy.tol, floor),
-                "frame": max(policy.tol, floor), "annihilate": max(ANNIHILATION_BAR, floor),
+                "annihilate": max(ANNIHILATION_BAR, floor),
                 "sum_identity": max(IDENTITY_SUM_BAR, floor)}
         failed = [key for key, bar in bars.items() if report[key] > bar]
         if failed:
             raise NumericalDegeneracyError(
                 f"decomposition invariants violated ({', '.join(failed)}): {report}")
-        return frames, report
+        return report
+
+    def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
+        """This decomposition with the residuals of :meth:`validate`; raises
+        like it."""
+        return replace(self, residuals=self.validate(policy))
 
 
-def _structure_decomposition(T: OperatorTuple, struct: AlgebraStructure,
-                             policy: NumericPolicy) -> UnitDecomposition:
-    """The primitives of ``struct`` with their frames, as a validated
-    decomposition of T."""
-    return UnitDecomposition(T, struct.primitives, (True,) * len(struct.frames),
-                             struct.frames).validated(policy)
+def _float_floor(d: int, norm: float) -> float:
+    """The float64 level ``16 d eps max(1, norm)^2`` of the residuals of
+    idempotents of Frobenius norm up to ``norm``."""
+    return 16.0 * d * float(np.finfo(float).eps) * max(1.0, norm) ** 2
 
 
 def unit_si_decomposition(T: OperatorTuple,
                           policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Complete list of primitive idempotents of A'(T), ordered by
-    (block of the quotient, copy within the block), with their frames.
+    (block of the quotient, copy within the block), as factored pairs.
 
     The primitives are those of :func:`semisimple_structure`, which splits
     block i into exactly n_i of them, of equal rank, and retries a walk that
@@ -206,22 +194,23 @@ def unit_si_decomposition(T: OperatorTuple,
     primitive idempotent's corner is local); the family is validated as a
     decomposition here.
     """
-    return _structure_decomposition(T, semisimple_structure(T, policy), policy)
+    S = semisimple_structure(T, policy)
+    return UnitDecomposition(T, S.frames, S.rows, (True,) * len(S.frames)).validated(policy)
 
 
 def transport_decomposition(D: UnitDecomposition, X,
                             policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
     """Push a decomposition of T through X to a decomposition of X T X^-1.
 
-    The range of ``X P X^-1`` is ``X range(P)``, so each frame is carried as
-    the Q factor of ``X L``.
+    ``X L R* X^-1 = Q (S R* X^-1)`` for the QR factors ``X L = Q S``.
     """
     Tc = conjugate(D.tuple_ref, X, policy)
     X = np.asarray(X, dtype=complex)
     Xi = np.linalg.inv(X)
-    idems = np.stack([X @ P @ Xi for P in D.idempotents])
-    frames = tuple(np.linalg.qr(X @ L)[0] for L in D.frames)
-    return UnitDecomposition(Tc, idems, D.si_flags, frames).validated(policy)
+    QS = [np.linalg.qr(X @ L) for L in D.frames]
+    return UnitDecomposition(Tc, tuple(Q for Q, _ in QS),
+                             tuple(S @ (R @ Xi) for (_, S), R in zip(QS, D.rows)),
+                             D.si_flags).validated(policy)
 
 
 @dataclass(frozen=True)
@@ -279,21 +268,22 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
                          policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Direct sum of blockwise intertwiners in ambient coordinates.
 
-    ``pairs`` is a list of (P_i, Q_i, Xhat_i, U_{P_i}, U_{Q_i}): P_i from a
-    unit decomposition for T, Q_i from one for S, U_{P_i} and U_{Q_i}
-    orthonormal frames of their ranges, and Xhat_i an invertible intertwiner
-    between the restricted tuples in those frames. The assembled X = sum_i
-    U_{Q_i} Xhat_i U_{P_i}^* P_i satisfies X T_j = S_j X and is invertible;
-    both are verified.
+    ``pairs`` is a list of (Xhat_i, L_{P_i}, R_{P_i}*, L_{Q_i}): ``P_i =
+    L_{P_i} R_{P_i}*`` an idempotent of a unit decomposition for T, given by
+    its factors, L_{Q_i} an orthonormal frame of the range of the matching
+    idempotent Q_i of one for S, and Xhat_i an invertible intertwiner between
+    the restricted tuples in the frames. The assembled X = sum_i L_{Q_i}
+    Xhat_i R_{P_i}* satisfies X T_j = S_j X and is invertible; both are
+    verified.
     """
     X = np.zeros((S.d, T.d), dtype=complex)
-    for P, Q, Xhat, UP, UQ in pairs:
-        if Xhat.shape != (UQ.shape[1], UP.shape[1]):
+    for Xhat, LP, RP, LQ in pairs:
+        if Xhat.shape != (LQ.shape[1], LP.shape[1]):
             raise ValueError(
                 f"incompatible pairing data: intertwiner shape {Xhat.shape} vs "
-                f"ranks ({UQ.shape[1]}, {UP.shape[1]})"
+                f"ranks ({LQ.shape[1]}, {LP.shape[1]})"
             )
-        X += UQ @ Xhat @ (UP.conj().T @ P)
+        X += LQ @ (Xhat @ RP)
     scale = max(1.0, max(frob(A) for A in T), max(frob(B) for B in S))
     resid = max(frob(X @ T[i] - S[i] @ X) for i in range(T.m)) / scale
     if resid > ASSEMBLY_BAR:
@@ -356,15 +346,16 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
             if res.similar:
                 used[j] = True
                 perm[i] = j
-                pairs.append((D1.idempotents[i], D2.idempotents[j], res.intertwiner,
-                              D1.frames[i], D2.frames[j]))
+                pairs.append((res.intertwiner, D1.frames[i], D1.rows[i], D2.frames[j]))
                 break
         if perm[i] < 0:
             return EquivalenceOutcome(None, f"no similar partner for block {i}")
     X = assemble_intertwiner(T, T, pairs, policy)
     Xi = np.linalg.inv(X)
-    resid = max(frob(X @ P @ Xi - Q) for P, Q, *_ in pairs)
-    if resid > ASSEMBLY_BAR * max(1.0, max(frob(P) for P, *_ in pairs)):
+    # X P_i X^-1 - Q_j = (X L_i)(R_i* X^-1) - L_j R_j*, and ||P_i||_F = ||R_i*||_F
+    resid = max(frob((X @ D1.frames[i]) @ (D1.rows[i] @ Xi) - D2.frames[j] @ D2.rows[j])
+                for i, j in enumerate(perm))
+    if resid > ASSEMBLY_BAR * max(1.0, max(frob(R) for R in D1.rows)):
         raise NumericalDegeneracyError(
             f"assembled element does not transport the idempotents (residual {resid:.3e})"
         )

@@ -24,7 +24,6 @@ from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
     _invertible_intertwiner,
-    _structure_decomposition,
     assemble_intertwiner,
     block_similarity,
 )
@@ -73,7 +72,8 @@ def v_semigroup_invariant(T: OperatorTuple,
     representative dimension and then by the spectrum of the first component.
     """
     struct = semisimple_structure(T, policy)
-    D = _structure_decomposition(T, struct, policy)
+    D = UnitDecomposition(T, struct.frames, struct.rows,
+                          (True,) * len(struct.frames)).validated(policy)
     ends = np.cumsum(struct.block_dims).tolist()
     blocks = [(range(e - n, e), compress(T, D.frames[e - n]))
               for e, n in zip(ends, struct.block_dims)]
@@ -181,9 +181,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
         pairs = []
         DT, DS = invT.decomposition, invS.decomposition
         for a, (b, Xrep) in enumerate(match):
-            blocksT = invT.class_blocks[a]
-            blocksS = invS.class_blocks[b]
-            for j, (iT, iS) in enumerate(zip(blocksT, blocksS)):
+            for j, (iT, iS) in enumerate(zip(invT.class_blocks[a], invS.class_blocks[b])):
                 LP, LQ = DT.frames[iT], DS.frames[iS]
                 # the first blocks restrict to the class representatives,
                 # whose intertwiner the matching above already found
@@ -193,7 +191,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"
                     )
-                pairs.append((DT.idempotents[iT], DS.idempotents[iS], Xhat, LP, LQ))
+                pairs.append((Xhat, LP, DT.rows[iT], LQ))
         witness = assemble_intertwiner(T, S, pairs, policy)
         Xi = np.linalg.inv(witness)
         residual = float(max(frob(witness @ T[i] @ Xi - S[i]) for i in range(T.m)))

@@ -68,6 +68,9 @@ GOOD_INVERTIBLE_COND = 1e3
 INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
+# Largest Sylvester stack, 16 m (d_T d_S)^2 bytes, that intertwiner_space
+# builds; it refuses a larger one (J_96 at m = 2 needs 2.7 GB).
+STACK_BYTE_BUDGET = 2**30
 # Validity checks of a Riesz projector P of a cluster split (_spectral_split).
 # Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap
 # or wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F). A

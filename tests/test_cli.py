@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,18 @@ class TestDecompose:
     def test_missing_file_exits_2(self, capsys):
         rc, _ = run(capsys, ["decompose", "--input", "/nonexistent.json"])
         assert rc == 2
+
+    def test_residual_keys_are_the_documented_ones(self, tmp_path, capsys):
+        # the keys of the payload's residuals, as docs/formats.md lists them
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        section = doc.split("### `decompose` payload", 1)[1].split("###", 1)[0]
+        listed = re.search(r"`residuals`: [^`]*`\{([^}]*)\}`", section).group(1)
+        T = conjugate(operator_tuple([bd(jordan(2), jordan(2, 1.0))]),
+                      conditioned_invertible(4, 10.0, np.random.default_rng(0)))
+        rc, out = run(capsys, ["decompose", "--input", write_tuple(tmp_path / "t.json", T)])
+        assert rc == 0
+        assert sorted(json.loads(out)["residuals"]) == sorted(
+            key.strip() for key in listed.split(","))
 
 
 class TestInvariant:
@@ -223,6 +237,19 @@ class TestExitCodes:
         rc = cli.main(["decompose", "--input", p])
         capsys.readouterr()
         assert rc == 3
+
+    def test_stack_over_the_byte_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # J_96 with its spin-up presentation refused falls to the Sylvester
+        # stack, which would take 2.7 GB: refused with a reason, exit 3
+        import sidecomp.commutant as commutant
+
+        monkeypatch.setattr(commutant, "_spin_up", lambda T, policy: None)
+        N = jordan(96)
+        p = write_tuple(tmp_path / "t.json", operator_tuple([N, N @ N]))
+        rc = main(["invariant", "--input", p])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert "needs 2717908992 bytes" in captured.err
 
     def test_failed_identity_check_exits_4(self, tmp_path, capsys):
         # a decreasing coefficient rule makes the lowering tuple expansive:

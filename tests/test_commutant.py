@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from sidecomp.policy import (
     CENTRALITY_BAR,
     INVERTIBLE_TRIALS,
     SPLIT_GAPS,
+    STACK_BYTE_BUDGET,
     STRUCTURE_SEEDS,
     NumericalDegeneracyError,
     NumericPolicy,
@@ -613,7 +615,8 @@ class TestOneWalk:
         never into three."""
         r = np.random.default_rng(2)
         z = A.element(r.standard_normal(A.algebra_dim) + 1j * r.standard_normal(A.algebra_dim))
-        e = commutant._spectral_split(z)[0][0]
+        L, R = commutant._spectral_split(z)[0]
+        e = L @ R
         eye = np.eye(A.d)
         return np.stack([A.coords(eye), A.coords(e), A.coords(eye - e)], axis=1)
 
@@ -818,8 +821,9 @@ class TestTwoFlatStages:
             projs = real(z)
             if not merged and projs is not None and len(projs) == parts:
                 merged.append(None)
-                (P0, Z0), (P1, Z1) = projs[:2]
-                return [(P0 + P1, np.linalg.qr(np.hstack([Z0, Z1]))[0])] + projs[2:]
+                (L0, R0), (L1, R1) = projs[:2]
+                Q, S = np.linalg.qr(np.hstack([L0, L1]))
+                return [(Q, S @ np.vstack([R0, R1]))] + projs[2:]
             return projs
 
         monkeypatch.setattr(commutant, "_spectral_split", merging)
@@ -846,15 +850,30 @@ class TestTwoFlatStages:
         # built for either
         real, ranks = commutant._corner, []
 
-        def recording(T1, E, U, policy):
-            ranks.append(round(np.trace(E).real))
-            return real(T1, E, U, policy)
+        def recording(T1, U, W, policy):
+            ranks.append(round(np.trace(W @ U).real))
+            return real(T1, U, W, policy)
 
         monkeypatch.setattr(commutant, "_corner", recording)
         merged = self.merge_once(monkeypatch, 3)
         S = semisimple_structure(TestOneWalk.tuple_())
         assert merged and sorted(ranks) == [4, 4, 6]
         assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
+
+    @pytest.mark.parametrize("stream", range(6))
+    def test_equal_blocks_keep_the_walk_order(self, stream):
+        # three SI blocks of size 4 at three eigenvalues, cond 50: blocks of
+        # equal size and rank keep the order of the primary corners that
+        # found them; sorted on their traces, they were ordered by roundoff
+        rng = np.random.default_rng([3, stream])
+        A, B, C = (jordan_polynomial_tuple(4, lam, rng, 2) for lam in (0.8, -0.8, 1.6))
+        T = conjugate(direct_sum(direct_sum(A, B), C), conditioned_invertible(12, 50.0, rng))
+        pol = NumericPolicy()
+        roots = commutant._primary_corners(T, pol, np.random.default_rng(pol.seed))
+        S = semisimple_structure(T, pol)
+        assert len(roots) == 3 and S.block_dims == (1, 1, 1)
+        for L, root in zip(S.frames, roots):
+            assert np.array_equal(L, root.U)
 
 
 class TestFreeRoots:
@@ -897,7 +916,7 @@ class TestFreeRoots:
         for S in (closed, walked):
             assert (S.k, S.block_dims) == (1, (n,))
             assert [round(np.trace(P).real) for P in S.primitives] == [r] * n
-            D = UnitDecomposition(T, S.primitives, (True,) * n)
+            D = UnitDecomposition.from_idempotents(T, S.primitives, (True,) * n, pol)
             D.validate(pol)
             decomps.append(D)
         assert decompositions_equivalent(T, *decomps).equivalent
@@ -1006,7 +1025,7 @@ class TestAdjointSide:
         for S in (closed, walked):
             assert (S.k, S.block_dims) == (1, (3,))
             assert [round(np.trace(P).real) for P in S.primitives] == [15] * 3
-            D = UnitDecomposition(T, S.primitives, (True,) * 3, S.frames)
+            D = UnitDecomposition(T, S.frames, S.rows, (True,) * 3)
             D.validate(pol)
             decomps.append(D)
         assert decompositions_equivalent(T, *decomps).equivalent
@@ -1075,12 +1094,12 @@ class TestSpectralSplit:
         # zero part, which is idempotent and of small norm but splits nothing
         z = np.diag([1.0, 2.0, 3.0]).astype(complex)
         projs = commutant._spectral_split(z)
-        assert [round(np.trace(P).real) for P, _ in projs] == [1, 1, 1]
+        assert [round(np.trace(R @ L).real) for L, R in projs] == [1, 1, 1]
         real_projector = commutant.spectral_projector
 
         def first_part_empty(T, Z, idx):
-            P, Z1 = real_projector(T, Z, idx)
-            return (np.zeros_like(P) if np.isclose(T[idx[0], idx[0]], 1.0) else P), Z1
+            L, R = real_projector(T, Z, idx)
+            return L, (np.zeros_like(R) if np.isclose(T[idx[0], idx[0]], 1.0) else R)
 
         monkeypatch.setattr(commutant, "spectral_projector", first_part_empty)
         assert commutant._spectral_split(z) is None
@@ -1104,7 +1123,7 @@ class TestSpectralSplit:
         if failures is None:
             assert projs is None and len(calls) == len(SPLIT_GAPS)
         else:
-            assert [round(np.trace(P).real) for P, _ in projs] == [1, 1, 1]
+            assert [round(np.trace(R @ L).real) for L, R in projs] == [1, 1, 1]
 
     @pytest.mark.parametrize("which", ["diagonalizable", "escalating"])
     def test_one_schur_form_per_split(self, monkeypatch, which):
@@ -1137,12 +1156,13 @@ class TestSpectralSplit:
         projs = commutant._spectral_split(z)
         refs = [self.reference_projector(z, c, 0.5) for c in centers]
         assert len(projs) == len(refs)
-        for (P, Z), ref in zip(projs, refs):
+        for (Z, R), ref in zip(projs, refs):
+            P = Z @ R
             assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
             # the frame is orthonormal and spans range(P): P fixes it, and
             # it has as many columns as P has rank
             k = round(np.trace(P).real)
-            assert Z.shape == (z.shape[0], k)
+            assert Z.shape == (z.shape[0], k) and R.shape == (k, z.shape[0])
             assert np.linalg.norm(Z.conj().T @ Z - np.eye(k)) <= 1e-12
             assert np.linalg.norm(P @ Z - Z) <= 1e-10 * np.linalg.norm(P)
 
@@ -1166,6 +1186,23 @@ class TestIntertwiners:
         # maps J_2(0) -> J_3(0): polynomial-embedding intertwiners exist
         sp = intertwiner_space(operator_tuple([jordan(2)]), operator_tuple([jordan(3)]))
         assert sp.shape[0] == 2 and sp.shape[1:] == (3, 2)
+
+    def test_stack_over_the_byte_budget_is_refused(self):
+        # two d = 96, m = 2 tuples: their stack needs 16 m d^4 = 2.7 GB, over
+        # STACK_BYTE_BUDGET; it raises before anything that large is allocated
+        r = np.random.default_rng(0)
+        T = operator_tuple([np.diag(r.standard_normal(96)), np.eye(96)])
+        S = operator_tuple([np.diag(r.standard_normal(96)), np.eye(96)])
+        assert 16 * 2 * 96 ** 4 > STACK_BYTE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalDegeneracyError,
+                               match=r"m=2, d_T=96, d_S=96 needs 2717908992 bytes"):
+                intertwiner_space(T, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestContainsInvertible:

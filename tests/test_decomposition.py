@@ -129,79 +129,88 @@ class TestUnitSiDecomposition:
         assert commutant.semisimple_structure(T).block_dims == (2, 2)
         assert presentations == corners == bases == [32, 16, 16]
 
+    @staticmethod
+    def loop_reference(T, F):
+        """The residuals of the dense idempotents F by the pairwise loops."""
+        frob, n = np.linalg.norm, len(F)
+        return {
+            "commute": max(frob(Fa @ A - A @ Fa) / max(1.0, frob(Fa) * frob(A))
+                           for Fa in F for A in T),
+            "idempotent": max(frob(Fa @ Fa - Fa) for Fa in F),
+            "annihilate": max((frob(F[a] @ F[b]) for a in range(n) for b in range(n)
+                               if a != b), default=0.0),
+            "sum_identity": frob(F.sum(axis=0) - np.eye(T.d)),
+        }
+
     def test_validate_matches_the_loop_reference(self):
-        # idempotents perturbed entrywise by 1e-10 (inside every bar, and off
-        # the frames they are validated on) put each residual far above
-        # roundoff: every reported residual bounds that of the pairwise loops
-        # over the perturbed idempotents, and exceeds it by at most twice the
-        # stated frame term (the frame term itself, and the float floor)
+        # factors perturbed by 1e-10 (each frame to another orthonormal
+        # frame, each row factor entrywise; inside every bar) put each
+        # residual far above roundoff, and each equals that of the pairwise
+        # loops over F_a = L_a R_a* to within the float floor
         r = np.random.default_rng(1)
         T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
                       conditioned_invertible(7, 10.0, r))
         D = unit_si_decomposition(T)
-        P = D.idempotents + 1e-10 * (r.standard_normal(D.idempotents.shape)
-                                     + 1j * r.standard_normal(D.idempotents.shape))
-        rep = UnitDecomposition(T, P, D.si_flags, D.frames).validate()
-        frob = np.linalg.norm
-        n = len(P)
-        reference = {
-            "commute": max(frob(Pi @ A - A @ Pi) / max(1.0, frob(Pi) * frob(A))
-                           for Pi in P for A in T),
-            "idempotent": max(frob(Pi @ Pi - Pi) for Pi in P),
-            "annihilate": max(frob(P[a] @ P[b]) for a in range(n) for b in range(n) if a != b),
-            "frame": max(frob(Pi - L @ (L.conj().T @ Pi)) for Pi, L in zip(P, D.frames)),
-        }
-        e, nP, nT = rep["frame"], max(frob(Pi) for Pi in P), max(frob(A) for A in T)
-        slack = {"commute": 4.0 * e * nT, "idempotent": 2.0 * e * (2.0 * nP + 1.0),
-                 "annihilate": 4.0 * e * nP, "frame": 0.0}
-        assert e > 1e-11
+
+        def noise(shape):
+            return 1e-10 * (r.standard_normal(shape) + 1j * r.standard_normal(shape))
+
+        def nearby_frame(L):
+            Q, S = np.linalg.qr(L + noise(L.shape))
+            return Q * (np.diag(S) / np.abs(np.diag(S)))
+
+        frames = tuple(nearby_frame(L) for L in D.frames)
+        rows = tuple(R + noise(R.shape) for R in D.rows)
+        rep = UnitDecomposition(T, frames, rows, D.si_flags).validate()
+        reference = self.loop_reference(T, np.stack([L @ R for L, R in zip(frames, rows)]))
         for key, value in reference.items():
             assert value > 1e-11
-            assert value - rep["float_floor"] <= rep[key] \
-                <= value + slack[key] + rep["float_floor"], key
+            assert abs(rep[key] - value) <= rep["float_floor"], key
 
     def test_validate_reports_all_invariants(self):
         T = operator_tuple([bd(jordan(2), jordan(3, 1.0))])
         D = unit_si_decomposition(T)
         rep = D.validate()
+        assert set(rep) == {"commute", "idempotent", "annihilate", "sum_identity",
+                            "float_floor"}
         assert rep["sum_identity"] <= 1e-8 and rep["annihilate"] <= 1e-6
-        assert rep["frame"] <= rep["float_floor"] and D.residuals == rep
+        assert D.residuals == rep
 
-    @pytest.mark.parametrize("framed", [False, True])
-    def test_zero_idempotent_validates(self, framed):
-        # an idempotent of rank 0 has a frame of width 0 and no residual
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_zero_idempotent_validates(self, factored):
+        # an idempotent of rank 0 has factors of width 0 and no residual,
+        # given as factors or factored from the dense zero matrix
         T = operator_tuple([np.diag([1.0, 2.0])])
-        P = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]).astype(complex)
-        frames = (np.eye(2)[:, :1], np.eye(2)[:, 1:], np.zeros((2, 0))) if framed else None
-        D = UnitDecomposition(T, P, (True, True, False), frames).validated()
-        assert [L.shape[1] for L in D.frames] == [1, 1, 0]
+        flags = (True, True, False)
+        if factored:
+            frames = (np.eye(2)[:, :1], np.eye(2)[:, 1:], np.zeros((2, 0)))
+            D = UnitDecomposition(T, frames, tuple(L.T for L in frames), flags)
+        else:
+            P = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+            D = UnitDecomposition.from_idempotents(T, P, flags)
+        D = D.validated()
+        assert [L.shape[1] for L in D.frames] == [R.shape[0] for R in D.rows] == [1, 1, 0]
+        assert np.array_equal(D.idempotents[2], np.zeros((2, 2)))
         assert max(v for k, v in D.residuals.items() if k != "float_floor") <= 1e-15
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
     def test_factored_residuals_equal_the_loop_reference(self, seed):
-        # mixed-rank planted profiles: the residuals read off the frames the
+        # mixed-rank planted profiles: the residuals read off the factors the
         # structure built equal the pairwise loops over the idempotents to
         # within the float floor
         T = planted_instance(seed % 997, d_max=14).realized
         D = unit_si_decomposition(T)
-        P, frob = D.idempotents, np.linalg.norm
-        n = len(P)
-        reference = {
-            "commute": max(frob(Pi @ A - A @ Pi) / max(1.0, frob(Pi) * frob(A))
-                           for Pi in P for A in T),
-            "idempotent": max(frob(Pi @ Pi - Pi) for Pi in P),
-            "annihilate": max((frob(P[a] @ P[b]) for a in range(n) for b in range(n)
-                               if a != b), default=0.0),
-            "frame": max(frob(Pi - L @ (L.conj().T @ Pi)) for Pi, L in zip(P, D.frames)),
-            "sum_identity": frob(P.sum(axis=0) - np.eye(T.d)),
-        }
-        for key, value in reference.items():
+        for key, value in self.loop_reference(T, D.idempotents).items():
             assert abs(D.residuals[key] - value) <= D.residuals["float_floor"], key
 
     def test_frame_off_the_range_fails(self):
-        # a frame rotated off range P, or one of the wrong width, fails the
-        # frame certificate
+        # a frame rotated off range P with the same row factor is no longer
+        # the frame of an idempotent, and fails the idempotency residual; a
+        # frame that is not orthonormal is refused, although (2 L)(R*/2) is
+        # the same idempotent, since the residuals are read through it; and
+        # a frame wider than the rank of its idempotent (L 0* = 0) fails the
+        # width check
         T = conjugate(operator_tuple([bd(jordan(2), jordan(2), jordan(3, 1.0))]),
                       conditioned_invertible(7, 10.0, np.random.default_rng(4)))
         D = unit_si_decomposition(T)
@@ -209,12 +218,34 @@ class TestUnitSiDecomposition:
         off = np.linalg.qr(np.hstack([L, np.eye(T.d)]))[0][:, L.shape[1]]
         rotated = L.copy()
         rotated[:, -1] = np.cos(1e-3) * L[:, -1] + np.sin(1e-3) * off
-        with pytest.raises(NumericalDegeneracyError, match=r"violated \(.*frame"):
-            UnitDecomposition(T, D.idempotents, D.si_flags,
-                              (rotated,) + D.frames[1:]).validate()
+        with pytest.raises(NumericalDegeneracyError, match=r"violated \(.*idempotent"):
+            UnitDecomposition(T, (rotated,) + D.frames[1:], D.rows, D.si_flags).validate()
+        with pytest.raises(NumericalDegeneracyError, match=r"frames \[0\] are not orthonormal"):
+            UnitDecomposition(T, (2.0 * L,) + D.frames[1:], (D.rows[0] / 2.0,) + D.rows[1:],
+                              D.si_flags).validate()
         with pytest.raises(NumericalDegeneracyError, match="frame widths"):
-            UnitDecomposition(T, D.idempotents, D.si_flags,
-                              (L[:, 1:],) + D.frames[1:]).validate()
+            UnitDecomposition(T, D.frames, (0.0 * D.rows[0],) + D.rows[1:],
+                              D.si_flags).validate()
+
+    def test_dense_idempotent_off_its_frame_fails(self):
+        # the rank-1 idempotent x y* of norm 500 perturbed off its range by
+        # singular values a twentieth of range_basis's rank cut: the cut keeps
+        # the rank and the frame, and the part off the frame, above the
+        # idempotency bar, fails the factorization
+        d, r = 12, np.random.default_rng(5)
+        x = np.linalg.qr(r.standard_normal((d, 2)) + 1j * r.standard_normal((d, 2)))[0]
+        P0 = np.outer(x[:, 0], (x[:, 0] + 500.0 * x[:, 1]).conj())
+        P = np.stack([P0, np.eye(d) - P0])
+        T = operator_tuple([P0])
+        U = np.linalg.qr(r.standard_normal((d, d)) + 1j * r.standard_normal((d, d)))[0]
+        E = (np.eye(d) - np.outer(x[:, 0], x[:, 0].conj())) @ U     # d - 1 singular values 1
+        bad = P.copy()
+        bad[0] += E * (d * NumericPolicy().rank_rtol * np.linalg.norm(P0, 2) / 20.0)
+        bar = max(NumericPolicy().tol, 16 * d * np.finfo(float).eps * np.linalg.norm(P0) ** 2)
+        assert np.linalg.norm(bad[0] - P0) > bar
+        with pytest.raises(NumericalDegeneracyError, match="misses its idempotent's range"):
+            UnitDecomposition.from_idempotents(T, bad, (True, True))
+        UnitDecomposition.from_idempotents(T, P, (True, True)).validate()
 
 
 class TestTransport:
@@ -249,7 +280,7 @@ class TestTransport:
         for Q, L in zip(D2.idempotents, D2.frames):
             assert np.linalg.norm(L.conj().T @ L - np.eye(L.shape[1])) <= 1e-13
             assert L.shape[1] == round(np.trace(Q).real)
-        assert D2.residuals["frame"] <= D2.residuals["float_floor"]
+            assert np.linalg.norm(Q @ L - L) <= 1e-10 * np.linalg.norm(Q)
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10**6))
@@ -303,14 +334,18 @@ class TestBlockSimilarity:
 
 
 class TestAssembleIntertwiner:
+    @staticmethod
+    def pair(Xhat, P, Q):
+        """The pair of :func:`assemble_intertwiner` for dense P and Q."""
+        LP, LQ = range_basis(P), range_basis(Q)
+        return Xhat, LP, LP.conj().T @ P, LQ
+
     def test_identity_pairs(self):
         T = operator_tuple([np.diag([1.0, 2.0])])
         P = np.diag([1.0, 0.0]).astype(complex)
         Q = np.diag([0.0, 1.0]).astype(complex)
-        X = assemble_intertwiner(T, T, [(P, P, np.eye(1, dtype=complex),
-                                         range_basis(P), range_basis(P)),
-                                        (Q, Q, np.eye(1, dtype=complex),
-                                         range_basis(Q), range_basis(Q))])
+        one = np.eye(1, dtype=complex)
+        X = assemble_intertwiner(T, T, [self.pair(one, P, P), self.pair(one, Q, Q)])
         assert np.allclose(X, np.eye(2))
 
     def test_cross_pairing_of_equal_copies_swaps(self):
@@ -319,9 +354,8 @@ class TestAssembleIntertwiner:
         P2 = bd(np.zeros((2, 2)), np.eye(2))
         r1 = block_similarity(T, P1, P2)
         r2 = block_similarity(T, P2, P1)
-        U1, U2 = range_basis(P1), range_basis(P2)
-        X = assemble_intertwiner(T, T, [(P1, P2, r1.intertwiner, U1, U2),
-                                        (P2, P1, r2.intertwiner, U2, U1)])
+        X = assemble_intertwiner(T, T, [self.pair(r1.intertwiner, P1, P2),
+                                        self.pair(r2.intertwiner, P2, P1)])
         Xi = np.linalg.inv(X)
         for A in T:
             assert np.linalg.norm(X @ A @ Xi - A) <= 1e-8
@@ -343,8 +377,7 @@ class TestDecompositionEquivalence:
         Xi = np.linalg.inv(X)
         idems = np.stack([X @ np.diag([1.0, 0.0]).astype(complex) @ Xi,
                           X @ np.diag([0.0, 1.0]).astype(complex) @ Xi])
-        from sidecomp.decomposition import UnitDecomposition
-        D2 = UnitDecomposition(T, idems, (True, True))
+        D2 = UnitDecomposition.from_idempotents(T, idems, (True, True))
         D2.validate()
         out = decompositions_equivalent(T, D1, D2)
         assert out.equivalent and out.equivalence.residual <= 1e-6
@@ -352,8 +385,7 @@ class TestDecompositionEquivalence:
     def test_permuted_decomposition_yields_swap(self):
         T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])
         D = unit_si_decomposition(T)
-        from sidecomp.decomposition import UnitDecomposition
-        D2 = UnitDecomposition(T, D.idempotents[::-1].copy(), D.si_flags)
+        D2 = UnitDecomposition.from_idempotents(T, D.idempotents[::-1], D.si_flags)
         out = decompositions_equivalent(T, D, D2)
         assert out.equivalent and out.equivalence.permutation == (1, 0)
 
@@ -364,15 +396,15 @@ class TestDecompositionEquivalence:
         T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])
         D = unit_si_decomposition(T)
         other = unit_si_decomposition(conjugate(T, conditioned_invertible(4, 10.0, rng)))
-        for D2 in (other, UnitDecomposition(T, other.idempotents, other.si_flags)):
+        for D2 in (other, UnitDecomposition.from_idempotents(T, other.idempotents,
+                                                             other.si_flags)):
             with pytest.raises(NumericalDegeneracyError, match="commute"):
                 decompositions_equivalent(T, D, D2)
 
     def test_count_mismatch_certificate(self):
         T = operator_tuple([np.eye(2)])
         D1 = unit_si_decomposition(T)
-        from sidecomp.decomposition import UnitDecomposition
-        D2 = UnitDecomposition(T, np.eye(2, dtype=complex)[None], (False,))
+        D2 = UnitDecomposition.from_idempotents(T, np.eye(2, dtype=complex)[None], (False,))
         out = decompositions_equivalent(T, D1, D2)
         assert not out.equivalent and out.certificate == "count mismatch"
 

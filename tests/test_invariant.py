@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bd, jordan
 from sidecomp import (
+    AlgebraStructure,
+    UnitDecomposition,
     block_similarity,
     conjugate,
     direct_sum,
@@ -147,6 +149,25 @@ class TestSimilar:
         # blocks beyond the first of each class need one intertwiner search each
         assert v.invariant_lhs.multiplicities == (2, 1)
         assert len(calls) - 2 * n_plain == 1
+
+    def test_no_dense_idempotent_on_the_invariant_and_witness_paths(self, monkeypatch):
+        # every idempotent is carried as its factors (frame, row factor):
+        # the invariant and the witness never form one as a d x d matrix
+        def forbidden(self):
+            raise AssertionError("a dense idempotent was formed")
+
+        for cls, name in ((UnitDecomposition, "idempotents"),
+                          (AlgebraStructure, "primitives"),
+                          (AlgebraStructure, "central_idempotents")):
+            monkeypatch.setattr(cls, name, property(forbidden))
+        r = np.random.default_rng(11)
+        A, B = jordan_polynomial_tuple(3, 0.8, r, 2), jordan_polynomial_tuple(2, -0.8, r, 2)
+        T = conjugate(direct_sum(inflate(A, 2), B), conditioned_invertible(8, 20.0, r))
+        S = conjugate(T, conditioned_invertible(8, 20.0, r))
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (2, (2, 1))
+        v = similar(T, S, want_witness=True)
+        assert v.similar and v.residual <= 1e-6
 
     def test_one_search_behind_every_similarity_decision(self, monkeypatch):
         import sidecomp.decomposition as decomposition
