@@ -7,7 +7,6 @@ from .policy import (
     DEFAULT_SEED,
     NumericPolicy,
     NumericalDegeneracyError,
-    PropertyViolationError,
 )
 from .tuples import (
     CdIndexProfile,

@@ -176,10 +176,7 @@ def cmd_invariant(args) -> int:
     T = _load_commuting(args.input, pol)
     inv = v_semigroup_invariant(T, pol)
     k0 = k0_descriptor(T, pol, invariant=inv)
-    report = _header(args, pol) | {
-        "k": inv.k,
-        "multiplicities": list(inv.multiplicities),
-        "class_dims": [r.d for r in inv.class_representatives],
+    report = _header(args, pol) | inv.summary() | {
         "class_spectra_first_component": [_spectrum(r[0]) for r in inv.class_representatives],
         "k0": {"rank": k0.rank, "order_unit": list(k0.order_unit)},
     }
@@ -192,13 +189,8 @@ def cmd_similar(args) -> int:
     T = _load_commuting(args.input, pol)
     S = _load_commuting(args.input2, pol)
     verdict = similar_op(T, S, pol, want_witness=args.witness)
-    report = _header(args, pol) | {
-        "similar": verdict.similar,
-        "reason": verdict.reason,
-        "invariant_lhs": verdict.invariant_lhs.summary(),
-        "invariant_rhs": verdict.invariant_rhs.summary(),
+    report = _header(args, pol) | verdict.summary() | {
         "witness": None if verdict.witness is None else sio.matrix_to_obj(verdict.witness),
-        "residual": verdict.residual,
     }
     _emit(report, args.format)
     return EXIT_OK

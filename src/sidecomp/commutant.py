@@ -365,12 +365,6 @@ def _commutant(T: OperatorTuple, su: SpinUp | None, policy: NumericPolicy) -> Co
     return cb if cb is not None else stack_commutant(T, policy)
 
 
-def _commutant_dim(T: OperatorTuple, policy: NumericPolicy) -> int:
-    """dim A'(T), read off the spin-up presentation where there is one."""
-    su = _spin_up(T, policy)
-    return su.K if su is not None else stack_commutant(T, policy).algebra_dim
-
-
 def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
                       policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis (K, dS, dT) of {X : X T_i = S_i X for all i}.
@@ -463,16 +457,16 @@ def inflation_commutant_check(T: OperatorTuple, n: int,
                               policy: NumericPolicy = DEFAULT_POLICY) -> InflationCheck:
     """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity).
 
-    Both dimensions are read off the spin-up presentation where it applies,
-    on the side of T or T* with fewer generators (no basis is built), and off
-    the Sylvester stack otherwise.
+    Both dimensions are those of the corner of the whole space
+    (:func:`_corner`): read off a free presentation, and off the basis of
+    A' otherwise.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n * T.d > INFLATION_SIZE_CAP:
         raise ValueError(f"inflated dimension {n * T.d} exceeds size cap {INFLATION_SIZE_CAP}")
-    base = _commutant_dim(T, policy)
-    big = _commutant_dim(inflate(T, n), policy)
+    base, big = (_corner(S, np.eye(S.d), np.eye(S.d), policy).algebra_dim
+                 for S in (T, inflate(T, n)))
     return InflationCheck(base, big, n, big == n * n * base)
 
 
@@ -621,17 +615,15 @@ class Corner:
     (``free``), on T or on T*: ``C^r`` is a free module of rank g, so ``A' =
     M_g(C[T])`` and ``A'/rad(A') = M_g``, one block of size g whose g
     primitives are known in closed form (:func:`_free_primitives`). Any other
-    corner is read through a trace-orthonormal ``basis`` of A'
-    (:func:`_basis_corner`); ``rad_coords`` are the coefficient vectors of
-    its radical and ``quot_coords`` those of their trace-orthonormal
-    complement, one representative per quotient direction.
+    corner is read through a trace-orthonormal ``basis`` of A'; its
+    ``quot_coords`` are the coefficient vectors of the trace-orthonormal
+    complement of the radical, one representative per quotient direction.
     """
 
     U: np.ndarray                # (d, r) orthonormal frame of range(E)
     W: np.ndarray                # (r, d) row factor W* = U* E
     algebra_dim: int
     basis: np.ndarray | None = None
-    rad_coords: np.ndarray | None = None
     quot_coords: np.ndarray | None = None
     free: SpinUp | None = field(default=None, repr=False, compare=False)
 
@@ -648,35 +640,18 @@ class Corner:
         return self.algebra_dim - self.quotient_dim
 
 
-def _basis_corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, su: SpinUp | None,
-                  policy: NumericPolicy) -> Corner:
-    """The corner read through a trace-orthonormal basis of A'(T), from its
-    spin-up presentation ``su`` where that gives one (:func:`_commutant`)."""
-    basis = _commutant(T, su, policy).basis
-    return Corner(U, W, basis.shape[0], basis, *_radical_coords(basis, policy))
-
-
-def _compressed_corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray,
-                       policy: NumericPolicy) -> Corner:
-    """The corner of the compressed tuple T = U* T_0 U: free where the
-    spin-up presents A'(T) without relations, on T or on T*, and through a
-    basis of A'(T) otherwise. The presentation is built once per corner."""
+def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy) -> Corner:
+    """The corner of an idempotent ``E = U W*`` of A'(T_0), read on the
+    tuple ``T = U* T_0 U`` it compresses to (T_0 itself, with ``U = W = I``,
+    for the whole space): free where the spin-up presents A'(T) without
+    relations, on T or on T*, and otherwise through the basis of A'(T) that
+    :func:`_commutant` gives, with its quotient coordinates. The
+    presentation is built once per corner."""
     su = _spin_up(T, policy)
     if su is not None and su.Y is None:
         return Corner(U, W, su.K, free=su)
-    return _basis_corner(T, U, W, su, policy)
-
-
-def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy) -> Corner:
-    """The corner of the idempotent ``U W*`` of A'(T), U an orthonormal frame
-    of its range."""
-    return _compressed_corner(compress(T, U), U, W, policy)
-
-
-def _whole_corner(T: OperatorTuple, policy: NumericPolicy) -> Corner:
-    """The corner of the whole space, A'(T) itself."""
-    eye = np.eye(T.d, dtype=complex)
-    return _compressed_corner(T, eye, eye, policy)
+    basis = _commutant(T, su, policy).basis
+    return Corner(U, W, basis.shape[0], basis, _radical_coords(basis, policy)[1])
 
 
 def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
@@ -702,8 +677,9 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
         if all(frob(L @ (R @ A) - (A @ L) @ R)
                <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
                for L, R in projs for A in T):
-            return [_corner(T, L, R, policy) for L, R in projs]
-    return [_whole_corner(T, policy)]
+            return [_corner(compress(T, L), L, R, policy) for L, R in projs]
+    eye = np.eye(T.d, dtype=complex)
+    return [_corner(T, eye, eye, policy)]
 
 
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
@@ -819,15 +795,17 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
             rng: np.random.Generator) -> list[Corner]:
     """Corners of the simple blocks of a root. A free root is one block M_g.
     Otherwise the center of the root's quotient has as many dimensions as it
-    has blocks, so one split by random central elements gives them all, and a root with a one-dimensional center is one block. Each block's
-    corner is built afresh (:func:`_corner`) on the frame of its split."""
+    has blocks, so one split by random central elements gives them all, and
+    a root with a one-dimensional center is one block. Each block's corner
+    is built afresh (:func:`_corner`) on the frame of its split."""
     if root.free is not None:
         return [root]
     cen = _center_candidates(root.basis, root.quot_coords, rng)
     k = cen.shape[1]
     if k <= 1:
         return [root]
-    return [_corner(T, U, W, policy) for U, W in _split_by_random_element(root, cen, k, rng)]
+    return [_corner(compress(T, U), U, W, policy)
+            for U, W in _split_by_random_element(root, cen, k, rng)]
 
 
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,

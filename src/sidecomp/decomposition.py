@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, rank_cut, svdvals_robust
 from .commutant import (
-    _whole_corner,
+    _corner,
     contains_invertible,
     intertwiner_space,
     semisimple_structure,
@@ -48,7 +48,8 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     basis of A'(T) is built; elsewhere the quotient is read through a basis
     of A'(T). The presentation's checks draw from the policy's seed.
     """
-    return _whole_corner(T, policy).quotient_dim == 1
+    eye = np.eye(T.d, dtype=complex)
+    return _corner(T, eye, eye, policy).quotient_dim == 1
 
 
 @dataclass(frozen=True)
@@ -220,34 +221,50 @@ class BlockSimilarityResult:
     intertwiner: np.ndarray | None      # restricted coordinates, rank x rank
 
 
-def _invertible_intertwiner(A: OperatorTuple, B: OperatorTuple,
-                            policy: NumericPolicy) -> tuple[np.ndarray | None, bool]:
-    """``(X, definitive)``: an invertible X with X A_i = B_i X, or None.
+def _invertible_intertwiner(T: OperatorTuple, UP: np.ndarray, S: OperatorTuple,
+                            UQ: np.ndarray, policy: NumericPolicy) -> BlockSimilarityResult:
+    """An invertible X with ``X A_i = B_i X`` between the restrictions ``A =
+    UP* T UP`` and ``B = UQ* S UQ`` to the orthonormal frames UP and UQ.
 
     The one search behind every similarity decision on restricted tuples. A
-    dimension mismatch, an empty intertwiner space or a rank-deficient span
+    rank mismatch, an empty intertwiner space or a rank-deficient span
     certifies that no such X exists (``definitive``); a search that finds
-    none in a span of full rank is not definitive.
+    none in a span of full rank is not definitive. Two rank-0 frames are
+    similar through the 0 x 0 intertwiner.
     """
-    if A.d != B.d:
-        return None, True
-    space = intertwiner_space(A, B, policy)
-    if space.shape[0] == 0:
-        return None, True
-    inv = contains_invertible(space, policy)
-    return inv.element, inv.found or inv.rank_deficient
-
-
-def _frame_similarity(T: OperatorTuple, UP: np.ndarray, UQ: np.ndarray,
-                      policy: NumericPolicy) -> BlockSimilarityResult:
-    """:func:`block_similarity` of two idempotents given by orthonormal frames
-    UP and UQ of their ranges: the restrictions are the compressions."""
     if UP.shape[1] != UQ.shape[1]:
         return BlockSimilarityResult(False, True, None)
     if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
         return BlockSimilarityResult(True, True, np.zeros((0, 0), dtype=complex))
-    X, definitive = _invertible_intertwiner(compress(T, UP), compress(T, UQ), policy)
-    return BlockSimilarityResult(X is not None, definitive, X)
+    space = intertwiner_space(compress(T, UP), compress(S, UQ), policy)
+    if space.shape[0] == 0:
+        return BlockSimilarityResult(False, True, None)
+    inv = contains_invertible(space, policy)
+    return BlockSimilarityResult(inv.found, inv.found or inv.rank_deficient, inv.element)
+
+
+def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericPolicy):
+    """Greedy matching of the restrictions of T to the frames UPs with those
+    of S to the frames UQs by :func:`_invertible_intertwiner`: each i in
+    turn takes the first unused j whose restriction is similar to its own,
+    and ``(i, j, X)`` is yielded with the intertwiner X; the first i with no
+    partner yields ``(i, None, None)`` and ends the matching. Greedy
+    matching is exact because similarity of SI restrictions is an
+    equivalence relation; ties break to the lowest index. A caller that
+    stops iterating runs no further search."""
+    used = [False] * len(UQs)
+    for i, UP in enumerate(UPs):
+        for j, UQ in enumerate(UQs):
+            if used[j]:
+                continue
+            res = _invertible_intertwiner(T, UP, S, UQ, policy)
+            if res.similar:
+                used[j] = True
+                yield i, j, res.intertwiner
+                break
+        else:
+            yield i, None, None
+            return
 
 
 def block_similarity(T: OperatorTuple, P, Q,
@@ -261,7 +278,7 @@ def block_similarity(T: OperatorTuple, P, Q,
     """
     check_idempotent_in_commutant(T, P, policy)
     check_idempotent_in_commutant(T, Q, policy)
-    return _frame_similarity(T, range_basis(P, policy), range_basis(Q, policy), policy)
+    return _invertible_intertwiner(T, range_basis(P, policy), T, range_basis(Q, policy), policy)
 
 
 def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
@@ -290,8 +307,8 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
         raise NumericalDegeneracyError(
             f"assembled map fails to intertwine the tuples (residual {resid:.3e})"
         )
-    sv = np.linalg.svd(X, compute_uv=False)
-    if X.shape[0] != X.shape[1] or sv[-1] <= policy.tol * sv[0]:
+    if X.shape[0] != X.shape[1] \
+            or rank_cut(svdvals_robust(X), policy.tol, strict=False) < X.shape[0]:
         raise NumericalDegeneracyError("assembled map is not invertible")
     return X
 
@@ -318,10 +335,9 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
                               policy: NumericPolicy = DEFAULT_POLICY) -> EquivalenceOutcome:
     """Match two unit SI decompositions of the same tuple, with witness.
 
-    Greedy bipartite matching by block similarity (valid because similarity of
-    SI restrictions is an equivalence relation; ties break to the lowest
-    index), on the restrictions to the frames the two decompositions carry;
-    then the blockwise intertwiners are assembled on those frames into a global
+    The restrictions to the frames the two decompositions carry are matched
+    greedily (:func:`_match_blocks`); then the blockwise intertwiners are
+    assembled on those frames into a global
     conjugator X in GL(A'(T)) (:func:`assemble_intertwiner` of T with itself)
     whose transport residual max_i ||X P_i X^-1 - Q_perm(i)||_F is verified
     against ``ASSEMBLY_BAR`` relative to max(1, max_i ||P_i||_F).
@@ -334,22 +350,12 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
               else replace(D, tuple_ref=T).validated(policy) for D in (D1, D2))
     if D1.count != D2.count:
         return EquivalenceOutcome(None, "count mismatch")
-    n = D1.count
-    used = [False] * n
-    perm = [-1] * n
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if used[j]:
-                continue
-            res = _frame_similarity(T, D1.frames[i], D2.frames[j], policy)
-            if res.similar:
-                used[j] = True
-                perm[i] = j
-                pairs.append((res.intertwiner, D1.frames[i], D1.rows[i], D2.frames[j]))
-                break
-        if perm[i] < 0:
+    perm, pairs = [], []
+    for i, j, Xhat in _match_blocks(T, D1.frames, T, D2.frames, policy):
+        if j is None:
             return EquivalenceOutcome(None, f"no similar partner for block {i}")
+        perm.append(j)
+        pairs.append((Xhat, D1.frames[i], D1.rows[i], D2.frames[j]))
     X = assemble_intertwiner(T, T, pairs, policy)
     Xi = np.linalg.inv(X)
     # X P_i X^-1 - Q_j = (X L_i)(R_i* X^-1) - L_j R_j*, and ||P_i||_F = ||R_i*||_F

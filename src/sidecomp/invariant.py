@@ -24,6 +24,7 @@ from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
     _invertible_intertwiner,
+    _match_blocks,
     assemble_intertwiner,
     block_similarity,
 )
@@ -149,29 +150,21 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
     if T.d != S.d:
         return SimilarityVerdict(False, "dimension", invT, invS, None, None)
 
-    used = [False] * invS.k
     # (matched rhs class, intertwiner between the two class representatives)
     match: list[tuple[int, np.ndarray]] = []
-    for a, repT in enumerate(invT.class_representatives):
-        found = -1
-        for b, repS in enumerate(invS.class_representatives):
-            if used[b]:
-                continue
-            X, _ = _invertible_intertwiner(repT, repS, policy)
-            if X is not None:
-                found = b
-                break
-        if found < 0:
+    # the frames of the class representatives: each class's first block
+    reps = [[inv.decomposition.frames[c[0]] for c in inv.class_blocks] for inv in (invT, invS)]
+    for a, b, Xrep in _match_blocks(T, reps[0], S, reps[1], policy):
+        if b is None:
             return SimilarityVerdict(False, f"class {a} of lhs unmatched",
                                      invT, invS, None, None)
-        if invT.multiplicities[a] != invS.multiplicities[found]:
+        if invT.multiplicities[a] != invS.multiplicities[b]:
             return SimilarityVerdict(
                 False,
                 f"multiplicity mismatch on matched class ({invT.multiplicities[a]} "
-                f"vs {invS.multiplicities[found]})",
+                f"vs {invS.multiplicities[b]})",
                 invT, invS, None, None)
-        used[found] = True
-        match.append((found, X))
+        match.append((b, Xrep))
     if invT.k != invS.k:
         return SimilarityVerdict(False, "class count mismatch", invT, invS, None, None)
 
@@ -186,7 +179,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
                 # the first blocks restrict to the class representatives,
                 # whose intertwiner the matching above already found
                 Xhat = Xrep if j == 0 else _invertible_intertwiner(
-                    compress(T, LP), compress(S, LQ), policy)[0]
+                    T, LP, S, LQ, policy).intertwiner
                 if Xhat is None:
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"

@@ -159,7 +159,3 @@ class NumericalDegeneracyError(RuntimeError):
     that must hold exactly comes out wrong. Callers may retry with a tightened
     (or loosened) policy.
     """
-
-
-class PropertyViolationError(RuntimeError):
-    """A verified mathematical property failed on concrete data."""

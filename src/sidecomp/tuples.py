@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, frob, orthonormal_range, rank_cut
+from ._linalg import as_complex_matrix, frob, orthonormal_range, rank_cut, svdvals_robust
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
@@ -118,8 +118,8 @@ def conjugate(T: OperatorTuple, X, policy: NumericPolicy = DEFAULT_POLICY) -> Op
     X = as_complex_matrix(X, "conjugator")
     if X.shape != (T.d, T.d):
         raise ValueError(f"conjugator shape {X.shape} does not match d={T.d}")
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= policy.tol * s[0]:
+    s = svdvals_robust(X)
+    if rank_cut(s, policy.tol, strict=False) < T.d:
         raise ValueError(
             f"singular conjugator: sigma_min/sigma_max = {s[-1]/s[0]:.3e}"
         )

@@ -300,8 +300,10 @@ def _presented_and_stack_counts(T):
     eye = np.eye(T.d, dtype=complex)
     su = commutant._spin_up(T, pol)
     assert su is not None
-    presented = commutant._compressed_corner(T, eye, eye, pol)
-    stacked = commutant._basis_corner(T, eye, eye, None, pol)
+    presented = commutant._corner(T, eye, eye, pol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commutant, "_spin_up", lambda T, policy: None)
+        stacked = commutant._corner(T, eye, eye, pol)
     if su.Y is None:
         assert presented.free is not None and presented.basis is None
     else:
@@ -312,7 +314,7 @@ def _presented_and_stack_counts(T):
             c.basis, c.quot_coords, np.random.default_rng(1)).shape[1]
         counts.append((c.algebra_dim, c.radical_dim, c.quotient_dim, width))
     assert stacked.algebra_dim == stacked.basis.shape[0]
-    assert stacked.radical_dim == stacked.rad_coords.shape[1]
+    assert stacked.radical_dim == commutant._radical_coords(stacked.basis, pol)[0].shape[1]
     return counts[0], counts[1], presented
 
 
@@ -432,7 +434,7 @@ class TestRhoCertificates:
             lifted.append(Y.shape[0])
             return real_maps(B, Y, pinv)
 
-        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_basis_corner"):
+        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_commutant"):
             monkeypatch.setattr(commutant, name, forbidden(name))
         monkeypatch.setattr(commutant, "_spectral_split", recording_split)
         monkeypatch.setattr(commutant, "_module_maps", recording_maps)
@@ -629,7 +631,8 @@ class TestOneWalk:
     def test_center_in_quotient_coordinates(self, monkeypatch):
         c = self.root_corner()
         K, q = c.basis.shape[0], c.quotient_dim
-        assert q == K - c.rad_coords.shape[1] == 4 + 4 + 1
+        rad_coords = commutant._radical_coords(c.basis, NumericPolicy())[0]
+        assert q == K - rad_coords.shape[1] == 4 + 4 + 1
         real_nullspace, shapes = commutant.nullspace, []
 
         def spying(M, *args, **kw):
@@ -641,7 +644,7 @@ class TestOneWalk:
         # the center of M_2 + M_2 + M_1 is 3-dimensional
         assert C.shape == (K, 3)
         assert shapes and all(cols == q for _, cols in shapes)
-        assert np.linalg.norm(c.rad_coords.conj().T @ C) <= 1e-12
+        assert np.linalg.norm(rad_coords.conj().T @ C) <= 1e-12
         # every direction commutes mod rad with the whole corner, not only
         # with the quotient representatives the computation checked
         V = c.basis.conj().reshape(K, -1)
@@ -847,7 +850,7 @@ class TestTwoFlatStages:
     def test_coarse_block_split_is_redrawn(self, monkeypatch):
         # the root of (3; 2, 2, 1), which has relations, splits into blocks
         # of ranks 4, 6 and 4; a merged draw has 2 parts, and no corner is
-        # built for either
+        # built for either (the corner of rank 14 is the root's)
         real, ranks = commutant._corner, []
 
         def recording(T1, U, W, policy):
@@ -857,7 +860,7 @@ class TestTwoFlatStages:
         monkeypatch.setattr(commutant, "_corner", recording)
         merged = self.merge_once(monkeypatch, 3)
         S = semisimple_structure(TestOneWalk.tuple_())
-        assert merged and sorted(ranks) == [4, 4, 6]
+        assert merged and sorted(ranks) == [4, 4, 6, 14]
         assert S.block_dims == (2, 2, 1) and S.primitives.shape == (5, 14, 14)
 
     @pytest.mark.parametrize("stream", range(6))
@@ -905,12 +908,12 @@ class TestFreeRoots:
     def test_closed_form_agrees_with_the_walk(self, r, n, m, cond, seed):
         # n copies of one cyclic r x r block sharing one joint eigenvalue
         T = _shared_eigenvalue_classes([(r, n)], m, cond, np.random.default_rng(seed))
-        pol = NumericPolicy()
-        assert commutant._whole_corner(T, pol).free is not None
+        pol, eye = NumericPolicy(), np.eye(T.d, dtype=complex)
+        assert commutant._corner(T, eye, eye, pol).free is not None
         closed = semisimple_structure(T)
         with pytest.MonkeyPatch.context() as mp:
             self.walked(mp)
-            assert commutant._whole_corner(T, pol).free is None
+            assert commutant._corner(T, eye, eye, pol).free is None
             walked = semisimple_structure(T)
         decomps = []
         for S in (closed, walked):
@@ -928,7 +931,7 @@ class TestFreeRoots:
             raise AssertionError("a free input was walked")
 
         monkeypatch.setattr(commutant, "_radical_coords", forbidden)
-        monkeypatch.setattr(commutant, "_basis_corner", forbidden)
+        monkeypatch.setattr(commutant, "_commutant", forbidden)
         r = np.random.default_rng(7)
         B = jordan_polynomial_tuple(4, -0.8, r, 2)
         assert is_strongly_irreducible(conjugate(B, conditioned_invertible(4, 10.0, r)))
@@ -1014,12 +1017,12 @@ class TestAdjointSide:
         # presentation of T*, validate and match those of the basis walk
         r = np.random.default_rng(4)
         T = conjugate(inflate(_model(2, 4), 3), conditioned_invertible(45, 10.0, r))
-        pol = NumericPolicy()
-        assert commutant._whole_corner(T, pol).free.adjoint
+        pol, eye = NumericPolicy(), np.eye(T.d, dtype=complex)
+        assert commutant._corner(T, eye, eye, pol).free.adjoint
         closed = semisimple_structure(T)
         with pytest.MonkeyPatch.context() as mp:
             TestFreeRoots.walked(mp)
-            assert commutant._whole_corner(T, pol).free is None
+            assert commutant._corner(T, eye, eye, pol).free is None
             walked = semisimple_structure(T)
         decomps = []
         for S in (closed, walked):

@@ -124,8 +124,8 @@ class TestUnitSiDecomposition:
             monkeypatch.setattr(commutant, name, record)
 
         recording("_spin_up", presentations)
-        recording("_compressed_corner", corners)
-        recording("_basis_corner", bases)
+        recording("_corner", corners)
+        recording("_commutant", bases)
         assert commutant.semisimple_structure(T).block_dims == (2, 2)
         assert presentations == corners == bases == [32, 16, 16]
 
@@ -400,6 +400,30 @@ class TestDecompositionEquivalence:
                                                              other.si_flags)):
             with pytest.raises(NumericalDegeneracyError, match="commute"):
                 decompositions_equivalent(T, D, D2)
+
+    def test_rank_zero_block_is_matched(self, monkeypatch):
+        # a rank-0 idempotent pairs with the other one through the 0 x 0
+        # intertwiner; only pairs of rank-1 blocks take a search
+        import sidecomp.decomposition as decomposition
+        calls, real = [], decomposition.intertwiner_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "intertwiner_space", counting)
+        T = operator_tuple([np.diag([1.0, 2.0])])
+        idems = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+        D = UnitDecomposition.from_idempotents(T, idems, (True, True, False))
+        out = decompositions_equivalent(T, D, D)
+        assert out.equivalent and out.equivalence.permutation == (0, 1, 2)
+        assert out.equivalence.residual <= 1e-12
+        assert len(calls) == 2
+        D2 = UnitDecomposition.from_idempotents(T, idems[[2, 1, 0]], (False, True, True))
+        calls.clear()
+        out = decompositions_equivalent(T, D, D2)
+        assert out.equivalent and out.equivalence.permutation == (2, 1, 0)
+        assert len(calls) == 3
 
     def test_count_mismatch_certificate(self):
         T = operator_tuple([np.eye(2)])

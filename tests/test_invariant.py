@@ -186,6 +186,40 @@ class TestSimilar:
         with pytest.raises(RuntimeError, match="intertwiner search"):
             similar(T, T)
 
+    def test_search_counts_are_pinned(self, monkeypatch):
+        # one search (one Sylvester stack) per class pair the greedy matching
+        # tries, plus one per non-first block pair of the witness; a
+        # multiplicity mismatch ends the matching at once, and a rank
+        # mismatch is no search
+        import sidecomp.decomposition as decomposition
+        calls, real = [], decomposition.intertwiner_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "intertwiner_space", counting)
+        J, K = jordan(2), jordan(2, 1.0)
+        r = np.random.default_rng(5)
+        T = operator_tuple([bd(J, J, K)])
+        S = conjugate(T, conditioned_invertible(6, 10.0, r))
+        counts = []
+        for want_witness in (False, True):
+            calls.clear()
+            assert similar(T, S, want_witness=want_witness).similar
+            counts.append(len(calls))
+        calls.clear()
+        v = similar(T, conjugate(operator_tuple([bd(K, J, K)]),
+                                 conditioned_invertible(6, 10.0, r)), want_witness=True)
+        assert not v.similar and v.reason.startswith("multiplicity mismatch")
+        counts.append(len(calls))
+        calls.clear()
+        v = similar(operator_tuple([bd(J, jordan(3, 1.0))]),
+                    operator_tuple([bd(jordan(3), jordan(2, 2.0))]))
+        assert not v.similar and v.reason == "class 0 of lhs unmatched"
+        counts.append(len(calls))
+        assert counts == [2, 3, 2, 1]
+
     def test_disjoint_jordan_spectra_dissimilar(self):
         v = similar(operator_tuple([jordan(2)]), operator_tuple([jordan(2, 1.0)]))
         assert not v.similar
