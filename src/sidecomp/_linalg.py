@@ -2,13 +2,15 @@
 
 Conventions: matrices are numpy complex arrays; ``vec`` is row-major
 (C-order) flattening, so ``vec(AXB) = (A . kron . B^T) vec(X)``.
+
+scipy is imported inside the routines that call LAPACK beyond numpy's
+(:func:`schur`, :func:`spectral_projector`, :func:`cholesky_qr2` and the
+gesvd fallbacks of the SVDs), never at module load: the package and the
+commands that split no spectrum run on numpy alone.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import zherk, ztrsm
-from scipy.linalg.lapack import zpotrf, ztrsen, ztrsyl
 
 from .policy import CHOLESKY_QR_GRAM_BAR, NULLSPACE_ORTHO_BAR, NumericalDegeneracyError
 
@@ -24,6 +26,7 @@ def svd_robust(M: np.ndarray, full_matrices: bool = True, driver: str = "gesdd")
             return np.linalg.svd(M, full_matrices=full_matrices)
         except np.linalg.LinAlgError:
             pass
+    import scipy.linalg as sla
     return sla.svd(M, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
@@ -31,6 +34,7 @@ def svdvals_robust(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg as sla
         return sla.svd(M, compute_uv=False, lapack_driver="gesvd")
 
 
@@ -81,17 +85,64 @@ def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0,
     right singular vectors that are far from orthonormal on stacks with a
     large exact nullspace; such a basis is recomputed with gesvd.
     """
-    M = np.asarray(M)
-    rows, cols = M.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=complex)
-    for driver in ("gesdd", "gesvd"):
-        _, sv, Vh = svd_robust(M, full_matrices=(rows < cols), driver=driver)
-        s = np.concatenate([sv, np.zeros(cols - sv.size)])
-        N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):]
-        if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
-            break
-    return np.ascontiguousarray(N)
+    return block_nullspace([M], rtol, scale=scale, strict=strict)[0]
+
+
+def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
+                    strict: bool = False) -> list[np.ndarray]:
+    """Orthonormal bases of the right nullspaces of the diagonal blocks of a
+    block-diagonal matrix, one per block, cut as :func:`nullspace` cuts the
+    whole matrix: at ``rtol * max(sigma_max, scale)`` with ``sigma_max`` the
+    largest singular value over all blocks. So each block is cut with its
+    ``scale`` raised to the other blocks' largest singular value."""
+    svds = []
+    for M in blocks:
+        rows, cols = M.shape
+        if rows == 0 or cols == 0:
+            svds.append((np.zeros(0), np.eye(cols, dtype=complex)))
+        else:
+            _, sv, Vh = svd_robust(M, full_matrices=rows < cols)
+            svds.append((sv, Vh))
+    tops = [float(sv[0]) if sv.size else 0.0 for sv, _ in svds]   # sv is descending
+    first, second = sorted(tops + [0.0, 0.0], reverse=True)[:2]
+    out = []
+    for M, (sv, Vh), top in zip(blocks, svds, tops):
+        rows, cols = M.shape
+        others = max(scale, second if top == first else first)
+        for driver in ("gesdd", "gesvd"):
+            if driver == "gesvd":
+                _, sv, Vh = svd_robust(M, full_matrices=rows < cols, driver=driver)
+            s = np.concatenate([sv, np.zeros(cols - sv.size)])
+            N = Vh.conj().T[:, rank_cut(s, rtol, scale=others, strict=strict):]
+            if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
+                break
+        out.append(np.ascontiguousarray(N))
+    return out
+
+
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on nodes ``0..n-1`` with edges
+    ``(a[k], b[k])``: each node is labelled by the smallest node of its
+    component. Labels take the minimum over each edge and then jump to their
+    own label's label, until they settle."""
+    label = np.arange(n)
+    while True:
+        lo = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, lo)
+        np.minimum.at(new, b, lo)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def label_groups(labels: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
+    """For each of ``roots``, the ascending indices ``i`` with ``labels[i]`` equal to it."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    lo, hi = np.searchsorted(ranked, roots, "left"), np.searchsorted(ranked, roots, "right")
+    return [order[i:j] for i, j in zip(lo, hi)]
 
 
 def orthonormal_range(M: np.ndarray, rtol: float) -> np.ndarray:
@@ -118,6 +169,9 @@ def cholesky_qr2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     down or the first pass leaves a Gram farther from the identity than the
     bar: A is numerically rank-deficient or too ill-conditioned for two passes.
     """
+    from scipy.linalg.blas import zherk, ztrsm
+    from scipy.linalg.lapack import zpotrf
+
     Q = np.array(A, dtype=complex, order="F")   # the passes overwrite it
     if Q.shape[1] == 0:
         return Q, np.zeros((0, 0), dtype=complex)
@@ -175,6 +229,12 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     return [groups[i] for i in np.lexsort((means.imag, means.real))]
 
 
+def schur(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``z = Z T Z*``: T upper triangular, Z unitary."""
+    import scipy.linalg as sla
+    return sla.schur(np.asarray(z, dtype=complex), output="complex")
+
+
 def spectral_projector(T: np.ndarray, Z: np.ndarray,
                        idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Riesz projector onto the invariant subspace of the eigenvalues ``T[idx, idx]``
@@ -191,6 +251,8 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray,
     reordering fails or the Sylvester solve is perturbed (close eigenvalues on
     both sides).
     """
+    from scipy.linalg.lapack import ztrsen, ztrsyl
+
     select = np.zeros(T.shape[0], dtype=np.int32)
     select[idx] = 1
     k = len(idx)
@@ -222,5 +284,15 @@ def conditioned_invertible(d: int, cond: float, rng: np.random.Generator) -> np.
 
 
 def min_eig_hermitian(M: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part H of M, block by block: H is
+    block diagonal in the permutation that groups the components of its
+    nonzero pattern, a 1 x 1 block's eigenvalue is its (real) entry, and only
+    larger blocks take an ``eigvalsh``."""
     H = 0.5 * (M + M.conj().T)
-    return float(np.linalg.eigvalsh(H).min())
+    r, c = np.nonzero(H)
+    label = component_labels(H.shape[0], r, c)
+    roots, sizes = np.unique(label, return_counts=True)
+    low = np.diagonal(H).real[roots[sizes == 1]].min(initial=np.inf)
+    for g in label_groups(label, roots[sizes > 1]):
+        low = min(low, np.linalg.eigvalsh(H[np.ix_(g, g)]).min())
+    return float(low)

@@ -196,36 +196,38 @@ def cmd_similar(args) -> int:
     return EXIT_OK
 
 
-def _rkhs_checks(spec, grid, preset, pol) -> list[dict]:
+def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
+    """The model checks of ``adj``: the spherical shift for that preset, else
+    the backward multishift ``truncated_tuple(spec, grid, "adjoint")``."""
     checks = []
 
     def add(cid, passed, measure):
         checks.append({"id": cid, "passed": bool(passed), "measure": float(measure)})
 
     if preset == "spherical_shift":
-        V = spherical_shift(grid)
-        S = sum(A.conj().T @ A for A in V)
+        S = sum(A.conj().T @ A for A in adj)
         idx = np.where(grid.interior())[0]
         dev = float(np.abs(S[np.ix_(idx, idx)] - np.eye(idx.size)).max()) if idx.size else 0.0
         add("interior-isometry", dev <= INTERIOR_ISOMETRY_BAR, dev)
-        rep = check_sphere_conditions(V, pol, mask=grid.interior())
+        rep = check_sphere_conditions(adj, pol, mask=grid.interior())
         add("row-contraction", rep.row_contraction, rep.defect_min_eig)
         return checks
 
-    adj = truncated_tuple(spec, grid, "adjoint")
-    fwd = truncated_tuple(spec, grid, "forward")
     comm = validate_commuting(adj, policy=pol)
     add("adjoint-commutation", comm.max_commutator <= ADJOINT_COMMUTE_BAR, comm.max_commutator)
 
-    # reconstruct the squared path products from the forward matrices and
-    # compare against the coefficient rule: Gram diagonal of the monomials
+    # reconstruct the squared path products from the forward matrices (the
+    # adjoint's conjugate transposes, which truncated_tuple's forward mode
+    # builds bitwise) and compare against the coefficient rule: Gram diagonal
+    # of the monomials
+    raising = [np.ascontiguousarray(A.real.T) for A in adj]
     worst = 0.0
     for a in grid.indices:
         v = np.zeros(grid.size)
         v[grid.index_of[(0,) * grid.m]] = 1.0
         for i, reps in enumerate(a):
             for _ in range(reps):
-                v = (fwd[i].real @ v)
+                v = raising[i] @ v
         c2 = float(v[grid.index_of[a]]) ** 2
         want = math.exp(-spec.log_fhat(a))
         worst = max(worst, abs(c2 - want) / want)
@@ -262,11 +264,11 @@ def cmd_rkhs(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     spec, grid, preset = sio.kernel_job_from_obj(obj)
-    checks = _rkhs_checks(spec, grid, preset, pol)
+    T = spherical_shift(grid) if preset == "spherical_shift" \
+        else truncated_tuple(spec, grid, "adjoint")
+    checks = _rkhs_checks(spec, grid, preset, T, pol)
     written = None
     if args.output:
-        T = spherical_shift(grid) if preset == "spherical_shift" \
-            else truncated_tuple(spec, grid, "adjoint")
         obj = sio.tuple_to_obj(T)
         # basis labels travel with the matrices so they stay portable
         obj["basis"] = {

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._linalg import (
     cholesky_qr2,
@@ -41,6 +40,7 @@ from ._linalg import (
     frob,
     nullspace,
     rank_cut,
+    schur,
     spectral_projector,
     svd_robust,
     svdvals_robust,
@@ -577,7 +577,7 @@ def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None
     = ||R*||_F``, ``||P^2 - P||_F = ||(R* L - I) R*||_F`` and ``tr P = tr(R*
     L)``. Returns None when no validated split with >= 2 parts exists.
     """
-    T, Z = sla.schur(np.asarray(z, dtype=complex), output="complex")
+    T, Z = schur(z)
     eigs = np.diag(T)
     for gap in SPLIT_GAPS:
         groups = cluster_eigenvalues(eigs, gap)

@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from ._linalg import frob, min_eig_hermitian, nullspace
+from ._linalg import block_nullspace, component_labels, frob, label_groups, min_eig_hermitian
 from .policy import DEFAULT_POLICY, LOWERING_COMMUTE_BAR, MODEL_PROJECTION_BAR, \
     MODEL_SOLVABILITY_BAR, PSD_TOL, SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
@@ -366,6 +366,17 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     residual, the worst relative residual of any unit compatible family, is
     reported and must stay below 1e-8. No random numbers are drawn.
 
+    Both the Koszul stack (the equations ``T_i x_j - T_j x_i = 0`` in the
+    free coordinates) and the stacked tuple ``[T_1; ...; T_m]`` of the solve
+    split into blocks: two free coordinates are coupled when they share a
+    row of the stack or a column of the stacked tuple, and both matrices are
+    block diagonal in the permutation that groups the components of that
+    coupling. So each component is solved on its own (a multishift's have at
+    most m coordinates each; a dense tuple has one): the compatible families
+    are the sum of the blocks' nullspaces, cut as the whole stack's at ``rtol
+    * max(sigma_max, scale)`` with ``sigma_max`` the largest over the blocks,
+    and the solve's residual is the largest block residual.
+
     ``coordinate_mask`` (boolean, per ambient coordinate) restricts the
     compatible data to the marked coordinates in every component — for
     truncations, restricting to interior labels removes pure boundary
@@ -388,17 +399,39 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
         stack[r * d:(r + 1) * d, j * d:(j + 1) * d] = T[i]
         stack[r * d:(r + 1) * d, i * d:(i + 1) * d] = -T[j]
     stack = stack[:, cols]
-    basis = nullspace(stack, max(stack.shape) * policy.rank_rtol,
-                      scale=max(1.0, max(frob(A) for A in T)))
-    compat = np.zeros((m * d, basis.shape[1]), dtype=complex)
-    compat[cols] = basis
-
     A_stack = T.matrices.reshape(m * d, d)
-    X, *_ = np.linalg.lstsq(A_stack, compat, rcond=None)
-    worst = float(np.linalg.norm(A_stack @ X - compat, 2))
+
+    # graph nodes: the m d coordinates (rows of A_stack), then the d columns
+    # of A_stack, then the rows of the stack
+    md = m * d
+    rows, free = np.nonzero(stack)
+    coords, xs = np.nonzero(A_stack)
+    label = component_labels(md + d + stack.shape[0], np.concatenate([cols[free], coords]),
+                             np.concatenate([md + d + rows, md + xs]))
+    roots = np.unique(label[cols])
+    free_of = label_groups(label[cols], roots)
+    coords_of = label_groups(label[:md], roots)
+    xs_of = label_groups(label[md:md + d], roots)
+    bases = block_nullspace(
+        [stack[np.ix_(r, f)] for r, f in zip(label_groups(label[md + d:], roots), free_of)],
+        max(stack.shape) * policy.rank_rtol, scale=max(1.0, max(frob(A) for A in T)))
+
+    worst = 0.0
+    for f, q, x, N in zip(free_of, coords_of, xs_of, bases):
+        if N.shape[1] == 0:
+            continue
+        compat = np.zeros((q.size, N.shape[1]), dtype=complex)
+        compat[np.searchsorted(q, cols[f])] = N
+        resid = compat
+        if x.size:
+            A = A_stack[np.ix_(q, x)]
+            X, *_ = np.linalg.lstsq(A, compat, rcond=None)
+            resid = A @ X - compat
+        worst = max(worst, float(np.linalg.norm(resid, 2)))
+    dim = sum(N.shape[1] for N in bases)
     solv_ok = worst <= MODEL_SOLVABILITY_BAR
     return ModelHypothesesReport(
-        float(proj_res), bool(proj_ok), int(basis.shape[1]), worst, bool(solv_ok),
+        float(proj_res), bool(proj_ok), int(dim), worst, bool(solv_ok),
         bool(proj_ok and solv_ok),
     )
 

@@ -1,11 +1,15 @@
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sidecomp
 from conftest import bd, jordan
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.cli import main
@@ -177,6 +181,35 @@ class TestRkhs:
         }))
         rc, _ = run(capsys, ["rkhs", "--input", str(spec)])
         assert rc == 2
+
+    def test_rkhs_process_loads_no_scipy(self, tmp_path):
+        # scipy loads on the first spectral split, never at import: in a fresh
+        # interpreter the package, the CLI module and an rkhs run leave it
+        # out, and a later invariant run still loads it and succeeds
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 4}))
+        tup = write_tuple(tmp_path / "t.json",
+                          operator_tuple([bd(jordan(2), jordan(2), jordan(1, 1.0))]))
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import sidecomp
+            assert "scipy" not in sys.modules, "import sidecomp"
+            import sidecomp.cli
+            assert "scipy" not in sys.modules, "import sidecomp.cli"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = sidecomp.cli.main(["rkhs", "--input", {str(spec)!r}])
+            assert rc == 0 and "scipy" not in sys.modules, ("rkhs", rc)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = sidecomp.cli.main(["invariant", "--input", {tup!r}])
+            print(rc, out.getvalue())
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rc, report = proc.stdout.split(" ", 1)
+        rep = json.loads(report)
+        assert rc == "0" and (rep["k"], rep["multiplicities"]) == (2, [2, 1])
 
 
 class TestSelftest:

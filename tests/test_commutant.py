@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 import sidecomp
@@ -182,7 +183,8 @@ class TestSpinUp:
             stacks.append(T1.d)
             return real_stack(T1, policy)
 
-        monkeypatch.setattr(_linalg, "zpotrf", breakdown)
+        # _linalg.cholesky_qr2 looks zpotrf up in scipy's lapack module on each call
+        monkeypatch.setattr(lapack, "zpotrf", breakdown)
         monkeypatch.setattr(commutant, "stack_commutant", recording)
         assert _presented(T) is None
         A = joint_commutant(T)
@@ -1112,7 +1114,7 @@ class TestSpectralSplit:
     def test_reorder_failure_is_a_rejected_rung(self, monkeypatch, routine, failures):
         # info != 0 from the reordering or the Sylvester solve rejects that
         # gap's split; the ladder goes on to the next gap
-        real, calls = getattr(_linalg, routine), []
+        real, calls = getattr(lapack, routine), []
 
         def failing(*args, **kw):
             out = real(*args, **kw)
@@ -1121,7 +1123,8 @@ class TestSpectralSplit:
                 return (*out[:-1], 1)
             return out
 
-        monkeypatch.setattr(_linalg, routine, failing)
+        # _linalg.spectral_projector looks both up in scipy's lapack module
+        monkeypatch.setattr(lapack, routine, failing)
         projs = commutant._spectral_split(np.diag([1.0, 2.0, 3.0]).astype(complex))
         if failures is None:
             assert projs is None and len(calls) == len(SPLIT_GAPS)

@@ -102,3 +102,28 @@ def test_every_private_function_is_called():
     unread = [node.name for _, node in defs
               if reads[node.name] == Counter(_reads(node))[node.name]]
     assert len(defs) > 30 and unread == []
+
+
+def _load_time_statements(node):
+    """Statements under ``node`` that run when its module loads: everything
+    outside function bodies (class bodies and if/try blocks do run)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield child
+        yield from _load_time_statements(child)
+
+
+def test_no_module_imports_scipy_at_load():
+    # scipy costs a fresh process about 0.2 s; it is imported inside the
+    # _linalg routines that need it, so commands that split no spectrum
+    # never load it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for node in _load_time_statements(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

@@ -20,7 +20,9 @@ from sidecomp import (
     truncated_tuple,
     validate_commuting,
 )
-from sidecomp.policy import NumericPolicy
+import sidecomp.rkhs as rkhs
+from sidecomp._linalg import frob, min_eig_hermitian, nullspace
+from sidecomp.policy import MODEL_SOLVABILITY_BAR, NumericPolicy
 from sidecomp.rkhs import DiagonalKernelSpec, TruncationGrid
 
 
@@ -406,6 +408,125 @@ class TestModelHypotheses:
         rep = check_model_hypotheses(adj, coordinate_mask=g.interior())
         assert rep.compatibility_dim == 164
         assert rep.model_consistent
+
+
+def dense_model_solve(T, policy, mask):
+    """The Koszul check on the whole stack: one SVD nullspace of the full
+    compatibility stack and one least-squares solve against the stacked
+    tuple. Returns (compatibility dim, worst residual)."""
+    d, m = T.d, T.m
+    cols = np.concatenate([c * d + np.flatnonzero(mask) for c in range(m)])
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    stack = np.zeros((len(pairs) * d, m * d), dtype=complex)
+    for r, (i, j) in enumerate(pairs):
+        stack[r * d:(r + 1) * d, j * d:(j + 1) * d] = T[i]
+        stack[r * d:(r + 1) * d, i * d:(i + 1) * d] = -T[j]
+    stack = stack[:, cols]
+    basis = nullspace(stack, max(stack.shape) * policy.rank_rtol,
+                      scale=max(1.0, max(frob(A) for A in T)))
+    compat = np.zeros((m * d, basis.shape[1]), dtype=complex)
+    compat[cols] = basis
+    A_stack = T.matrices.reshape(m * d, d)
+    X, *_ = np.linalg.lstsq(A_stack, compat, rcond=None)
+    return basis.shape[1], float(np.linalg.norm(A_stack @ X - compat, 2))
+
+
+class TestBlockwiseModelCheck:
+    """check_model_hypotheses solves the Koszul stack block by block; the
+    dense single-SVD method above is its reference."""
+
+    @staticmethod
+    def record_block_shapes(monkeypatch):
+        sizes, real = [], rkhs.block_nullspace
+
+        def recording(blocks, *args, **kwargs):
+            sizes.extend(B.shape for B in blocks)
+            return real(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(rkhs, "block_nullspace", recording)
+        return sizes
+
+    def assert_matches_dense(self, T, mask):
+        pol = NumericPolicy()
+        rep = check_model_hypotheses(T, pol, coordinate_mask=mask)
+        dim, worst = dense_model_solve(T, pol, np.ones(T.d, dtype=bool) if mask is None else mask)
+        assert rep.compatibility_dim == dim
+        assert abs(rep.solve_max_residual - worst) <= 1e-13
+        assert rep.solvability_ok == (worst <= MODEL_SOLVABILITY_BAR)
+        return rep
+
+    @pytest.mark.parametrize("kernel", ["drury_arveson", "bergman_3", "flat"])
+    @pytest.mark.parametrize("m,dmax", [(2, 6), (2, 8), (3, 4), (3, 8)])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_multishifts(self, kernel, m, dmax, masked):
+        spec = {"drury_arveson": DiagonalKernelSpec.drury_arveson(m),
+                "bergman_3": DiagonalKernelSpec.bergman(m, 3),
+                "flat": DiagonalKernelSpec.hardy(m)}[kernel]
+        g = TruncationGrid.build(m, dmax)
+        adj = truncated_tuple(spec, g, "adjoint")
+        rep = self.assert_matches_dense(adj, g.interior() if masked else None)
+        if kernel == "drury_arveson":
+            assert rep.model_consistent == masked
+
+    @pytest.mark.parametrize("m,d", [(2, 6), (3, 5)])
+    def test_dense_commuting_tuple_is_one_block(self, monkeypatch, m, d):
+        # polynomials in one dense random matrix couple every coordinate
+        rng = np.random.default_rng(10 * m + d)
+        Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        T = operator_tuple([Z + k * (Z @ Z) for k in range(m)])
+        sizes = self.record_block_shapes(monkeypatch)
+        self.assert_matches_dense(T, None)
+        assert sizes == [(m * (m - 1) // 2 * d, m * d)]
+
+    def test_empty_mask(self):
+        g = TruncationGrid.build(3, 4)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(3), g, "adjoint")
+        rep = self.assert_matches_dense(adj, np.zeros(g.size, dtype=bool))
+        assert rep.compatibility_dim == 0 and rep.solve_max_residual == 0.0
+
+    def test_multishift_blocks_are_small(self, monkeypatch):
+        # on the interior, one block per multi-index beta of degree 1..dmax:
+        # the coordinates beta - e_c of the components c with beta_c > 0
+        g = TruncationGrid.build(3, 6)
+        adj = truncated_tuple(DiagonalKernelSpec.drury_arveson(3), g, "adjoint")
+        sizes = self.record_block_shapes(monkeypatch)
+        check_model_hypotheses(adj, coordinate_mask=g.interior())
+        assert len(sizes) == g.size - 1 and max(cols for _, cols in sizes) == 3
+
+
+class TestMinEigHermitian:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diagonal_input_is_bitwise_eigvalsh(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 40
+        diag = rng.standard_normal(d) * 10.0 ** rng.integers(-12, 4, d) \
+            + 1j * rng.standard_normal(d)
+        diag[rng.integers(0, d, 5)] = 0.0
+        M = np.diag(diag)
+        H = 0.5 * (M + M.conj().T)
+        assert min_eig_hermitian(M) == float(np.linalg.eigvalsh(H).min())
+
+    def test_no_full_eigvalsh_on_a_split_matrix(self, monkeypatch):
+        # a permuted direct sum of 2 x 2 Hermitian blocks and scalars: only
+        # the 2 x 2 blocks are diagonalised
+        rng = np.random.default_rng(3)
+        d = 12
+        B = np.diag(rng.standard_normal(d)).astype(complex)
+        for i in range(0, 6, 2):
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            B[i, i + 1], B[i + 1, i] = z, np.conj(z)
+        perm = rng.permutation(d)
+        M = B[np.ix_(perm, perm)]
+        want = float(np.linalg.eigvalsh(M).min())
+        shapes, real = [], np.linalg.eigvalsh
+
+        def recording(H):
+            shapes.append(H.shape)
+            return real(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert abs(min_eig_hermitian(M) - want) <= 1e-14
+        assert shapes == [(2, 2)] * 3
 
 
 class TestGammaTransform:
