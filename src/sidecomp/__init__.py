@@ -9,11 +9,9 @@ from .policy import (
     NumericalDegeneracyError,
 )
 from .tuples import (
-    CdIndexProfile,
     CommutationReport,
     JointKernelBasis,
     OperatorTuple,
-    cd_index_profile,
     compress,
     conjugate,
     direct_sum,

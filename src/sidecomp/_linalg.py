@@ -198,32 +198,20 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
     """Group eigenvalues into connected clusters at the relative gap threshold.
 
     Single linkage: two eigenvalues within ``gap_rtol * max(1, max |eig|)``
-    are neighbours, and a cluster is a connected component of that graph,
-    labelled by its smallest index (propagated over neighbours until it
-    settles). Returns index arrays, one per cluster, ordered by cluster mean
-    (lexicographic on (real, imag)); equal means keep the order of the
-    clusters' smallest indices.
+    are neighbours, and a cluster is a connected component of that graph
+    (:func:`component_labels`). Returns index arrays, one per cluster,
+    ordered by cluster mean (lexicographic on (real, imag)); equal means keep
+    the order of the clusters' smallest indices.
     """
     eigs = np.asarray(eigs)
-    n = eigs.size
-    if n == 0:
+    if eigs.size == 0:
         return []
     tol = gap_rtol * max(1.0, float(np.abs(eigs).max()))
     D = eigs[:, None] - eigs[None, :]   # hypot rounds as abs(); np.abs can be an ulp off
-    near = np.hypot(D.real, D.imag) <= tol
-    label = np.arange(n)
-    while True:
-        new = np.where(near, label, n).min(axis=1)
-        if np.array_equal(new, label):
-            break
-        label = new
-    sizes = np.bincount(label)
-    sizes = sizes[sizes > 0]
-    members = np.argsort(label, kind="stable")
-    ends = np.cumsum(sizes)
-    groups = np.split(members, ends[:-1])
-    # np.mean of each cluster; a singleton's mean is its eigenvalue
-    means = eigs[members[ends - sizes]].astype(complex)
+    label = component_labels(eigs.size, *np.nonzero(np.hypot(D.real, D.imag) <= tol))
+    roots, sizes = np.unique(label, return_counts=True)
+    groups = label_groups(label, roots)
+    means = eigs[roots].astype(complex)   # a singleton's mean is its eigenvalue
     for i in np.flatnonzero(sizes > 1):
         means[i] = np.mean(eigs[groups[i]])
     return [groups[i] for i in np.lexsort((means.imag, means.real))]

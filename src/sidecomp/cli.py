@@ -210,7 +210,7 @@ def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
         dev = float(np.abs(S[np.ix_(idx, idx)] - np.eye(idx.size)).max()) if idx.size else 0.0
         add("interior-isometry", dev <= INTERIOR_ISOMETRY_BAR, dev)
         rep = check_sphere_conditions(adj, pol, mask=grid.interior())
-        add("row-contraction", rep.row_contraction, rep.defect_min_eig)
+        add("row-contraction", rep.row_contraction, rep.row_defect_min_eig)
         return checks
 
     comm = validate_commuting(adj, policy=pol)

@@ -254,12 +254,13 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
 
     Every rank decision is strict (:func:`rank_cut`). None is returned when a
     rank decision straddles its threshold, when the tuple has more than one
-    joint eigenvalue (below), when the generators do not generate (``rank
-    Phi < d``), when the words outnumber Schur's bound on a commutative
-    algebra, when the relation matrix would be larger than the stack, when
-    the lift is too ill conditioned (below), when the values miss those of
-    the identity (``Y = G``), or when a random element, drawn from the
-    policy's seed, fails the commutation bar of :meth:`SpinUp.element`.
+    joint eigenvalue (below), when ``Phi`` has fewer than d columns (``nb*g
+    < d``), when the words outnumber Schur's bound on a commutative algebra,
+    when the relation matrix would be larger than the stack, when the lift
+    is too ill conditioned or the generators do not generate (below), when
+    the values miss those of the identity (``Y = G``), or when a random
+    element, drawn from the policy's seed, fails the commutation bar of
+    :meth:`SpinUp.element`.
 
     One joint eigenvalue is certified by the trace form ``tr(b_a b_b)`` of
     the words orthogonal to I, which must have rank 0 under a strict cut at
@@ -274,7 +275,11 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     vec-orthonormal words bounds it above by ``sqrt(nb) / s_min(Phi)``. The
     presentation is refused when ``10 * rtol`` times that bound reaches 1, the
     bar at which a strict cut of the elements' singular values would no
-    longer keep all K.
+    longer keep all K. The same guard refuses generators that do not
+    generate: ``||Phi||_2 <= ||Phi||_F <= sqrt(nb)`` for vec-orthonormal
+    words and orthonormal G, so a rank loss of ``Phi``, or a singular value
+    within a factor 10 of a strict cut at ``rtol * sigma_max``, has
+    ``s_min(Phi) < 10 * rtol * sqrt(nb)``.
     """
     d = T.d
     rtol, scale = _stack_cut(T, T, policy)
@@ -301,11 +306,11 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
                 B, G, g, adjoint = B.conj().transpose(0, 2, 1), G_adj, G_adj.shape[1], True
         Phi = np.matmul(B, G).transpose(1, 0, 2).reshape(d, nb * g)
         U, s, Vh = svd_robust(Phi)
-        # G must generate; and a relation matrix (d*r x d*g, r = nb*g - d)
-        # larger than the m d^2 x d^2 stack would save nothing
-        if rank_cut(s, rtol, strict=True) < d or (nb * g - d) * g > T.m * d * d:
-            return None
-        if 10.0 * rtol * math.sqrt(nb) >= s[d - 1]:
+        # G must generate (nb*g >= d, and the guard below refuses rank loss);
+        # a relation matrix (d*r x d*g, r = nb*g - d) larger than the
+        # m d^2 x d^2 stack would save nothing
+        if nb * g < d or (nb * g - d) * g > T.m * d * d \
+                or 10.0 * rtol * math.sqrt(nb) >= s[d - 1]:
             return None
         pinv = (Vh[:d].conj().T / s) @ U.conj().T
         Y = None

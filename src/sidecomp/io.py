@@ -52,11 +52,6 @@ def load_tuple(path: str) -> OperatorTuple:
         return tuple_from_obj(json.load(fh))
 
 
-def save_tuple(path: str, T: OperatorTuple) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(tuple_to_obj(T)))
-
-
 _PRESETS = {
     "drury_arveson": "drury_arveson",
     "bergman": "bergman_k",

@@ -95,9 +95,7 @@ NULLSPACE_ORTHO_BAR = 1e-12
 # below 6 and leaves roundoff.
 CHOLESKY_QR_GRAM_BAR = 0.5
 
-# Multishift model checks (rkhs). The lowering operators of a truncation are
-# exact shifts, so their commutators are roundoff (relative to max(1, norm)).
-LOWERING_COMMUTE_BAR = 1e-13
+# Multishift model checks (rkhs).
 # ||S^2 - S||_F / max(1, ||S||_F), S = sum_i T_i* T_i: a model's S is a projection.
 MODEL_PROJECTION_BAR = 1e-10
 # Relative least-squares residual of a compatible family: a solve loses digits.

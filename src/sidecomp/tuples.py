@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, frob, orthonormal_range, rank_cut, svdvals_robust
+from ._linalg import as_complex_matrix, frob, nullspace, orthonormal_range, rank_cut, svdvals_robust
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
@@ -140,10 +140,9 @@ class JointKernelBasis:
 def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) -> JointKernelBasis:
     """Joint kernel of T - w as the nullspace of the stacked (m d) x d matrix.
 
-    Dimension is the count of singular values at most
-    ``kernel_tol * max(1, sigma_max)``, cut by a non-strict :func:`rank_cut`;
-    this deliberately tolerates truncation-induced residuals when the
-    policy's kernel_tol is loosened.
+    The basis is :func:`nullspace` of the stack, cut non-strictly at
+    ``kernel_tol * max(1, sigma_max)``; this deliberately tolerates
+    truncation-induced residuals when the policy's kernel_tol is loosened.
     """
     wv = np.array(w, dtype=complex).reshape(-1)
     if wv.size == 1:
@@ -151,10 +150,8 @@ def joint_kernel(T: OperatorTuple, w=0, policy: NumericPolicy = DEFAULT_POLICY) 
     if wv.shape != (T.m,):
         raise ValueError(f"point must have {T.m} coordinates")
     stack = np.vstack([T[i] - wv[i] * np.eye(T.d) for i in range(T.m)])
-    _, s, Vh = np.linalg.svd(stack)
-    rank = rank_cut(s, policy.kernel_tol, scale=1.0, strict=False)
-    dim = T.d - rank
-    basis = np.ascontiguousarray(Vh.conj().T[:, rank:])
+    basis = nullspace(stack, policy.kernel_tol, scale=1.0)
+    dim = basis.shape[1]
     res = np.array([float(np.linalg.norm(stack @ basis[:, j])) for j in range(dim)])
     return JointKernelBasis(wv, basis, dim, res)
 
@@ -206,38 +203,3 @@ def restrict(T: OperatorTuple, P, policy: NumericPolicy = DEFAULT_POLICY) -> Ope
     """
     check_idempotent_in_commutant(T, P, policy)
     return compress(T, range_basis(P, policy))
-
-
-@dataclass(frozen=True)
-class CdIndexProfile:
-    points: np.ndarray        # (n, m)
-    dimensions: np.ndarray    # (n,)
-    constant: bool
-    span_rank: int            # rank of all collected kernel vectors together
-
-
-def cd_index_profile(T: OperatorTuple, points,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> CdIndexProfile:
-    """Joint-kernel dimension of T - w over a finite grid of points.
-
-    Reports the per-point dimensions, whether they are constant over the
-    grid, and the rank of the span of all kernel vectors found. No claim
-    beyond the sampled grid is made.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if pts.shape[1] != T.m:
-        raise ValueError(f"points must have {T.m} coordinates")
-    dims = np.zeros(pts.shape[0], dtype=int)
-    vecs = []
-    for i, w in enumerate(pts):
-        kb = joint_kernel(T, w, policy)
-        dims[i] = kb.dimension
-        if kb.dimension:
-            vecs.append(kb.basis)
-    if vecs:
-        stack = np.hstack(vecs)
-        s = np.linalg.svd(stack, compute_uv=False)
-        span = rank_cut(s, max(stack.shape) * policy.rank_rtol)
-    else:
-        span = 0
-    return CdIndexProfile(pts, dims, bool(np.all(dims == dims[0])), span)

@@ -173,6 +173,35 @@ class TestRkhs:
         iso = [c for c in rep["checks"] if c["id"] == "interior-isometry"]
         assert rc == 0 and iso and iso[0]["passed"]
 
+    @pytest.mark.parametrize("m, dmax, margin", [(2, 5, 1 / 6), (3, 4, 1 / 3)])
+    def test_row_contraction_measure_is_the_row_defect(self, tmp_path, capsys, m, dmax, margin):
+        # sum V_i V_i* is |b| / (|b| + m - 1) on a label b of degree |b| >= 1,
+        # so I - sum V_i V_i* has smallest eigenvalue (m - 1) / (dmax + m - 1)
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"m": m, "preset": "spherical_shift", "dmax": dmax}))
+        rc, out = run(capsys, ["rkhs", "--input", str(spec)])
+        row = [c for c in json.loads(out)["checks"] if c["id"] == "row-contraction"]
+        assert rc == 0 and row[0]["passed"]
+        assert row[0]["measure"] == pytest.approx(margin, rel=1e-12)
+
+    def test_custom_kernel_of_wide_range_reaches_its_report(self, tmp_path, capsys):
+        # fhat(a) = 10^(-15|a|^2 + 7 a_1) spans hundreds of decades: the
+        # lowering operators commute to roundoff relative to ||T_i|| ||T_j||,
+        # while their entries reach 1e40. The P_n chain fails, a documented
+        # exit 4 with the report printed.
+        alphas = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({
+            "m": 2, "preset": "custom", "dmax": 3,
+            "custom_fhat": [[list(a), 10.0 ** (-15 * sum(a) ** 2 + 7 * a[0])]
+                            for a in alphas],
+        }))
+        rc, out = run(capsys, ["rkhs", "--input", str(spec)])
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert rc == 4 and not checks["p-sequence-chain"]["passed"]
+        comm = checks["adjoint-commutation"]
+        assert comm["passed"] and comm["measure"] < 1e-30
+
     def test_nonpositive_coefficient_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({

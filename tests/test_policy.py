@@ -127,3 +127,16 @@ def test_no_module_imports_scipy_at_load():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_only_linalg_calls_numpy_svd():
+    # every SVD goes through _linalg (svd_robust, svdvals_robust, nullspace),
+    # which falls back to gesvd when gesdd does not converge
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"]
+    assert found == []

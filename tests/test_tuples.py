@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bd, jordan
 from sidecomp import (
-    cd_index_profile,
     conjugate,
     direct_sum,
     inflate,
@@ -16,8 +15,6 @@ from sidecomp import (
     validate_commuting,
 )
 from sidecomp._linalg import conditioned_invertible
-from sidecomp.policy import NumericPolicy
-from sidecomp.rkhs import DiagonalKernelSpec, TruncationGrid, truncated_tuple
 
 
 def test_constructor_rejects_mismatched_dims():
@@ -223,26 +220,3 @@ class TestRestrict:
             s = np.linalg.svd(combo, compute_uv=False)
             assert s[-1] > 1e-10
 
-
-class TestCdIndexProfile:
-    def test_identity_tuple_all_zero(self):
-        prof = cd_index_profile(operator_tuple([np.eye(2)]),
-                                [[0.0], [0.5], [0.3 + 0.1j]])
-        assert list(prof.dimensions) == [0, 0, 0] and prof.constant
-
-    def test_truncated_backward_multishift_interior(self):
-        spec = DiagonalKernelSpec.drury_arveson(2)
-        grid = TruncationGrid.build(2, 8)
-        T = truncated_tuple(spec, grid, "adjoint")
-        pol = NumericPolicy(kernel_tol=1e-3)
-        pts = [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1], [0.2, 0.1]]
-        prof = cd_index_profile(T, pts, pol)
-        assert prof.constant and list(prof.dimensions) == [1, 1, 1, 1]
-        assert prof.span_rank == 4
-
-    def test_inflated_truncation_has_kernel_per_copy(self):
-        spec = DiagonalKernelSpec.drury_arveson(2)
-        grid = TruncationGrid.build(2, 5)
-        T = inflate(truncated_tuple(spec, grid, "adjoint"), 3)
-        prof = cd_index_profile(T, [[0.0, 0.0]])
-        assert list(prof.dimensions) == [3]
