@@ -4,15 +4,15 @@ Conventions: matrices are numpy complex arrays; ``vec`` is row-major
 (C-order) flattening, so ``vec(AXB) = (A . kron . B^T) vec(X)``.
 
 scipy is imported inside the routines that call LAPACK beyond numpy's
-(:func:`schur`, :func:`spectral_projector`, :func:`cholesky_qr2` and the
-gesvd fallbacks of the SVDs), never at module load: the package and the
-commands that split no spectrum run on numpy alone.
+(:func:`schur`, :func:`spectral_projector` and the gesvd fallbacks of the
+SVDs), never at module load, and no other module imports it: the package
+and the commands that split no spectrum run on numpy alone.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .policy import CHOLESKY_QR_GRAM_BAR, NULLSPACE_ORTHO_BAR, NumericalDegeneracyError
+from .policy import NULLSPACE_ORTHO_BAR, NumericalDegeneracyError
 
 
 def frob(a) -> float:
@@ -153,45 +153,11 @@ def orthonormal_range(M: np.ndarray, rtol: float) -> np.ndarray:
     return np.ascontiguousarray(U[:, :rank_cut(s, rtol)])
 
 
-def cholesky_qr2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A = Q R`` with orthonormal columns Q and upper triangular R, for a
-    tall A (n, K) of independent columns, by CholeskyQR2 (Fukaya,
-    Nakatsukasa, Yanagisawa and Yamamoto, 2014).
-
-    Each pass takes the K x K Gram ``Q* Q`` (BLAS ``zherk``), its Cholesky
-    factor ``C* C`` (LAPACK ``zpotrf``) and replaces Q by ``Q C^-1``
-    (``ztrsm``, in place on one Fortran-ordered copy of A, so the transpose
-    of a C-ordered (K, n) array of rows costs no other copy). One pass leaves
-    an orthogonality error of order cond(A)^2 * eps; the second starts from a
-    Gram whose upper triangle is within ``CHOLESKY_QR_GRAM_BAR`` of the
-    identity's, so it leaves roundoff, and ``sigma(R) = sigma(A)``. Raises
-    :class:`NumericalDegeneracyError` when a Cholesky factorization breaks
-    down or the first pass leaves a Gram farther from the identity than the
-    bar: A is numerically rank-deficient or too ill-conditioned for two passes.
-    """
-    from scipy.linalg.blas import zherk, ztrsm
-    from scipy.linalg.lapack import zpotrf
-
-    Q = np.array(A, dtype=complex, order="F")   # the passes overwrite it
-    if Q.shape[1] == 0:
-        return Q, np.zeros((0, 0), dtype=complex)
-    factors = []
-    for _ in range(2):
-        W = zherk(1.0, Q, trans=2)
-        if factors:
-            dev = frob(np.triu(W) - np.eye(W.shape[0]))   # zherk fills the upper triangle
-            if dev > CHOLESKY_QR_GRAM_BAR:
-                raise NumericalDegeneracyError(
-                    f"CholeskyQR2 lost orthogonality: the second Gram is {dev:.3e} "
-                    "from the identity")
-        C, info = zpotrf(W, clean=1, overwrite_a=1)
-        if info != 0:
-            raise NumericalDegeneracyError(
-                f"CholeskyQR2 breakdown: the Gram's leading minor {info} is not "
-                "positive definite")
-        Q = ztrsm(1.0, C, Q, side=1, overwrite_b=1)
-        factors.append(C)
-    return Q, factors[1] @ factors[0]
+def commutator_norms(Xs: np.ndarray, T) -> np.ndarray:
+    """Frobenius norms ``||X_k T_i - T_i X_k||`` (K, m) of the matrices Xs
+    (K, d, d) against the m matrices T_i of T."""
+    return np.stack([np.linalg.norm(np.matmul(Xs, A) - np.matmul(A, Xs), axis=(1, 2))
+                     for A in T], axis=1)
 
 
 def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:

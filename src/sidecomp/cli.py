@@ -21,7 +21,7 @@ from .invariant import k0_descriptor, similar as similar_op, v_semigroup_invaria
 from .oracle import oracle_is_strongly_irreducible
 from .planted import planted_corpus, si_oracle_corpus
 from .policy import ADJOINT_COMMUTE_BAR, BASIS_NORM_BAR, DEFAULT_SEED, DEFECT_RANK_ONE_BAR, \
-    EIGENVECTOR_TAIL_FLOOR, INTERIOR_ISOMETRY_BAR, NumericPolicy, NumericalDegeneracyError
+    EIGENVECTOR_TAIL_FLOOR, INTERIOR_ISOMETRY_BAR, PSD_TOL, NumericPolicy, NumericalDegeneracyError
 from .rkhs import (
     check_model_hypotheses,
     check_sphere_conditions,
@@ -240,9 +240,12 @@ def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
         srep = check_sphere_conditions(adj, pol, n_hyper=1)
         add("hypercontraction-1", srep.hypercontraction[1], srep.defect_min_eig)
 
+    # the measure is the largest violation: a nonzero entry that must vanish,
+    # or a negative eigenvalue of some P_n or P_n - P_{n+1} beyond PSD_TOL
     ps = p_sequence(adj, grid, min(grid.dmax, 4))
+    negative = [-min(ps.min_eigs), -min(ps.step_min_eigs, default=0.0)]
     add("p-sequence-chain", ps.psd_ok and ps.monotone_ok and ps.vanish_exact,
-        max(ps.vanish_max_abs))
+        max([max(ps.vanish_max_abs)] + [e for e in negative if e > PSD_TOL]))
 
     w = np.full(grid.m, 0.25)
     v, resid = joint_eigenvector(spec, grid, w, tuple_adjoint=adj)

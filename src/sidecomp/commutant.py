@@ -11,8 +11,8 @@ generators. A presentation without relations (``n_B*g = d``) is free:
 M_g``, so its one block, its radical dimension and its g primitive
 idempotents are read off the presentation in closed form. Any other
 presentation gives a trace-orthonormal basis of ``A'(T)`` (the recovered
-elements orthonormalized by CholeskyQR2); where there is no presentation or
-it does not verify, ``A'(T)`` is the common nullspace of the stacked
+elements orthonormalized by Householder QR); where there is no presentation
+or it does not verify, ``A'(T)`` is the common nullspace of the stacked
 Sylvester maps ``X -> X T_i - T_i X`` (``d^2`` unknowns). The structure
 stages of a corner that is not free work on that basis: the Jacobson
 radical via the trace bilinear form, the center of the quotient, and splits
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (
-    cholesky_qr2,
     cluster_eigenvalues,
+    commutator_norms,
     frob,
     nullspace,
     rank_cut,
@@ -221,23 +221,6 @@ class SpinUp:
         d, g = self.G.shape
         return d * g if self.Y is None else self.Y.shape[0]
 
-    def element(self, y: np.ndarray) -> np.ndarray:
-        """The member X of A'(T) with ``X G = y``, for a value y (d, g).
-
-        X must commute with T to within ``bar`` relative to its norm, the bar
-        every basis element of :func:`_spin_up_commutant` meets: a span with
-        any non-commuting direction fails a random combination almost surely.
-        Raises :class:`NumericalDegeneracyError` otherwise.
-        """
-        d = self.G.shape[0]
-        X = _module_maps(self.B, y[None], self.pinv).reshape(d, d)
-        resid = math.sqrt(sum(frob(X @ A - A @ X) ** 2 for A in self.T))
-        if resid > self.bar * frob(X):
-            raise NumericalDegeneracyError(
-                f"a lifted commutant element fails to commute (relative residual "
-                f"{resid / frob(X):.3e} > {self.bar:.3e})")
-        return X
-
 
 def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     """The spin-up presentation of A'(T), on T or on T*; None when it does not
@@ -259,8 +242,10 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     when the relation matrix would be larger than the stack, when the lift
     is too ill conditioned or the generators do not generate (below), when
     the values miss those of the identity (``Y = G``), or when a random
-    element, drawn from the policy's seed, fails the commutation bar of
-    :meth:`SpinUp.element`.
+    element, drawn from the policy's seed, fails to commute with T to within
+    ``bar`` relative to its norm, the bar every basis element of
+    :func:`_spin_up_commutant` meets: a span with any non-commuting direction
+    fails a random combination almost surely.
 
     One joint eigenvalue is certified by the trace form ``tr(b_a b_b)`` of
     the words orthogonal to I, which must have rank 0 under a strict cut at
@@ -324,7 +309,13 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
         su = SpinUp(T, B, G, pinv, Y, rtol, rtol * scale / 10.0, adjoint)
         rng = np.random.default_rng(policy.seed)
         c = rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)
-        su.element(c.reshape(d, g) if Y is None else np.tensordot(c, Y, axes=(0, 0)))
+        y = c.reshape(d, g) if Y is None else np.tensordot(c, Y, axes=(0, 0))
+        X = _module_maps(B, y[None], pinv).reshape(1, d, d)
+        resid = frob(commutator_norms(X, T))
+        if resid > su.bar * frob(X):
+            raise NumericalDegeneracyError(
+                f"a lifted commutant element fails to commute (relative residual "
+                f"{resid / frob(X):.3e} > {su.bar:.3e})")
     except NumericalDegeneracyError:
         return None
     return su
@@ -336,29 +327,27 @@ def _spin_up_commutant(su: SpinUp) -> CommutantBasis | None:
     is presented on T*; None when it does not verify as a basis.
 
     The K elements recovered from an orthonormal basis of the values are
-    independent by construction, so CholeskyQR2 (:func:`cholesky_qr2`, two K
-    x K Grams) trace-orthonormalizes them instead of a d^2 x K SVD; a
-    Cholesky breakdown is one more reason to return None, and so is ``10 *
-    rtol * ||R||_F >= 1`` for the triangular factor R: since ``X G = Y`` with
-    G and the Y orthonormal, the singular values of R (those of the elements)
-    lie in ``[1, ||R||_F]``, so a strict cut of them keeps all K otherwise.
-    Each element of the result must commute with T to within a tenth of the
-    stack's cut ``d * rank_rtol * scale``, since a residual within a factor
-    10 of the cut is as ambiguous as a straddling singular value. The
-    adjoint keeps a trace-orthonormal basis trace-orthonormal.
+    independent by construction, so a reduced Householder QR (one d^2 x K
+    factorization, no SVD) trace-orthonormalizes them. Each column's phase
+    is turned so that R has a positive real diagonal, as a Cholesky factor
+    does; by uniqueness of QR the basis is then the Gram-Schmidt basis of the
+    elements. None is returned when ``10 * rtol * ||R||_F >= 1``: since ``X
+    G = Y`` with G and the Y orthonormal, the singular values of R (those of
+    the elements) lie in ``[1, ||R||_F]``, so a strict cut of them keeps all
+    K otherwise. Each element of the result must commute with T to within a
+    tenth of the stack's cut ``d * rank_rtol * scale``, since a residual
+    within a factor 10 of the cut is as ambiguous as a straddling singular
+    value. The adjoint keeps a trace-orthonormal basis trace-orthonormal.
     """
     d, g = su.G.shape
     Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
-    try:
-        Q, R = cholesky_qr2(_module_maps(su.B, Y, su.pinv))
-    except NumericalDegeneracyError:
-        return None
+    Q, R = np.linalg.qr(_module_maps(su.B, Y, su.pinv))
     if 10.0 * su.rtol * frob(R) >= 1.0:
         return None
-    basis = Q.T.reshape(su.K, d, d)
-    resid = np.sqrt(sum(np.sum(np.abs(np.matmul(basis, A) - np.matmul(A, basis)) ** 2,
-                               axis=(1, 2)) for A in su.T))
-    if np.any(resid > su.bar):
+    r = np.diagonal(R)
+    Q *= r / np.abs(r)
+    basis = np.ascontiguousarray(Q.T).reshape(su.K, d, d)
+    if np.any(np.linalg.norm(commutator_norms(basis, su.T), axis=1) > su.bar):
         return None
     return CommutantBasis(basis.conj().transpose(0, 2, 1) if su.adjoint else basis)
 

@@ -89,11 +89,6 @@ PSD_TOL = 1e-10
 # Orthonormality error ||N* N - I||_F per column above which a nullspace
 # basis from gesdd is recomputed with gesvd (gesdd has returned 3.7e-7).
 NULLSPACE_ORTHO_BAR = 1e-12
-# ||triu(W) - I||_F of the second Gram W of CholeskyQR2 (_linalg.cholesky_qr2)
-# above which the first pass counts as having lost orthogonality: below it
-# ||W - I||_2 <= 0.71, so the second pass factors a Gram of condition number
-# below 6 and leaves roundoff.
-CHOLESKY_QR_GRAM_BAR = 0.5
 
 # Multishift model checks (rkhs).
 # ||S^2 - S||_F / max(1, ||S||_F), S = sum_i T_i* T_i: a model's S is a projection.

@@ -25,7 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from ._linalg import block_nullspace, component_labels, frob, label_groups, min_eig_hermitian
+from ._linalg import block_nullspace, commutator_norms, component_labels, frob, label_groups, \
+    min_eig_hermitian
 from .policy import DEFAULT_POLICY, MODEL_PROJECTION_BAR, MODEL_SOLVABILITY_BAR, PSD_TOL, \
     SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
@@ -457,8 +458,8 @@ def gamma_transform(T: OperatorTuple, A: np.ndarray, points,
     norm of A, which is verified per sample.
     """
     A = np.asarray(A, dtype=complex)
-    for i in range(T.m):
-        if frob(A @ T[i] - T[i] @ A) > policy.tol * max(1.0, frob(A) * frob(T[i])):
+    for B, resid in zip(T, commutator_norms(A[None], T)[0]):
+        if resid > policy.tol * max(1.0, frob(A) * frob(B)):
             raise ValueError("symbol source does not commute with the tuple")
     nA = float(np.linalg.norm(A, 2))
     samples, skipped = [], []

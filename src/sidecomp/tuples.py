@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, frob, nullspace, orthonormal_range, rank_cut, svdvals_robust
+from ._linalg import as_complex_matrix, commutator_norms, frob, nullspace, orthonormal_range, \
+    rank_cut, svdvals_robust
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
@@ -177,8 +178,8 @@ def check_idempotent_in_commutant(T: OperatorTuple, P,
     nP = frob(P)
     if frob(P @ P - P) > policy.tol * max(1.0, nP * nP):
         raise ValueError(f"matrix is not idempotent at tol {policy.tol}")
-    for i, A in enumerate(T):
-        if frob(P @ A - A @ P) > policy.tol * max(1.0, nP * frob(A)):
+    for i, (A, resid) in enumerate(zip(T, commutator_norms(P[None], T)[0])):
+        if resid > policy.tol * max(1.0, nP * frob(A)):
             raise ValueError(
                 f"idempotent does not commute with component {i} at tol "
                 f"{policy.tol}"

@@ -202,6 +202,27 @@ class TestRkhs:
         comm = checks["adjoint-commutation"]
         assert comm["passed"] and comm["measure"] < 1e-30
 
+    @pytest.mark.parametrize("kernel, floor", [
+        # the flat kernel at m = 2 is not a row contraction: P_0 - P_1 has
+        # the eigenvalue -6
+        ({"m": 2, "preset": "hardy", "dmax": 6}, 5.9),
+        # fhat(a) = 10^(-15|a|^2 + 7 a_1): the steps reach -1e135
+        ({"m": 2, "preset": "custom", "dmax": 3,
+          "custom_fhat": [[[i, j], 10.0 ** (-15 * (i + j) ** 2 + 7 * i)]
+                          for i in range(5) for j in range(5) if i + j <= 4]}, 1e75),
+        ({"m": 2, "preset": "drury_arveson", "dmax": 6}, 0.0),
+    ])
+    def test_p_sequence_measure_is_the_largest_violation(self, tmp_path, capsys,
+                                                         kernel, floor):
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps(kernel))
+        rc, out = run(capsys, ["rkhs", "--input", str(spec)])
+        chain = [c for c in json.loads(out)["checks"] if c["id"] == "p-sequence-chain"][0]
+        if floor:
+            assert rc == 4 and not chain["passed"] and chain["measure"] >= floor
+        else:
+            assert rc == 0 and chain["passed"] and chain["measure"] == 0.0
+
     def test_nonpositive_coefficient_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({

@@ -153,43 +153,16 @@ class TestSpinUp:
            st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
     def test_recovered_elements_are_bounded_below_by_one(self, sizes, m, cond, seed):
         # X G = Y with G and the Y orthonormal: the singular values of the
-        # recovered elements, those of the CholeskyQR2 factor R, are >= 1, so
-        # the independence decision needs only ||R||_F
+        # recovered elements, those of the QR factor R, are >= 1, so the
+        # independence decision needs only ||R||_F
         T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
-        factors = []
-        real = commutant.cholesky_qr2
-
-        def recording(A):
-            Q, R = real(A)
-            factors.append(R)
-            return Q, R
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(commutant, "cholesky_qr2", recording)
-            _presented(T)
-        for R in factors:
-            assert np.linalg.svd(R, compute_uv=False).min() >= 1.0 - 1e-12
-
-    def test_cholesky_breakdown_falls_back_to_the_stack(self, monkeypatch):
-        T = _one_eigenvalue_tuple([3, 2, 2], 2, 10.0, np.random.default_rng(4))
-        ref = joint_commutant(T)
-
-        def breakdown(W, **kwargs):
-            return W, 1   # LAPACK's report: leading minor 1 is not positive definite
-
-        real_stack, stacks = commutant.stack_commutant, []
-
-        def recording(T1, policy):
-            stacks.append(T1.d)
-            return real_stack(T1, policy)
-
-        # _linalg.cholesky_qr2 looks zpotrf up in scipy's lapack module on each call
-        monkeypatch.setattr(lapack, "zpotrf", breakdown)
-        monkeypatch.setattr(commutant, "stack_commutant", recording)
-        assert _presented(T) is None
-        A = joint_commutant(T)
-        assert stacks == [7]
-        assert A.algebra_dim == ref.algebra_dim and _span_gap(A, ref) <= 1e-8
+        su = commutant._spin_up(T, NumericPolicy())
+        if su is None:   # refused: no elements are recovered
+            return
+        d, g = su.G.shape
+        Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
+        X = commutant._module_maps(su.B, Y, su.pinv)
+        assert np.linalg.svd(X, compute_uv=False).min() >= 1.0 - 1e-12
 
     def test_no_tall_svd_at_one_eigenvalue(self, monkeypatch):
         # eight copies of one 4 x 4 Jordan-polynomial block (m = 2) at cond
@@ -394,21 +367,28 @@ class TestRhoCertificates:
             stacks.append(T1.d)
             return real_stack(T1, policy)
 
-        real_element, failed = commutant.SpinUp.element, []
+        real_spin_up, real_norms, refused, checked = commutant._spin_up, \
+            commutant.commutator_norms, [], []
 
-        def recording_element(su, y):
-            try:
-                return real_element(su, y)
-            except NumericalDegeneracyError:
-                failed.append(su.G.shape[0])
-                raise
+        def recording_spin_up(T1, policy):
+            su = real_spin_up(T1, policy)
+            if su is None:
+                refused.append(T1.d)
+            return su
+
+        def recording_norms(Xs, T1):
+            checked.append(Xs.shape)
+            return real_norms(Xs, T1)
 
         monkeypatch.setattr(commutant, "nullspace", corrupting)
         monkeypatch.setattr(commutant, "stack_commutant", recording_stack)
-        monkeypatch.setattr(commutant.SpinUp, "element", recording_element)
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
+        monkeypatch.setattr(commutant, "commutator_norms", recording_norms)
         S = semisimple_structure(T)
-        # the root's presentation is refused, and the root takes the stack
-        assert len(corrupted) == 1 and set(failed) == {11}
+        # the root's presentation is refused at the check of its random
+        # element, the one commutator it takes, and the root takes the stack
+        assert len(corrupted) == 1 and refused == [11]
+        assert checked[0] == (1, 11, 11) and (29, 11, 11) not in checked
         assert stacks == [11]
         assert (S.algebra_dim, S.radical_dim, S.block_dims) == \
             (clean.algebra_dim, clean.radical_dim, clean.block_dims)
@@ -436,7 +416,8 @@ class TestRhoCertificates:
             lifted.append(Y.shape[0])
             return real_maps(B, Y, pinv)
 
-        for name in ("cholesky_qr2", "_radical_coords", "_center_candidates", "_commutant"):
+        for name in ("_spin_up_commutant", "_radical_coords", "_center_candidates",
+                     "_commutant"):
             monkeypatch.setattr(commutant, name, forbidden(name))
         monkeypatch.setattr(commutant, "_spectral_split", recording_split)
         monkeypatch.setattr(commutant, "_module_maps", recording_maps)
@@ -476,10 +457,10 @@ class TestInflationIdentity:
         # a 4 x 4 Jordan-polynomial block and its inflation have one joint
         # eigenvalue: K and dim A'/rad come from the spin-up presentation,
         # and no basis of A' is orthonormalized
-        def no_basis(A):
+        def no_basis(su):
             raise AssertionError("a commutant basis was built")
 
-        monkeypatch.setattr(commutant, "cholesky_qr2", no_basis)
+        monkeypatch.setattr(commutant, "_spin_up_commutant", no_basis)
         r = np.random.default_rng(3)
         B = jordan_polynomial_tuple(4, 0.8, r, 2)
         T = conjugate(inflate(B, 3), conditioned_invertible(12, 10.0, r))

@@ -7,7 +7,6 @@ import sidecomp.commutant as commutant
 from conftest import jordan
 from sidecomp import joint_commutant, operator_tuple
 from sidecomp._linalg import (
-    cholesky_qr2,
     cluster_eigenvalues,
     nullspace,
     orthonormal_range,
@@ -72,53 +71,18 @@ class TestOrthonormalRange:
         assert orthonormal_range(np.zeros((4, 0)), 1e-6).shape == (4, 0)
 
 
-def columns_of_condition(n, K, cond, rng):
-    """n x K matrix with singular values log-spaced from 1 down to 1 / cond."""
-    U, _ = np.linalg.qr(rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K)))
-    V, _ = np.linalg.qr(rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K)))
-    return (U * np.logspace(0.0, -np.log10(cond), K)) @ V.conj().T
+class TestCommutatorNorms:
+    def test_matches_the_commutators_one_by_one(self):
+        r = np.random.default_rng(0)
+        T = operator_tuple([jordan(4), jordan(4) @ jordan(4) + np.eye(4)])
+        Xs = r.standard_normal((3, 4, 4)) + 1j * r.standard_normal((3, 4, 4))
+        want = [[np.linalg.norm(X @ A - A @ X) for A in T] for X in Xs]
+        assert np.allclose(linalg.commutator_norms(Xs, T), want, rtol=1e-14, atol=0.0)
 
-
-class TestCholeskyQR2:
-    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_orthonormal_columns_up_to_cond_1e6(self, cond, seed):
-        A = columns_of_condition(96, 24, cond, np.random.default_rng(seed))
-        Q, R = cholesky_qr2(A)
-        assert Q.shape == A.shape and R.shape == (24, 24)
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(24)) <= 1e-13
-        assert np.array_equal(R, np.triu(R))
-        assert np.linalg.norm(Q @ R - A) <= 1e-14 * np.linalg.norm(A)
-        # sigma(R) = sigma(A): the spin-up's independence decision reads it
-        s = np.logspace(0.0, -np.log10(cond), 24)
-        assert np.allclose(np.linalg.svd(R, compute_uv=False), s, rtol=1e-8, atol=1e-14)
-
-    def test_rows_of_a_c_ordered_array_are_left_alone(self):
-        # the spin-up passes the transpose of its (K, d^2) elements
-        F = columns_of_condition(40, 6, 10.0, np.random.default_rng(3)).T.copy()
-        F0 = F.copy()
-        Q, R = cholesky_qr2(F.T)
-        assert np.array_equal(F, F0)
-        assert np.linalg.norm(Q.T @ Q.conj() - np.eye(6)) <= 1e-13
-        assert np.linalg.norm(R.T @ Q.T - F) <= 1e-14 * np.linalg.norm(F)
-
-    def test_zero_column_breaks_down(self):
-        A = np.eye(5, 3, dtype=complex)
-        A[:, 1] = 0.0
-        with pytest.raises(NumericalDegeneracyError, match="CholeskyQR2 breakdown"):
-            cholesky_qr2(A)
-
-    @pytest.mark.parametrize("K,cond", [(2, 1e10), (4, 1e12), (20, 1e9)])
-    def test_beyond_two_passes_raises(self, K, cond):
-        # a Gram that squares cond(A) past 1 / eps either has no Cholesky
-        # factor or leaves the second pass too far from the identity
-        A = columns_of_condition(3 * K, K, cond, np.random.default_rng(1))
-        with pytest.raises(NumericalDegeneracyError, match="CholeskyQR2"):
-            cholesky_qr2(A)
-
-    def test_no_columns(self):
-        Q, R = cholesky_qr2(np.zeros((4, 0), dtype=complex))
-        assert Q.shape == (4, 0) and R.shape == (0, 0)
+    def test_members_of_the_commutant_give_zero(self):
+        T = operator_tuple([jordan(3)])
+        Xs = np.stack([np.eye(3), jordan(3), jordan(3) @ jordan(3)]).astype(complex)
+        assert np.array_equal(linalg.commutator_norms(Xs, T), np.zeros((3, 1)))
 
 
 def union_find_clusters(eigs, gap_rtol):
@@ -204,9 +168,9 @@ class TestJointCommutantStackSvd:
     def test_one_svd_on_success(self, monkeypatch):
         # the spin-up takes one SVD per rank decision: three breadth-first
         # levels of words (N, N^2, then N^3 = 0), the complement of range N
-        # and Phi. The recovered basis takes none: CholeskyQR2 orthonormalizes
-        # it and its independence is read off the 3 x 3 triangular factor. No
-        # 9 x 9 Sylvester stack, no retry
+        # and Phi. The recovered basis takes none: Householder QR
+        # orthonormalizes it and its independence is read off the 3 x 3
+        # triangular factor. No 9 x 9 Sylvester stack, no retry
         T = operator_tuple([jordan(3)])
         assert self.count_svds(monkeypatch, T) == [(1, 9), (1, 9), (1, 9), (3, 3), (3, 3)]
 

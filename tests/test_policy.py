@@ -140,3 +140,19 @@ def test_only_linalg_calls_numpy_svd():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"]
     assert found == []
+
+
+def test_only_linalg_imports_scipy():
+    # scipy is reached through _linalg alone, whose routines import it on
+    # first use; no other module imports it, at load or inside a function
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
