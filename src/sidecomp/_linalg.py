@@ -3,12 +3,21 @@
 Conventions: matrices are numpy complex arrays; ``vec`` is row-major
 (C-order) flattening, so ``vec(AXB) = (A . kron . B^T) vec(X)``.
 
-scipy is imported inside the routines that call LAPACK beyond numpy's
-(:func:`schur`, :func:`spectral_projector` and the gesvd fallbacks of the
-SVDs), never at module load, and no other module imports it: the package
-and the commands that split no spectrum run on numpy alone.
+The LAPACK routines numpy lacks (``zgees`` for :func:`schur`, ``ztrsen``
+and ``ztrsyl`` for :func:`spectral_projector`, ``gesvd`` for the fallbacks
+of the SVDs) come from scipy's compiled wrapper module ``_flapack``, which
+:func:`_flapack` loads on first use by itself, in about 5 ms, without
+running the ``__init__`` of ``scipy`` or ``scipy.linalg`` (about 0.3 s).
+No module of the package imports scipy: the package and the commands that
+split no spectrum run on numpy alone.
 """
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -19,6 +28,60 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _flapack():
+    """scipy's LAPACK wrapper module ``scipy.linalg._flapack``: the one scipy
+    has loaded, else loaded here from ``scipy/linalg/_flapack<suffix>``,
+    found through scipy's import spec, which imports nothing.
+
+    A single-phase extension module registers itself in ``sys.modules`` as it
+    loads; it is taken out again, so that a later ``import scipy.linalg``
+    loads it by the import system, which also sets it as an attribute of its
+    package (the function objects of both module objects are the same).
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = importlib.util.find_spec("scipy")
+    paths = [os.path.join(root, "linalg", "_flapack" + suffix)
+             for root in (spec and spec.submodule_search_locations) or []
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers not found: looked for {paths}",
+                          name=_FLAPACK)
+    spec = importlib.util.spec_from_file_location(
+        _FLAPACK, path, loader=importlib.machinery.ExtensionFileLoader(_FLAPACK, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+def _gesvd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
+    """``scipy.linalg.svd(M, compute_uv, full_matrices, lapack_driver="gesvd")``
+    of a non-empty double precision matrix, called as scipy calls it: the
+    workspace query ``gesvd_lwork``, then ``gesvd`` (scipy's
+    ``ilp64="preferred"`` picks these 32-bit integer wrappers when it is built
+    without ILP64 LAPACK, as its releases are)."""
+    a = np.asarray_chkfinite(M)
+    lapack, prefix = _flapack(), "z" if np.iscomplexobj(a) else "d"
+    gesvd, gesvd_lwork = getattr(lapack, prefix + "gesvd"), getattr(lapack, prefix + "gesvd_lwork")
+    work, info = gesvd_lwork(a.shape[0], a.shape[1], compute_uv=compute_uv,
+                             full_matrices=full_matrices)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    u, s, vt, info = gesvd(a, compute_uv=compute_uv, lwork=int(work.real),
+                           full_matrices=full_matrices, overwrite_a=False)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesvd")
+    return (u, s, vt) if compute_uv else s
+
+
 def svd_robust(M: np.ndarray, full_matrices: bool = True, driver: str = "gesdd"):
     """SVD by LAPACK ``driver``; gesdd falls back to gesvd on nonconvergence."""
     if driver == "gesdd":
@@ -26,16 +89,14 @@ def svd_robust(M: np.ndarray, full_matrices: bool = True, driver: str = "gesdd")
             return np.linalg.svd(M, full_matrices=full_matrices)
         except np.linalg.LinAlgError:
             pass
-    import scipy.linalg as sla
-    return sla.svd(M, full_matrices=full_matrices, lapack_driver="gesvd")
+    return _gesvd(M, full_matrices=full_matrices)
 
 
 def svdvals_robust(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError:
-        import scipy.linalg as sla
-        return sla.svd(M, compute_uv=False, lapack_driver="gesvd")
+        return _gesvd(M, compute_uv=False)
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -184,9 +245,17 @@ def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:
 
 
 def schur(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form ``z = Z T Z*``: T upper triangular, Z unitary."""
-    import scipy.linalg as sla
-    return sla.schur(np.asarray(z, dtype=complex), output="complex")
+    """Complex Schur form ``z = Z T Z*``: T upper triangular, Z unitary, by
+    LAPACK ``zgees`` as ``scipy.linalg.schur(z, output="complex")`` calls it:
+    a workspace query, then the unsorted form. Raises ValueError on
+    non-finite entries and LinAlgError when ``zgees`` reports failure."""
+    a = np.asarray_chkfinite(z, dtype=complex)
+    zgees = _flapack().zgees
+    lwork = zgees(lambda x: None, a, lwork=-1)[-2][0].real.astype(np.int_)
+    T, _, _, Z, _, info = zgees(lambda x: None, a, lwork=lwork, overwrite_a=False, sort_t=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgees failed with info {info}: Schur form not found")
+    return T, Z
 
 
 def spectral_projector(T: np.ndarray, Z: np.ndarray,
@@ -205,15 +274,14 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray,
     reordering fails or the Sylvester solve is perturbed (close eigenvalues on
     both sides).
     """
-    from scipy.linalg.lapack import ztrsen, ztrsyl
-
+    lapack = _flapack()
     select = np.zeros(T.shape[0], dtype=np.int32)
     select[idx] = 1
     k = len(idx)
-    Ts, Zs, _, _, _, _, info = ztrsen(select, T, Z, job="N")
+    Ts, Zs, _, _, _, _, info = lapack.ztrsen(select, T, Z, job="N")
     if info != 0:
         return None
-    R, scale, info = ztrsyl(Ts[:k, :k], Ts[k:, k:], Ts[:k, k:], isgn=-1)
+    R, scale, info = lapack.ztrsyl(Ts[:k, :k], Ts[k:, k:], Ts[:k, k:], isgn=-1)
     if info != 0:
         return None
     Z1 = Zs[:, :k]

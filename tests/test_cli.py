@@ -233,15 +233,18 @@ class TestRkhs:
         assert rc == 2
 
     def test_rkhs_process_loads_no_scipy(self, tmp_path):
-        # scipy loads on the first spectral split, never at import: in a fresh
-        # interpreter the package, the CLI module and an rkhs run leave it
-        # out, and a later invariant run still loads it and succeeds
+        # scipy's packages never load: in a fresh interpreter the package,
+        # the CLI module and an rkhs run leave scipy out, and the spectral
+        # commands load only its LAPACK wrappers (_linalg._flapack); a later
+        # import of scipy.linalg in the same process works and shares the
+        # wrappers' functions
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 4}))
         tup = write_tuple(tmp_path / "t.json",
                           operator_tuple([bd(jordan(2), jordan(2), jordan(1, 1.0))]))
         code = textwrap.dedent(f"""
-            import contextlib, io, sys
+            import contextlib, io, json, sys
+            import numpy as np
             import sidecomp
             assert "scipy" not in sys.modules, "import sidecomp"
             import sidecomp.cli
@@ -249,17 +252,36 @@ class TestRkhs:
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = sidecomp.cli.main(["rkhs", "--input", {str(spec)!r}])
             assert rc == 0 and "scipy" not in sys.modules, ("rkhs", rc)
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                rc = sidecomp.cli.main(["invariant", "--input", {tup!r}])
-            print(rc, out.getvalue())
+            reports = {{}}
+            for argv in (["invariant", "--input", {tup!r}],
+                         ["decompose", "--input", {tup!r}],
+                         ["similar", "--input", {tup!r}, "--input2", {tup!r}, "--witness"]):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    rc = sidecomp.cli.main(argv)
+                assert rc == 0, (argv[0], rc)
+                reports[argv[0]] = json.loads(out.getvalue())
+            assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules
+            import scipy.linalg as sla
+            from sidecomp import _linalg
+            z = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
+            T, Z = sla.schur(z, output="complex")
+            assert np.allclose(Z @ T @ Z.conj().T, z)
+            U, s, Vh = sla.svd(z, lapack_driver="gesvd")
+            assert np.allclose((U * s) @ Vh, z)
+            X = sla.solve_sylvester(z, np.eye(3), z)
+            assert np.allclose(z @ X + X, z)
+            assert sla.lapack.ztrsen is _linalg._flapack().ztrsen
+            assert sla._flapack is sys.modules["scipy.linalg._flapack"]
+            print(json.dumps(reports))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        rc, report = proc.stdout.split(" ", 1)
-        rep = json.loads(report)
-        assert rc == "0" and (rep["k"], rep["multiplicities"]) == (2, [2, 1])
+        reports = json.loads(proc.stdout)
+        rep = reports["invariant"]
+        assert (rep["k"], rep["multiplicities"]) == (2, [2, 1])
+        assert reports["similar"]["similar"]
 
 
 class TestSelftest:

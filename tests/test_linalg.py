@@ -1,5 +1,10 @@
+import importlib.util
+import re
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import sidecomp._linalg as linalg
@@ -215,3 +220,75 @@ class TestNullspaceOrthonormality:
         assert N.shape == (4, 3)
         assert np.linalg.norm(N.conj().T @ N - np.eye(3)) <= 1e-12
         assert np.allclose(M @ N, 0.0)
+
+
+class TestFlapackRoutines:
+    """The routines that call scipy's LAPACK wrappers through
+    ``_linalg._flapack`` return what the scipy.linalg calls they replace
+    return, bit for bit."""
+
+    @staticmethod
+    def schur_input(which):
+        r = np.random.default_rng(3)
+        if which == "random":
+            return r.standard_normal((6, 6)) + 1j * r.standard_normal((6, 6))
+        if which == "conjugated_jordan":
+            S = linalg.conditioned_invertible(5, 10.0, r)
+            return S @ jordan(5, 0.3) @ np.linalg.inv(S)
+        return np.array([[2.0 - 1.0j]])
+
+    @pytest.mark.parametrize("which", ["random", "conjugated_jordan", "scalar"])
+    def test_schur_matches_scipy(self, which):
+        z = self.schur_input(which)
+        T, Z = linalg.schur(z)
+        T_ref, Z_ref = sla.schur(z, output="complex")
+        assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+
+    def test_schur_rejects_non_finite_input(self):
+        with pytest.raises(ValueError):
+            linalg.schur(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_schur_raises_on_zgees_failure(self, monkeypatch):
+        flapack = linalg._flapack()
+        real = flapack.zgees
+
+        def failing(*args, **kw):
+            return (*real(*args, **kw)[:-1], 1)
+
+        monkeypatch.setattr(flapack, "zgees", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.schur(np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("shape,dtype", [((7, 4), complex), ((4, 7), complex),
+                                             ((6, 5), float)])
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    def test_gesvd_fallbacks_match_scipy(self, monkeypatch, shape, dtype, full_matrices):
+        r = np.random.default_rng(5)
+        M = r.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            M += 1j * r.standard_normal(shape)
+
+        def not_converged(*args, **kw):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", not_converged)
+        got = linalg.svd_robust(M, full_matrices=full_matrices)
+        ref = sla.svd(M, full_matrices=full_matrices, lapack_driver="gesvd")
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, ref))
+        assert np.array_equal(linalg.svdvals_robust(M),
+                              sla.svd(M, compute_uv=False, lapack_driver="gesvd"))
+
+    def test_missing_wrappers_name_the_path(self, monkeypatch, tmp_path):
+        # with scipy's module not loaded and no wrapper file in scipy's
+        # package directory, the loader raises and names where it looked
+        fake = importlib.util.spec_from_loader("scipy", loader=None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        linalg._flapack.cache_clear()
+        try:
+            looked_for = re.escape(str(tmp_path / "linalg" / "_flapack"))
+            with pytest.raises(ImportError, match=looked_for):
+                linalg._flapack()
+        finally:
+            linalg._flapack.cache_clear()

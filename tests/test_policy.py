@@ -104,24 +104,15 @@ def test_every_private_function_is_called():
     assert len(defs) > 30 and unread == []
 
 
-def _load_time_statements(node):
-    """Statements under ``node`` that run when its module loads: everything
-    outside function bodies (class bodies and if/try blocks do run)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield child
-        yield from _load_time_statements(child)
-
-
-def test_no_module_imports_scipy_at_load():
-    # scipy costs a fresh process about 0.2 s; it is imported inside the
-    # _linalg routines that need it, so commands that split no spectrum
-    # never load it
+def test_no_module_imports_scipy():
+    # importing scipy.linalg costs a fresh process about 0.3 s for its
+    # __init__, against 5 ms for its _flapack module alone; _linalg._flapack
+    # finds that module by scipy's import spec and loads it by itself, so no
+    # module imports scipy, at load or inside a function
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=path.name)
-        for node in _load_time_statements(tree):
+        for node in ast.walk(tree):
             names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             found += [f"{path.name}:{node.lineno} {name}" for name in names
@@ -139,20 +130,4 @@ def test_only_linalg_calls_numpy_svd():
         tree = ast.parse(path.read_text(), filename=path.name)
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"]
-    assert found == []
-
-
-def test_only_linalg_imports_scipy():
-    # scipy is reached through _linalg alone, whose routines import it on
-    # first use; no other module imports it, at load or inside a function
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "_linalg.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=path.name)
-        for node in ast.walk(tree):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
-                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] == "scipy"]
     assert found == []
