@@ -82,14 +82,12 @@ def _gesvd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
     return (u, s, vt) if compute_uv else s
 
 
-def svd_robust(M: np.ndarray, full_matrices: bool = True, driver: str = "gesdd"):
-    """SVD by LAPACK ``driver``; gesdd falls back to gesvd on nonconvergence."""
-    if driver == "gesdd":
-        try:
-            return np.linalg.svd(M, full_matrices=full_matrices)
-        except np.linalg.LinAlgError:
-            pass
-    return _gesvd(M, full_matrices=full_matrices)
+def svd_robust(M: np.ndarray, full_matrices: bool = True):
+    """SVD by LAPACK gesdd, falling back to gesvd on nonconvergence."""
+    try:
+        return np.linalg.svd(M, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        return _gesvd(M, full_matrices=full_matrices)
 
 
 def svdvals_robust(M: np.ndarray) -> np.ndarray:
@@ -155,7 +153,7 @@ def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
     block-diagonal matrix, one per block, cut as :func:`nullspace` cuts the
     whole matrix: at ``rtol * max(sigma_max, scale)`` with ``sigma_max`` the
     largest singular value over all blocks. So each block is cut with its
-    ``scale`` raised to the other blocks' largest singular value."""
+    ``scale`` raised to the largest singular value of all blocks."""
     svds = []
     for M in blocks:
         rows, cols = M.shape
@@ -164,17 +162,15 @@ def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
         else:
             _, sv, Vh = svd_robust(M, full_matrices=rows < cols)
             svds.append((sv, Vh))
-    tops = [float(sv[0]) if sv.size else 0.0 for sv, _ in svds]   # sv is descending
-    first, second = sorted(tops + [0.0, 0.0], reverse=True)[:2]
+    scale = max([scale] + [float(sv[0]) for sv, _ in svds if sv.size])   # sv is descending
     out = []
-    for M, (sv, Vh), top in zip(blocks, svds, tops):
+    for M, (sv, Vh) in zip(blocks, svds):
         rows, cols = M.shape
-        others = max(scale, second if top == first else first)
-        for driver in ("gesdd", "gesvd"):
-            if driver == "gesvd":
-                _, sv, Vh = svd_robust(M, full_matrices=rows < cols, driver=driver)
+        for recheck in (False, True):
+            if recheck:
+                _, sv, Vh = _gesvd(M, full_matrices=rows < cols)
             s = np.concatenate([sv, np.zeros(cols - sv.size)])
-            N = Vh.conj().T[:, rank_cut(s, rtol, scale=others, strict=strict):]
+            N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):]
             if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
                 break
         out.append(np.ascontiguousarray(N))

@@ -134,7 +134,7 @@ class UnitDecomposition:
         norms, idem = np.zeros(n), np.zeros(n)
         annihilate = np.zeros((n, n))                   # [a, b]: ||P_a P_b||
         commute = np.zeros((n, T.m))                    # [a, j]: ||[P_a, T_j]||
-        for r in np.unique(widths[widths > 0]):
+        for r in np.flatnonzero(np.bincount(widths)[1:]) + 1:   # the ranks r > 0 present
             # batched over the idempotents a in g, of rank r; cols[a] are L_a's columns
             g = np.flatnonzero(widths == r)
             cols = np.flatnonzero(np.isin(owner, g)).reshape(len(g), r)

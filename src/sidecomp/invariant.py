@@ -71,6 +71,8 @@ def v_semigroup_invariant(T: OperatorTuple,
     primitive, which the validated decomposition carries: no SVD finds the
     range. Classes are sorted by descending multiplicity, ties broken by
     representative dimension and then by the spectrum of the first component.
+    The class dimensions add up to d by construction: the splits partition
+    the Schur indices, and block i's n_i frames have equal widths.
     """
     struct = semisimple_structure(T, policy)
     D = UnitDecomposition(T, struct.frames, struct.rows,
@@ -80,12 +82,6 @@ def v_semigroup_invariant(T: OperatorTuple,
               for e, n in zip(ends, struct.block_dims)]
     blocks.sort(key=lambda cr: (-len(cr[0]), cr[1].d, _spectrum_key(cr[1])))
     classes, reps = zip(*blocks)
-    total = sum(len(cls) * reps[i].d for i, cls in enumerate(classes))
-    if total != T.d:
-        raise NumericalDegeneracyError(
-            f"class dimensions do not add up to the ambient dimension "
-            f"({total} != {T.d})"
-        )
     return SimilarityInvariant(
         k=len(classes),
         multiplicities=tuple(len(c) for c in classes),

@@ -37,14 +37,21 @@ def tuple_to_obj(T: OperatorTuple) -> dict:
 
 
 def tuple_from_obj(obj) -> OperatorTuple:
-    if not isinstance(obj, dict) or "matrices" not in obj:
-        raise ValueError("tuple object must be a dict with a 'matrices' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("matrices"), list):
+        raise ValueError("tuple object must be a dict with a 'matrices' list")
     mats = [matrix_from_obj(M, f"matrix {i}") for i, M in enumerate(obj["matrices"])]
     T = operator_tuple(mats)
     for field in ("m", "d"):
-        if field in obj and int(obj[field]) != getattr(T, field):
+        if field in obj and _integer(obj[field], field) != getattr(T, field):
             raise ValueError(f"declared {field}={obj[field]} does not match matrices")
     return T
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'{name}' must be an integer, got {value!r}") from exc
 
 
 def load_tuple(path: str) -> OperatorTuple:
@@ -85,18 +92,23 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     if tag == "drury_arveson":
         return DiagonalKernelSpec.drury_arveson(m), grid, tag
     if tag == "bergman_k":
-        if "k" not in obj:
-            raise ValueError("bergman preset needs the exponent 'k'")
-        return DiagonalKernelSpec.bergman(m, float(obj["k"])), grid, tag
+        try:
+            k = float(obj["k"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("bergman preset needs a numeric exponent 'k'") from exc
+        return DiagonalKernelSpec.bergman(m, k), grid, tag
     if tag == "hardy_like":
         return DiagonalKernelSpec.hardy(m), grid, tag
     entries = obj.get("custom_fhat")
     if not entries:
         raise ValueError("custom preset needs 'custom_fhat' entries")
     table = {}
-    for pair in entries:
-        alpha, value = pair
-        table[tuple(int(a) for a in alpha)] = float(value)
+    try:
+        for alpha, value in entries:
+            table[tuple(int(a) for a in alpha)] = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("'custom_fhat' entries must be [alpha, value] pairs, alpha a "
+                         "list of integers and value a number") from exc
     missing = [a for a in grid.indices if a not in table]
     upper = [tuple(np.add(a, e)) for a in grid.indices
              for e in np.eye(m, dtype=int)]

@@ -16,7 +16,6 @@ import numpy as np
 
 from ._linalg import conditioned_invertible
 from .commutant import joint_commutant
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .tuples import OperatorTuple, conjugate, direct_sum, inflate, operator_tuple
 
 # first-coordinate eigenvalues for distinct classes; separation 0.8 keeps the
@@ -58,18 +57,16 @@ class PlantedInstance:
     seed: int
 
 
-def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
-                     n_max: int = 3, r_max: int = 4, d_max: int = 24,
-                     cond_max: float = 100.0,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> PlantedInstance:
-    """One planted instance with k <= k_max classes, multiplicities <= n_max,
-    block dimension <= r_max, total dimension <= d_max, cond(X) <= cond_max."""
+def planted_instance(seed: int, k_max: int = 3, d_max: int = 24) -> PlantedInstance:
+    """One planted instance of arity 2 or 3 with k <= k_max classes,
+    multiplicities <= 3, block dimension <= 4, total dimension <= d_max and
+    cond(X) <= 100."""
     rng = np.random.default_rng(seed)
-    arity = int(rng.integers(2, 4)) if m is None else m
+    arity = int(rng.integers(2, 4))
     for _ in range(64):
         k = int(rng.integers(1, k_max + 1))
-        rs = rng.integers(1, r_max + 1, size=k)
-        ns = rng.integers(1, n_max + 1, size=k)
+        rs = rng.integers(1, 5, size=k)
+        ns = rng.integers(1, 4, size=k)
         if int(np.sum(rs * ns)) <= d_max:
             break
     else:
@@ -79,7 +76,7 @@ def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
     specs = []
     for r, n, lam in zip(rs, ns, lams):
         B = jordan_polynomial_tuple(int(r), complex(lam), rng, arity)
-        A = joint_commutant(B, policy)
+        A = joint_commutant(B)
         if A.algebra_dim != int(r):
             raise AssertionError(
                 f"generated block is not strongly irreducible (dim {A.algebra_dim})"
@@ -89,10 +86,10 @@ def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
     D = blocks[0]
     for b in blocks[1:]:
         D = direct_sum(D, b)
-    cond = float(np.exp(rng.uniform(0.0, np.log(cond_max))))
+    cond = float(np.exp(rng.uniform(0.0, np.log(100.0))))
     X = conditioned_invertible(D.d, cond, rng)
     return PlantedInstance(
-        realized=conjugate(D, X, policy),
+        realized=conjugate(D, X),
         k=k,
         multiplicities=tuple(sorted((int(n) for n in ns), reverse=True)),
         block_specs=tuple(specs),
@@ -101,38 +98,39 @@ def planted_instance(seed: int, m: int | None = None, k_max: int = 3,
     )
 
 
-def planted_corpus(seed: int, count: int, **kw) -> list[PlantedInstance]:
+def planted_corpus(seed: int, count: int) -> list[PlantedInstance]:
     rng = np.random.default_rng(seed)
     subseeds = rng.integers(0, 2**63 - 1, size=count)
-    return [planted_instance(int(s), **kw) for s in subseeds]
+    return [planted_instance(int(s)) for s in subseeds]
 
 
-def si_pair(seed: int, similar: bool, m: int = 2,
-            cond_max: float = 100.0) -> tuple[OperatorTuple, OperatorTuple, bool]:
-    """A pair of SI tuples: either a planted similarity (T, X T X^-1) or two
-    blocks with distinct Jordan spectra (certifiably non-similar)."""
+def si_pair(seed: int, similar: bool) -> tuple[OperatorTuple, OperatorTuple, bool]:
+    """A pair of SI tuples of arity 2: either a planted similarity (T, X T
+    X^-1) with cond(X) <= 100 or two blocks with distinct Jordan spectra
+    (certifiably non-similar)."""
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, 5))
     lam1, lam2 = rng.permutation(np.array(EIGENVALUE_GRID))[:2]
-    T = jordan_polynomial_tuple(r, complex(lam1), rng, m)
+    T = jordan_polynomial_tuple(r, complex(lam1), rng)
     if similar:
-        cond = float(np.exp(rng.uniform(0.0, np.log(cond_max))))
+        cond = float(np.exp(rng.uniform(0.0, np.log(100.0))))
         X = conditioned_invertible(r, cond, rng)
         return T, conjugate(T, X), True
-    S = jordan_polynomial_tuple(r, complex(lam2), rng, m)
+    S = jordan_polynomial_tuple(r, complex(lam2), rng)
     return T, S, False
 
 
-def random_commuting_tuple(seed: int, d_max: int = 6, m_max: int = 3) -> OperatorTuple:
-    """A generic small commuting tuple: a conjugated direct sum of
-    Jordan-polynomial tuples with possibly repeated eigenvalues."""
+def random_commuting_tuple(seed: int) -> OperatorTuple:
+    """A generic small commuting tuple of arity at most 3 and dimension at
+    most 6: a conjugated direct sum of Jordan-polynomial tuples with possibly
+    repeated eigenvalues."""
     rng = np.random.default_rng(seed)
-    arity = int(rng.integers(1, m_max + 1))
+    arity = int(rng.integers(1, 4))
     parts = []
     total = 0
     for _ in range(int(rng.integers(1, 4))):
         r = int(rng.integers(1, 4))
-        if total + r > d_max:
+        if total + r > 6:
             break
         lam = complex(rng.choice(np.array(EIGENVALUE_GRID[:4])))
         parts.append(jordan_polynomial_tuple(r, lam, rng, arity))

@@ -71,15 +71,11 @@ INFLATION_SIZE_CAP = 96
 # Largest Sylvester stack, 16 m (d_T d_S)^2 bytes, that intertwiner_space
 # builds; it refuses a larger one (J_96 at m = 2 needs 2.7 GB).
 STACK_BYTE_BUDGET = 2**30
-# Validity checks of a Riesz projector P of a cluster split (_spectral_split).
-# Cutting through a defective eigenvalue cloud blows ||P||_F up past the cap
-# or wrecks idempotency (||P^2 - P||_F above the bar times 1 + ||P||_F). A
-# cluster is selected by its indices on the Schur diagonal, so its trace is
-# its size unless the reordering went wrong: a trace off the cluster size by
-# more than the slack guards a failed reorder.
+# Largest ||P||_F of a Riesz projector P of a cluster split (_spectral_split):
+# cutting through a defective eigenvalue cloud blows it up past the cap.
+# Idempotency and the trace need no bar: P = L R* with R* L = I up to
+# roundoff by construction (_linalg.spectral_projector).
 SPLIT_PROJECTOR_NORM_CAP = 1e4
-SPLIT_IDEMPOTENCY_BAR = 1e-9
-SPLIT_TRACE_SLACK = 0.5
 # Relative clustering gaps a split escalates through until its projectors
 # validate: eigenvalues of an element with nilpotent parts of order s scatter
 # like eps^(1/s) under roundoff. The first is the header's eig_gap_rtol.

@@ -316,7 +316,7 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
             raise ValueError(f"mask must have {d} entries")
         idx = np.where(mask)[0]
         iso_res = frob(S[np.ix_(idx, idx)] - np.eye(idx.size)) \
-            + frob(S[np.ix_(np.setdiff1d(np.arange(d), idx), idx)])
+            + frob(S[np.ix_(np.flatnonzero(~mask), idx)])
     else:
         iso_res = frob(S - np.eye(d))
     norm_res = max(frob(A @ A.conj().T - A.conj().T @ A) for A in T)
@@ -404,7 +404,7 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     coords, xs = np.nonzero(A_stack)
     label = component_labels(md + d + stack.shape[0], np.concatenate([cols[free], coords]),
                              np.concatenate([md + d + rows, md + xs]))
-    roots = np.unique(label[cols])
+    roots = np.flatnonzero(np.bincount(label[cols]))   # the labels present, ascending
     free_of = label_groups(label[cols], roots)
     coords_of = label_groups(label[:md], roots)
     xs_of = label_groups(label[md:md + d], roots)

@@ -59,7 +59,7 @@ def test_criterion_2_inflation_dimension_identity():
     ok = 0
     checked = 0
     for s in rng.integers(0, 2**31, size=20):
-        T = random_commuting_tuple(int(s), d_max=6, m_max=3)
+        T = random_commuting_tuple(int(s))
         for n in (2, 3):
             chk = inflation_commutant_check(T, n, pol)
             checked += 1

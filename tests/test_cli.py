@@ -234,12 +234,14 @@ class TestRkhs:
 
     def test_rkhs_process_loads_no_scipy(self, tmp_path):
         # scipy's packages never load: in a fresh interpreter the package,
-        # the CLI module and an rkhs run leave scipy out, and the spectral
+        # the CLI module and rkhs runs leave scipy out, and the spectral
         # commands load only its LAPACK wrappers (_linalg._flapack); a later
         # import of scipy.linalg in the same process works and shares the
         # wrappers' functions
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 4}))
+        shift = tmp_path / "s.json"
+        shift.write_text(json.dumps({"m": 2, "preset": "spherical_shift", "dmax": 3}))
         tup = write_tuple(tmp_path / "t.json",
                           operator_tuple([bd(jordan(2), jordan(2), jordan(1, 1.0))]))
         code = textwrap.dedent(f"""
@@ -249,9 +251,10 @@ class TestRkhs:
             assert "scipy" not in sys.modules, "import sidecomp"
             import sidecomp.cli
             assert "scipy" not in sys.modules, "import sidecomp.cli"
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = sidecomp.cli.main(["rkhs", "--input", {str(spec)!r}])
-            assert rc == 0 and "scipy" not in sys.modules, ("rkhs", rc)
+            for kernel in ({str(spec)!r}, {str(shift)!r}):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = sidecomp.cli.main(["rkhs", "--input", kernel])
+                assert rc == 0 and "scipy" not in sys.modules, ("rkhs", kernel, rc)
             reports = {{}}
             for argv in (["invariant", "--input", {tup!r}],
                          ["decompose", "--input", {tup!r}],
@@ -261,6 +264,9 @@ class TestRkhs:
                 assert rc == 0, (argv[0], rc)
                 reports[argv[0]] = json.loads(out.getvalue())
             assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules
+            # nor numpy.ma, which np.unique without return_counts (and so
+            # np.setdiff1d) imports
+            assert "numpy.ma" not in sys.modules
             import scipy.linalg as sla
             from sidecomp import _linalg
             z = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
@@ -368,6 +374,23 @@ class TestExitCodes:
         rep = json.loads(out)
         assert rc == 4
         assert not all(c["passed"] for c in rep["checks"])
+
+    @pytest.mark.parametrize("command,obj", [
+        ("rkhs", {"m": 1, "preset": "custom", "dmax": 1, "custom_fhat": [5]}),
+        ("rkhs", {"m": 1, "preset": "custom", "dmax": 1, "custom_fhat": [[[0], [1]]]}),
+        ("rkhs", {"m": 1, "preset": "bergman", "dmax": 1, "k": [1]}),
+        ("invariant", {"matrices": 5}),
+        ("invariant", {"matrices": [[[[1, 0]]]], "m": [1]}),
+    ], ids=["fhat-not-a-pair", "fhat-value-a-list", "bergman-k-a-list", "matrices-not-a-list",
+            "m-a-list"])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, command, obj):
+        # a field of the wrong JSON type is an input error, not a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        rc = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestDeterminism:
