@@ -4,6 +4,11 @@ Subcommands: decompose, invariant, similar, rkhs, selftest. Reports are
 deterministic: identical (input, seed, tolerances) produce byte-identical
 JSON. Exit codes: 0 success, 2 input error, 3 numerical degeneracy,
 4 property violation.
+
+Each command imports the modules it needs when it runs, so ``rkhs`` never
+loads the spectral stack (commutant, decomposition, invariant) and the
+spectral commands never load ``rkhs``. ``run`` is the process entry;
+``main`` is the in-process API.
 """
 from __future__ import annotations
 
@@ -15,22 +20,8 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .decomposition import decompositions_equivalent, is_strongly_irreducible, \
-    transport_decomposition, unit_si_decomposition
-from .invariant import k0_descriptor, similar as similar_op, v_semigroup_invariant
-from .oracle import oracle_is_strongly_irreducible
-from .planted import planted_corpus, si_oracle_corpus
 from .policy import ADJOINT_COMMUTE_BAR, BASIS_NORM_BAR, DEFAULT_SEED, DEFECT_RANK_ONE_BAR, \
     EIGENVECTOR_TAIL_FLOOR, INTERIOR_ISOMETRY_BAR, PSD_TOL, NumericPolicy, NumericalDegeneracyError
-from .rkhs import (
-    check_model_hypotheses,
-    check_sphere_conditions,
-    defect_operator,
-    joint_eigenvector,
-    p_sequence,
-    spherical_shift,
-    truncated_tuple,
-)
 from .tuples import compress, conjugate, validate_commuting
 
 EXIT_OK = 0
@@ -153,6 +144,8 @@ def _load_commuting(path: str, pol: NumericPolicy):
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import unit_si_decomposition
+
     pol = _resolve_policy(args)
     T = _load_commuting(args.input, pol)
     D = unit_si_decomposition(T, pol)
@@ -172,6 +165,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from .invariant import k0_descriptor, v_semigroup_invariant
+
     pol = _resolve_policy(args)
     T = _load_commuting(args.input, pol)
     inv = v_semigroup_invariant(T, pol)
@@ -185,10 +180,12 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_similar(args) -> int:
+    from .invariant import similar
+
     pol = _resolve_policy(args)
     T = _load_commuting(args.input, pol)
     S = _load_commuting(args.input2, pol)
-    verdict = similar_op(T, S, pol, want_witness=args.witness)
+    verdict = similar(T, S, pol, want_witness=args.witness)
     report = _header(args, pol) | verdict.summary() | {
         "witness": None if verdict.witness is None else sio.matrix_to_obj(verdict.witness),
     }
@@ -199,6 +196,9 @@ def cmd_similar(args) -> int:
 def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
     """The model checks of ``adj``: the spherical shift for that preset, else
     the backward multishift ``truncated_tuple(spec, grid, "adjoint")``."""
+    from .rkhs import check_model_hypotheses, check_sphere_conditions, defect_operator, \
+        joint_eigenvector, p_sequence
+
     checks = []
 
     def add(cid, passed, measure):
@@ -263,6 +263,9 @@ def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
 
 def cmd_rkhs(args) -> int:
     import json
+
+    from .rkhs import spherical_shift, truncated_tuple
+
     pol = _resolve_policy(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -299,6 +302,12 @@ def cmd_rkhs(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .decomposition import decompositions_equivalent, is_strongly_irreducible, \
+        transport_decomposition, unit_si_decomposition
+    from .invariant import v_semigroup_invariant
+    from .oracle import oracle_is_strongly_irreducible
+    from .planted import planted_corpus, si_oracle_corpus
+
     pol = _resolve_policy(args)
     instances = planted_corpus(pol.seed, args.count)
     recovered = 0
@@ -376,5 +385,27 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
 
 
+def run() -> None:
+    """Process entry (the ``sidecomp`` script, ``python -m sidecomp.cli``).
+
+    Runs ``main``, flushes stdout and stderr, and leaves by ``os._exit``:
+    interpreter teardown writes nothing a command needs, so it is skipped,
+    and atexit hooks do not run. An exception out of ``main``, argparse's
+    ``SystemExit`` included, takes the normal exit path. A failed flush
+    exits 120, as CPython's own shutdown does.
+    """
+    rc = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        try:
+            print(f"error: cannot flush the output: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        rc = 120
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

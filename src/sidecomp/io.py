@@ -9,11 +9,14 @@ docs/formats.md for the complete description.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rkhs import DiagonalKernelSpec, TruncationGrid
 from .tuples import OperatorTuple, operator_tuple
+
+if TYPE_CHECKING:       # imported where used, so that tuple files never load rkhs
+    from .rkhs import DiagonalKernelSpec, TruncationGrid
 
 
 def matrix_to_obj(M: np.ndarray) -> list:
@@ -75,6 +78,8 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     Returns (spec, grid, preset-name); spec is None for the "spherical_shift"
     preset, which has no coefficient rule.
     """
+    from .rkhs import DiagonalKernelSpec, TruncationGrid
+
     if not isinstance(obj, dict):
         raise ValueError("kernel spec must be a JSON object")
     try:
@@ -109,12 +114,12 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     except (TypeError, ValueError) as exc:
         raise ValueError("'custom_fhat' entries must be [alpha, value] pairs, alpha a "
                          "list of integers and value a number") from exc
-    missing = [a for a in grid.indices if a not in table]
-    upper = [tuple(np.add(a, e)) for a in grid.indices
-             for e in np.eye(m, dtype=int)]
-    missing += [a for a in set(upper) if a not in table]
+    # the rule must cover the grid and its upper neighbours: every index of
+    # degree at most dmax + 1
+    missing = sorted(a for a in TruncationGrid.build(m, dmax + 1).indices if a not in table)
     if missing:
-        raise ValueError(f"custom coefficient rule is missing {sorted(missing)[:4]}...")
+        more = "..." if len(missing) > 4 else ""
+        raise ValueError(f"custom coefficient rule is missing {missing[:4]}{more}")
     return DiagonalKernelSpec.custom(m, table), grid, tag
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -49,13 +49,17 @@ class TruncationGrid:
         (reversed-tuple lexicographic within a grade)."""
         if m < 1 or dmax < 0:
             raise ValueError("need m >= 1 and dmax >= 0")
-        alphas = [a for a in product(range(dmax + 1), repeat=m) if sum(a) <= dmax]
-        if order == "grlex":
-            alphas.sort(key=lambda a: (sum(a), a))
-        elif order == "grevlex":
-            alphas.sort(key=lambda a: (sum(a), tuple(reversed(a))))
-        else:
+        if order not in ("grlex", "grevlex"):
             raise ValueError(f"unknown enumeration order {order!r}")
+        # grade n by stars and bars: the m - 1 bar positions among n + m - 1
+        # slots, taken in lexicographic order, give the parts of n in
+        # lexicographic order; grevlex reads each of them backwards
+        alphas = []
+        for n in range(dmax + 1):
+            for bars in combinations(range(n + m - 1), m - 1):
+                edges = (-1, *bars, n + m - 1)
+                a = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+                alphas.append(a if order == "grlex" else a[::-1])
         idx = {a: i for i, a in enumerate(alphas)}
         return cls(m, dmax, tuple(alphas), idx)
 

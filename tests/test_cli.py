@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -17,6 +18,9 @@ from sidecomp.io import canonical_json, load_tuple, tuple_to_obj
 from sidecomp.planted import planted_corpus
 from sidecomp.policy import ASSEMBLY_BAR
 from sidecomp.tuples import conjugate, operator_tuple
+
+
+SRC_ROOT = Path(sidecomp.__file__).parents[1]
 
 
 def write_tuple(path, T):
@@ -232,22 +236,46 @@ class TestRkhs:
         rc, _ = run(capsys, ["rkhs", "--input", str(spec)])
         assert rc == 2
 
+    @pytest.mark.parametrize("dmax, fhat, message", [
+        # (0, 2) is a grid index and an upper neighbour of (0, 1): named once
+        (2, [[[0, 0], 1], [[1, 0], 1], [[0, 1], 1]],
+         "[(0, 2), (0, 3), (1, 1), (1, 2)]..."),
+        (1, [[[0, 0], 1], [[1, 0], 1], [[0, 1], 1], [[2, 0], 1]], "[(0, 2), (1, 1)]"),
+    ])
+    def test_missing_custom_indices_are_listed_once(self, tmp_path, capsys, dmax, fhat,
+                                                    message):
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"m": 2, "dmax": dmax, "preset": "custom",
+                                    "custom_fhat": fhat}))
+        rc = main(["rkhs", "--input", str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: custom coefficient rule is missing {message}\n"
+
     def test_rkhs_process_loads_no_scipy(self, tmp_path):
         # scipy's packages never load: in a fresh interpreter the package,
         # the CLI module and rkhs runs leave scipy out, and the spectral
         # commands load only its LAPACK wrappers (_linalg._flapack); a later
         # import of scipy.linalg in the same process works and shares the
-        # wrappers' functions
+        # wrappers' functions. Each command loads only its own modules:
+        # import sidecomp loads at most the policy, rkhs none of the
+        # spectral stack, and the spectral commands neither rkhs nor the
+        # selftest's corpora
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 4}))
         shift = tmp_path / "s.json"
         shift.write_text(json.dumps({"m": 2, "preset": "spherical_shift", "dmax": 3}))
         tup = write_tuple(tmp_path / "t.json",
                           operator_tuple([bd(jordan(2), jordan(2), jordan(1, 1.0))]))
-        code = textwrap.dedent(f"""
-            import contextlib, io, json, sys
+        rkhs_code = textwrap.dedent(f"""
+            import contextlib, io, sys
             import numpy as np
+            before = set(sys.modules)
             import sidecomp
+            loaded = set(sys.modules) - before
+            assert [n for n in dir(sidecomp) if not n.startswith("_")] == sidecomp.__all__
+            import sidecomp.policy
+            assert loaded <= {{"sidecomp"}} | (set(sys.modules) - before), sorted(loaded)
             assert "scipy" not in sys.modules, "import sidecomp"
             import sidecomp.cli
             assert "scipy" not in sys.modules, "import sidecomp.cli"
@@ -255,6 +283,13 @@ class TestRkhs:
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = sidecomp.cli.main(["rkhs", "--input", kernel])
                 assert rc == 0 and "scipy" not in sys.modules, ("rkhs", kernel, rc)
+            for name in ("commutant", "decomposition", "invariant", "planted", "oracle"):
+                assert "sidecomp." + name not in sys.modules, ("rkhs", name)
+        """)
+        spectral_code = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            import numpy as np
+            import sidecomp.cli
             reports = {{}}
             for argv in (["invariant", "--input", {tup!r}],
                          ["decompose", "--input", {tup!r}],
@@ -263,6 +298,8 @@ class TestRkhs:
                     rc = sidecomp.cli.main(argv)
                 assert rc == 0, (argv[0], rc)
                 reports[argv[0]] = json.loads(out.getvalue())
+            for name in ("rkhs", "planted", "oracle"):
+                assert "sidecomp." + name not in sys.modules, ("spectral", name)
             assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules
             # nor numpy.ma, which np.unique without return_counts (and so
             # np.setdiff1d) imports
@@ -280,14 +317,139 @@ class TestRkhs:
             assert sla._flapack is sys.modules["scipy.linalg._flapack"]
             print(json.dumps(reports))
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(sidecomp.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        for code in (rkhs_code, spectral_code):
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
         reports = json.loads(proc.stdout)
         rep = reports["invariant"]
         assert (rep["k"], rep["multiplicities"]) == (2, [2, 1])
         assert reports["similar"]["similar"]
+
+
+def test_public_names_resolve_to_their_modules():
+    # the names sidecomp exports, pinned; each loads on first use and is the
+    # object its module defines
+    assert sidecomp.__all__ == [
+        "AlgebraStructure", "BlockSimilarityResult", "CommutantBasis", "CommutationReport",
+        "DEFAULT_POLICY", "DEFAULT_SEED", "DecompositionEquivalence", "DefectReport",
+        "DiagonalKernelSpec", "EquivalenceOutcome", "GammaTransformReport", "InflationCheck",
+        "InvertibleSearch", "JointKernelBasis", "K0Descriptor", "ModelHypothesesReport",
+        "NumericPolicy", "NumericalDegeneracyError", "OperatorTuple", "PSequenceReport",
+        "SimilarityInvariant", "SimilarityVerdict", "SphereReport", "TruncationGrid",
+        "UnitDecomposition", "assemble_intertwiner", "block_similarity",
+        "check_model_hypotheses", "check_sphere_conditions", "commutant", "compress",
+        "conjugate", "contains_invertible", "decomposition", "decompositions_equivalent",
+        "defect_operator", "direct_sum", "gamma_transform", "idempotent_classes_equal",
+        "inflate", "inflation_commutant_check", "intertwiner_space", "invariant",
+        "is_strongly_irreducible", "joint_commutant", "joint_eigenvector", "joint_kernel",
+        "k0_descriptor", "multishift_weights", "operator_tuple", "p_sequence",
+        "p_sequence_closed_form", "policy", "radical", "restrict", "rkhs",
+        "semisimple_structure", "similar", "spherical_shift", "transport_decomposition",
+        "truncated_tuple", "tuples", "unit_si_decomposition", "v_semigroup_invariant",
+        "validate_commuting",
+    ]
+    for name in sidecomp.__all__:
+        module = sidecomp._MODULE_OF.get(name)
+        if module is None:
+            assert getattr(sidecomp, name) is importlib.import_module(f"sidecomp.{name}")
+        else:
+            owner = importlib.import_module(f"sidecomp.{module}")
+            assert getattr(sidecomp, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        sidecomp.nonexistent
+
+
+@pytest.fixture(scope="module")
+def process_inputs(tmp_path_factory):
+    """Input files of the process-exit tests, named by their role."""
+    root = tmp_path_factory.mktemp("process")
+    rng = np.random.default_rng(12)
+    A = bd(jordan(3), jordan(3), jordan(2, 1.0), jordan(2, 1.0), jordan(2, -1.0))
+    T = conjugate(operator_tuple([A, A @ A]), conditioned_invertible(12, 10.0, rng))
+    S = conjugate(T, conditioned_invertible(12, 10.0, rng))
+    # six 4x4 blocks at d = 24: the decompose report is about 140 KB
+    big = bd(*(jordan(4, lam) for lam in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)))
+    U = conjugate(operator_tuple([big]), conditioned_invertible(24, 10.0, rng))
+    paths = {"small": write_tuple(root / "small.json", operator_tuple([np.eye(2)])),
+             "tuple": write_tuple(root / "t.json", T),
+             "tuple2": write_tuple(root / "s.json", S),
+             "tuple24": write_tuple(root / "u.json", U)}
+    for name, kernel in (
+            ("ball", {"m": 3, "preset": "drury_arveson", "dmax": 8}),
+            ("hardy", {"m": 2, "preset": "hardy", "dmax": 6}),
+            ("nonpositive", {"m": 1, "preset": "custom", "dmax": 1,
+                             "custom_fhat": [[[0], 1.0], [[1], -1.0], [[2], 1.0]]})):
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(kernel))
+    paths["output"] = str(root / "out.json")
+    return paths
+
+
+def cli_process(argv, **streams):
+    """``python -m sidecomp.cli argv`` in a fresh interpreter, with buffered
+    stdio, so that what reaches the streams depends on run()'s flush."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "sidecomp.cli", *argv], env=env,
+                          timeout=120, **(streams or {"capture_output": True}))
+
+
+class TestProcessExit:
+    # the process leaves by run(), which flushes and skips interpreter
+    # teardown: its bytes and exit code are those of main() in process
+    @pytest.mark.parametrize("argv, rc", [
+        (["invariant", "--input", "{tuple}"], 0),
+        (["decompose", "--input", "{tuple}"], 0),
+        (["similar", "--input", "{tuple}", "--input2", "{tuple2}", "--witness"], 0),
+        (["rkhs", "--input", "{ball}"], 0),
+        (["rkhs", "--input", "{hardy}"], 4),
+        (["rkhs", "--input", "{nonpositive}"], 2),
+        (["decompose", "--input", "{tuple24}"], 0),
+    ], ids=["invariant", "decompose", "similar", "rkhs", "hardy-exit-4",
+            "nonpositive-exit-2", "report-over-a-pipe-buffer"])
+    def test_process_matches_main(self, process_inputs, capsys, argv, rc):
+        argv = [a.format(**process_inputs) for a in argv]
+        assert main(argv) == rc
+        want = capsys.readouterr()
+        proc = cli_process(argv)
+        assert proc.returncode == rc, proc.stderr[-2000:]
+        assert proc.stdout == want.out.encode()
+        assert proc.stderr == want.err.encode()
+        if rc == 2:
+            assert want.out == "" and want.err.startswith("error: ") \
+                and want.err.endswith("\n")
+        else:
+            assert want.out.endswith("\n")
+        if argv[-1] == process_inputs["tuple24"]:
+            assert len(proc.stdout) > 65536
+
+    def test_output_file_is_complete(self, process_inputs, capsys):
+        argv = ["rkhs", "--input", process_inputs["ball"], "--output", process_inputs["output"]]
+        out = Path(process_inputs["output"])
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        written = out.read_bytes()
+        out.unlink()
+        proc = cli_process(argv)
+        assert proc.returncode == 0 and proc.stdout == want.encode()
+        assert out.read_bytes() == written and load_tuple(str(out)).d == 165
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_flush_exits_120(self, process_inputs):
+        # a report that stays in the stdout buffer until run() flushes it,
+        # and cannot be written then, fails the process with the code
+        # CPython's own shutdown gives
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(["invariant", "--input", process_inputs["small"]],
+                               stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 120 and b"No space left on device" in proc.stderr
+
+    def test_usage_error_keeps_the_normal_exit(self):
+        # argparse's SystemExit takes the interpreter's own exit path
+        proc = cli_process(["invariant"])
+        assert proc.returncode == 2 and b"--input" in proc.stderr
 
 
 class TestSelftest:
@@ -302,10 +464,11 @@ class TestSelftest:
         assert rep["uniqueness_failures"] == []
 
     def test_unmatched_decompositions_exit_4(self, capsys, monkeypatch):
-        import sidecomp.cli as cli
+        # selftest reads decompositions_equivalent from its module when it runs
+        import sidecomp.decomposition as decomposition
         from sidecomp.decomposition import EquivalenceOutcome
 
-        monkeypatch.setattr(cli, "decompositions_equivalent",
+        monkeypatch.setattr(decomposition, "decompositions_equivalent",
                             lambda *a, **k: EquivalenceOutcome(None, "synthetic"))
         rc, out = run(capsys, ["selftest", "--count", "2", "--seed", "11"])
         rep = json.loads(out)
@@ -314,13 +477,13 @@ class TestSelftest:
         assert rep["uniqueness_failures"] == [inst.seed for inst in planted_corpus(11, 2)]
 
     def test_degenerate_matching_exits_3(self, capsys, monkeypatch):
-        import sidecomp.cli as cli
+        import sidecomp.decomposition as decomposition
         from sidecomp.policy import NumericalDegeneracyError
 
         def boom(*a, **k):
             raise NumericalDegeneracyError("synthetic degeneracy")
 
-        monkeypatch.setattr(cli, "decompositions_equivalent", boom)
+        monkeypatch.setattr(decomposition, "decompositions_equivalent", boom)
         rc, _ = run(capsys, ["selftest", "--count", "1", "--seed", "11"])
         assert rc == 3
 
@@ -338,14 +501,15 @@ class TestSelftest:
 class TestExitCodes:
     def test_numerical_degeneracy_exits_3(self, tmp_path, capsys, monkeypatch):
         from sidecomp.policy import NumericalDegeneracyError
-        import sidecomp.cli as cli
+        import sidecomp.decomposition as decomposition
 
         def boom(*a, **k):
             raise NumericalDegeneracyError("synthetic degeneracy")
 
-        monkeypatch.setattr(cli, "unit_si_decomposition", boom)
+        # decompose reads unit_si_decomposition from its module when it runs
+        monkeypatch.setattr(decomposition, "unit_si_decomposition", boom)
         p = write_tuple(tmp_path / "t.json", operator_tuple([np.eye(2)]))
-        rc = cli.main(["decompose", "--input", p])
+        rc = main(["decompose", "--input", p])
         capsys.readouterr()
         assert rc == 3
 

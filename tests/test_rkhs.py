@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestGrid:
     def test_graded_then_lexicographic(self):
         g = TruncationGrid.build(2, 2)
         assert g.indices == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+
+    @pytest.mark.parametrize("order", ["grlex", "grevlex"])
+    def test_direct_enumeration_matches_the_filtered_cube(self, order):
+        # the graded indices, generated directly, are those of the cube
+        # {0..dmax}^m cut to |a| <= dmax and sorted by the order's key
+        key = {"grlex": lambda a: (sum(a), a),
+               "grevlex": lambda a: (sum(a), a[::-1])}[order]
+        for m in range(1, 5):
+            for dmax in range(7):
+                cube = product(range(dmax + 1), repeat=m)
+                want = tuple(sorted((a for a in cube if sum(a) <= dmax), key=key))
+                assert TruncationGrid.build(m, dmax, order).indices == want, (m, dmax)
 
     def test_round_trip_index_maps(self):
         g = TruncationGrid.build(3, 4)
