@@ -390,20 +390,13 @@ def run() -> None:
 
     Runs ``main``, flushes stdout and stderr, and leaves by ``os._exit``:
     interpreter teardown writes nothing a command needs, so it is skipped,
-    and atexit hooks do not run. An exception out of ``main``, argparse's
-    ``SystemExit`` included, takes the normal exit path. A failed flush
-    exits 120, as CPython's own shutdown does.
+    and atexit hooks do not run. An exception out of ``main`` or out of the
+    flush, argparse's ``SystemExit`` included, takes the normal exit path,
+    where a stream that still cannot be flushed exits 120.
     """
     rc = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError as exc:
-        try:
-            print(f"error: cannot flush the output: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
-        rc = 120
+    sys.stdout.flush()
+    sys.stderr.flush()
     os._exit(rc)
 
 

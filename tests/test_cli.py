@@ -258,7 +258,7 @@ class TestRkhs:
         # commands load only its LAPACK wrappers (_linalg._flapack); a later
         # import of scipy.linalg in the same process works and shares the
         # wrappers' functions. Each command loads only its own modules:
-        # import sidecomp loads at most the policy, rkhs none of the
+        # import sidecomp loads no submodule, rkhs none of the
         # spectral stack, and the spectral commands neither rkhs nor the
         # selftest's corpora
         spec = tmp_path / "k.json"
@@ -274,8 +274,7 @@ class TestRkhs:
             import sidecomp
             loaded = set(sys.modules) - before
             assert [n for n in dir(sidecomp) if not n.startswith("_")] == sidecomp.__all__
-            import sidecomp.policy
-            assert loaded <= {{"sidecomp"}} | (set(sys.modules) - before), sorted(loaded)
+            assert loaded == {{"sidecomp"}}, sorted(loaded)
             assert "scipy" not in sys.modules, "import sidecomp"
             import sidecomp.cli
             assert "scipy" not in sys.modules, "import sidecomp.cli"
@@ -285,6 +284,9 @@ class TestRkhs:
                 assert rc == 0 and "scipy" not in sys.modules, ("rkhs", kernel, rc)
             for name in ("commutant", "decomposition", "invariant", "planted", "oracle"):
                 assert "sidecomp." + name not in sys.modules, ("rkhs", name)
+            # nor numpy.ma, which np.unique without return_counts (and so
+            # np.setdiff1d, once used by spherical_shift's predicates) imports
+            assert "numpy.ma" not in sys.modules, "rkhs"
         """)
         spectral_code = textwrap.dedent(f"""
             import contextlib, io, json, sys
@@ -301,9 +303,8 @@ class TestRkhs:
             for name in ("rkhs", "planted", "oracle"):
                 assert "sidecomp." + name not in sys.modules, ("spectral", name)
             assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules
-            # nor numpy.ma, which np.unique without return_counts (and so
-            # np.setdiff1d) imports
-            assert "numpy.ma" not in sys.modules
+            # nor numpy.ma, which np.unique without return_counts imports
+            assert "numpy.ma" not in sys.modules, "spectral"
             import scipy.linalg as sla
             from sidecomp import _linalg
             z = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
