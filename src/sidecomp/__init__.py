@@ -43,7 +43,6 @@ _EXPORTS = {
         "semisimple_structure",
     ),
     "decomposition": (
-        "BlockSimilarityResult",
         "DecompositionEquivalence",
         "EquivalenceOutcome",
         "UnitDecomposition",

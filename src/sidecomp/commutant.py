@@ -24,8 +24,8 @@ Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
 intrinsic to the algebra, which counts them before any split: a walk that a
 bad draw leads astray fails one of the deterministic certificates (square
-block quotients, ``sum n_i^2 + dim rad = dim A'``, idempotents summing to
-the identity, and n_i primitives of equal rank per block).
+block quotients, ``sum n_i^2 + dim rad = dim A'``, and n_i primitives of
+equal rank per block).
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ from .policy import (
     DEFAULT_POLICY,
     GOOD_INVERTIBLE_COND,
     GOOD_SPLIT_NORM,
-    IDENTITY_SUM_BAR,
     INFLATION_SIZE_CAP,
     INVERTIBLE_RANK_FLOOR,
     INVERTIBLE_TRIALS,
@@ -388,44 +387,33 @@ class InvertibleSearch:
     def found(self) -> bool:
         return self.element is not None
 
-    @property
-    def rank_deficient(self) -> bool:
-        """True when every trial combination is singular: a certificate that
-        the span contains no invertible element."""
-        return self.max_rank < self.size
-
 
 def contains_invertible(space: np.ndarray,
                         policy: NumericPolicy = DEFAULT_POLICY) -> InvertibleSearch:
-    """Search a matrix span for an invertible element by seeded random combos.
+    """Search the span of the (K, n, n) stack ``space`` for an invertible
+    element by seeded random combos.
 
     A trial is invertible when sigma_min exceeds tol * sigma_max. The
     first trial with sigma_min >= sigma_max / GOOD_INVERTIBLE_COND is taken
     at once; otherwise the best-conditioned invertible trial is kept, and the
     search stops 8 trials after the first invertible one. The maximum rank
     over the trials is reported; after a failure it rests on all
-    ``INVERTIBLE_TRIALS`` draws, and a deficient maximum certifies that no
-    invertible element exists in the span.
+    ``INVERTIBLE_TRIALS`` draws, and a maximum below n certifies that no
+    invertible element exists in the span (as does an empty one, K = 0).
     """
-    space = np.asarray(space, dtype=complex)
-    if space.ndim == 2:
-        space = space[None]
-    K = space.shape[0]
-    if K == 0 or space.shape[1] != space.shape[2]:
-        return InvertibleSearch(None, 0, 0, space.shape[2])
-    n = space.shape[1]
+    K, n = space.shape[:2]
+    if K == 0:
+        return InvertibleSearch(None, 0, 0, n)
     rng = np.random.default_rng(policy.seed)
     rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
     max_rank = 0
     element = None
     best_ratio = policy.tol
     first = 0
-    used = 0
     for t in range(INVERTIBLE_TRIALS):
         c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         M = np.tensordot(c, space, axes=(0, 0))
         s = svdvals_robust(M)
-        used = t + 1
         max_rank = max(max_rank, rank_cut(s, rtol, strict=False))
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0
         if ratio > best_ratio:
@@ -434,7 +422,7 @@ def contains_invertible(space: np.ndarray,
             element, best_ratio = M, ratio
         if element is not None and (best_ratio * GOOD_INVERTIBLE_COND >= 1.0 or t - first >= 8):
             break
-    return InvertibleSearch(element, used, max_rank, n)
+    return InvertibleSearch(element, t + 1, max_rank, n)
 
 
 @dataclass(frozen=True)
@@ -815,9 +803,6 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     # order in which the walk found them
     blocks.sort(key=lambda cn: (-cn[1], -cn[0].U.shape[1]))
     dims = tuple(n for _, n in blocks)
-    total = np.hstack([c.U for c, _ in blocks]) @ np.vstack([c.W for c, _ in blocks])
-    if frob(total - np.eye(T.d)) > IDENTITY_SUM_BAR * T.d:
-        raise NumericalDegeneracyError("lifted block idempotents do not sum to the identity")
     # a block M_n has n primitives of equal rank: a free block's are known,
     # and a random element of any other block's corner separates them at once
     rng = np.random.default_rng(seed + 0x5EED)
@@ -857,14 +842,16 @@ def semisimple_structure(T: OperatorTuple,
     another number of parts. (k, block sizes) are intrinsic, and the result
     is held to deterministic certificates: every block's quotient is a
     square, each root's accounting identity ``sum n_i^2 + dim rad A' = dim
-    A'`` holds, the lifted idempotents sum to the identity and a block M_n
-    that is not free splits into n primitives of equal rank; the last
-    catches a center read too small, which takes several blocks for one. (A
-    free block's g primitives have rank ``r/g`` each by construction, and
-    every split partitions its Schur indices, so the frame widths sum to d
-    exactly.) A walk that fails one of them is retried with the next seed,
-    up to ``STRUCTURE_SEEDS`` seeds, and the last error is raised if none
-    succeeds.
+    A'`` holds, and a block M_n that is not free splits into n primitives of
+    equal rank; the last catches a center read too small, which takes
+    several blocks for one. (A free block's g primitives have rank ``r/g``
+    each by construction, and every split partitions its Schur indices, so
+    the frame widths sum to d exactly.) A walk that fails one of them is
+    retried with the next seed, up to ``STRUCTURE_SEEDS`` seeds, and the
+    last error is raised if none succeeds. The idempotents sum to I by
+    construction, so only ``UnitDecomposition.validate`` checks it: each
+    split partitions its Schur indices, and its projectors' norms stay under
+    ``SPLIT_PROJECTOR_NORM_CAP``.
     """
     roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
     for attempt in range(STRUCTURE_SEEDS):

@@ -214,33 +214,29 @@ def transport_decomposition(D: UnitDecomposition, X,
                              D.si_flags).validated(policy)
 
 
-@dataclass(frozen=True)
-class BlockSimilarityResult:
-    similar: bool
-    definitive: bool                    # non-similarity certified (rank data)
-    intertwiner: np.ndarray | None      # restricted coordinates, rank x rank
-
-
 def _invertible_intertwiner(T: OperatorTuple, UP: np.ndarray, S: OperatorTuple,
-                            UQ: np.ndarray, policy: NumericPolicy) -> BlockSimilarityResult:
+                            UQ: np.ndarray, policy: NumericPolicy) -> np.ndarray | None:
     """An invertible X with ``X A_i = B_i X`` between the restrictions ``A =
-    UP* T UP`` and ``B = UQ* S UQ`` to the orthonormal frames UP and UQ.
+    UP* T UP`` and ``B = UQ* S UQ`` to the orthonormal frames UP and UQ, or
+    None when the rank data certify that none exists.
 
     The one search behind every similarity decision on restricted tuples. A
     rank mismatch, an empty intertwiner space or a rank-deficient span
-    certifies that no such X exists (``definitive``); a search that finds
-    none in a span of full rank is not definitive. Two rank-0 frames are
-    similar through the 0 x 0 intertwiner.
+    certifies that no such X exists; a span of full rank in which the search
+    finds no invertible element raises :class:`NumericalDegeneracyError`.
+    Two rank-0 frames are similar through the 0 x 0 intertwiner.
     """
     if UP.shape[1] != UQ.shape[1]:
-        return BlockSimilarityResult(False, True, None)
+        return None
     if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
-        return BlockSimilarityResult(True, True, np.zeros((0, 0), dtype=complex))
+        return np.zeros((0, 0), dtype=complex)
     space = intertwiner_space(compress(T, UP), compress(S, UQ), policy)
-    if space.shape[0] == 0:
-        return BlockSimilarityResult(False, True, None)
     inv = contains_invertible(space, policy)
-    return BlockSimilarityResult(inv.found, inv.found or inv.rank_deficient, inv.element)
+    if inv.found or inv.max_rank < inv.size:     # an empty span included
+        return inv.element
+    raise NumericalDegeneracyError(
+        f"no invertible element among {inv.trials_used} draws from a span of "
+        f"{space.shape[0]} intertwiners, though the draws reach full rank {inv.size}")
 
 
 def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericPolicy):
@@ -248,19 +244,19 @@ def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericP
     of S to the frames UQs by :func:`_invertible_intertwiner`: each i in
     turn takes the first unused j whose restriction is similar to its own,
     and ``(i, j, X)`` is yielded with the intertwiner X; the first i with no
-    partner yields ``(i, None, None)`` and ends the matching. Greedy
-    matching is exact because similarity of SI restrictions is an
-    equivalence relation; ties break to the lowest index. A caller that
-    stops iterating runs no further search."""
+    partner yields ``(i, None, None)`` and ends the matching, and a search
+    that cannot decide raises. Greedy matching is exact because similarity
+    of SI restrictions is an equivalence relation; ties break to the lowest
+    index. A caller that stops iterating runs no further search."""
     used = [False] * len(UQs)
     for i, UP in enumerate(UPs):
         for j, UQ in enumerate(UQs):
             if used[j]:
                 continue
-            res = _invertible_intertwiner(T, UP, S, UQ, policy)
-            if res.similar:
+            X = _invertible_intertwiner(T, UP, S, UQ, policy)
+            if X is not None:
                 used[j] = True
-                yield i, j, res.intertwiner
+                yield i, j, X
                 break
         else:
             yield i, None, None
@@ -268,13 +264,13 @@ def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericP
 
 
 def block_similarity(T: OperatorTuple, P, Q,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> BlockSimilarityResult:
-    """Invertible intertwiner between T|range(P) and T|range(Q), if one exists.
+                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray | None:
+    """Invertible intertwiner between T|range(P) and T|range(Q), or None
+    when the rank data certify that none exists.
 
-    A rank mismatch or a rank-deficient span of intertwiners certifies
-    non-similarity; otherwise failure to find an invertible element is
-    reported as non-definitive. Two zero idempotents are similar through the
-    0 x 0 intertwiner.
+    Decided by :func:`_invertible_intertwiner`, which raises when its search
+    cannot decide. Two zero idempotents are similar through the 0 x 0
+    intertwiner.
     """
     check_idempotent_in_commutant(T, P, policy)
     check_idempotent_in_commutant(T, Q, policy)

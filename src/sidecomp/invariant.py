@@ -101,9 +101,9 @@ def k0_descriptor(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
 
 def idempotent_classes_equal(T: OperatorTuple, P, Q,
                              policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff P and Q define the same idempotent class over A'(T),
-    decided through similarity of the restricted tuples."""
-    return block_similarity(T, P, Q, policy).similar
+    """True iff P and Q define the same idempotent class over A'(T), decided
+    (or raising) like :func:`block_similarity`."""
+    return block_similarity(T, P, Q, policy) is not None
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
 
     The invariants of both sides are computed and their classes matched by
     blockwise similarity of representatives; the tuples are similar exactly
-    when the matching is a multiplicity-preserving bijection. With
+    when the matching is a multiplicity-preserving bijection; a blockwise
+    search that cannot decide raises :class:`NumericalDegeneracyError`. With
     ``want_witness`` an invertible X with X T_i X^-1 = S_i is assembled from
     blockwise intertwiners and verified (max residual reported). Every block
     is restricted to the frame its decomposition carries, the frame the class
@@ -174,8 +175,7 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
                 LP, LQ = DT.frames[iT], DS.frames[iS]
                 # the first blocks restrict to the class representatives,
                 # whose intertwiner the matching above already found
-                Xhat = Xrep if j == 0 else _invertible_intertwiner(
-                    T, LP, S, LQ, policy).intertwiner
+                Xhat = Xrep if j == 0 else _invertible_intertwiner(T, LP, S, LQ, policy)
                 if Xhat is None:
                     raise NumericalDegeneracyError(
                         "matched blocks lost their intertwiner during assembly"

@@ -9,10 +9,12 @@ docs/formats.md for the complete description.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .policy import STACK_BYTE_BUDGET
 from .tuples import OperatorTuple, operator_tuple
 
 if TYPE_CHECKING:       # imported where used, so that tuple files never load rkhs
@@ -76,7 +78,8 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     """Parse {"m", "preset", "k"?, "dmax", "custom_fhat"?}.
 
     Returns (spec, grid, preset-name); spec is None for the "spherical_shift"
-    preset, which has no coefficient rule.
+    preset, which has no coefficient rule. A job over ``STACK_BYTE_BUDGET``
+    is refused before its grid is enumerated.
     """
     from .rkhs import DiagonalKernelSpec, TruncationGrid
 
@@ -88,6 +91,14 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
         preset = str(obj["preset"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("kernel spec needs integer 'm', 'dmax' and a 'preset'") from exc
+    # the model tuple takes 16 m d^2 bytes, drury_arveson's Koszul stack C(m, 2)
+    # times as many; TruncationGrid.build refuses m < 1 and dmax < 0
+    d = math.comb(m + dmax, m) if m >= 1 and dmax >= 0 else 0
+    copies = max(1, m * (m - 1) // 2) if _PRESETS.get(preset) == "drury_arveson" else 1
+    size = 16 * m * d * d * copies
+    if size > STACK_BYTE_BUDGET:
+        raise ValueError(f"the grid of m={m}, dmax={dmax} has d={d} labels, and its arrays "
+                         f"need {size} bytes, more than the budget of {STACK_BYTE_BUDGET}")
     grid = TruncationGrid.build(m, dmax)
     if preset == "spherical_shift":
         return None, grid, preset

@@ -68,8 +68,10 @@ GOOD_INVERTIBLE_COND = 1e3
 INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
-# Largest Sylvester stack, 16 m (d_T d_S)^2 bytes, that intertwiner_space
-# builds; it refuses a larger one (J_96 at m = 2 needs 2.7 GB).
+# The package's one dense-array budget, in bytes, checked before anything is
+# built: intertwiner_space refuses a larger Sylvester stack, 16 m (d_T d_S)^2
+# bytes, and io.kernel_job_from_obj an rkhs job whose model tuple, 16 m d^2
+# bytes, or drury_arveson Koszul stack, 8 m^2 (m - 1) d^2 bytes, is larger.
 STACK_BYTE_BUDGET = 2**30
 # Largest ||P||_F of a Riesz projector P of a cluster split (_spectral_split):
 # cutting through a defective eigenvalue cloud blows it up past the cap.
@@ -126,9 +128,9 @@ SPAN_MEMBERSHIP_TOL = 1e-8
 # Relative size ||R^d||_F / max(1, ||R||_F^d) up to which a radical element
 # R of a d-dimensional commutant counts as nilpotent.
 NILPOTENCY_BAR = 1e-8
-# ||sum_i P_i - I||_F of a family of idempotents meant to sum to the identity:
-# per ambient dimension for lifted block idempotents, absolute (floored at the
-# float64 level of their norms) for a validated unit decomposition.
+# ||sum_a P_a - I||_F of a validated unit decomposition (floored at the
+# float64 level of their norms), the one check of the identity sum: the
+# structure walk's splits sum to I by construction.
 IDENTITY_SUM_BAR = 1e-8
 # Largest ||P_a P_b||_F, a != b, of a validated unit decomposition (floored
 # like IDENTITY_SUM_BAR).

@@ -146,6 +146,16 @@ class TestSimilar:
         rep = json.loads(out)
         assert rc == 0 and not rep["similar"] and rep["reason"] == "dimension"
 
+    def test_undecided_search_exits_3(self, tmp_path, capsys):
+        # a similar pair whose intertwiner search cannot decide is not
+        # reported as "not similar"
+        p1 = write_tuple(tmp_path / "a.json", operator_tuple([jordan(2)]))
+        p2 = write_tuple(tmp_path / "b.json", operator_tuple([1e9 * jordan(2)]))
+        rc = main(["similar", "--input", p1, "--input2", p2, "--witness"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith("numerical degeneracy: no invertible element")
+
 
 class TestRkhs:
     def test_ball_kernel_checks_pass(self, tmp_path, capsys):
@@ -333,7 +343,7 @@ def test_public_names_resolve_to_their_modules():
     # the names sidecomp exports, pinned; each loads on first use and is the
     # object its module defines
     assert sidecomp.__all__ == [
-        "AlgebraStructure", "BlockSimilarityResult", "CommutantBasis", "CommutationReport",
+        "AlgebraStructure", "CommutantBasis", "CommutationReport",
         "DEFAULT_POLICY", "DEFAULT_SEED", "DecompositionEquivalence", "DefectReport",
         "DiagonalKernelSpec", "EquivalenceOutcome", "GammaTransformReport", "InflationCheck",
         "InvertibleSearch", "JointKernelBasis", "K0Descriptor", "ModelHypothesesReport",
@@ -526,6 +536,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 3 and captured.out == ""
         assert "needs 2717908992 bytes" in captured.err
+
+    def test_grid_over_the_byte_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # m = 3, dmax = 100 has d = 176851 labels: its model tuple alone
+        # would take 1.5 TB, so the job is refused before any grid is built
+        import sidecomp.rkhs as rkhs
+
+        def build(*args, **kwargs):
+            raise AssertionError("a grid was enumerated")
+
+        monkeypatch.setattr(rkhs.TruncationGrid, "build", build)
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 100}))
+        rc = main(["rkhs", "--input", str(spec)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "d=176851" in captured.err and "4503783772944 bytes" in captured.err
 
     def test_failed_identity_check_exits_4(self, tmp_path, capsys):
         # a decreasing coefficient rule makes the lowering tuple expansive:

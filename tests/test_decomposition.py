@@ -297,40 +297,57 @@ class TestBlockSimilarity:
     def test_reflexive(self):
         T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])
         D = unit_si_decomposition(T)
-        res = block_similarity(T, D.idempotents[0], D.idempotents[0])
-        assert res.similar
+        assert block_similarity(T, D.idempotents[0], D.idempotents[0]) is not None
 
     def test_equal_blocks_found(self):
         T = inflate(operator_tuple([jordan(2)]), 2)
         P = bd(np.eye(2), np.zeros((2, 2)))
         Q = bd(np.zeros((2, 2)), np.eye(2))
-        res = block_similarity(T, P, Q)
-        assert res.similar
+        X = block_similarity(T, P, Q)
+        assert X.shape == (2, 2) and np.linalg.cond(X) < 1e3
 
     def test_disjoint_spectra_definitively_dissimilar(self):
+        # J_2(0) and J_2(1) have no nonzero intertwiner: the empty span
+        # certifies it
         T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])
         P = bd(np.eye(2), np.zeros((2, 2)))
         Q = bd(np.zeros((2, 2)), np.eye(2))
-        res = block_similarity(T, P, Q)
-        assert not res.similar and res.definitive
+        assert block_similarity(T, P, Q) is None
+
+    def test_rank_deficient_span_certified_dissimilar(self):
+        # the intertwiners of J_2(0) into 0_2 are the rank-1 matrices [0 a; 0 b]
+        T = operator_tuple([bd(jordan(2), np.zeros((2, 2)))])
+        P = bd(np.eye(2), np.zeros((2, 2)))
+        Q = bd(np.zeros((2, 2)), np.eye(2))
+        assert block_similarity(T, P, Q) is None
+        assert not idempotent_classes_equal(T, P, Q)
 
     def test_zero_idempotents_are_similar(self):
         T = operator_tuple([np.diag([1.0, 2.0])])
         zero = np.zeros((2, 2))
-        res = block_similarity(T, zero, zero)
-        assert res.similar and res.definitive and res.intertwiner.shape == (0, 0)
+        assert block_similarity(T, zero, zero).shape == (0, 0)
         assert idempotent_classes_equal(T, zero, zero)
         # a zero and a rank-1 idempotent are certifiably not similar
-        res = block_similarity(T, zero, np.diag([1.0, 0.0]))
-        assert not res.similar and res.definitive and res.intertwiner is None
+        assert block_similarity(T, zero, np.diag([1.0, 0.0])) is None
         assert not idempotent_classes_equal(T, np.diag([0.0, 1.0]), zero)
 
     def test_dissimilar_blocks_cannot_be_cross_paired(self):
         T = operator_tuple([np.diag([1.0, 2.0])])
         P = np.diag([1.0, 0.0]).astype(complex)
         Q = np.diag([0.0, 1.0]).astype(complex)
-        res = block_similarity(T, P, Q)
-        assert not res.similar and res.definitive  # eigenvalue obstruction
+        assert block_similarity(T, P, Q) is None  # eigenvalue obstruction
+
+    def test_undecided_search_raises(self):
+        # J_2(0) and [[0, 1e9], [0, 0]] are similar, but every combination of
+        # their full-rank intertwiner span is conditioned worse than tol: the
+        # search cannot decide, and says so
+        T = operator_tuple([bd(jordan(2), 1e9 * jordan(2))])
+        P = bd(np.eye(2), np.zeros((2, 2)))
+        Q = bd(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(NumericalDegeneracyError, match="no invertible element"):
+            block_similarity(T, P, Q)
+        with pytest.raises(NumericalDegeneracyError, match="no invertible element"):
+            idempotent_classes_equal(T, P, Q)
 
 
 class TestAssembleIntertwiner:
@@ -352,10 +369,9 @@ class TestAssembleIntertwiner:
         T = inflate(operator_tuple([jordan(2)]), 2)
         P1 = bd(np.eye(2), np.zeros((2, 2)))
         P2 = bd(np.zeros((2, 2)), np.eye(2))
-        r1 = block_similarity(T, P1, P2)
-        r2 = block_similarity(T, P2, P1)
-        X = assemble_intertwiner(T, T, [self.pair(r1.intertwiner, P1, P2),
-                                        self.pair(r2.intertwiner, P2, P1)])
+        X12 = block_similarity(T, P1, P2)
+        X21 = block_similarity(T, P2, P1)
+        X = assemble_intertwiner(T, T, [self.pair(X12, P1, P2), self.pair(X21, P2, P1)])
         Xi = np.linalg.inv(X)
         for A in T:
             assert np.linalg.norm(X @ A @ Xi - A) <= 1e-8

@@ -20,6 +20,7 @@ from sidecomp import (
 )
 from sidecomp._linalg import conditioned_invertible
 from sidecomp.planted import jordan_polynomial_tuple, planted_instance
+from sidecomp.policy import NumericalDegeneracyError
 
 
 class TestInvariant:
@@ -43,9 +44,8 @@ class TestInvariant:
         D = inv.decomposition
         for a in range(inv.k):
             for b in range(a + 1, inv.k):
-                res = block_similarity(T, D.idempotents[inv.class_blocks[a][0]],
-                                       D.idempotents[inv.class_blocks[b][0]])
-                assert not res.similar
+                assert block_similarity(T, D.idempotents[inv.class_blocks[a][0]],
+                                        D.idempotents[inv.class_blocks[b][0]]) is None
 
     def test_block_dimension_accounting(self):
         T = operator_tuple([bd(jordan(3), jordan(3), np.eye(2))])
@@ -233,6 +233,14 @@ class TestSimilar:
     def test_dimension_mismatch(self):
         v = similar(operator_tuple([jordan(2)]), operator_tuple([jordan(3)]))
         assert not v.similar and v.reason == "dimension"
+
+    def test_undecided_search_raises(self):
+        # J_2(0) and [[0, 1e9], [0, 0]] are similar (by diag(1e9, 1)), but no
+        # combination of their intertwiners is conditioned better than tol:
+        # the class matching cannot decide, and raises instead of reading
+        # "not similar"
+        with pytest.raises(NumericalDegeneracyError, match="no invertible element"):
+            similar(operator_tuple([jordan(2)]), operator_tuple([1e9 * jordan(2)]))
 
     def test_si_tuple_against_itself_through_direct_sum(self):
         T = operator_tuple([jordan(2), jordan(2) @ jordan(2)])
