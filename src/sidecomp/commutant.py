@@ -110,13 +110,20 @@ def _sylvester_stack(T: OperatorTuple, S: OperatorTuple) -> np.ndarray:
 def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
     """Trace-orthonormal basis of A'(T) = {X : X T_i = T_i X for all i}.
 
-    Computed by spin-up from module generators (:func:`_spin_up`, on the
-    side of T or T* with fewer generators, ``g*d`` unknowns) when that
-    presentation applies and verifies as a basis
-    (:func:`_spin_up_commutant`); otherwise by the ``m d^2 x d^2`` Sylvester
-    stack (:func:`stack_commutant`). The choice depends only on the input.
+    ``A'(T)`` is the direct sum of its primary corners (:func:`_primary_corners`),
+    each the commutant of ``U* T U`` by spin-up or, where that does not verify
+    as a basis, by the Sylvester stack (:func:`_commutant`). Each corner's
+    elements X are lifted to ``U X W*`` and all are trace-orthonormalized
+    together (:func:`_qr_basis`); a lone root is the whole space, whose basis
+    is the result. The choice depends only on the input and the policy's seed.
     """
-    return _commutant(T, _spin_up(T, policy), policy)
+    roots = _primary_corners(T, policy)
+    bases = [c.basis if c.free is None else _commutant(compress(T, c.U), c.free, policy).basis
+             for c in roots]
+    if len(roots) == 1:
+        return CommutantBasis(bases[0])
+    lifted = np.concatenate([c.U @ X @ c.W for c, X in zip(roots, bases)])
+    return CommutantBasis(_qr_basis(lifted.reshape(len(lifted), -1).T, T.d)[0])
 
 
 def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
@@ -318,32 +325,37 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     return su
 
 
+def _qr_basis(X: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-orthonormal basis (K, d, d) of the independent elements whose
+    row-major vecs are the d^2 x K columns X, and R, by reduced Householder QR
+    (no SVD): each column's phase is turned to make R's diagonal positive real,
+    so by uniqueness of QR the basis is the elements' Gram-Schmidt basis."""
+    Q, R = np.linalg.qr(X)
+    r = np.diagonal(R)
+    Q *= r / np.abs(r)
+    return np.ascontiguousarray(Q.T).reshape(-1, d, d), R
+
+
 def _spin_up_commutant(su: SpinUp) -> CommutantBasis | None:
     """A'(T) as a trace-orthonormal basis of the module maps of the spin-up
     presentation ``su`` of T (:func:`_spin_up`), conjugate-transposed when it
     is presented on T*; None when it does not verify as a basis.
 
     The K elements recovered from an orthonormal basis of the values are
-    independent by construction, so a reduced Householder QR (one d^2 x K
-    factorization, no SVD) trace-orthonormalizes them. Each column's phase
-    is turned so that R has a positive real diagonal, as a Cholesky factor
-    does; by uniqueness of QR the basis is then the Gram-Schmidt basis of the
-    elements. None is returned when ``10 * rtol * ||R||_F >= 1``: since ``X
-    G = Y`` with G and the Y orthonormal, the singular values of R (those of
-    the elements) lie in ``[1, ||R||_F]``, so a strict cut of them keeps all
-    K otherwise. Each element of the result must commute with T to within a
+    independent by construction, so :func:`_qr_basis` trace-orthonormalizes
+    them. None is returned when ``10 * rtol * ||R||_F >= 1``: since ``X G =
+    Y`` with G and the Y orthonormal, the singular values of R (those of the
+    elements) lie in ``[1, ||R||_F]``, so a strict cut of them keeps all K
+    otherwise. Each element of the result must commute with T to within a
     tenth of the stack's cut ``d * rank_rtol * scale``, since a residual
     within a factor 10 of the cut is as ambiguous as a straddling singular
     value. The adjoint keeps a trace-orthonormal basis trace-orthonormal.
     """
     d, g = su.G.shape
     Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
-    Q, R = np.linalg.qr(_module_maps(su.B, Y, su.pinv))
+    basis, R = _qr_basis(_module_maps(su.B, Y, su.pinv), d)
     if 10.0 * su.rtol * frob(R) >= 1.0:
         return None
-    r = np.diagonal(R)
-    Q *= r / np.abs(r)
-    basis = np.ascontiguousarray(Q.T).reshape(su.K, d, d)
     if np.any(np.linalg.norm(commutator_norms(basis, su.T), axis=1) > su.bar):
         return None
     return CommutantBasis(basis.conj().transpose(0, 2, 1) if su.adjoint else basis)
@@ -437,15 +449,15 @@ def inflation_commutant_check(T: OperatorTuple, n: int,
                               policy: NumericPolicy = DEFAULT_POLICY) -> InflationCheck:
     """Verify dim A'(T^(n)) = n^2 dim A'(T) (matrix-algebra inflation identity).
 
-    Both dimensions are those of the corner of the whole space
-    (:func:`_corner`): read off a free presentation, and off the basis of
-    A' otherwise.
+    Each dimension is the sum of ``algebra_dim`` over the primary corners
+    (:func:`_primary_corners`), read off a free presentation, and off the
+    basis of A' otherwise.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n * T.d > INFLATION_SIZE_CAP:
         raise ValueError(f"inflated dimension {n * T.d} exceeds size cap {INFLATION_SIZE_CAP}")
-    base, big = (_corner(S, np.eye(S.d), np.eye(S.d), policy).algebra_dim
+    base, big = (sum(c.algebra_dim for c in _primary_corners(S, policy))
                  for S in (T, inflate(T, n)))
     return InflationCheck(base, big, n, big == n * n * base)
 
@@ -631,9 +643,9 @@ def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolic
     return Corner(U, W, basis.shape[0], basis, _radical_coords(basis, policy)[1])
 
 
-def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
-                     rng: np.random.Generator) -> list[Corner]:
-    """Root corners of A'(T), one per joint-spectrum cluster of ``T``.
+def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
+    """Root corners of A'(T), one per joint-spectrum cluster of ``T``, drawn
+    from the policy's seed; every reader of a whole tuple's A' starts here.
 
     The Riesz projectors of a random ``z = sum_i c_i T_i`` are polynomials in
     an element of the center of A'(T), hence central idempotents, and A'(T)
@@ -646,6 +658,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy,
     draws see the same joint-spectrum clusters; then, or when no draw
     qualifies, the one root is the commutant of ``T`` on the whole space.
     """
+    rng = np.random.default_rng(policy.seed)
     for _ in range(SPLIT_ATTEMPTS):
         c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
         projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
@@ -853,7 +866,7 @@ def semisimple_structure(T: OperatorTuple,
     split partitions its Schur indices, and its projectors' norms stay under
     ``SPLIT_PROJECTOR_NORM_CAP``.
     """
-    roots = _primary_corners(T, policy, np.random.default_rng(policy.seed))
+    roots = _primary_corners(T, policy)
     for attempt in range(STRUCTURE_SEEDS):
         try:
             return _structure_once(T, roots, policy, policy.seed + attempt)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import frob, rank_cut, svdvals_robust
 from .commutant import (
-    _corner,
+    _primary_corners,
     contains_invertible,
     intertwiner_space,
     semisimple_structure,
@@ -41,15 +41,15 @@ from .tuples import OperatorTuple, check_idempotent_in_commutant, compress, conj
 def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """True iff the joint commutant of T is local.
 
-    Decided structurally: the commutant algebra modulo its radical must be
-    one-dimensional, i.e. algebra_dim = radical_dim + 1. Where the spin-up
-    presents A'(T) without relations, on T or on T* (whichever has fewer
+    Decided structurally on the primary corners of T: there must be one, and
+    its algebra modulo its radical must be one-dimensional. Where the spin-up
+    presents it without relations, on T or on T* (whichever has fewer
     generators), the quotient is M_g, so T is SI exactly when g = 1 and no
     basis of A'(T) is built; elsewhere the quotient is read through a basis
-    of A'(T). The presentation's checks draw from the policy's seed.
+    of A'(T). The corners draw from the policy's seed.
     """
-    eye = np.eye(T.d, dtype=complex)
-    return _corner(T, eye, eye, policy).quotient_dim == 1
+    roots = _primary_corners(T, policy)
+    return len(roots) == 1 and roots[0].quotient_dim == 1
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,15 @@ def tuple_from_obj(obj) -> OperatorTuple:
 
 
 def _integer(value, name: str) -> int:
+    """``value`` of the field ``name`` as an int; a bool, a number with a
+    fractional part or anything ``int()`` refuses raises ValueError."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"'{name}' must be an integer, got {value!r}") from exc
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return n
 
 
 def load_tuple(path: str) -> OperatorTuple:
@@ -86,11 +91,10 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     if not isinstance(obj, dict):
         raise ValueError("kernel spec must be a JSON object")
     try:
-        m = int(obj["m"])
-        dmax = int(obj["dmax"])
-        preset = str(obj["preset"])
-    except (KeyError, TypeError, ValueError) as exc:
+        m, dmax, preset = obj["m"], obj["dmax"], str(obj["preset"])
+    except KeyError as exc:
         raise ValueError("kernel spec needs integer 'm', 'dmax' and a 'preset'") from exc
+    m, dmax = _integer(m, "m"), _integer(dmax, "dmax")
     # the model tuple takes 16 m d^2 bytes, drury_arveson's Koszul stack C(m, 2)
     # times as many; TruncationGrid.build refuses m < 1 and dmax < 0
     d = math.comb(m + dmax, m) if m >= 1 and dmax >= 0 else 0

@@ -325,9 +325,10 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
         iso_res = frob(S - np.eye(d))
     norm_res = max(frob(A @ A.conj().T - A.conj().T @ A) for A in T)
     defect = np.eye(d) - S
-    hyper = {}
-    power = np.eye(d, dtype=complex)
-    for k in range(1, n_hyper + 1):
+    defect_min_eig = min_eig_hermitian(defect)
+    hyper = {1: defect_min_eig >= -PSD_TOL} if n_hyper >= 1 else {}
+    power = defect
+    for k in range(2, n_hyper + 1):
         power = power @ defect
         hyper[k] = min_eig_hermitian(power) >= -PSD_TOL
     iso_ok = iso_res <= policy.tol * max(1.0, math.sqrt(d))
@@ -339,7 +340,7 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
         hypercontraction=hyper,
         isometry_residual=float(iso_res),
         normality_residual=float(norm_res),
-        defect_min_eig=min_eig_hermitian(defect),
+        defect_min_eig=defect_min_eig,
         row_defect_min_eig=row_defect,
     )
 

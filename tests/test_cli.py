@@ -572,8 +572,12 @@ class TestExitCodes:
         ("rkhs", {"m": 1, "preset": "bergman", "dmax": 1, "k": [1]}),
         ("invariant", {"matrices": 5}),
         ("invariant", {"matrices": [[[[1, 0]]]], "m": [1]}),
+        # sizes that int() would truncate are refused, not read as other sizes
+        ("rkhs", {"m": 2.9, "preset": "hardy", "dmax": 3.7}),
+        ("rkhs", {"m": True, "preset": "hardy", "dmax": 3}),
+        ("invariant", {"m": 1.5, "d": 2.2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
     ], ids=["fhat-not-a-pair", "fhat-value-a-list", "bergman-k-a-list", "matrices-not-a-list",
-            "m-a-list"])
+            "m-a-list", "m-dmax-fractional", "m-boolean", "declared-m-d-fractional"])
     def test_malformed_field_exits_2(self, tmp_path, capsys, command, obj):
         # a field of the wrong JSON type is an input error, not a traceback
         path = tmp_path / "bad.json"

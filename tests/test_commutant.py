@@ -112,6 +112,32 @@ def _span_gap(A, B):
     return 1.0 - np.linalg.svd(Va.conj() @ Vb.T, compute_uv=False).min()
 
 
+class TestOnePath:
+    """joint_commutant, is_strongly_irreducible and inflation_commutant_check
+    read A' off the primary corners, like semisimple_structure: on two joint
+    eigenvalues none of them builds the Sylvester stack of the whole space."""
+
+    def test_two_clusters_build_no_stack(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        T = direct_sum(jordan_polynomial_tuple(12, 0.0, rng),
+                       jordan_polynomial_tuple(12, 1.0, rng))
+        ref = stack_commutant(T)
+        real_stack, stacks = commutant._sylvester_stack, []
+
+        def recording_stack(T1, T2):
+            stacks.append(T1.d)
+            return real_stack(T1, T2)
+
+        monkeypatch.setattr(commutant, "_sylvester_stack", recording_stack)
+        A = joint_commutant(T)
+        chk = inflation_commutant_check(T, 2)
+        si = is_strongly_irreducible(T)
+        assert stacks == []
+        assert A.algebra_dim == ref.algebra_dim and _span_gap(A, ref) <= 1e-12
+        assert chk.passed and chk.base_dim == ref.algebra_dim
+        assert not si
+
+
 def _presented(T):
     """The basis of A'(T) that the spin-up presentation gives; None when
     there is no presentation or it does not verify as a basis."""
@@ -605,8 +631,7 @@ class TestOneWalk:
         return np.stack([A.coords(eye), A.coords(e), A.coords(eye - e)], axis=1)
 
     def root_corner(self):
-        roots = commutant._primary_corners(self.tuple_(), NumericPolicy(),
-                                           np.random.default_rng(NumericPolicy().seed))
+        roots = commutant._primary_corners(self.tuple_(), NumericPolicy())
         assert len(roots) == 1
         return roots[0]
 
@@ -854,7 +879,7 @@ class TestTwoFlatStages:
         A, B, C = (jordan_polynomial_tuple(4, lam, rng, 2) for lam in (0.8, -0.8, 1.6))
         T = conjugate(direct_sum(direct_sum(A, B), C), conditioned_invertible(12, 50.0, rng))
         pol = NumericPolicy()
-        roots = commutant._primary_corners(T, pol, np.random.default_rng(pol.seed))
+        roots = commutant._primary_corners(T, pol)
         S = semisimple_structure(T, pol)
         assert len(roots) == 3 and S.block_dims == (1, 1, 1)
         for L, root in zip(S.frames, roots):
