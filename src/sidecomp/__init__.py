@@ -34,8 +34,6 @@ _EXPORTS = {
         "AlgebraStructure",
         "CommutantBasis",
         "InflationCheck",
-        "InvertibleSearch",
-        "contains_invertible",
         "inflation_commutant_check",
         "intertwiner_space",
         "joint_commutant",
@@ -47,7 +45,6 @@ _EXPORTS = {
         "EquivalenceOutcome",
         "UnitDecomposition",
         "assemble_intertwiner",
-        "block_similarity",
         "decompositions_equivalent",
         "is_strongly_irreducible",
         "transport_decomposition",
@@ -57,6 +54,7 @@ _EXPORTS = {
         "K0Descriptor",
         "SimilarityInvariant",
         "SimilarityVerdict",
+        "block_similarity",
         "idempotent_classes_equal",
         "k0_descriptor",
         "similar",

@@ -17,8 +17,7 @@ Sylvester maps ``X -> X T_i - T_i X`` (``d^2`` unknowns). The structure
 stages of a corner that is not free work on that basis: the Jacobson
 radical via the trace bilinear form, the center of the quotient, and splits
 by Riesz projectors of random elements. Intertwiner spaces between two
-tuples (from the Sylvester stack) and a randomized search for invertible
-elements of a matrix span round out the toolkit.
+tuples (from the Sylvester stack) round out the toolkit.
 
 Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
@@ -48,11 +47,8 @@ from ._linalg import (
 from .policy import (
     CENTRALITY_BAR,
     DEFAULT_POLICY,
-    GOOD_INVERTIBLE_COND,
     GOOD_SPLIT_NORM,
     INFLATION_SIZE_CAP,
-    INVERTIBLE_RANK_FLOOR,
-    INVERTIBLE_TRIALS,
     NILPOTENCY_BAR,
     PRIMARY_COMMUTE_BAR,
     RADICAL_FLOOR,
@@ -386,55 +382,6 @@ def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
     rtol, scale = _stack_cut(T, S, policy)
     ns = nullspace(_sylvester_stack(T, S), rtol, scale=scale)
     return np.ascontiguousarray(ns.T.reshape(-1, S.d, T.d))
-
-
-@dataclass(frozen=True)
-class InvertibleSearch:
-    element: np.ndarray | None
-    trials_used: int
-    max_rank: int
-    size: int
-
-    @property
-    def found(self) -> bool:
-        return self.element is not None
-
-
-def contains_invertible(space: np.ndarray,
-                        policy: NumericPolicy = DEFAULT_POLICY) -> InvertibleSearch:
-    """Search the span of the (K, n, n) stack ``space`` for an invertible
-    element by seeded random combos.
-
-    A trial is invertible when sigma_min exceeds tol * sigma_max. The
-    first trial with sigma_min >= sigma_max / GOOD_INVERTIBLE_COND is taken
-    at once; otherwise the best-conditioned invertible trial is kept, and the
-    search stops 8 trials after the first invertible one. The maximum rank
-    over the trials is reported; after a failure it rests on all
-    ``INVERTIBLE_TRIALS`` draws, and a maximum below n certifies that no
-    invertible element exists in the span (as does an empty one, K = 0).
-    """
-    K, n = space.shape[:2]
-    if K == 0:
-        return InvertibleSearch(None, 0, 0, n)
-    rng = np.random.default_rng(policy.seed)
-    rtol = max(n * policy.rank_rtol, INVERTIBLE_RANK_FLOOR)
-    max_rank = 0
-    element = None
-    best_ratio = policy.tol
-    first = 0
-    for t in range(INVERTIBLE_TRIALS):
-        c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        M = np.tensordot(c, space, axes=(0, 0))
-        s = svdvals_robust(M)
-        max_rank = max(max_rank, rank_cut(s, rtol, strict=False))
-        ratio = s[-1] / s[0] if s[0] > 0 else 0.0
-        if ratio > best_ratio:
-            if element is None:
-                first = t
-            element, best_ratio = M, ratio
-        if element is not None and (best_ratio * GOOD_INVERTIBLE_COND >= 1.0 or t - first >= 8):
-            break
-    return InvertibleSearch(element, t + 1, max_rank, n)
 
 
 @dataclass(frozen=True)

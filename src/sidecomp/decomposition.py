@@ -8,10 +8,10 @@ idempotent is held as its factors ``P = L R*``, an orthonormal frame L of
 its range and a row factor R*, on which the decomposition is validated and
 its blocks are restricted and matched. This module
 produces such decompositions from the commutant's block structure,
-transports them through similarities, decides similarity of two blocks via
-invertible intertwiners, and matches two decompositions of one tuple by a
-global invertible element of the commutant assembled from blockwise
-intertwiners.
+transports them through similarities, decides similarity of two blocks by
+the trace pairing of their intertwiner spaces, and matches two
+decompositions of one tuple by a global invertible element of the commutant
+assembled from blockwise intertwiners.
 """
 from __future__ import annotations
 
@@ -19,13 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import frob, rank_cut, svdvals_robust
-from .commutant import (
-    _primary_corners,
-    contains_invertible,
-    intertwiner_space,
-    semisimple_structure,
-)
+from ._linalg import frob, rank_cut, svd_robust, svdvals_robust
+from .commutant import _primary_corners, intertwiner_space, semisimple_structure
 from .policy import (
     ANNIHILATION_BAR,
     ASSEMBLY_BAR,
@@ -34,8 +29,7 @@ from .policy import (
     NumericPolicy,
     NumericalDegeneracyError,
 )
-from .tuples import OperatorTuple, check_idempotent_in_commutant, compress, conjugate, \
-    range_basis
+from .tuples import OperatorTuple, compress, conjugate, range_basis
 
 
 def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
@@ -218,25 +212,45 @@ def _invertible_intertwiner(T: OperatorTuple, UP: np.ndarray, S: OperatorTuple,
                             UQ: np.ndarray, policy: NumericPolicy) -> np.ndarray | None:
     """An invertible X with ``X A_i = B_i X`` between the restrictions ``A =
     UP* T UP`` and ``B = UQ* S UQ`` to the orthonormal frames UP and UQ, or
-    None when the rank data certify that none exists.
+    None when none exists.
 
-    The one search behind every similarity decision on restricted tuples. A
-    rank mismatch, an empty intertwiner space or a rank-deficient span
-    certifies that no such X exists; a span of full rank in which the search
-    finds no invertible element raises :class:`NumericalDegeneracyError`.
-    Two rank-0 frames are similar through the 0 x 0 intertwiner.
+    The one decision behind every similarity of restricted tuples, by the
+    trace pairing ``G[l, k] = tr(Y_l X_k)`` of orthonormal bases Y of
+    Hom(B, A) and X of Hom(A, B). An invertible X0 in Hom(A, B) would give
+    ``tr(X0^-1 X0) = r``, so a rank mismatch, an empty space or a top
+    singular value of G under the rank cut certifies that no such X exists,
+    whatever A and B are. When A is SI, A'(A) is local: for A similar to B
+    the pairing has rank 1, and its top right singular vector combines the
+    X_k into the witness. A top singular value that straddles the cut, or a
+    witness that is not invertible at tol, raises
+    :class:`NumericalDegeneracyError`. Nothing is drawn at random. Two rank-0
+    frames are similar through the 0 x 0 intertwiner.
     """
-    if UP.shape[1] != UQ.shape[1]:
+    r = UP.shape[1]
+    if r != UQ.shape[1]:
         return None
-    if UP.shape[1] == 0:               # a rank-0 side has no restricted tuple
+    if r == 0:                         # a rank-0 side has no restricted tuple
         return np.zeros((0, 0), dtype=complex)
-    space = intertwiner_space(compress(T, UP), compress(S, UQ), policy)
-    inv = contains_invertible(space, policy)
-    if inv.found or inv.max_rank < inv.size:     # an empty span included
-        return inv.element
-    raise NumericalDegeneracyError(
-        f"no invertible element among {inv.trials_used} draws from a span of "
-        f"{space.shape[0]} intertwiners, though the draws reach full rank {inv.size}")
+    A, B = compress(T, UP), compress(S, UQ)
+    H = intertwiner_space(A, B, policy)
+    if H.shape[0] == 0:
+        return None
+    Hb = intertwiner_space(B, A, policy)
+    if Hb.shape[0] == 0:
+        return None
+    # only sigma_1 is cut: on SI blocks the radical pairs to zero, so the
+    # smaller values are noise, and a cut through them can straddle
+    _, s, Vh = svd_robust(np.einsum("lij,kji->lk", Hb, H))
+    if rank_cut(s[:1], r * policy.rank_rtol, scale=1.0, strict=True) == 0:
+        return None
+    X = np.tensordot(Vh[0].conj(), H, axes=(0, 0))
+    sx = svdvals_robust(X)
+    if rank_cut(sx, policy.tol, strict=False) < r:
+        cond = sx[0] / sx[-1] if sx[-1] > 0 else np.inf
+        raise NumericalDegeneracyError(
+            f"no invertible element at tol {policy.tol:.1e}: the trace pairing's "
+            f"witness has condition number {cond:.3e}")
+    return X
 
 
 def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericPolicy):
@@ -244,10 +258,11 @@ def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericP
     of S to the frames UQs by :func:`_invertible_intertwiner`: each i in
     turn takes the first unused j whose restriction is similar to its own,
     and ``(i, j, X)`` is yielded with the intertwiner X; the first i with no
-    partner yields ``(i, None, None)`` and ends the matching, and a search
-    that cannot decide raises. Greedy matching is exact because similarity
-    of SI restrictions is an equivalence relation; ties break to the lowest
-    index. A caller that stops iterating runs no further search."""
+    partner yields ``(i, None, None)`` and ends the matching, and a pair
+    that cannot be decided raises. Greedy matching is exact because
+    similarity of SI restrictions is an equivalence relation; ties break to
+    the lowest index. A caller that stops iterating decides no further
+    pair."""
     used = [False] * len(UQs)
     for i, UP in enumerate(UPs):
         for j, UQ in enumerate(UQs):
@@ -261,20 +276,6 @@ def _match_blocks(T: OperatorTuple, UPs, S: OperatorTuple, UQs, policy: NumericP
         else:
             yield i, None, None
             return
-
-
-def block_similarity(T: OperatorTuple, P, Q,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray | None:
-    """Invertible intertwiner between T|range(P) and T|range(Q), or None
-    when the rank data certify that none exists.
-
-    Decided by :func:`_invertible_intertwiner`, which raises when its search
-    cannot decide. Two zero idempotents are similar through the 0 x 0
-    intertwiner.
-    """
-    check_idempotent_in_commutant(T, P, policy)
-    check_idempotent_in_commutant(T, Q, policy)
-    return _invertible_intertwiner(T, range_basis(P, policy), T, range_basis(Q, policy), policy)
 
 
 def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,

@@ -26,10 +26,9 @@ from .decomposition import (
     _invertible_intertwiner,
     _match_blocks,
     assemble_intertwiner,
-    block_similarity,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
-from .tuples import OperatorTuple, compress
+from .tuples import OperatorTuple, check_idempotent_in_commutant, compress, range_basis
 
 
 def _spectrum_key(T: OperatorTuple) -> tuple:
@@ -99,6 +98,26 @@ def k0_descriptor(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY,
     return K0Descriptor(rank=inv.k, order_unit=inv.multiplicities)
 
 
+def block_similarity(T: OperatorTuple, P, Q,
+                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray | None:
+    """Invertible X with ``X A_i = B_i X`` between the restrictions A of T to
+    range(P) and B of T to range(Q), or None when they are not similar.
+
+    P and Q are any idempotents of A'(T), primitive or not. Unequal ranks
+    certify "not similar", two zero idempotents are similar through the
+    0 x 0 intertwiner, and any other pair is decided by :func:`similar` on
+    the two restrictions, whose witness is X; raises like :func:`similar`.
+    """
+    check_idempotent_in_commutant(T, P, policy)
+    check_idempotent_in_commutant(T, Q, policy)
+    LP, LQ = range_basis(P, policy), range_basis(Q, policy)
+    if LP.shape[1] != LQ.shape[1]:
+        return None
+    if LP.shape[1] == 0:               # a rank-0 side has no restricted tuple
+        return np.zeros((0, 0), dtype=complex)
+    return similar(compress(T, LP), compress(T, LQ), policy, want_witness=True).witness
+
+
 def idempotent_classes_equal(T: OperatorTuple, P, Q,
                              policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """True iff P and Q define the same idempotent class over A'(T), decided
@@ -131,8 +150,8 @@ def similar(T: OperatorTuple, S: OperatorTuple, policy: NumericPolicy = DEFAULT_
 
     The invariants of both sides are computed and their classes matched by
     blockwise similarity of representatives; the tuples are similar exactly
-    when the matching is a multiplicity-preserving bijection; a blockwise
-    search that cannot decide raises :class:`NumericalDegeneracyError`. With
+    when the matching is a multiplicity-preserving bijection; a block pair
+    that cannot be decided raises :class:`NumericalDegeneracyError`. With
     ``want_witness`` an invertible X with X T_i X^-1 = S_i is assembled from
     blockwise intertwiners and verified (max residual reported). Every block
     is restricted to the frame its decomposition carries, the frame the class

@@ -53,19 +53,11 @@ CENTRALITY_BAR = 1e-7
 # Floor of the radical's rank_rtol: corner bases reached through oblique
 # lifted idempotents carry impurities well above roundoff.
 RADICAL_FLOOR = 1e-8
-# Floor of the rank_rtol with which contains_invertible reports the rank of
-# the combinations it tried.
-INVERTIBLE_RANK_FLOOR = 1e-12
 # Worst ||P T_i - T_i P||_F / (||P||_F max(1, ||T_i||_F)) of an accepted
 # primary (joint-spectrum) projector: a projector commuting only to ~1e-11
 # leaves its corner's Sylvester stack with singular values just above the
 # nullspace cut.
 PRIMARY_COMMUTE_BAR = 1e-12
-# Condition number at which contains_invertible takes a trial at once;
-# worse-conditioned invertible trials are kept only as the best seen so far.
-GOOD_INVERTIBLE_COND = 1e3
-# Random combinations contains_invertible tries before it reports failure.
-INVERTIBLE_TRIALS = 64
 # Largest inflated dimension n * d that inflation_commutant_check accepts.
 INFLATION_SIZE_CAP = 96
 # The package's one dense-array budget, in bytes, checked before anything is

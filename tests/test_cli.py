@@ -147,7 +147,7 @@ class TestSimilar:
         assert rc == 0 and not rep["similar"] and rep["reason"] == "dimension"
 
     def test_undecided_search_exits_3(self, tmp_path, capsys):
-        # a similar pair whose intertwiner search cannot decide is not
+        # a similar pair whose witness is not invertible at tol is not
         # reported as "not similar"
         p1 = write_tuple(tmp_path / "a.json", operator_tuple([jordan(2)]))
         p2 = write_tuple(tmp_path / "b.json", operator_tuple([1e9 * jordan(2)]))
@@ -346,12 +346,12 @@ def test_public_names_resolve_to_their_modules():
         "AlgebraStructure", "CommutantBasis", "CommutationReport",
         "DEFAULT_POLICY", "DEFAULT_SEED", "DecompositionEquivalence", "DefectReport",
         "DiagonalKernelSpec", "EquivalenceOutcome", "GammaTransformReport", "InflationCheck",
-        "InvertibleSearch", "JointKernelBasis", "K0Descriptor", "ModelHypothesesReport",
+        "JointKernelBasis", "K0Descriptor", "ModelHypothesesReport",
         "NumericPolicy", "NumericalDegeneracyError", "OperatorTuple", "PSequenceReport",
         "SimilarityInvariant", "SimilarityVerdict", "SphereReport", "TruncationGrid",
         "UnitDecomposition", "assemble_intertwiner", "block_similarity",
         "check_model_hypotheses", "check_sphere_conditions", "commutant", "compress",
-        "conjugate", "contains_invertible", "decomposition", "decompositions_equivalent",
+        "conjugate", "decomposition", "decompositions_equivalent",
         "defect_operator", "direct_sum", "gamma_transform", "idempotent_classes_equal",
         "inflate", "inflation_commutant_check", "intertwiner_space", "invariant",
         "is_strongly_irreducible", "joint_commutant", "joint_eigenvector", "joint_kernel",

@@ -18,7 +18,6 @@ from conftest import bd, jordan
 from sidecomp import (
     UnitDecomposition,
     conjugate,
-    contains_invertible,
     decompositions_equivalent,
     direct_sum,
     inflate,
@@ -38,7 +37,6 @@ from sidecomp.planted import EIGENVALUE_GRID, jordan_polynomial_tuple, planted_i
 from sidecomp.rkhs import DiagonalKernelSpec, TruncationGrid, truncated_tuple
 from sidecomp.policy import (
     CENTRALITY_BAR,
-    INVERTIBLE_TRIALS,
     SPLIT_GAPS,
     STACK_BYTE_BUDGET,
     STRUCTURE_SEEDS,
@@ -1221,63 +1219,3 @@ class TestIntertwiners:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-
-class TestContainsInvertible:
-    def test_identity_span(self):
-        res = contains_invertible(np.eye(2)[None])
-        assert res.found and res.max_rank == 2 and res.trials_used == 1
-
-    def test_one_svd_per_trial(self, monkeypatch):
-        # the trials are the only draws: no extra generic combinations
-        real, calls = commutant.svdvals_robust, []
-
-        def counting(M):
-            calls.append(M.shape)
-            return real(M)
-
-        monkeypatch.setattr(commutant, "svdvals_robust", counting)
-        res = contains_invertible(np.eye(2)[None])
-        assert res.found and len(calls) == res.trials_used == 1
-        # a failed search certifies deficiency from its own trials
-        calls.clear()
-        res = contains_invertible(np.triu(np.ones((2, 2)), 1)[None])
-        assert res.max_rank < res.size and len(calls) == res.trials_used == INVERTIBLE_TRIALS
-
-    def test_keeps_the_best_conditioned_trial(self):
-        # a I + 100 b N with N the 4x4 shift is invertible for a != 0 but has
-        # condition number ~ (100 |b| / |a|)^4: no trial reaches
-        # GOOD_INVERTIBLE_COND, so the best of the 9 trials from the first
-        # invertible one is kept
-        space = np.stack([np.eye(4, dtype=complex), 100.0 * jordan(4)])
-        res = contains_invertible(space)
-        rng = np.random.default_rng(NumericPolicy().seed)
-        conds = []
-        for _ in range(res.trials_used):
-            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            conds.append(np.linalg.cond(np.tensordot(c, space, axes=(0, 0))))
-        assert res.found and res.trials_used == 9
-        assert min(conds) < conds[0]
-        assert np.isclose(np.linalg.cond(res.element), min(conds))
-
-    def test_nilpotent_span_certified_deficient(self):
-        E12 = np.zeros((2, 2), dtype=complex)
-        E12[0, 1] = 1.0
-        res = contains_invertible(E12[None])
-        assert not res.found and res.max_rank == 1 and res.size == 2
-
-    def test_jordan_span(self):
-        res = contains_invertible(np.stack([np.eye(2, dtype=complex), jordan(2)]))
-        assert res.found
-
-    def test_self_intertwiners_always_contain_invertible(self):
-        T = operator_tuple([bd(jordan(2), jordan(3, 1.0))])
-        res = contains_invertible(intertwiner_space(T, T))
-        assert res.found
-
-    def test_empty_space(self):
-        res = contains_invertible(np.zeros((0, 2, 2), dtype=complex))
-        assert not res.found
-        # an empty span of 2x2 matrices certifies that it holds no invertible
-        # element
-        assert res.max_rank == 0 and res.size == 2

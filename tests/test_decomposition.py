@@ -15,12 +15,12 @@ from sidecomp import (
     is_strongly_irreducible,
     operator_tuple,
     restrict,
+    similar,
     transport_decomposition,
     unit_si_decomposition,
 )
 import sidecomp.commutant as commutant
 from sidecomp._linalg import conditioned_invertible
-from sidecomp.commutant import contains_invertible, intertwiner_space
 from sidecomp.oracle import oracle_is_strongly_irreducible
 from sidecomp.planted import EIGENVALUE_GRID, jordan_polynomial_tuple, planted_instance
 from sidecomp.policy import NumericPolicy, NumericalDegeneracyError
@@ -84,9 +84,7 @@ class TestUnitSiDecomposition:
         assert D.count == 2
         for P in D.idempotents:
             assert abs(np.trace(P).real - 2.0) < 1e-8
-            R = restrict(T, P)
-            sp = intertwiner_space(R, base)
-            assert contains_invertible(sp).found
+            assert similar(restrict(T, P), base).similar
 
     def test_ambient_commutant_computed_once(self, monkeypatch):
         import sidecomp.commutant as commutant
@@ -338,9 +336,9 @@ class TestBlockSimilarity:
         assert block_similarity(T, P, Q) is None  # eigenvalue obstruction
 
     def test_undecided_search_raises(self):
-        # J_2(0) and [[0, 1e9], [0, 0]] are similar, but every combination of
-        # their full-rank intertwiner span is conditioned worse than tol: the
-        # search cannot decide, and says so
+        # J_2(0) and [[0, 1e9], [0, 0]] are similar, but every invertible
+        # intertwiner is conditioned worse than 1/tol, the trace pairing's
+        # witness diag(1e9, 1) included: the decision raises
         T = operator_tuple([bd(jordan(2), 1e9 * jordan(2))])
         P = bd(np.eye(2), np.zeros((2, 2)))
         Q = bd(np.zeros((2, 2)), np.eye(2))
@@ -348,6 +346,17 @@ class TestBlockSimilarity:
             block_similarity(T, P, Q)
         with pytest.raises(NumericalDegeneracyError, match="no invertible element"):
             idempotent_classes_equal(T, P, Q)
+
+    def test_decision_draws_no_random_number(self):
+        # the trace pairing is deterministic: the seed does not reach it
+        import sidecomp.decomposition as decomposition
+        r = np.random.default_rng(4)
+        T = inflate(jordan_polynomial_tuple(3, 0.5, r, 2), 2)
+        T = conjugate(T, conditioned_invertible(6, 20.0, r))
+        L = unit_si_decomposition(T).frames
+        X1, X2 = (decomposition._invertible_intertwiner(T, L[0], T, L[1], NumericPolicy(seed=s))
+                  for s in (1, 2))
+        assert X1 is not None and np.array_equal(X1, X2)
 
 
 class TestAssembleIntertwiner:
@@ -419,7 +428,8 @@ class TestDecompositionEquivalence:
 
     def test_rank_zero_block_is_matched(self, monkeypatch):
         # a rank-0 idempotent pairs with the other one through the 0 x 0
-        # intertwiner; only pairs of rank-1 blocks take a search
+        # intertwiner; only pairs of rank-1 blocks read Sylvester stacks:
+        # two for a similar pair, one when Hom(A, B) is empty
         import sidecomp.decomposition as decomposition
         calls, real = [], decomposition.intertwiner_space
 
@@ -434,12 +444,12 @@ class TestDecompositionEquivalence:
         out = decompositions_equivalent(T, D, D)
         assert out.equivalent and out.equivalence.permutation == (0, 1, 2)
         assert out.equivalence.residual <= 1e-12
-        assert len(calls) == 2
+        assert len(calls) == 4
         D2 = UnitDecomposition.from_idempotents(T, idems[[2, 1, 0]], (False, True, True))
         calls.clear()
         out = decompositions_equivalent(T, D, D2)
         assert out.equivalent and out.equivalence.permutation == (2, 1, 0)
-        assert len(calls) == 3
+        assert len(calls) == 5
 
     def test_count_mismatch_certificate(self):
         T = operator_tuple([np.eye(2)])

@@ -131,7 +131,7 @@ class TestSimilar:
         assert v.similar and v.residual <= 1e-6
 
     def test_witness_reuses_class_intertwiners(self, monkeypatch):
-        # the class matching searches through the decomposition module's
+        # the class matching decides through the decomposition module's
         # binding, the witness through the invariant module's: count both
         import sidecomp.decomposition as decomposition
         import sidecomp.invariant as invariant
@@ -150,11 +150,11 @@ class TestSimilar:
         n_plain = len(calls)
         v = similar(T, S, want_witness=True)
         assert plain.similar and v.similar and v.residual <= 1e-6
-        # the matching searches at least once per class; the witness adds one
-        # search per block beyond the first of each class
+        # the matching decides one pair per class; the witness adds one
+        # decision per block beyond the first of each class
         assert v.invariant_lhs.multiplicities == (2, 1)
-        assert n_plain >= 2
-        assert len(calls) - 2 * n_plain == 1
+        assert n_plain == 2
+        assert len(calls) == 2 * n_plain + 1
 
     def test_no_dense_idempotent_on_the_invariant_and_witness_paths(self, monkeypatch):
         # every idempotent is carried as its factors (frame, row factor):
@@ -193,10 +193,11 @@ class TestSimilar:
             similar(T, T)
 
     def test_search_counts_are_pinned(self, monkeypatch):
-        # one search (one Sylvester stack) per class pair the greedy matching
-        # tries, plus one per non-first block pair of the witness; a
-        # multiplicity mismatch ends the matching at once, and a rank
-        # mismatch is no search
+        # one decision per class pair the greedy matching tries, plus one per
+        # non-first block pair of the witness; a decided pair reads two
+        # Sylvester stacks, Hom(A, B) and Hom(B, A), and a pair whose
+        # Hom(A, B) is empty reads one; a multiplicity mismatch ends the
+        # matching at once, and a rank mismatch reads no stack
         import sidecomp.decomposition as decomposition
         calls, real = [], decomposition.intertwiner_space
 
@@ -224,7 +225,7 @@ class TestSimilar:
                     operator_tuple([bd(jordan(3), jordan(2, 2.0))]))
         assert not v.similar and v.reason == "class 0 of lhs unmatched"
         counts.append(len(calls))
-        assert counts == [2, 3, 2, 1]
+        assert counts == [4, 6, 3, 1]
 
     def test_disjoint_jordan_spectra_dissimilar(self):
         v = similar(operator_tuple([jordan(2)]), operator_tuple([jordan(2, 1.0)]))
@@ -236,11 +237,26 @@ class TestSimilar:
 
     def test_undecided_search_raises(self):
         # J_2(0) and [[0, 1e9], [0, 0]] are similar (by diag(1e9, 1)), but no
-        # combination of their intertwiners is conditioned better than tol:
-        # the class matching cannot decide, and raises instead of reading
-        # "not similar"
+        # intertwiner is conditioned better than 1/tol: the class matching
+        # raises instead of reading "not similar"
         with pytest.raises(NumericalDegeneracyError, match="no invertible element"):
             similar(operator_tuple([jordan(2)]), operator_tuple([1e9 * jordan(2)]))
+
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_scale_gap_pair_is_similar(self, c):
+        # the trace pairing of J_2(0) and c J_2(0) has sigma_1 = 2c/(1 + c^2),
+        # above the cut, and its witness is diag(c, 1) up to a scalar
+        v = similar(operator_tuple([jordan(2)]), operator_tuple([c * jordan(2)]),
+                    want_witness=True)
+        assert v.similar and v.residual <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e10, 1e11])
+    def test_scale_gap_pair_within_the_cut_raises(self, c):
+        # sigma_1 = 2/c straddles the cut 2 rank_rtol: neither "similar" nor a
+        # certified "not similar"
+        with pytest.raises(NumericalDegeneracyError, match="rank decision ambiguous"):
+            similar(operator_tuple([jordan(2)]), operator_tuple([c * jordan(2)]),
+                    want_witness=True)
 
     def test_si_tuple_against_itself_through_direct_sum(self):
         T = operator_tuple([jordan(2), jordan(2) @ jordan(2)])
@@ -282,6 +298,20 @@ class TestIdempotentClasses:
         P = np.diag([1.0, 0.0]).astype(complex)
         Q = np.diag([0.0, 1.0]).astype(complex)
         assert idempotent_classes_equal(T, P, Q)
+
+    def test_idempotents_that_are_not_primitive(self):
+        # rank-2 idempotents restrict to tuples with two SI blocks: I_2 against
+        # I_2 is similar, I_2 against diag(1, 2) is not
+        P, Q = np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0])
+        T = operator_tuple([np.eye(3)])
+        X = block_similarity(T, P, Q)
+        A, B = T[0][:2, :2], T[0][1:, 1:]
+        assert X.shape == (2, 2) and np.linalg.cond(X) < 1e3
+        assert np.linalg.norm(X @ A - B @ X) <= 1e-12
+        assert idempotent_classes_equal(T, P, Q)
+        T = operator_tuple([np.diag([1.0, 1.0, 2.0])])
+        assert block_similarity(T, P, Q) is None
+        assert not idempotent_classes_equal(T, P, Q)
 
     def test_spectral_blocks_inequivalent(self):
         T = operator_tuple([bd(jordan(2), jordan(2, 1.0))])

@@ -17,6 +17,7 @@ from sidecomp import (
     operator_tuple,
     p_sequence,
     p_sequence_closed_form,
+    similar,
     spherical_shift,
     truncated_tuple,
     validate_commuting,
@@ -587,3 +588,19 @@ class TestGammaTransform:
         adj = truncated_tuple(spec, g, "adjoint")
         rep = gamma_transform(adj, np.eye(g.size), [[5.0]])  # far outside
         assert len(rep.samples) == 0 and len(rep.skipped) == 1
+
+
+class TestModelSimilarity:
+    @pytest.mark.parametrize("m,dmax", [(2, 3), (3, 2)])
+    def test_witness_is_the_diagonal_witness(self, m, dmax):
+        # the truncated DA and Bergman(3) models are similar through
+        # diag(sqrt(fhat_DA(alpha) / fhat_B(alpha))); the trace pairing's
+        # witness is that diagonal witness up to a scalar, so its condition
+        # number is the closed-form ratio kappa_D
+        g = TruncationGrid.build(m, dmax)
+        da, b = DiagonalKernelSpec.drury_arveson(m), DiagonalKernelSpec.bergman(m, 3)
+        v = similar(truncated_tuple(da, g, "adjoint"), truncated_tuple(b, g, "adjoint"),
+                    want_witness=True)
+        ratios = [math.sqrt(da.fhat(a) / b.fhat(a)) for a in g.indices]
+        assert v.similar
+        assert np.linalg.cond(v.witness) == pytest.approx(max(ratios) / min(ratios), rel=1e-6)
