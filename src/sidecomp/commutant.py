@@ -106,9 +106,11 @@ def _sylvester_stack(T: OperatorTuple, S: OperatorTuple) -> np.ndarray:
 def joint_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) -> CommutantBasis:
     """Trace-orthonormal basis of A'(T) = {X : X T_i = T_i X for all i}.
 
-    ``A'(T)`` is the direct sum of its primary corners (:func:`_primary_corners`),
-    each the commutant of ``U* T U`` by spin-up or, where that does not verify
-    as a basis, by the Sylvester stack (:func:`_commutant`). Each corner's
+    ``A'(T)`` is the direct sum of its primary corners (:func:`_primary_corners`;
+    one, the whole space with no Schur form drawn, when the spin-up certifies
+    one joint eigenvalue), each the commutant of ``U* T U`` by spin-up or,
+    where that does not verify as a basis, by the Sylvester stack
+    (:func:`_commutant`). Each corner's
     elements X are lifted to ``U X W*`` and all are trace-orthonormalized
     together (:func:`_qr_basis`); a lone root is the whole space, whose basis
     is the result. The choice depends only on the input and the policy's seed.
@@ -576,25 +578,58 @@ class Corner:
         return self.algebra_dim - self.quotient_dim
 
 
-def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy) -> Corner:
+# the default of _corner's presentation: not yet built
+_UNBUILT = object()
+
+
+def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy,
+            su: SpinUp | None | object = _UNBUILT) -> Corner:
     """The corner of an idempotent ``E = U W*`` of A'(T_0), read on the
     tuple ``T = U* T_0 U`` it compresses to (T_0 itself, with ``U = W = I``,
     for the whole space): free where the spin-up presents A'(T) without
     relations, on T or on T*, and otherwise through the basis of A'(T) that
     :func:`_commutant` gives, with its quotient coordinates. The
-    presentation is built once per corner."""
-    su = _spin_up(T, policy)
+    presentation ``su = _spin_up(T, policy)`` is built here unless the
+    caller passes the one it built (None where it was refused), so it is
+    built once per corner."""
+    if su is _UNBUILT:
+        su = _spin_up(T, policy)
     if su is not None and su.Y is None:
         return Corner(U, W, su.K, free=su)
     basis = _commutant(T, su, policy).basis
     return Corner(U, W, basis.shape[0], basis, _radical_coords(basis, policy)[1])
 
 
+def _trace_form_vanishes(T: OperatorTuple, policy: NumericPolicy) -> bool:
+    """Whether the first-level trace form ``F[i, j] = tr(N_i N_j)``, ``N_i =
+    T_i - (tr T_i/d) I``, is zero to within the stack's cut.
+
+    Commuting nilpotents have products of trace 0, so a nonzero F shows
+    several joint eigenvalues; a zero F proves nothing (``X diag(1, w, w^2)
+    X^-1``, w a cube root of unity, has three). F is formed as ``tr(T_i
+    T_j) - tr T_i tr T_j / d``, with no copy of any ``T_i``, and cut by the
+    package's rank decision without strictness: the answer only routes
+    :func:`_primary_corners`, where a wrong zero costs one refused
+    presentation and a wrong nonzero the Schur draw of the split.
+    """
+    M = T.matrices
+    tr = np.trace(M, axis1=1, axis2=2)
+    F = np.einsum("iab,jba->ij", M, M) - np.outer(tr, tr) / T.d
+    rtol, scale = _stack_cut(T, T, policy)
+    return rank_cut(svdvals_robust(F), rtol, scale=scale * scale, strict=False) == 0
+
+
 def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     """Root corners of A'(T), one per joint-spectrum cluster of ``T``, drawn
     from the policy's seed; every reader of a whole tuple's A' starts here.
 
-    The Riesz projectors of a random ``z = sum_i c_i T_i`` are polynomials in
+    A tuple with one joint eigenvalue has one root, the whole space. When
+    the first-level trace form vanishes (:func:`_trace_form_vanishes`), the
+    whole space is presented first: a presentation that :func:`_spin_up`
+    does not refuse certifies one joint eigenvalue by the trace form of its
+    words, and it is the one root, with no Schur form drawn.
+    Otherwise, or when that presentation is refused, the space is split:
+    the Riesz projectors of a random ``z = sum_i c_i T_i`` are polynomials in
     an element of the center of A'(T), hence central idempotents, and A'(T)
     is the direct sum of the commutants of the restrictions to their ranges
     (primary decomposition). Each part is therefore a commutant of dimension
@@ -603,8 +638,14 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     T_i to within PRIMARY_COMMUTE_BAR.
     A draw with a single cluster ends the search, because generic
     draws see the same joint-spectrum clusters; then, or when no draw
-    qualifies, the one root is the commutant of ``T`` on the whole space.
+    qualifies, the one root is the commutant of ``T`` on the whole space,
+    read from the presentation refused above where there was one. Either
+    way each root's presentation is built once.
     """
+    eye = np.eye(T.d, dtype=complex)
+    su = _spin_up(T, policy) if _trace_form_vanishes(T, policy) else _UNBUILT
+    if isinstance(su, SpinUp):
+        return [_corner(T, eye, eye, policy, su)]
     rng = np.random.default_rng(policy.seed)
     for _ in range(SPLIT_ATTEMPTS):
         c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
@@ -615,8 +656,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
                <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
                for L, R in projs for A in T):
             return [_corner(compress(T, L), L, R, policy) for L, R in projs]
-    eye = np.eye(T.d, dtype=complex)
-    return [_corner(T, eye, eye, policy)]
+    return [_corner(T, eye, eye, policy, su)]
 
 
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
@@ -785,11 +825,13 @@ def semisimple_structure(T: OperatorTuple,
                          policy: NumericPolicy = DEFAULT_POLICY) -> AlgebraStructure:
     """Simple-block decomposition of A'(T)/rad: lifted block idempotents and primitives.
 
-    The roots are the primary corners of ``T`` (one per joint-spectrum
-    cluster, split once with the policy's seed); every corner is the
-    commutant A' of a compressed restriction of ``T`` (:class:`Corner`). A
-    free corner, which the spin-up presents without relations on T or on T*,
-    is one block ``M_g`` with its g primitives in closed form and takes no
+    The roots are the primary corners of ``T`` (:func:`_primary_corners`:
+    the whole space, presented before any Schur form is drawn, when the
+    spin-up certifies one joint eigenvalue, and otherwise one per
+    joint-spectrum cluster, split once with the policy's seed); every
+    corner is the commutant A' of a compressed restriction of ``T``
+    (:class:`Corner`). A free corner, which the spin-up presents without
+    relations on T or on T*, is one block ``M_g`` with its g primitives in closed form and takes no
     walk. Any other corner is read through a trace-orthonormal basis of A'.
     One seeded walk then splits each such corner once, into the number of
     parts its algebra counts, in two flat stages: each root by random central

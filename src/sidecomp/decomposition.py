@@ -36,7 +36,11 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     """True iff the joint commutant of T is local.
 
     Decided structurally on the primary corners of T: there must be one, and
-    its algebra modulo its radical must be one-dimensional. Where the spin-up
+    its algebra modulo its radical must be one-dimensional. A tuple whose
+    first-level trace form vanishes is presented on the whole space first,
+    so an SI block or an inflation of one draws no Schur form: a
+    presentation that is not refused certifies its one primary corner
+    (:func:`~sidecomp.commutant._primary_corners`). Where the spin-up
     presents it without relations, on T or on T* (whichever has fewer
     generators), the quotient is M_g, so T is SI exactly when g = 1 and no
     basis of A'(T) is built; elsewhere the quotient is read through a basis

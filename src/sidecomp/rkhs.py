@@ -234,7 +234,9 @@ def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int) -> PSequenceR
 
     For a backward multishift: each P_n is PSD, the chain is nonincreasing,
     and P_n annihilates every basis vector of degree below n — exactly, by
-    sparsity of the recursion.
+    sparsity of the recursion. On a multishift every P_n is exactly
+    diagonal, ``P_n = diag(p)``, and ``T_i* P_n T_i`` is formed as ``T_i*
+    (p T_i)``, one product per component; any other P_n is used dense.
     """
     if n_max > grid.dmax:
         raise ValueError(f"n_max {n_max} exceeds the grid degree cap {grid.dmax}")
@@ -243,7 +245,11 @@ def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int) -> PSequenceR
     ops = [np.eye(d, dtype=complex)]
     for _ in range(n_max):
         P = ops[-1]
-        ops.append(sum(T[i].conj().T @ P @ T[i] for i in range(T.m)))
+        if np.count_nonzero(P) == np.count_nonzero(np.diagonal(P)):
+            p = np.diagonal(P)[:, None]
+            ops.append(sum(T[i].conj().T @ (p * T[i]) for i in range(T.m)))
+        else:
+            ops.append(sum(T[i].conj().T @ P @ T[i] for i in range(T.m)))
     min_eigs = [min_eig_hermitian(P) for P in ops]
     steps = [min_eig_hermitian(ops[n] - ops[n + 1]) for n in range(n_max)]
     vanish = []

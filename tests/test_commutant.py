@@ -419,9 +419,10 @@ class TestRhoCertificates:
     def test_no_commutant_basis_on_the_invariant_path(self, monkeypatch):
         # eight copies of one 4 x 4 block at d = 32, K = 256: the root is
         # free, so the invariant builds no basis of A', takes
-        # no trace form and no center, and splits nothing after the primary
-        # draw: its 8 primitives are read off the presentation in factored
-        # form, so the only module map is the presentation's own K = 1 check
+        # no trace form and no center, and splits nothing, not even by a
+        # primary draw: its 8 primitives are read off the presentation in
+        # factored form, so the only module map is the presentation's own K
+        # = 1 check
         T = TestTwoFlatStages.eight_copies()
         splits, lifted = [], []
         real_split, real_maps = commutant._spectral_split, commutant._module_maps
@@ -446,7 +447,7 @@ class TestRhoCertificates:
         monkeypatch.setattr(commutant, "_module_maps", recording_maps)
         inv = v_semigroup_invariant(T)
         assert (inv.k, inv.multiplicities) == (1, (8,))
-        assert splits == [32]
+        assert splits == []
         assert lifted == [1]
 
     def test_no_range_svd_on_the_invariant_path(self, monkeypatch):
@@ -858,9 +859,9 @@ class TestTwoFlatStages:
         # built for either (the corner of rank 14 is the root's)
         real, ranks = commutant._corner, []
 
-        def recording(T1, U, W, policy):
+        def recording(T1, U, W, *args):
             ranks.append(round(np.trace(W @ U).real))
-            return real(T1, U, W, policy)
+            return real(T1, U, W, *args)
 
         monkeypatch.setattr(commutant, "_corner", recording)
         merged = self.merge_once(monkeypatch, 3)
@@ -882,6 +883,111 @@ class TestTwoFlatStages:
         assert len(roots) == 3 and S.block_dims == (1, 1, 1)
         for L, root in zip(S.frames, roots):
             assert np.array_equal(L, root.U)
+
+
+class TestOneClassPresentedFirst:
+    """A tuple whose first-level trace form ``tr(N_i N_j)`` vanishes is
+    presented on the whole space before any Schur form is drawn; a
+    presentation that is not refused is the one root. A refused one sends
+    the tuple to the primary split, whose one-root fallback reuses it."""
+
+    READERS = (semisimple_structure, joint_commutant, is_strongly_irreducible,
+               lambda T: inflation_commutant_check(T, 2))
+
+    @staticmethod
+    def recording_draws(monkeypatch):
+        """Record every primary or corner split and every Schur form."""
+        draws = []
+        real_split, real_schur = commutant._spectral_split, _linalg.schur
+
+        def recording_split(z):
+            draws.append(("split", z.shape[0]))
+            return real_split(z)
+
+        def recording_schur(z):
+            draws.append(("schur", z.shape[0]))
+            return real_schur(z)
+
+        monkeypatch.setattr(commutant, "_spectral_split", recording_split)
+        monkeypatch.setattr(commutant, "schur", recording_schur)
+        monkeypatch.setattr(_linalg, "schur", recording_schur)
+        return draws
+
+    @staticmethod
+    def roots_of_unity(m):
+        """X diag(1, w, w^2) X^-1 (m = 1) and the pair with X diag(w, w^2, 1)
+        X^-1 (m = 2), w = exp(2 pi i/3), cond(X) = 10: three joint
+        eigenvalues, but every ``tr(N_i N_j)`` is a sum of the three cube
+        roots of unity, 0."""
+        w = np.exp(2j * np.pi / 3)
+        X = conditioned_invertible(3, 10.0, np.random.default_rng(4))
+        Xi = np.linalg.inv(X)
+        diags = ([1.0, w, w * w], [w, w * w, 1.0])[:m]
+        return operator_tuple([X @ np.diag(v) @ Xi for v in diags])
+
+    @pytest.mark.parametrize("reader", range(4))
+    @pytest.mark.parametrize("r", [None, 3, 8, 16])
+    def test_no_schur_draw_on_one_class(self, monkeypatch, reader, r):
+        # eight copies of one block (None), and single blocks J_r
+        T = TestTwoFlatStages.eight_copies() if r is None else \
+            jordan_polynomial_tuple(r, 0.8, np.random.default_rng(r), 2)
+        assert commutant._trace_form_vanishes(T, NumericPolicy())
+        draws = self.recording_draws(monkeypatch)
+        self.READERS[reader](T)
+        assert draws == []
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_refused_presentation_falls_back_to_the_split(self, monkeypatch, m):
+        T = self.roots_of_unity(m)
+        pol = NumericPolicy()
+        assert commutant._trace_form_vanishes(T, pol)
+        draws = self.recording_draws(monkeypatch)
+        real_spin_up, whole = commutant._spin_up, []
+
+        def recording_spin_up(T1, policy):
+            su = real_spin_up(T1, policy)
+            if T1.d == 3:
+                whole.append(su)
+            return su
+
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
+        inv = v_semigroup_invariant(T)
+        assert whole == [None]
+        assert [kind for kind, _ in draws] == ["split", "schur"]
+        assert (inv.k, inv.multiplicities) == (3, (1, 1, 1))
+        assert not is_strongly_irreducible(T)
+
+    def test_refused_presentation_is_not_rebuilt(self, monkeypatch):
+        # with no split drawn, the one root is the whole space, read through
+        # the stack from the presentation refused before the draw
+        T = self.roots_of_unity(1)
+        real_spin_up, whole = commutant._spin_up, []
+
+        def recording_spin_up(T1, policy):
+            whole.append(T1.d)
+            return real_spin_up(T1, policy)
+
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
+        monkeypatch.setattr(commutant, "_spectral_split", lambda z: None)
+        roots = commutant._primary_corners(T, NumericPolicy())
+        assert whole == [3]
+        assert len(roots) == 1 and roots[0].algebra_dim == 3
+
+    def test_split_first_when_the_trace_form_is_nonzero(self, monkeypatch):
+        # X diag(0, 1, -1) X^-1 has tr(N^2) = 2: the split comes first, and
+        # the whole space is never presented
+        X = conditioned_invertible(3, 10.0, np.random.default_rng(4))
+        T = operator_tuple([X @ np.diag([0.0, 1.0, -1.0]) @ np.linalg.inv(X)])
+        assert not commutant._trace_form_vanishes(T, NumericPolicy())
+        real_spin_up, dims = commutant._spin_up, []
+
+        def recording_spin_up(T1, policy):
+            dims.append(T1.d)
+            return real_spin_up(T1, policy)
+
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
+        assert not is_strongly_irreducible(T)
+        assert dims == [1, 1, 1]
 
 
 class TestFreeRoots:

@@ -268,6 +268,25 @@ class TestPSequence:
             direct = p_sequence_closed_form(adj, g, n)
             assert np.linalg.norm(ps.operators[n] - direct) <= 1e-12
 
+    def test_dense_recursion_matches_closed_form(self):
+        # U T U* of the DA (2, 4) model: its P_n = U P_n(T) U* are not
+        # diagonal, so the recursion takes its dense products
+        spec = DiagonalKernelSpec.drury_arveson(2)
+        g = TruncationGrid.build(2, 4)
+        adj = truncated_tuple(spec, g, "adjoint")
+        r = np.random.default_rng(6)
+        U, _ = np.linalg.qr(r.standard_normal((g.size, g.size))
+                            + 1j * r.standard_normal((g.size, g.size)))
+        T = operator_tuple([U @ A @ U.conj().T for A in adj])
+        ps, base = p_sequence(T, g, 4), p_sequence(adj, g, 4)
+        for n in range(5):
+            P = ps.operators[n]
+            if n:
+                assert np.linalg.norm(P - np.diag(np.diagonal(P))) > 0.1
+            direct = p_sequence_closed_form(T, g, n)
+            assert np.linalg.norm(P - direct) <= 1e-12
+            assert np.linalg.norm(P - U @ base.operators[n] @ U.conj().T) <= 1e-12
+
     def test_degree_cap_enforced(self):
         spec = DiagonalKernelSpec.drury_arveson(2)
         g = TruncationGrid.build(2, 4)
