@@ -83,10 +83,14 @@ def _gesvd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
 
 
 def svd_robust(M: np.ndarray, full_matrices: bool = True):
-    """SVD by LAPACK gesdd, falling back to gesvd on nonconvergence."""
+    """SVD by LAPACK gesdd, falling back to gesvd on nonconvergence. A stack
+    (n, rows, cols) takes one gesdd call per matrix, bitwise those of the
+    matrices one at a time; when one fails, each is redone on its own."""
     try:
         return np.linalg.svd(M, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
+        if M.ndim == 3:
+            return tuple(map(np.stack, zip(*(svd_robust(A, full_matrices) for A in M))))
         return _gesvd(M, full_matrices=full_matrices)
 
 
@@ -153,28 +157,52 @@ def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
     block-diagonal matrix, one per block, cut as :func:`nullspace` cuts the
     whole matrix: at ``rtol * max(sigma_max, scale)`` with ``sigma_max`` the
     largest singular value over all blocks. So each block is cut with its
-    ``scale`` raised to the largest singular value of all blocks."""
+    ``scale`` raised to the largest singular value of all blocks. Blocks of
+    one shape are handled together: one stacked :func:`svd_robust` call (a
+    lone block of its shape is passed as a matrix), and one orthonormality
+    check per rank among them."""
+    groups = groups_by(blocks, lambda M: M.shape)
     svds = []
-    for M in blocks:
-        rows, cols = M.shape
+    for group in groups:
+        rows, cols = blocks[group[0]].shape
         if rows == 0 or cols == 0:
-            svds.append((np.zeros(0), np.eye(cols, dtype=complex)))
+            svds.append((np.zeros((len(group), 0)),
+                         np.broadcast_to(np.eye(cols, dtype=complex), (len(group), cols, cols))))
+        elif len(group) == 1:
+            _, sv, Vh = svd_robust(blocks[group[0]], full_matrices=rows < cols)
+            svds.append((sv[None], Vh[None]))
         else:
-            _, sv, Vh = svd_robust(M, full_matrices=rows < cols)
+            _, sv, Vh = svd_robust(np.stack([blocks[n] for n in group]), full_matrices=rows < cols)
             svds.append((sv, Vh))
-    scale = max([scale] + [float(sv[0]) for sv, _ in svds if sv.size])   # sv is descending
-    out = []
-    for M, (sv, Vh) in zip(blocks, svds):
-        rows, cols = M.shape
-        for recheck in (False, True):
-            if recheck:
-                _, sv, Vh = _gesvd(M, full_matrices=rows < cols)
-            s = np.concatenate([sv, np.zeros(cols - sv.size)])
-            N = Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):]
-            if frob(N.conj().T @ N - np.eye(N.shape[1])) <= NULLSPACE_ORTHO_BAR * N.shape[1]:
-                break
-        out.append(np.ascontiguousarray(N))
+    scale = max([scale] + [float(sv.max()) for sv, _ in svds if sv.size])
+    out = [None] * len(blocks)
+    for group, (sv, Vh) in zip(groups, svds):
+        rows, cols = blocks[group[0]].shape
+        s = np.zeros((len(group), cols))
+        s[:, :sv.shape[1]] = sv
+        ranks = [rank_cut(x, rtol, scale=scale, strict=strict) for x in s]
+        for r in dict.fromkeys(ranks):
+            at = [k for k, rank in enumerate(ranks) if rank == r]
+            V = Vh[at, r:]                      # the bases N, conjugate-transposed
+            N = V.conj().transpose(0, 2, 1)
+            err = np.linalg.norm(V @ N - np.eye(cols - r), axis=(1, 2))
+            for k, Nk, bad in zip(at, N, err > NULLSPACE_ORTHO_BAR * (cols - r)):
+                if bad:
+                    M = blocks[group[k]]
+                    _, sk, Vk = _gesvd(M, full_matrices=rows < cols)
+                    sk = np.concatenate([sk, np.zeros(cols - sk.size)])
+                    Nk = Vk.conj().T[:, rank_cut(sk, rtol, scale=scale, strict=strict):]
+                out[group[k]] = np.ascontiguousarray(Nk)
     return out
+
+
+def groups_by(items, key) -> list[list[int]]:
+    """The indices of ``items`` grouped by ``key(item)``, in order of first
+    appearance."""
+    groups: dict = {}
+    for n, item in enumerate(items):
+        groups.setdefault(key(item), []).append(n)
+    return list(groups.values())
 
 
 def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,6 +236,42 @@ def orthonormal_range(M: np.ndarray, rtol: float) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     U, s, _ = svd_robust(M, full_matrices=False)
     return np.ascontiguousarray(U[:, :rank_cut(s, rtol)])
+
+
+def column_entries(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``M`` with at most one nonzero per column as ``(rows, values)``: column
+    j holds ``values[j]`` in row ``rows[j]`` and zeros elsewhere (a zero column
+    reads as row 0, value 0). None when some column has two nonzeros or more."""
+    nz = M.astype(bool)
+    count = np.count_nonzero(nz)
+    if count > M.shape[1]:
+        return None
+    rows, cols = nz.argmax(axis=0), np.arange(M.shape[1])
+    if np.count_nonzero(nz[rows, cols]) != count:     # a column with two nonzeros
+        return None
+    return rows, M[rows, cols]
+
+
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dense product ``A @ B`` of two matrices.
+
+    When both have at most one nonzero per column (:func:`column_entries`),
+    as the multishift models and their products do, so has the product:
+    column j of AB is column ``r = rows_B[j]`` of A times ``B[r, j]``, one
+    product of two entries, gathered by index in O(d) instead of O(d^3).
+    Every entry of it is the one nonzero term that zgemm adds exact zeros to,
+    so on real entries it is bitwise the entry BLAS forms, up to the sign of
+    a zero, and on complex entries equal to roundoff. Any other pair is
+    multiplied by BLAS.
+    """
+    b = column_entries(B)
+    a = None if b is None else column_entries(A)
+    if a is None:
+        return A @ B
+    (ra, va), (rb, vb) = a, b
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.result_type(A, B))
+    out[ra[rb], np.arange(B.shape[1])] = va[rb] * vb
+    return out
 
 
 def commutator_norms(Xs: np.ndarray, T) -> np.ndarray:
@@ -307,7 +371,7 @@ def min_eig_hermitian(M: np.ndarray) -> float:
     nonzero pattern, a 1 x 1 block's eigenvalue is its (real) entry, and only
     larger blocks take an ``eigvalsh``."""
     H = 0.5 * (M + M.conj().T)
-    r, c = np.nonzero(H)
+    r, c = np.nonzero(H.astype(bool))      # nonzero reads a bool array faster
     label = component_labels(H.shape[0], r, c)
     roots, sizes = np.unique(label, return_counts=True)
     low = np.diagonal(H).real[roots[sizes == 1]].min(initial=np.inf)

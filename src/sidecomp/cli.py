@@ -195,7 +195,14 @@ def cmd_similar(args) -> int:
 
 def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
     """The model checks of ``adj``: the spherical shift for that preset, else
-    the backward multishift ``truncated_tuple(spec, grid, "adjoint")``."""
+    the backward multishift ``truncated_tuple(spec, grid, "adjoint")``.
+
+    Their products go through ``_linalg.matmul``, which gathers them by index
+    on matrices with one nonzero per column, as the models' are; the path
+    products of the basis-norm table follow one label by index likewise, and
+    take a chain of dense matrix-vector products on any other matrices.
+    """
+    from ._linalg import column_entries, matmul
     from .rkhs import check_model_hypotheses, check_sphere_conditions, defect_operator, \
         joint_eigenvector, p_sequence
 
@@ -205,7 +212,7 @@ def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
         checks.append({"id": cid, "passed": bool(passed), "measure": float(measure)})
 
     if preset == "spherical_shift":
-        S = sum(A.conj().T @ A for A in adj)
+        S = sum(matmul(A.conj().T, A) for A in adj)
         idx = np.where(grid.interior())[0]
         dev = float(np.abs(S[np.ix_(idx, idx)] - np.eye(idx.size)).max()) if idx.size else 0.0
         add("interior-isometry", dev <= INTERIOR_ISOMETRY_BAR, dev)
@@ -221,14 +228,28 @@ def _rkhs_checks(spec, grid, preset, adj, pol) -> list[dict]:
     # builds bitwise) and compare against the coefficient rule: Gram diagonal
     # of the monomials
     raising = [np.ascontiguousarray(A.real.T) for A in adj]
+    # with one nonzero per column a path stays on one basis vector, followed
+    # as (label, coefficient): each step is the one nonzero term of the
+    # matrix-vector product
+    steps = [column_entries(R) for R in raising]
+    steps = None if any(e is None for e in steps) else [(r.tolist(), v.tolist()) for r, v in steps]
+    vac = grid.index_of[(0,) * grid.m]
     worst = 0.0
     for a in grid.indices:
-        v = np.zeros(grid.size)
-        v[grid.index_of[(0,) * grid.m]] = 1.0
-        for i, reps in enumerate(a):
-            for _ in range(reps):
-                v = raising[i] @ v
-        c2 = float(v[grid.index_of[a]]) ** 2
+        if steps is None:
+            v = np.zeros(grid.size)
+            v[vac] = 1.0
+            for i, reps in enumerate(a):
+                for _ in range(reps):
+                    v = raising[i] @ v
+            c = float(v[grid.index_of[a]])
+        else:
+            j, c = vac, 1.0
+            for (rows, vals), reps in zip(steps, a):
+                for _ in range(reps):
+                    j, c = rows[j], vals[j] * c
+            c = c if j == grid.index_of[a] else 0.0
+        c2 = c ** 2
         want = math.exp(-spec.log_fhat(a))
         worst = max(worst, abs(c2 - want) / want)
     add("basis-norm-table", worst <= BASIS_NORM_BAR, worst)

@@ -29,7 +29,7 @@ equal rank per block).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ from .policy import (
 from .tuples import OperatorTuple, compress, inflate
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
+class CommutantBasis(NamedTuple):
     """Trace-orthonormal basis of a joint commutant algebra inside M_d(C)."""
 
     basis: np.ndarray        # (N, d, d)
@@ -151,6 +150,10 @@ def _word_algebra(N: list[np.ndarray], rtol: float, scale: float) -> np.ndarray:
     5-dimensional commutative algebra. It is bounded by Schur's
     ``floor(d^2/4) + 1``, the largest dimension of a commutative subalgebra of
     M_d; words past it show that the ``N_i`` do not commute numerically.
+
+    New words with ``10 ||cand||_F <= rtol * scale`` end the walk without an
+    SVD: every singular value is at most ``||cand||_F``, so the strict cut at
+    ``rtol * max(sigma_max, scale)`` reads rank 0 there with no straddle.
     """
     d = N[0].shape[0]
     gens = np.stack(N)
@@ -160,6 +163,8 @@ def _word_algebra(N: list[np.ndarray], rtol: float, scale: float) -> np.ndarray:
         cand = np.matmul(front.reshape(-1, 1, d, d), gens).reshape(-1, d * d)
         for _ in range(2):  # classical Gram-Schmidt, reorthogonalized
             cand = cand - (cand @ basis.conj().T) @ basis
+        if 10.0 * frob(cand) <= rtol * scale:
+            break
         _, s, Vh = svd_robust(cand, full_matrices=False)
         front = Vh[:rank_cut(s, rtol, scale=scale, strict=True)]
         basis = np.vstack([basis, front])
@@ -188,8 +193,7 @@ def _module_maps(B: np.ndarray, Y: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     return X.reshape(K, d * d).T
 
 
-@dataclass(frozen=True)
-class SpinUp:
+class SpinUp(NamedTuple):
     """A'(T) presented by its values on module generators (the spin-up of
     Parker's Meat-Axe), for a tuple with one joint eigenvalue.
 
@@ -255,7 +259,10 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     nilpotent, while a nontrivial idempotent e of ``C[T]`` gives the
     trace-zero word ``e - (tr e/d) I`` of square trace ``tr e - (tr e)^2/d >
     0``. That G generates does not certify it: it can when the mean of the
-    ``T_i`` is itself a joint eigenvalue (``X diag(0, 1, -1) X^-1``).
+    ``T_i`` is itself a joint eigenvalue (``X diag(0, 1, -1) X^-1``). A form
+    with ``10 ||F||_F <= rtol`` takes no SVD: its singular values are at most
+    ``||F||_F``, a tenth of the cut ``rtol * max(sigma_max, 1)``, so it has
+    rank 0 with no straddle.
 
     The conditioning guard bounds the spread of the lift ``Y -> X``: ``X G =
     Y`` bounds it below by 1, and ``||[b_a Y]_a||_F <= sqrt(nb) ||Y||_F`` for
@@ -280,7 +287,7 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
         if nb > 1:
             W = B[1:].reshape(nb - 1, d * d)
             F = W @ B[1:].transpose(0, 2, 1).reshape(nb - 1, d * d).T
-            if rank_cut(svdvals_robust(F), rtol, scale=1.0, strict=True):
+            if 10.0 * frob(F) > rtol and rank_cut(svdvals_robust(F), rtol, scale=1.0, strict=True):
                 return None
         adjoint = False
         if nb * g > d:
@@ -386,8 +393,7 @@ def intertwiner_space(T: OperatorTuple, S: OperatorTuple,
     return np.ascontiguousarray(ns.T.reshape(-1, S.d, T.d))
 
 
-@dataclass(frozen=True)
-class InflationCheck:
+class InflationCheck(NamedTuple):
     base_dim: int
     inflated_dim: int
     copies: int
@@ -541,8 +547,7 @@ def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None
     return None
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """The corner E A'(T) E of an idempotent ``E = U W*`` of A'(T), in the
     orthonormal frame U of range(E), for the commutant A' of the compressed
     tuple U* T U (an orthonormal compression, so A' is as clean as a fresh
@@ -563,7 +568,7 @@ class Corner:
     algebra_dim: int
     basis: np.ndarray | None = None
     quot_coords: np.ndarray | None = None
-    free: SpinUp | None = field(default=None, repr=False, compare=False)
+    free: SpinUp | None = None
 
     @property
     def quotient_dim(self) -> int:
@@ -729,8 +734,7 @@ def _free_primitives(c: Corner) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(frames, rows))
 
 
-@dataclass(frozen=True)
-class AlgebraStructure:
+class AlgebraStructure(NamedTuple):
     """Simple-block data of A/rad(A) with block idempotents lifted into A.
 
     Every idempotent is held as its factors ``P = L R*``, an orthonormal
@@ -745,10 +749,10 @@ class AlgebraStructure:
     radical_dim: int
     block_dims: tuple[int, ...]              # n_1 >= ... >= n_k
     # the factors of the k block idempotents and of the n_i primitives of each
-    block_frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    block_rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    block_frames: tuple[np.ndarray, ...]
+    block_rows: tuple[np.ndarray, ...]
+    frames: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
 
     @property
     def k(self) -> int:

@@ -15,7 +15,7 @@ assembled from blockwise intertwiners.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def is_strongly_irreducible(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     return len(roots) == 1 and roots[0].quotient_dim == 1
 
 
-@dataclass(frozen=True)
-class UnitDecomposition:
+class UnitDecomposition(NamedTuple):
     """Ordered mutually annihilating idempotents in A'(T) summing to I, each
     held as its factors ``P_a = L_a R_a*``: ``frames[a]``, a (d, rank P_a)
     matrix L_a with orthonormal columns spanning range P_a, and ``rows[a]``,
@@ -61,10 +60,10 @@ class UnitDecomposition:
     """
 
     tuple_ref: OperatorTuple
-    frames: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    frames: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
     si_flags: tuple[bool, ...]
-    residuals: dict | None = field(default=None, repr=False, compare=False)
+    residuals: dict | None = None
 
     @classmethod
     def from_idempotents(cls, T: OperatorTuple, P, si_flags: tuple[bool, ...],
@@ -173,7 +172,7 @@ class UnitDecomposition:
     def validated(self, policy: NumericPolicy = DEFAULT_POLICY) -> UnitDecomposition:
         """This decomposition with the residuals of :meth:`validate`; raises
         like it."""
-        return replace(self, residuals=self.validate(policy))
+        return self._replace(residuals=self.validate(policy))
 
 
 def _float_floor(d: int, norm: float) -> float:
@@ -314,15 +313,13 @@ def assemble_intertwiner(T: OperatorTuple, S: OperatorTuple, pairs,
     return X
 
 
-@dataclass(frozen=True)
-class DecompositionEquivalence:
+class DecompositionEquivalence(NamedTuple):
     permutation: tuple[int, ...]     # D1 index i -> D2 index permutation[i]
     conjugator: np.ndarray           # X in GL(A'(T)) with X P_i X^-1 = Q_{perm(i)}
     residual: float
 
 
-@dataclass(frozen=True)
-class EquivalenceOutcome:
+class EquivalenceOutcome(NamedTuple):
     equivalence: DecompositionEquivalence | None
     certificate: str | None
 
@@ -348,7 +345,7 @@ def decompositions_equivalent(T: OperatorTuple, D1: UnitDecomposition,
     T first, and raises like :meth:`UnitDecomposition.validate`.
     """
     D1, D2 = (D if D.tuple_ref is T and D.residuals is not None
-              else replace(D, tuple_ref=T).validated(policy) for D in (D1, D2))
+              else D._replace(tuple_ref=T).validated(policy) for D in (D1, D2))
     if D1.count != D2.count:
         return EquivalenceOutcome(None, "count mismatch")
     perm, pairs = [], []

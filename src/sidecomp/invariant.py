@@ -15,7 +15,7 @@ no claim beyond the finite matrices it is given.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def _spectrum_key(T: OperatorTuple) -> tuple:
     return tuple(sorted((round(float(z.real), 6), round(float(z.imag), 6)) for z in eigs))
 
 
-@dataclass(frozen=True)
-class SimilarityInvariant:
+class SimilarityInvariant(NamedTuple):
     """(k; n_1 >= ... >= n_k) with one restricted representative per class."""
 
     k: int
@@ -55,8 +54,7 @@ class SimilarityInvariant:
         }
 
 
-@dataclass(frozen=True)
-class K0Descriptor:
+class K0Descriptor(NamedTuple):
     rank: int
     order_unit: tuple[int, ...]
 
@@ -125,8 +123,7 @@ def idempotent_classes_equal(T: OperatorTuple, P, Q,
     return block_similarity(T, P, Q, policy) is not None
 
 
-@dataclass(frozen=True)
-class SimilarityVerdict:
+class SimilarityVerdict(NamedTuple):
     similar: bool
     reason: str
     invariant_lhs: SimilarityInvariant

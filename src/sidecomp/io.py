@@ -122,13 +122,19 @@ def kernel_job_from_obj(obj) -> tuple[DiagonalKernelSpec | None, TruncationGrid,
     entries = obj.get("custom_fhat")
     if not entries:
         raise ValueError("custom preset needs 'custom_fhat' entries")
-    table = {}
+    # an index is read as m and dmax are: a bool or a fractional number is
+    # refused, not truncated, and an index given twice is refused
     try:
-        for alpha, value in entries:
-            table[tuple(int(a) for a in alpha)] = float(value)
+        pairs = [(tuple(_integer(a, "custom_fhat index") for a in alpha), float(value))
+                 for alpha, value in entries]
     except (TypeError, ValueError) as exc:
         raise ValueError("'custom_fhat' entries must be [alpha, value] pairs, alpha a "
                          "list of integers and value a number") from exc
+    table = {}
+    for index, value in pairs:
+        if index in table:
+            raise ValueError(f"'custom_fhat' gives the index {list(index)} twice")
+        table[index] = value
     # the rule must cover the grid and its upper neighbours: every index of
     # degree at most dmax + 1
     missing = sorted(a for a in TruncationGrid.build(m, dmax + 1).indices if a not in table)

@@ -10,7 +10,7 @@ every block is verified at generation time through its commutant dimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def jordan_polynomial_tuple(r: int, lam: complex, rng: np.random.Generator,
     return operator_tuple(mats)
 
 
-@dataclass(frozen=True)
-class PlantedInstance:
+class PlantedInstance(NamedTuple):
     realized: OperatorTuple
     k: int
     multiplicities: tuple[int, ...]          # sorted descending

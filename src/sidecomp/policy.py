@@ -14,20 +14,19 @@ or one of the fixed cut values below, which are not policy fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 DEFAULT_SEED = 0xC0FFEE
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
+class NumericPolicy(NamedTuple):
     tol: float = 1e-8
     kernel_tol: float = 1e-8
     rank_rtol: float = 1e-10
     seed: int = DEFAULT_SEED
 
     def with_(self, **kw) -> "NumericPolicy":
-        return replace(self, **kw)
+        return self._replace(**kw)
 
     def tolerances(self) -> dict:
         """The seven tolerances of a report header, as a plain dict."""

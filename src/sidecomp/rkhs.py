@@ -20,13 +20,13 @@ Convention: mode="adjoint" is the backward multishift (the lowering tuple).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import block_nullspace, commutator_norms, component_labels, frob, label_groups, \
-    min_eig_hermitian
+from ._linalg import block_nullspace, commutator_norms, component_labels, frob, groups_by, \
+    label_groups, matmul, min_eig_hermitian
 from .policy import DEFAULT_POLICY, MODEL_PROJECTION_BAR, MODEL_SOLVABILITY_BAR, PSD_TOL, \
     SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
@@ -34,14 +34,13 @@ from .tuples import OperatorTuple, joint_kernel
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TruncationGrid:
+class TruncationGrid(NamedTuple):
     """Graded enumeration of all multi-indices with |alpha| <= dmax."""
 
     m: int
     dmax: int
     indices: tuple[MultiIndex, ...]
-    index_of: dict[MultiIndex, int] = field(repr=False)
+    index_of: dict[MultiIndex, int]
 
     @classmethod
     def build(cls, m: int, dmax: int, order: str = "grlex") -> "TruncationGrid":
@@ -75,8 +74,7 @@ class TruncationGrid:
         return self.degrees() < self.dmax
 
 
-@dataclass(frozen=True)
-class DiagonalKernelSpec:
+class DiagonalKernelSpec(NamedTuple):
     """Positive coefficient rule alpha -> fhat(alpha) defining the kernel."""
 
     m: int
@@ -136,13 +134,13 @@ def multishift_weights(spec: DiagonalKernelSpec, grid: TruncationGrid) -> np.nda
     w_i(alpha) e_alpha."""
     if spec.m != grid.m:
         raise ValueError("spec and grid arity disagree")
+    lf = [spec.log_fhat(a) for a in grid.indices]   # an upper neighbour on the grid reuses its own
     W = np.empty((grid.m, grid.size))
     for j, a in enumerate(grid.indices):
-        lf = spec.log_fhat(a)
         for i in range(grid.m):
-            up = list(a)
-            up[i] += 1
-            W[i, j] = math.exp(0.5 * (lf - spec.log_fhat(tuple(up))))
+            up = a[:i] + (a[i] + 1,) + a[i + 1:]
+            k = grid.index_of.get(up)
+            W[i, j] = math.exp(0.5 * (lf[j] - (spec.log_fhat(up) if k is None else lf[k])))
     return W
 
 
@@ -194,8 +192,7 @@ def joint_eigenvector(spec: DiagonalKernelSpec, grid: TruncationGrid, w,
     return v, resid / float(np.linalg.norm(v))
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     defect: np.ndarray
     projection_residual: float       # || D^2 - D ||_F
     rank_one_residual: float         # || D - e0 e0* ||_F
@@ -207,19 +204,19 @@ def defect_operator(T: OperatorTuple, grid: TruncationGrid) -> DefectReport:
 
     For the ball-kernel preset the defect equals the rank-one projection onto
     the vacuum basis vector exactly on the whole grid, because lowering then
-    raising never escapes the truncation.
+    raising never escapes the truncation. The products are
+    :func:`~sidecomp._linalg.matmul`'s, gathered by index on a multishift.
     """
     d = T.d
-    S = sum(T[i].conj().T @ T[i] for i in range(T.m))
+    S = sum(matmul(T[i].conj().T, T[i]) for i in range(T.m))
     D = np.eye(d) - S
     vac = grid.index_of[(0,) * grid.m]
     E = np.zeros((d, d), dtype=complex)
     E[vac, vac] = 1.0
-    return DefectReport(D, frob(D @ D - D), frob(D - E), vac)
+    return DefectReport(D, frob(matmul(D, D) - D), frob(D - E), vac)
 
 
-@dataclass(frozen=True)
-class PSequenceReport:
+class PSequenceReport(NamedTuple):
     operators: list[np.ndarray]          # P_0 ... P_nmax
     min_eigs: list[float]
     step_min_eigs: list[float]           # min eig of P_n - P_{n+1}
@@ -234,22 +231,19 @@ def p_sequence(T: OperatorTuple, grid: TruncationGrid, n_max: int) -> PSequenceR
 
     For a backward multishift: each P_n is PSD, the chain is nonincreasing,
     and P_n annihilates every basis vector of degree below n — exactly, by
-    sparsity of the recursion. On a multishift every P_n is exactly
-    diagonal, ``P_n = diag(p)``, and ``T_i* P_n T_i`` is formed as ``T_i*
-    (p T_i)``, one product per component; any other P_n is used dense.
+    sparsity of the recursion. ``T_i* P_n T_i`` is formed as ``T_i* (P_n
+    T_i)`` by :func:`~sidecomp._linalg.matmul`: on a multishift every P_n is
+    exactly diagonal and each product is gathered by index.
     """
     if n_max > grid.dmax:
         raise ValueError(f"n_max {n_max} exceeds the grid degree cap {grid.dmax}")
     d = T.d
     degs = grid.degrees()
+    adj = [A.conj().T for A in T]
     ops = [np.eye(d, dtype=complex)]
     for _ in range(n_max):
         P = ops[-1]
-        if np.count_nonzero(P) == np.count_nonzero(np.diagonal(P)):
-            p = np.diagonal(P)[:, None]
-            ops.append(sum(T[i].conj().T @ (p * T[i]) for i in range(T.m)))
-        else:
-            ops.append(sum(T[i].conj().T @ P @ T[i] for i in range(T.m)))
+        ops.append(sum(matmul(adj[i], matmul(P, T[i])) for i in range(T.m)))
     min_eigs = [min_eig_hermitian(P) for P in ops]
     steps = [min_eig_hermitian(ops[n] - ops[n + 1]) for n in range(n_max)]
     vanish = []
@@ -293,8 +287,7 @@ def spherical_shift(grid: TruncationGrid) -> OperatorTuple:
     return truncated_tuple(DiagonalKernelSpec.bergman(grid.m, grid.m), grid, "forward")
 
 
-@dataclass(frozen=True)
-class SphereReport:
+class SphereReport(NamedTuple):
     row_contraction: bool
     spherical_isometry: bool
     spherical_unitary: bool
@@ -316,10 +309,12 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     ``mask`` (boolean, one entry per ambient coordinate) restricts the
     isometry test to a subspace (e.g. interior labels of a truncation, where
     compression is invisible); a mask of any other length raises ValueError.
+    The products are :func:`~sidecomp._linalg.matmul`'s, gathered by index on
+    a multishift.
     """
     d = T.d
-    S = sum(A.conj().T @ A for A in T)
-    R = sum(A @ A.conj().T for A in T)
+    S = sum(matmul(A.conj().T, A) for A in T)
+    R = sum(matmul(A, A.conj().T) for A in T)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (d,):
@@ -329,13 +324,13 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
             + frob(S[np.ix_(np.flatnonzero(~mask), idx)])
     else:
         iso_res = frob(S - np.eye(d))
-    norm_res = max(frob(A @ A.conj().T - A.conj().T @ A) for A in T)
+    norm_res = max(frob(matmul(A, A.conj().T) - matmul(A.conj().T, A)) for A in T)
     defect = np.eye(d) - S
     defect_min_eig = min_eig_hermitian(defect)
     hyper = {1: defect_min_eig >= -PSD_TOL} if n_hyper >= 1 else {}
     power = defect
     for k in range(2, n_hyper + 1):
-        power = power @ defect
+        power = matmul(power, defect)
         hyper[k] = min_eig_hermitian(power) >= -PSD_TOL
     iso_ok = iso_res <= policy.tol * max(1.0, math.sqrt(d))
     row_defect = min_eig_hermitian(np.eye(d) - R)
@@ -351,8 +346,7 @@ def check_sphere_conditions(T: OperatorTuple, policy: NumericPolicy = DEFAULT_PO
     )
 
 
-@dataclass(frozen=True)
-class ModelHypothesesReport:
+class ModelHypothesesReport(NamedTuple):
     projection_residual: float
     projection_ok: bool
     compatibility_dim: int
@@ -384,14 +378,22 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     * max(sigma_max, scale)`` with ``sigma_max`` the largest over the blocks,
     and the solve's residual is the largest block residual.
 
+    The components are handled by shape: the blocks of one shape are read
+    off T at once (no dense Koszul stack is built) and share one stacked SVD
+    (:func:`~sidecomp._linalg.block_nullspace`), and the residuals of one
+    shape share one stacked 2-norm; each least-squares solve stays one
+    component at a time. ``S`` and ``S^2`` are
+    :func:`~sidecomp._linalg.matmul`'s products, gathered by index on a
+    multishift.
+
     ``coordinate_mask`` (boolean, per ambient coordinate) restricts the
     compatible data to the marked coordinates in every component — for
     truncations, restricting to interior labels removes pure boundary
     artifacts that no in-grid solution can reach.
     """
     d, m = T.d, T.m
-    S = sum(A.conj().T @ A for A in T)
-    proj_res = frob(S @ S - S)
+    S = sum(matmul(A.conj().T, A) for A in T)
+    proj_res = frob(matmul(S, S) - S)
     proj_ok = proj_res <= MODEL_PROJECTION_BAR * max(1.0, frob(S))
 
     mask = np.ones(d, dtype=bool) if coordinate_mask is None \
@@ -400,41 +402,69 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
         raise ValueError(f"coordinate_mask must have {d} entries")
     keep = np.flatnonzero(mask)
     cols = np.concatenate([c * d + keep for c in range(m)])
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    stack = np.zeros((len(pairs) * d, m * d), dtype=complex)
-    for r, (i, j) in enumerate(pairs):
-        stack[r * d:(r + 1) * d, j * d:(j + 1) * d] = T[i]
-        stack[r * d:(r + 1) * d, i * d:(i + 1) * d] = -T[j]
-    stack = stack[:, cols]
+    pairs = np.array([(i, j) for i in range(m) for j in range(i + 1, m)], dtype=int).reshape(-1, 2)
+    n_rows = len(pairs) * d
     A_stack = T.matrices.reshape(m * d, d)
+
+    def stack_entries(r, c):
+        """Entries of the Koszul stack at its rows r and ambient coordinates c:
+        row ``p d + s`` of the pair ``p = (i, j)`` holds row s of ``T_i`` at
+        the coordinates of ``x_j`` and of ``-T_j`` at those of ``x_i``."""
+        (p, s), (k, t) = np.divmod(r, d), np.divmod(c, d)
+        i, j = pairs[p, 0], pairs[p, 1]
+        return np.where(k == j, T.matrices[i, s, t], np.where(k == i, -T.matrices[j, s, t], 0))
+
+    # the nonzeros of the stacked tuple, and those of the stack: a nonzero
+    # (s, t) of T_k sits in row p d + s of each pair p that holds k, at the
+    # coordinate t of the pair's other unknown, when that one is free
+    coords, xs = np.nonzero(A_stack.astype(bool))
+    k, s = np.divmod(coords, d)
+    free_at = np.full(m * d, -1)
+    free_at[cols] = np.arange(cols.size)
+    rows, free = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for p, (i, j) in enumerate(pairs):
+        for a, b in ((i, j), (j, i)):
+            rows.append(p * d + s[k == a])
+            free.append(free_at[b * d + xs[k == a]])
+    rows, free = np.concatenate(rows), np.concatenate(free)
+    rows, free = rows[free >= 0], free[free >= 0]
 
     # graph nodes: the m d coordinates (rows of A_stack), then the d columns
     # of A_stack, then the rows of the stack
     md = m * d
-    rows, free = np.nonzero(stack)
-    coords, xs = np.nonzero(A_stack)
-    label = component_labels(md + d + stack.shape[0], np.concatenate([cols[free], coords]),
+    label = component_labels(md + d + n_rows, np.concatenate([cols[free], coords]),
                              np.concatenate([md + d + rows, md + xs]))
     roots = np.flatnonzero(np.bincount(label[cols]))   # the labels present, ascending
-    free_of = label_groups(label[cols], roots)
-    coords_of = label_groups(label[:md], roots)
-    xs_of = label_groups(label[md:md + d], roots)
-    bases = block_nullspace(
-        [stack[np.ix_(r, f)] for r, f in zip(label_groups(label[md + d:], roots), free_of)],
-        max(stack.shape) * policy.rank_rtol, scale=max(1.0, max(frob(A) for A in T)))
+    comps = list(zip(label_groups(label[md + d:], roots), label_groups(label[cols], roots),
+                     label_groups(label[:md], roots), label_groups(label[md:md + d], roots)))
+    blocks = [None] * len(comps)
+    for group in groups_by(comps, lambda c: (c[0].size, c[1].size)):
+        R, F = (np.array([comps[n][h] for n in group], dtype=int) for h in (0, 1))
+        for n, B in zip(group, stack_entries(R[:, :, None], cols[F][:, None, :])):
+            blocks[n] = B
+    bases = block_nullspace(blocks, max(n_rows, cols.size) * policy.rank_rtol,
+                            scale=max(1.0, max(frob(A) for A in T)))
 
-    worst = 0.0
-    for f, q, x, N in zip(free_of, coords_of, xs_of, bases):
-        if N.shape[1] == 0:
-            continue
-        compat = np.zeros((q.size, N.shape[1]), dtype=complex)
-        compat[np.searchsorted(q, cols[f])] = N
-        resid = compat
-        if x.size:
-            A = A_stack[np.ix_(q, x)]
-            X, *_ = np.linalg.lstsq(A, compat, rcond=None)
-            resid = A @ X - compat
-        worst = max(worst, float(np.linalg.norm(resid, 2)))
+    resids: dict[tuple[int, int], list[np.ndarray]] = {}
+    for group in groups_by(comps, lambda c: (c[1].size, c[2].size, c[3].size)):
+        F, Q, X = (np.array([comps[n][h] for n in group], dtype=int) for h in (1, 2, 3))
+        # the row of each free coordinate among its component's coordinates,
+        # and the component's block of the stacked tuple
+        at = np.argmax(Q[:, :, None] == cols[F][:, None, :], axis=1)
+        As = A_stack[Q[:, :, None], X[:, None, :]]
+        for n, row, A in zip(group, at, As):
+            N = bases[n]
+            if N.shape[1] == 0:
+                continue
+            compat = np.zeros((A.shape[0], N.shape[1]), dtype=complex)
+            compat[row] = N
+            resid = compat
+            if A.shape[1]:
+                Y, *_ = np.linalg.lstsq(A, compat, rcond=None)
+                resid = A @ Y - compat
+            resids.setdefault(resid.shape, []).append(resid)
+    worst = max([0.0] + [float(np.linalg.norm(np.stack(R), 2, axis=(1, 2)).max())
+                         for R in resids.values()])
     dim = sum(N.shape[1] for N in bases)
     solv_ok = worst <= MODEL_SOLVABILITY_BAR
     return ModelHypothesesReport(
@@ -443,16 +473,14 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
     )
 
 
-@dataclass(frozen=True)
-class GammaSample:
+class GammaSample(NamedTuple):
     point: np.ndarray
     symbol: np.ndarray               # kernel_dim x kernel_dim, scalar when 1x1
     kernel_dim: int
     invariance_residual: float
 
 
-@dataclass(frozen=True)
-class GammaTransformReport:
+class GammaTransformReport(NamedTuple):
     samples: list[GammaSample]
     skipped: list[np.ndarray]        # points with empty joint kernel
     contraction_ok: bool

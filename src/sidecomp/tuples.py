@@ -13,23 +13,24 @@ after construction and safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, commutator_norms, frob, nullspace, orthonormal_range, \
-    rank_cut, svdvals_robust
+from ._linalg import as_complex_matrix, commutator_norms, frob, matmul, nullspace, \
+    orthonormal_range, rank_cut, svdvals_robust
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
-@dataclass(frozen=True)
 class OperatorTuple:
-    """An m-tuple of d x d complex matrices, stored as an (m, d, d) array."""
+    """An m-tuple of d x d complex matrices, stored as a read-only (m, d, d)
+    array, checked on construction: square, nonempty and finite. Immutable:
+    its one attribute cannot be rebound."""
 
-    matrices: np.ndarray
+    __slots__ = ("matrices",)
 
-    def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
+    def __init__(self, matrices):
+        mats = np.asarray(matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected shape (m, d, d), got {mats.shape}")
         if mats.shape[0] < 1 or mats.shape[1] < 1:
@@ -38,6 +39,15 @@ class OperatorTuple:
             raise ValueError("tuple entries must be finite")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an OperatorTuple")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an OperatorTuple")
+
+    def __repr__(self) -> str:
+        return f"OperatorTuple(matrices={self.matrices!r})"
 
     @property
     def m(self) -> int:
@@ -69,8 +79,7 @@ def operator_tuple(mats) -> OperatorTuple:
     return OperatorTuple(np.stack(arrs))
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     max_commutator: float
     pairwise: np.ndarray  # (m, m) relative commutator norms
     tol: float
@@ -80,13 +89,15 @@ class CommutationReport:
 def validate_commuting(T: OperatorTuple,
                        policy: NumericPolicy = DEFAULT_POLICY) -> CommutationReport:
     """Report pairwise commutator norms, relative to max(1, ||T_i|| ||T_j||),
-    against the policy's ``tol``."""
+    against the policy's ``tol``. The products are :func:`~sidecomp._linalg.matmul`'s:
+    gathered by index on a multishift model, whose matrices have one nonzero
+    per column, and dense otherwise."""
     m = T.m
     norms = [frob(A) for A in T]
     rel = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            c = frob(T[i] @ T[j] - T[j] @ T[i]) / max(1.0, norms[i] * norms[j])
+            c = frob(matmul(T[i], T[j]) - matmul(T[j], T[i])) / max(1.0, norms[i] * norms[j])
             rel[i, j] = rel[j, i] = c
     worst = float(rel.max()) if m > 1 else 0.0
     return CommutationReport(worst, rel, float(policy.tol), worst <= policy.tol)
@@ -128,8 +139,7 @@ def conjugate(T: OperatorTuple, X, policy: NumericPolicy = DEFAULT_POLICY) -> Op
     return OperatorTuple(np.stack([X @ A @ Xi for A in T]))
 
 
-@dataclass(frozen=True)
-class JointKernelBasis:
+class JointKernelBasis(NamedTuple):
     """Orthonormal basis of the joint kernel of (T - w) at a point w."""
 
     point: np.ndarray          # (m,) complex coordinates

@@ -21,6 +21,8 @@ from sidecomp.tuples import conjugate, operator_tuple
 
 
 SRC_ROOT = Path(sidecomp.__file__).parents[1]
+# a complete increasing coefficient rule for m = 1, dmax = 2 (degrees 0..3)
+FHAT_M1 = [[[0], 1.0], [[1], 2.0], [[2], 3.0], [[3], 4.0]]
 
 
 def write_tuple(path, T):
@@ -509,6 +511,31 @@ class TestSelftest:
         assert json.loads(out)["seed"] == 99
 
 
+class TestRecords:
+    def test_no_command_process_imports_dataclasses(self, tmp_path):
+        # the records are NamedTuples: no command's process imports dataclasses
+        tup = write_tuple(tmp_path / "t.json", operator_tuple([bd(jordan(2), jordan(1, 1.0))]))
+        kernel = tmp_path / "k.json"
+        kernel.write_text(json.dumps({"m": 2, "preset": "drury_arveson", "dmax": 3}))
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            assert "dataclasses" not in sys.modules
+            import sidecomp.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = sidecomp.cli.main(sys.argv[1:])
+            assert rc == 0, rc
+            print(sorted(name for name in sys.modules if name.startswith("dataclasses")))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        for argv in (["invariant", "--input", tup], ["decompose", "--input", tup],
+                     ["similar", "--input", tup, "--input2", tup, "--witness"],
+                     ["rkhs", "--input", str(kernel)], ["selftest", "--count", "1"]):
+            proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert proc.stdout == "[]\n", argv[0]
+
+
 class TestExitCodes:
     def test_numerical_degeneracy_exits_3(self, tmp_path, capsys, monkeypatch):
         from sidecomp.policy import NumericalDegeneracyError
@@ -576,8 +603,17 @@ class TestExitCodes:
         ("rkhs", {"m": 2.9, "preset": "hardy", "dmax": 3.7}),
         ("rkhs", {"m": True, "preset": "hardy", "dmax": 3}),
         ("invariant", {"m": 1.5, "d": 2.2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        # a complete rule for m = 1, dmax = 2, plus an index that int() would
+        # read as 1, or one given twice: each would overwrite fhat((1,))
+        ("rkhs", {"m": 1, "preset": "custom", "dmax": 2,
+                  "custom_fhat": FHAT_M1 + [[[1.5], 7.0]]}),
+        ("rkhs", {"m": 1, "preset": "custom", "dmax": 2,
+                  "custom_fhat": FHAT_M1 + [[[True], 9.0]]}),
+        ("rkhs", {"m": 1, "preset": "custom", "dmax": 2,
+                  "custom_fhat": FHAT_M1 + [[[1], 9.0]]}),
     ], ids=["fhat-not-a-pair", "fhat-value-a-list", "bergman-k-a-list", "matrices-not-a-list",
-            "m-a-list", "m-dmax-fractional", "m-boolean", "declared-m-d-fractional"])
+            "m-a-list", "m-dmax-fractional", "m-boolean", "declared-m-d-fractional",
+            "fhat-index-fractional", "fhat-index-boolean", "fhat-index-repeated"])
     def test_malformed_field_exits_2(self, tmp_path, capsys, command, obj):
         # a field of the wrong JSON type is an input error, not a traceback
         path = tmp_path / "bad.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -186,6 +185,31 @@ class TestSpinUp:
         Y = np.eye(d * g, dtype=complex).reshape(-1, d, g) if su.Y is None else su.Y
         X = commutant._module_maps(su.B, Y, su.pinv)
         assert np.linalg.svd(X, compute_uv=False).min() >= 1.0 - 1e-12
+
+    def test_no_svd_of_a_numerically_zero_matrix(self, monkeypatch):
+        # three copies of one 4 x 4 Jordan-polynomial block at cond 10: the
+        # last level of words and the trace form of the trace-zero words are
+        # zero to roundoff, a tenth of their cuts and less, so neither takes
+        # an SVD: the word levels N and N^2, the generators and Phi remain
+        r = np.random.default_rng(4)
+        T = conjugate(inflate(jordan_polynomial_tuple(4, 0.5, r, 2), 3),
+                      conditioned_invertible(12, 10.0, r))
+        rtol, scale = commutant._stack_cut(T, T, NumericPolicy())
+        norms = []
+
+        def recording(real):
+            def svd(M, *args, **kwargs):
+                norms.append(float(np.linalg.norm(M)))
+                return real(M, *args, **kwargs)
+            return svd
+
+        for name in ("svd_robust", "svdvals_robust"):
+            svd = recording(getattr(_linalg, name))
+            monkeypatch.setattr(_linalg, name, svd)
+            monkeypatch.setattr(commutant, name, svd)
+        su = commutant._spin_up(T, NumericPolicy())
+        assert su is not None and su.K == 36
+        assert len(norms) == 4 and min(norms) > 10.0 * rtol * scale
 
     def test_no_tall_svd_at_one_eigenvalue(self, monkeypatch):
         # eight copies of one 4 x 4 Jordan-polynomial block (m = 2) at cond
@@ -1009,7 +1033,7 @@ class TestFreeRoots:
             if su is None or su.Y is not None:
                 return su
             d, g = su.G.shape
-            return dataclasses.replace(su, Y=np.eye(d * g, dtype=complex).reshape(-1, d, g))
+            return su._replace(Y=np.eye(d * g, dtype=complex).reshape(-1, d, g))
 
         mp.setattr(commutant, "_spin_up", explicit)
 

@@ -63,6 +63,93 @@ class TestNullspace:
         assert np.array_equal(N, np.eye(shape[1]))
 
 
+class TestBlockNullspace:
+    def test_stacked_shapes_match_the_blocks_one_at_a_time(self, monkeypatch):
+        # blocks of three shapes, one of them lone and one empty: the stacked
+        # SVDs give every block the basis it gets alone at the shared scale
+        rng = np.random.default_rng(7)
+
+        def block(rows, cols, rank):
+            a = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+            return a @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+
+        blocks = [block(2, 3, 1), block(3, 3, 2), block(2, 3, 2), np.zeros((0, 2)),
+                  block(3, 3, 3), block(4, 2, 1), block(2, 3, 2)]
+        scale = max(float(np.linalg.svd(B, compute_uv=False).max()) for B in blocks if B.size)
+        alone = [nullspace(B, 1e-10, scale=scale) for B in blocks]
+        shapes, real = [], linalg.svd_robust
+
+        def recording(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "svd_robust", recording)
+        stacked = linalg.block_nullspace(blocks, 1e-10)
+        assert shapes == [(3, 2, 3), (2, 3, 3), (4, 2)]
+        assert [N.shape[1] for N in stacked] == [2, 1, 1, 2, 0, 1, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(alone, stacked))
+
+    def test_failed_stacked_svd_is_redone_per_matrix(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        want = [linalg.svd_robust(A, full_matrices=False) for A in M]
+        real = np.linalg.svd
+
+        def no_stacks(A, *args, **kwargs):
+            if A.ndim == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", no_stacks)
+        got = linalg.svd_robust(M, full_matrices=False)
+        for factor, parts in zip(got, zip(*want)):
+            assert np.array_equal(factor, np.stack(parts))
+
+
+class TestGatheredMatmul:
+    @staticmethod
+    def one_per_column(rng, d, zero_cols, dtype):
+        M = np.zeros((d, d), dtype=dtype)
+        rows = rng.integers(0, d, d)
+        vals = rng.standard_normal(d)
+        if dtype == complex:
+            vals = vals + 1j * rng.standard_normal(d)
+        M[rows, np.arange(d)] = vals
+        M[:, zero_cols] = 0.0
+        return M
+
+    def test_reads_rows_and_values(self):
+        M = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        rows, vals = linalg.column_entries(M)
+        assert rows.tolist() == [1, 0, 0] and vals.tolist() == [3.0, 2.0, 0.0]
+        assert linalg.column_entries(M + np.eye(3)) is None        # column 0 has two
+        assert linalg.column_entries(np.ones((2, 2))) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_blas(self, dtype, seed):
+        # one term per entry: bitwise BLAS's on real entries, roundoff on
+        # complex ones; the gathered path is taken on both
+        rng = np.random.default_rng(seed)
+        A = self.one_per_column(rng, 9, [2, 5], dtype)
+        B = self.one_per_column(rng, 9, [0], dtype)
+        for X, Y in ((A, B), (B, A), (A, A)):
+            assert linalg.column_entries(X) is not None and linalg.column_entries(Y) is not None
+            got, want = linalg.matmul(X, Y), X @ Y
+            assert got.dtype == want.dtype
+            if dtype == float:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_any_other_pair_takes_blas(self):
+        rng = np.random.default_rng(1)
+        P = self.one_per_column(rng, 5, [], float)
+        D = rng.standard_normal((5, 5))
+        assert np.array_equal(linalg.matmul(P, D), P @ D)
+        assert np.array_equal(linalg.matmul(D, P), D @ P)
+
+
 class TestOrthonormalRange:
     def test_tall_straddle_raises(self):
         S = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-6], [0.0, 0.0]], dtype=complex)
@@ -171,13 +258,14 @@ class TestJointCommutantStackSvd:
         return shapes
 
     def test_one_svd_on_success(self, monkeypatch):
-        # the spin-up takes one SVD per rank decision: three breadth-first
-        # levels of words (N, N^2, then N^3 = 0), the complement of range N
-        # and Phi. The recovered basis takes none: Householder QR
-        # orthonormalizes it and its independence is read off the 3 x 3
-        # triangular factor. No 9 x 9 Sylvester stack, no retry
+        # the spin-up takes one SVD per rank decision that is not exact:
+        # two breadth-first levels of words (N, N^2; the level N^3 = 0 is
+        # zero, so it takes none), the complement of range N and Phi. The
+        # recovered basis takes none: Householder QR orthonormalizes it and
+        # its independence is read off the 3 x 3 triangular factor. No 9 x 9
+        # Sylvester stack, no retry
         T = operator_tuple([jordan(3)])
-        assert self.count_svds(monkeypatch, T) == [(1, 9), (1, 9), (1, 9), (3, 3), (3, 3)]
+        assert self.count_svds(monkeypatch, T) == [(1, 9), (1, 9), (3, 3), (3, 3)]
 
     def test_one_svd_when_identity_is_missed(self, monkeypatch):
         # entrywise noise of 1e-9 lifts the commutant's singular values off

@@ -22,6 +22,7 @@ from sidecomp import (
     truncated_tuple,
     validate_commuting,
 )
+import sidecomp._linalg as linalg
 import sidecomp.rkhs as rkhs
 from sidecomp._linalg import frob, min_eig_hermitian, nullspace
 from sidecomp.policy import MODEL_SOLVABILITY_BAR, NumericPolicy
@@ -623,3 +624,85 @@ class TestModelSimilarity:
         ratios = [math.sqrt(da.fhat(a) / b.fhat(a)) for a in g.indices]
         assert v.similar
         assert np.linalg.cond(v.witness) == pytest.approx(max(ratios) / min(ratios), rel=1e-6)
+
+
+def same(a, b) -> bool:
+    """Field by field equality of check results: records, arrays (shape,
+    dtype and values), lists, dicts and scalars."""
+    if isinstance(a, tuple) and hasattr(a, "_fields"):
+        return type(a) is type(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def custom_spec(m, dmax):
+    """An increasing coefficient rule on every index of degree at most dmax + 1."""
+    g = TruncationGrid.build(m, dmax + 1)
+    return DiagonalKernelSpec.custom(
+        m, {a: 1.0 + 0.5 * sum(a) + 0.25 * a[0] + 0.1 * a[-1] ** 2 for a in g.indices})
+
+
+# name -> (the rkhs command's preset, the coefficient rule of (m, dmax))
+MODEL_PRESETS = {
+    "drury_arveson": ("drury_arveson", lambda m, dmax: DiagonalKernelSpec.drury_arveson(m)),
+    "bergman_1.5": ("bergman_k", lambda m, dmax: DiagonalKernelSpec.bergman(m, 1.5)),
+    "bergman_3": ("bergman_k", lambda m, dmax: DiagonalKernelSpec.bergman(m, 3)),
+    "hardy": ("hardy_like", lambda m, dmax: DiagonalKernelSpec.hardy(m)),
+    "spherical_shift": ("spherical_shift", lambda m, dmax: None),
+    "custom": ("custom", custom_spec),
+}
+
+
+class TestGatheredProducts:
+    """The model checks multiply matrices with one nonzero per column by
+    index gather (_linalg.matmul); with the structure reader forced off they
+    take dense products, and every result is the same, field by field."""
+
+    @staticmethod
+    def checks(spec, g, preset, T):
+        from sidecomp.cli import _rkhs_checks
+
+        pol = NumericPolicy()
+        return [
+            validate_commuting(T, pol),
+            defect_operator(T, g),
+            p_sequence(T, g, min(g.dmax, 4)),
+            check_model_hypotheses(T, pol, coordinate_mask=g.interior()),
+            check_sphere_conditions(T, pol, n_hyper=3),
+            check_sphere_conditions(T, pol, mask=g.interior()),
+            _rkhs_checks(spec, g, preset, T, pol),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(MODEL_PRESETS))
+    @pytest.mark.parametrize("m,dmax", [(1, 10), (2, 6), (3, 4), (3, 8), (2, 20)])
+    def test_forced_dense_products_give_the_same_results(self, monkeypatch, name, m, dmax):
+        preset, rule = MODEL_PRESETS[name]
+        g = TruncationGrid.build(m, dmax)
+        spec = rule(m, dmax)
+        T = spherical_shift(g) if spec is None else truncated_tuple(spec, g, "adjoint")
+        assert all(linalg.column_entries(A) is not None for A in T)
+        gathered = self.checks(spec, g, preset, T)
+        monkeypatch.setattr(linalg, "column_entries", lambda M: None)
+        dense = self.checks(spec, g, preset, T)
+        assert same(gathered, dense)
+
+    def test_one_stacked_svd_per_block_shape(self, monkeypatch):
+        # DA (3, 8) on its interior: 24 empty blocks (0, 1), 84 of (1, 2)
+        # and 56 of (3, 3); each nonempty shape takes one svd_robust call
+        g = TruncationGrid.build(3, 8)
+        T = truncated_tuple(DiagonalKernelSpec.drury_arveson(3), g, "adjoint")
+        shapes, real = [], linalg.svd_robust
+
+        def recording(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "svd_robust", recording)
+        rep = check_model_hypotheses(T, coordinate_mask=g.interior())
+        assert rep.model_consistent and rep.compatibility_dim == 164
+        assert shapes == [(84, 1, 2), (56, 3, 3)]

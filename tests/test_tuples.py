@@ -29,6 +29,20 @@ def test_constructor_rejects_nonfinite():
         operator_tuple([M])
 
 
+def test_tuples_and_records_are_immutable():
+    T = operator_tuple([jordan(2)])
+    with pytest.raises(AttributeError):
+        T.matrices = np.zeros((1, 2, 2))
+    with pytest.raises(AttributeError):
+        del T.matrices
+    with pytest.raises(ValueError):
+        T.matrices[0, 0, 0] = 1.0
+    rep = validate_commuting(T)
+    with pytest.raises(AttributeError):
+        rep.passed = False
+    assert rep._replace(passed=False).passed is False and rep.passed
+
+
 class TestValidateCommuting:
     def test_identities_commute(self):
         rep = validate_commuting(operator_tuple([np.eye(2), np.eye(2)]))
