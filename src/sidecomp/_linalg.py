@@ -95,9 +95,13 @@ def svd_robust(M: np.ndarray, full_matrices: bool = True):
 
 
 def svdvals_robust(M: np.ndarray) -> np.ndarray:
+    """Singular values by LAPACK gesdd, falling back to gesvd on
+    nonconvergence; a stack is handled as :func:`svd_robust` handles it."""
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError:
+        if M.ndim == 3:
+            return np.stack([svdvals_robust(A) for A in M])
         return _gesvd(M, compute_uv=False)
 
 
@@ -177,23 +181,67 @@ def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
     scale = max([scale] + [float(sv.max()) for sv, _ in svds if sv.size])
     out = [None] * len(blocks)
     for group, (sv, Vh) in zip(groups, svds):
-        rows, cols = blocks[group[0]].shape
-        s = np.zeros((len(group), cols))
+        s = np.zeros((len(group), Vh.shape[2]))
         s[:, :sv.shape[1]] = sv
-        ranks = [rank_cut(x, rtol, scale=scale, strict=strict) for x in s]
-        for r in dict.fromkeys(ranks):
-            at = [k for k, rank in enumerate(ranks) if rank == r]
-            V = Vh[at, r:]                      # the bases N, conjugate-transposed
-            N = V.conj().transpose(0, 2, 1)
-            err = np.linalg.norm(V @ N - np.eye(cols - r), axis=(1, 2))
-            for k, Nk, bad in zip(at, N, err > NULLSPACE_ORTHO_BAR * (cols - r)):
-                if bad:
-                    M = blocks[group[k]]
-                    _, sk, Vk = _gesvd(M, full_matrices=rows < cols)
-                    sk = np.concatenate([sk, np.zeros(cols - sk.size)])
-                    Nk = Vk.conj().T[:, rank_cut(sk, rtol, scale=scale, strict=strict):]
-                out[group[k]] = np.ascontiguousarray(Nk)
+        bases = _null_bases(Vh, [rank_cut(x, rtol, scale=scale, strict=strict) for x in s])
+        for n, N in zip(group, bases):
+            out[n] = _gesvd_nullspace(blocks[n], rtol, scale, strict) if N is None else N
     return out
+
+
+def nullspaces(M: np.ndarray, rtol: float, scales, strict: bool = False) -> list[np.ndarray | None]:
+    """Orthonormal bases of the right nullspaces of the matrices of a stack
+    M (n, rows, cols), each cut as :func:`nullspace` cuts it, with its own
+    ``scales[k]``: one stacked :func:`svd_robust` call, bitwise those of the
+    matrices one at a time. With ``strict``, a matrix whose cut straddles
+    its threshold gets None, and the others are unaffected."""
+    cols = M.shape[2]
+    _, sv, Vh = svd_robust(M, full_matrices=M.shape[1] < cols)
+    s = np.zeros((len(M), cols))
+    s[:, :sv.shape[1]] = sv
+    ranks = []
+    for x, scale in zip(s, scales):
+        try:
+            ranks.append(rank_cut(x, rtol, scale=scale, strict=strict))
+        except NumericalDegeneracyError:
+            ranks.append(None)
+    out = _null_bases(Vh, ranks)
+    for k, (N, r) in enumerate(zip(out, ranks)):
+        if N is None and r is not None:
+            try:
+                out[k] = _gesvd_nullspace(M[k], rtol, scales[k], strict)
+            except NumericalDegeneracyError:
+                pass
+    return out
+
+
+def _null_bases(Vh: np.ndarray, ranks: list) -> list[np.ndarray | None]:
+    """The nullspace bases ``Vh[k, r_k:]*`` of matrices of one shape, from
+    their stacked right singular vectors and ranks, with one orthonormality
+    check per rank. gesdd occasionally returns right singular vectors that
+    are far from orthonormal on stacks with a large exact nullspace; such a
+    basis, and one whose rank is None, is None here."""
+    cols = Vh.shape[2]
+    out = [None] * len(ranks)
+    for r in dict.fromkeys(ranks):
+        if r is None:
+            continue
+        at = [k for k, rank in enumerate(ranks) if rank == r]
+        V = Vh[at, r:]                      # the bases N, conjugate-transposed
+        N = V.conj().transpose(0, 2, 1)
+        err = np.linalg.norm(V @ N - np.eye(cols - r), axis=(1, 2))
+        for k, Nk, bad in zip(at, N, err > NULLSPACE_ORTHO_BAR * (cols - r)):
+            if not bad:
+                out[k] = np.ascontiguousarray(Nk)
+    return out
+
+
+def _gesvd_nullspace(M: np.ndarray, rtol: float, scale: float, strict: bool) -> np.ndarray:
+    """The nullspace of M by gesvd, cut as :func:`nullspace` cuts it."""
+    cols = M.shape[1]
+    _, s, Vh = _gesvd(M, full_matrices=M.shape[0] < cols)
+    s = np.concatenate([s, np.zeros(cols - s.size)])
+    return np.ascontiguousarray(Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):])
 
 
 def groups_by(items, key) -> list[list[int]]:
@@ -275,10 +323,12 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def commutator_norms(Xs: np.ndarray, T) -> np.ndarray:
-    """Frobenius norms ``||X_k T_i - T_i X_k||`` (K, m) of the matrices Xs
-    (K, d, d) against the m matrices T_i of T."""
-    return np.stack([np.linalg.norm(np.matmul(Xs, A) - np.matmul(A, Xs), axis=(1, 2))
-                     for A in T], axis=1)
+    """Frobenius norms ``||X_k T_i - T_i X_k||`` (..., K, m) of the matrices
+    Xs (..., K, d, d) against the m matrices T_i of T: a tuple, or an array
+    (..., m, d, d) that holds one tuple per leading index of a stack."""
+    Ts = (T if isinstance(T, np.ndarray) else T.matrices)[..., None, :, :, :]
+    Xs = Xs[..., :, None, :, :]
+    return np.linalg.norm(np.matmul(Xs, Ts) - np.matmul(Ts, Xs), axis=(-2, -1))
 
 
 def cluster_eigenvalues(eigs: np.ndarray, gap_rtol: float) -> list[np.ndarray]:

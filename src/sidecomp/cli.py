@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import io as sio
+from ._linalg import frob
 from .policy import ADJOINT_COMMUTE_BAR, BASIS_NORM_BAR, DEFAULT_SEED, DEFECT_RANK_ONE_BAR, \
     EIGENVECTOR_TAIL_FLOOR, INTERIOR_ISOMETRY_BAR, PSD_TOL, NumericPolicy, NumericalDegeneracyError
 from .tuples import compress, conjugate, validate_commuting
@@ -132,8 +133,16 @@ def _spectrum(M: np.ndarray) -> list:
 
 
 def _load_commuting(path: str, pol: NumericPolicy):
-    """The tuple in ``path``; a ValueError unless it commutes at ``pol.tol``."""
+    """The tuple in ``path``; a ValueError unless every ``||T_i||_F`` and its
+    square are finite in float64 (the norms and the traces ``tr(T_i T_j)``
+    the commutant reads square the entries) and it commutes at ``pol.tol``."""
     T = sio.load_tuple(path)
+    peak = float(np.abs(T.matrices).max())
+    big = peak * max(frob(A / peak) for A in T) if peak > 0.0 else 0.0
+    if not math.isfinite(big * big):
+        raise ValueError(
+            f"input tuple overflows float64: its largest ||T_i||_F is {big:.3e}, and the "
+            f"norms and traces it is read through square it")
     comm = validate_commuting(T, policy=pol)
     if not comm.passed:
         raise ValueError(

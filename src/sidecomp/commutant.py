@@ -19,6 +19,12 @@ radical via the trace bilinear form, the center of the quotient, and splits
 by Riesz projectors of random elements. Intertwiner spaces between two
 tuples (from the Sylvester stack) round out the toolkit.
 
+The components of one split that have the same size are presented as one
+stack: one spin-up routine (:func:`_spin_up`) takes a list of tuples of one
+size and makes one stacked LAPACK or BLAS call per stage and per group of
+members with equal shapes, while every rank decision and refusal stays per
+member; the results are bitwise those of one member at a time.
+
 Randomized steps draw from the policy's seed and are deterministic given
 (inputs, policy). Structural outputs (k and the sorted block sizes) are
 intrinsic to the algebra, which counts them before any split: a walk that a
@@ -37,7 +43,9 @@ from ._linalg import (
     cluster_eigenvalues,
     commutator_norms,
     frob,
+    groups_by,
     nullspace,
+    nullspaces,
     rank_cut,
     schur,
     spectral_projector,
@@ -141,37 +149,72 @@ def stack_commutant(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POLICY) ->
     )
 
 
-def _word_algebra(N: list[np.ndarray], rtol: float, scale: float) -> np.ndarray:
-    """Vec-orthonormal basis (n_B, d, d) of the unital algebra generated by
-    the commuting ``N_i``, built breadth-first: the newest elements times each
-    ``N_i``, projected off the span so far, until nothing new appears.
+def _word_algebra(N: np.ndarray, rtol: float, scales: list[float]) -> list[np.ndarray | None]:
+    """Vec-orthonormal bases (n_B, d, d) of the unital algebras generated by
+    the commuting ``N_i`` of each member of a stack N (n, m, d, d), built
+    breadth-first: the newest elements times each ``N_i``, projected off the
+    span so far, until nothing new appears. None for a member refused below.
 
     ``n_B`` is not bounded by d: ``(E31, E32, E41, E42)`` at d=4 generates a
     5-dimensional commutative algebra. It is bounded by Schur's
     ``floor(d^2/4) + 1``, the largest dimension of a commutative subalgebra of
-    M_d; words past it show that the ``N_i`` do not commute numerically.
+    M_d; words past it show that the ``N_i`` do not commute numerically, and
+    the member is refused, as it is when a level's strict cut straddles.
 
-    New words with ``10 ||cand||_F <= rtol * scale`` end the walk without an
-    SVD: every singular value is at most ``||cand||_F``, so the strict cut at
-    ``rtol * max(sigma_max, scale)`` reads rank 0 there with no straddle.
+    New words with ``10 ||cand||_F <= rtol * scale`` end the member's walk
+    without an SVD: every singular value is at most ``||cand||_F``, so the
+    strict cut at ``rtol * max(sigma_max, scale)`` reads rank 0 there with no
+    straddle. Each level is one stacked Gram-Schmidt and one stacked SVD over
+    the members whose spans and newest words have the same shapes; a member
+    whose rank differs goes on in its own sub-stack.
     """
-    d = N[0].shape[0]
-    gens = np.stack(N)
-    basis = (np.eye(d, dtype=complex) / math.sqrt(d)).reshape(1, d * d)
-    front = basis
-    while front.shape[0]:
-        cand = np.matmul(front.reshape(-1, 1, d, d), gens).reshape(-1, d * d)
+    n, _, d, _ = N.shape
+    out: list[np.ndarray | None] = [None] * n
+    basis = np.zeros((n, 1, d * d), dtype=complex)
+    basis[:, 0, ::d + 1] = 1.0 / math.sqrt(d)           # I / sqrt(d)
+    walks = [(list(range(n)), N[:, None], basis, basis)]  # (members, N_i, spans, newest words)
+    while walks:
+        members, gens, basis, front = walks.pop()
+        cand = np.matmul(front.reshape(len(members), -1, 1, d, d), gens)
+        cand = cand.reshape(len(members), -1, d * d)
         for _ in range(2):  # classical Gram-Schmidt, reorthogonalized
-            cand = cand - (cand @ basis.conj().T) @ basis
-        if 10.0 * frob(cand) <= rtol * scale:
-            break
-        _, s, Vh = svd_robust(cand, full_matrices=False)
-        front = Vh[:rank_cut(s, rtol, scale=scale, strict=True)]
-        basis = np.vstack([basis, front])
-        if basis.shape[0] > d * d // 4 + 1:
-            raise NumericalDegeneracyError(
-                "the words span more than a commutative algebra can (Schur's bound)")
-    return basis.reshape(-1, d, d)
+            cand = cand - (cand @ basis.conj().transpose(0, 2, 1)) @ basis
+        live = []
+        for j, k in enumerate(members):
+            if 10.0 * frob(cand[j]) <= rtol * scales[k]:
+                out[k] = basis[j].reshape(-1, d, d)
+            else:
+                live.append(j)
+        if not live:
+            continue
+        _, s, Vh = svd_robust(_rows(cand, live), full_matrices=False)
+        ranks = []
+        for j, sv in zip(live, s):
+            try:
+                ranks.append(rank_cut(sv, rtol, scale=scales[members[j]], strict=True))
+            except NumericalDegeneracyError:
+                ranks.append(None)
+        for group in groups_by(ranks, lambda r: r):
+            r = ranks[group[0]]
+            if r is None:
+                continue
+            at = [live[i] for i in group]
+            grown = np.concatenate([_rows(basis, at), _rows(Vh, group)[:, :r]], axis=1)
+            if grown.shape[1] > d * d // 4 + 1:
+                continue
+            if r == 0:
+                for j, B in zip(at, grown):
+                    out[members[j]] = B.reshape(-1, d, d)
+            else:
+                walks.append(([members[j] for j in at], _rows(gens, at), grown,
+                              _rows(Vh, group)[:, :r]))
+    return out
+
+
+def _rows(A: np.ndarray, idx: list[int]) -> np.ndarray:
+    """``A[idx]`` for ascending indices ``idx``; A itself when they are all
+    of its rows, with no copy."""
+    return A if len(idx) == len(A) else A[idx]
 
 
 def _stack_cut(T: OperatorTuple, S: OperatorTuple,
@@ -183,14 +226,17 @@ def _stack_cut(T: OperatorTuple, S: OperatorTuple,
 
 def _module_maps(B: np.ndarray, Y: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     """The maps ``X = [b_a Y]_a Phi^+ = sum_a (b_a Y) P_a`` of the values Y
-    (K, d, g), as the columns of a d^2 x K array: one GEMM applies the words
-    B (nb, d, d) to the values, a second the stacked g x d blocks P_a of
-    ``pinv = Phi^+``."""
-    nb, d, _ = B.shape
-    K, _, g = Y.shape
-    BY = B.reshape(nb * d, d) @ Y.transpose(1, 0, 2).reshape(d, K * g)
-    X = BY.reshape(nb, d, K, g).transpose(2, 1, 0, 3).reshape(K * d, nb * g) @ pinv
-    return X.reshape(K, d * d).T
+    (..., K, d, g), as the columns of a (..., d^2, K) array: one GEMM applies
+    the words B (..., nb, d, d) to the values, a second the stacked g x d
+    blocks P_a of ``pinv = Phi^+`` (..., nb*g, d). Leading axes index the
+    members of a stack of presentations."""
+    *lead, nb, d, _ = B.shape
+    K, _, g = Y.shape[-3:]
+    n = len(lead)
+    BY = B.reshape(*lead, nb * d, d) @ np.swapaxes(Y, -3, -2).reshape(*lead, d, K * g)
+    BY = BY.reshape(*lead, nb, d, K, g).transpose(*range(n), n + 2, n + 1, n, n + 3)
+    X = BY.reshape(*lead, K * d, nb * g) @ pinv
+    return np.swapaxes(X.reshape(*lead, K, d * d), -1, -2)
 
 
 class SpinUp(NamedTuple):
@@ -228,9 +274,21 @@ class SpinUp(NamedTuple):
         return d * g if self.Y is None else self.Y.shape[0]
 
 
-def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
-    """The spin-up presentation of A'(T), on T or on T*; None when it does not
-    apply or does not verify.
+def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | None]:
+    """The spin-up presentations of A'(T), on T or on T*, of a stack of
+    tuples T of one size d and arity; None for a member where it does not
+    apply or does not verify. The whole space is passed as ``[T]``.
+
+    The members go through every stage together: the word algebra
+    (:func:`_word_algebra`), the generators' nullspace, the trace form,
+    ``Phi``'s SVD, the relations and the check element each take one
+    stacked call per group of members whose arrays have the same shapes
+    (one d, n_B and g, and one side). Every decision stays per member: each
+    cut is a strict :func:`rank_cut` on that member's own singular values
+    with its own ``scale`` (``frob`` of its own matrices), and a member
+    refused anywhere becomes None and leaves the stack, while the others go
+    on; stacked LAPACK and BLAS calls give bitwise the results of the
+    matrices one at a time.
 
     Side rule: ``X T_i = T_i X`` iff ``T_i* X* = X* T_i*``, so ``A'(T) =
     A'(T*)*``, and ``C[T*]`` has the words ``B*``. The generators of T* are an
@@ -239,19 +297,20 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     d/nb``), so those of T* are computed only when T has relations (``nb*g >
     d``), and the presentation moves to T* only when T* has strictly fewer; a
     tie, or a straddle in the cut of T*'s generators, keeps T. A presentation
-    refused on the chosen side returns None; the other side is not tried.
+    refused on the chosen side is None; the other side is not tried.
 
-    Every rank decision is strict (:func:`rank_cut`). None is returned when a
-    rank decision straddles its threshold, when the tuple has more than one
-    joint eigenvalue (below), when ``Phi`` has fewer than d columns (``nb*g
-    < d``), when the words outnumber Schur's bound on a commutative algebra,
-    when the relation matrix would be larger than the stack, when the lift
-    is too ill conditioned or the generators do not generate (below), when
-    the values miss those of the identity (``Y = G``), or when a random
-    element, drawn from the policy's seed, fails to commute with T to within
+    A member is refused when a rank decision straddles its threshold, when
+    the tuple has more than one joint eigenvalue (below), when ``Phi`` has
+    fewer than d columns (``nb*g < d``), when the words outnumber Schur's
+    bound on a commutative algebra, when the relation matrix would be larger
+    than the stack, when the lift is too ill conditioned or the generators
+    do not generate (below), when the values miss those of the identity
+    (``Y = G``), or when a random element fails to commute with T to within
     ``bar`` relative to its norm, the bar every basis element of
     :func:`_spin_up_commutant` meets: a span with any non-commuting direction
-    fails a random combination almost surely.
+    fails a random combination almost surely. The element's coefficients
+    are drawn from a fresh generator on the policy's seed, once for each
+    dimension K, so members of equal K share them.
 
     One joint eigenvalue is certified by the trace form ``tr(b_a b_b)`` of
     the words orthogonal to I, which must have rank 0 under a strict cut at
@@ -275,59 +334,102 @@ def _spin_up(T: OperatorTuple, policy: NumericPolicy) -> SpinUp | None:
     within a factor 10 of a strict cut at ``rtol * sigma_max``, has
     ``s_min(Phi) < 10 * rtol * sqrt(nb)``.
     """
-    d = T.d
-    rtol, scale = _stack_cut(T, T, policy)
-    eye = np.eye(d, dtype=complex)
-    N = [A - (np.trace(A) / d) * eye for A in T]
-    try:
-        B = _word_algebra(N, rtol, scale)
-        G = nullspace(np.hstack(N).conj().T, rtol, scale=scale, strict=True)
-        nb, g = B.shape[0], G.shape[1]
-        # one joint eigenvalue: the trace form of the trace-zero words vanishes
-        if nb > 1:
-            W = B[1:].reshape(nb - 1, d * d)
-            F = W @ B[1:].transpose(0, 2, 1).reshape(nb - 1, d * d).T
-            if 10.0 * frob(F) > rtol and rank_cut(svdvals_robust(F), rtol, scale=1.0, strict=True):
-                return None
-        adjoint = False
-        if nb * g > d:
+    M = np.stack([T.matrices for T in Ts])          # (n, m, d, d)
+    n, m, d, _ = M.shape
+    rtol = d * policy.rank_rtol
+    scales = [_stack_cut(T, T, policy)[1] for T in Ts]
+    N = M - (np.trace(M, axis1=2, axis2=3) / d)[..., None, None] * np.eye(d, dtype=complex)
+    Bs = _word_algebra(N, rtol, scales)
+    out: list[SpinUp | None] = [None] * n
+    alive = [k for k in range(n) if Bs[k] is not None]
+    if not alive:
+        return out
+    # the generators: null [N_1 ... N_m]*
+    hN = _rows(N, alive).transpose(0, 2, 1, 3).reshape(len(alive), d, m * d).conj().transpose(0, 2, 1)
+    Gs = dict(zip(alive, nullspaces(hN, rtol, [scales[k] for k in alive], strict=True)))
+    alive = [k for k in alive if Gs[k] is not None]
+    # one joint eigenvalue: the trace form of the trace-zero words vanishes
+    local = []
+    for group in groups_by(alive, lambda k: Bs[k].shape[0]):
+        members = [alive[i] for i in group]
+        nb = Bs[members[0]].shape[0]
+        if nb == 1:
+            local += members
+            continue
+        B = np.stack([Bs[k] for k in members])[:, 1:]
+        W = B.reshape(len(members), nb - 1, d * d)
+        F = W @ B.transpose(0, 1, 3, 2).reshape(len(members), nb - 1, d * d).transpose(0, 2, 1)
+        big = [i for i in range(len(members)) if 10.0 * frob(F[i]) > rtol]
+        refused = set()
+        for i, sv in zip(big, svdvals_robust(_rows(F, big)) if big else ()):
             try:
-                G_adj = nullspace(np.vstack(N), rtol, scale=scale, strict=True)
+                if rank_cut(sv, rtol, scale=1.0, strict=True):
+                    refused.add(i)
             except NumericalDegeneracyError:
-                G_adj = G       # a straddle keeps T
-            if G_adj.shape[1] < g:
-                T = OperatorTuple(T.matrices.conj().transpose(0, 2, 1))
-                B, G, g, adjoint = B.conj().transpose(0, 2, 1), G_adj, G_adj.shape[1], True
-        Phi = np.matmul(B, G).transpose(1, 0, 2).reshape(d, nb * g)
-        U, s, Vh = svd_robust(Phi)
+                refused.add(i)
+        local += [k for i, k in enumerate(members) if i not in refused]
+    # the side with fewer generators: those of T*, null [N_1; ...; N_m]
+    adjoint = dict.fromkeys(local, False)
+    wide = [k for k in local if Bs[k].shape[0] * Gs[k].shape[1] > d]
+    if wide:
+        for k, G_adj in zip(wide, nullspaces(_rows(N, wide).reshape(len(wide), m * d, d), rtol,
+                                             [scales[k] for k in wide], strict=True)):
+            if G_adj is not None and G_adj.shape[1] < Gs[k].shape[1]:     # a straddle keeps T
+                Gs[k], adjoint[k] = G_adj, True
+    draws: dict[int, np.ndarray] = {}
+    for group in groups_by(local, lambda k: (Bs[k].shape[0], Gs[k].shape[1], adjoint[k])):
+        members = [local[i] for i in group]
+        nb, g, adj = Bs[members[0]].shape[0], Gs[members[0]].shape[1], adjoint[members[0]]
         # G must generate (nb*g >= d, and the guard below refuses rank loss);
         # a relation matrix (d*r x d*g, r = nb*g - d) larger than the
         # m d^2 x d^2 stack would save nothing
-        if nb * g < d or (nb * g - d) * g > T.m * d * d \
-                or 10.0 * rtol * math.sqrt(nb) >= s[d - 1]:
-            return None
-        pinv = (Vh[:d].conj().T / s) @ U.conj().T
-        Y = None
+        if nb * g < d or (nb * g - d) * g > m * d * d:
+            continue
+        B = np.stack([Bs[k] for k in members])
+        mats = _rows(M, members)
+        if adj:
+            B, mats = B.conj().transpose(0, 1, 3, 2), mats.conj().transpose(0, 1, 3, 2)
+        G = np.stack([Gs[k] for k in members])
+        Phi = np.matmul(B, G[:, None]).transpose(0, 2, 1, 3).reshape(len(members), d, nb * g)
+        U, s, Vh = svd_robust(Phi)
+        ok = [i for i in range(len(members)) if not 10.0 * rtol * math.sqrt(nb) >= s[i, d - 1]]
+        if not ok:
+            continue
+        members, B, G, mats, U, s, Vh = [members[i] for i in ok], _rows(B, ok), _rows(G, ok), \
+            _rows(mats, ok), _rows(U, ok), _rows(s, ok), _rows(Vh, ok)
+        pinv = (Vh[:, :d].conj().transpose(0, 2, 1) / s[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        Ys = [None] * len(members)
         if nb * g > d:
-            rel = Vh[d:].conj().T.reshape(nb, g, -1)
-            L = np.einsum("aij,akr->irjk", B, rel).reshape(-1, d * g)
-            Y = nullspace(L, rtol, scale=1.0, strict=True).T.reshape(-1, d, g)
-            Yv, Gv = Y.reshape(len(Y), -1), G.reshape(-1)
-            if frob(Gv - (Yv.conj() @ Gv) @ Yv) > SPAN_MEMBERSHIP_TOL * max(1.0, frob(G)):
-                return None
-        su = SpinUp(T, B, G, pinv, Y, rtol, rtol * scale / 10.0, adjoint)
-        rng = np.random.default_rng(policy.seed)
-        c = rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)
-        y = c.reshape(d, g) if Y is None else np.tensordot(c, Y, axes=(0, 0))
-        X = _module_maps(B, y[None], pinv).reshape(1, d, d)
-        resid = frob(commutator_norms(X, T))
-        if resid > su.bar * frob(X):
-            raise NumericalDegeneracyError(
-                f"a lifted commutant element fails to commute (relative residual "
-                f"{resid / frob(X):.3e} > {su.bar:.3e})")
-    except NumericalDegeneracyError:
-        return None
-    return su
+            rel = Vh[:, d:].conj().transpose(0, 2, 1).reshape(len(members), nb, g, -1)
+            L = np.einsum("naij,nakr->nirjk", B, rel).reshape(len(members), -1, d * g)
+            Ys = [None if Y is None else Y.T.reshape(-1, d, g)
+                  for Y in nullspaces(L, rtol, [1.0] * len(members), strict=True)]
+            ok = []
+            for i, (Y, Gi) in enumerate(zip(Ys, G)):
+                if Y is None:
+                    continue
+                Yv, Gv = Y.reshape(len(Y), -1), Gi.reshape(-1)
+                if not frob(Gv - (Yv.conj() @ Gv) @ Yv) > SPAN_MEMBERSHIP_TOL * max(1.0, frob(Gi)):
+                    ok.append(i)
+            if not ok:
+                continue
+            members, B, G, mats, pinv, Ys = [members[i] for i in ok], _rows(B, ok), _rows(G, ok), \
+                _rows(mats, ok), _rows(pinv, ok), [Ys[i] for i in ok]
+        sus = [SpinUp(OperatorTuple(mats[i]) if adj else Ts[k], B[i], G[i], pinv[i], Ys[i], rtol,
+                      rtol * scales[k] / 10.0, adj) for i, k in enumerate(members)]
+        # the check element: a random combination of the values, lifted
+        for su in sus:
+            if su.K not in draws:
+                rng = np.random.default_rng(policy.seed)
+                draws[su.K] = rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)
+        y = np.stack([draws[su.K].reshape(d, g) if su.Y is None
+                      else np.tensordot(draws[su.K], su.Y, axes=(0, 0)) for su in sus])
+        X = _module_maps(B, y[:, None], pinv).reshape(len(sus), 1, d, d)
+        resid = commutator_norms(X, mats)
+        for k, su, Xk, rk in zip(members, sus, X, resid):
+            if not frob(rk) > su.bar * frob(Xk):
+                out[k] = su
+    return out
 
 
 def _qr_basis(X: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -524,23 +626,28 @@ def _spectral_split(z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None
     are the only tests: with ``L = Zs[:, :k]`` and ``R* = L* + X Zs[:, k:]*``
     for a unitary ``Zs``, ``R* L = I_k`` up to roundoff, so every part is
     idempotent with trace k by construction. Returns None when no split with
-    >= 2 parts passes.
+    >= 2 parts passes. A cluster whose index set comes back at a later rung
+    reuses the projector it passed with: the reordering and the Sylvester
+    solve are deterministic in the Schur form and the selection. A part that
+    failed is recomputed.
     """
     T, Z = schur(z)
     eigs = np.diag(T)
+    kept: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}    # passed parts, by index set
     for gap in SPLIT_GAPS:
         groups = cluster_eigenvalues(eigs, gap)
         if len(groups) < 2:
             break  # larger gaps only merge further
         projs = []
         for g in groups:
-            part = spectral_projector(T, Z, g)
+            part = kept.get(g.tobytes()) or spectral_projector(T, Z, g)
             if part is None:
                 break
             # ||P||_F = ||R*||_F: cutting through a defective cloud blows it
             # up or fails the reordering
             if frob(part[1]) > SPLIT_PROJECTOR_NORM_CAP:
                 break
+            kept[g.tobytes()] = part
             projs.append(part)
         else:
             return projs
@@ -594,15 +701,31 @@ def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolic
     for the whole space): free where the spin-up presents A'(T) without
     relations, on T or on T*, and otherwise through the basis of A'(T) that
     :func:`_commutant` gives, with its quotient coordinates. The
-    presentation ``su = _spin_up(T, policy)`` is built here unless the
+    presentation ``su = _spin_up([T], policy)[0]`` is built here unless the
     caller passes the one it built (None where it was refused), so it is
     built once per corner."""
     if su is _UNBUILT:
-        su = _spin_up(T, policy)
+        su = _spin_up([T], policy)[0]
     if su is not None and su.Y is None:
         return Corner(U, W, su.K, free=su)
     basis = _commutant(T, su, policy).basis
     return Corner(U, W, basis.shape[0], basis, _radical_coords(basis, policy)[1])
+
+
+def _corners(T: OperatorTuple, parts: list[tuple[np.ndarray, np.ndarray]],
+             policy: NumericPolicy) -> list[Corner]:
+    """The corners (:func:`_corner`) of the idempotents ``L R*`` of a split
+    of A'(T), in the order of ``parts``. The parts of one width r are read
+    as one stack: their compressions ``L* T_i L`` are one stacked product,
+    and their presentations one :func:`_spin_up` call."""
+    corners: list[Corner] = [None] * len(parts)
+    for group in groups_by(parts, lambda part: part[0].shape[1]):
+        L = np.stack([parts[j][0] for j in group])[:, None]
+        tuples = [OperatorTuple(C) for C in
+                  np.matmul(np.matmul(L.conj().transpose(0, 1, 3, 2), T.matrices), L)]
+        for j, S, su in zip(group, tuples, _spin_up(tuples, policy)):
+            corners[j] = _corner(S, *parts[j], policy, su)
+    return corners
 
 
 def _trace_form_vanishes(T: OperatorTuple, policy: NumericPolicy) -> bool:
@@ -627,6 +750,8 @@ def _trace_form_vanishes(T: OperatorTuple, policy: NumericPolicy) -> bool:
 def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     """Root corners of A'(T), one per joint-spectrum cluster of ``T``, drawn
     from the policy's seed; every reader of a whole tuple's A' starts here.
+    The corners of an accepted split are read by :func:`_corners`, one
+    stack per width: one stacked compression and one :func:`_spin_up` call.
 
     A tuple with one joint eigenvalue has one root, the whole space. When
     the first-level trace form vanishes (:func:`_trace_form_vanishes`), the
@@ -648,7 +773,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     way each root's presentation is built once.
     """
     eye = np.eye(T.d, dtype=complex)
-    su = _spin_up(T, policy) if _trace_form_vanishes(T, policy) else _UNBUILT
+    su = _spin_up([T], policy)[0] if _trace_form_vanishes(T, policy) else _UNBUILT
     if isinstance(su, SpinUp):
         return [_corner(T, eye, eye, policy, su)]
     rng = np.random.default_rng(policy.seed)
@@ -660,7 +785,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
         if all(frob(L @ (R @ A) - (A @ L) @ R)
                <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
                for L, R in projs for A in T):
-            return [_corner(compress(T, L), L, R, policy) for L, R in projs]
+            return _corners(T, projs, policy)
     return [_corner(T, eye, eye, policy, su)]
 
 
@@ -782,8 +907,7 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
     k = cen.shape[1]
     if k <= 1:
         return [root]
-    return [_corner(compress(T, U), U, W, policy)
-            for U, W in _split_by_random_element(root, cen, k, rng)]
+    return _corners(T, _split_by_random_element(root, cen, k, rng), policy)
 
 
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,

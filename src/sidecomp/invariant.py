@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, groups_by
 from .commutant import semisimple_structure
 from .decomposition import (
     UnitDecomposition,
@@ -31,10 +31,15 @@ from .policy import DEFAULT_POLICY, NumericPolicy, NumericalDegeneracyError
 from .tuples import OperatorTuple, check_idempotent_in_commutant, compress, range_basis
 
 
-def _spectrum_key(T: OperatorTuple) -> tuple:
-    """Eigenvalues of the first component, rounded to 6 digits and sorted."""
-    eigs = np.linalg.eigvals(T[0])
-    return tuple(sorted((round(float(z.real), 6), round(float(z.imag), 6)) for z in eigs))
+def _spectrum_keys(reps: list[OperatorTuple]) -> list[tuple]:
+    """The eigenvalues of each tuple's first component, rounded to 6 digits
+    and sorted: one stacked ``eigvals`` per size."""
+    keys: list[tuple] = [()] * len(reps)
+    for group in groups_by(reps, lambda R: R.d):
+        for j, eigs in zip(group, np.linalg.eigvals(np.stack([reps[j][0] for j in group]))):
+            keys[j] = tuple(sorted((round(float(z.real), 6), round(float(z.imag), 6))
+                                   for z in eigs))
+    return keys
 
 
 class SimilarityInvariant(NamedTuple):
@@ -77,8 +82,10 @@ def v_semigroup_invariant(T: OperatorTuple,
     ends = np.cumsum(struct.block_dims).tolist()
     blocks = [(range(e - n, e), compress(T, D.frames[e - n]))
               for e, n in zip(ends, struct.block_dims)]
-    blocks.sort(key=lambda cr: (-len(cr[0]), cr[1].d, _spectrum_key(cr[1])))
-    classes, reps = zip(*blocks)
+    keys = _spectrum_keys([rep for _, rep in blocks])
+    order = sorted(range(len(blocks)),
+                   key=lambda j: (-len(blocks[j][0]), blocks[j][1].d, keys[j]))
+    classes, reps = zip(*(blocks[j] for j in order))
     return SimilarityInvariant(
         k=len(classes),
         multiplicities=tuple(len(c) for c in classes),

@@ -70,6 +70,29 @@ class TestDecompose:
             assert rc == 2 and out == "", argv
         assert run(capsys, ["similar", "--input", good, "--input2", good])[0] == 0
 
+    @pytest.mark.parametrize("mats,largest", [
+        ([1e160 * np.diag([1.0, 2.0]), 1e160 * np.diag([3.0, 1.0])], "3.162e+160"),
+        ([1e300 * np.diag([1.0, 2.0])], "2.236e+300"),
+        ([1e150 * np.diag([1.0, 2.0]), 1e150 * np.diag([3.0, 1.0])], None),
+    ], ids=["1e160", "1e300", "1e150"])
+    def test_float64_overflow_exits_2(self, tmp_path, capsys, mats, largest):
+        # ||T_i||_F squared overflows above about 1.3e154: such a tuple is
+        # refused for that reason, before the commutator test; at 1e150 it is
+        # answered
+        p = write_tuple(tmp_path / "t.json", operator_tuple(mats))
+        for cmd in ("invariant", "decompose"):
+            rc = main([cmd, "--input", p])
+            captured = capsys.readouterr()
+            if largest is None:
+                assert rc == 0
+                if cmd == "invariant":
+                    rep = json.loads(captured.out)
+                    assert (rep["k"], rep["multiplicities"]) == (2, [1, 1])
+            else:
+                assert rc == 2 and captured.out == ""
+                assert "overflows float64" in captured.err
+                assert f"largest ||T_i||_F is {largest}" in captured.err
+
     def test_missing_file_exits_2(self, capsys):
         rc, _ = run(capsys, ["decompose", "--input", "/nonexistent.json"])
         assert rc == 2
@@ -556,7 +579,7 @@ class TestExitCodes:
         # stack, which would take 2.7 GB: refused with a reason, exit 3
         import sidecomp.commutant as commutant
 
-        monkeypatch.setattr(commutant, "_spin_up", lambda T, policy: None)
+        monkeypatch.setattr(commutant, "_spin_up", lambda Ts, policy: [None] * len(Ts))
         N = jordan(96)
         p = write_tuple(tmp_path / "t.json", operator_tuple([N, N @ N]))
         rc = main(["invariant", "--input", p])

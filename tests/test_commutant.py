@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -138,7 +139,7 @@ class TestOnePath:
 def _presented(T):
     """The basis of A'(T) that the spin-up presentation gives; None when
     there is no presentation or it does not verify as a basis."""
-    su = commutant._spin_up(T, NumericPolicy())
+    su = commutant._spin_up([T], NumericPolicy())[0]
     return None if su is None else commutant._spin_up_commutant(su)
 
 
@@ -178,7 +179,7 @@ class TestSpinUp:
         # recovered elements, those of the QR factor R, are >= 1, so the
         # independence decision needs only ||R||_F
         T = _one_eigenvalue_tuple(sizes, m, cond, np.random.default_rng(seed))
-        su = commutant._spin_up(T, NumericPolicy())
+        su = commutant._spin_up([T], NumericPolicy())[0]
         if su is None:   # refused: no elements are recovered
             return
         d, g = su.G.shape
@@ -207,7 +208,7 @@ class TestSpinUp:
             svd = recording(getattr(_linalg, name))
             monkeypatch.setattr(_linalg, name, svd)
             monkeypatch.setattr(commutant, name, svd)
-        su = commutant._spin_up(T, NumericPolicy())
+        su = commutant._spin_up([T], NumericPolicy())[0]
         assert su is not None and su.K == 36
         assert len(norms) == 4 and min(norms) > 10.0 * rtol * scale
 
@@ -229,7 +230,7 @@ class TestSpinUp:
         monkeypatch.setattr(commutant, "svd_robust", recording)
         A = joint_commutant(T)
         assert A.algebra_dim == 256
-        assert shapes and max(rows for rows, _ in shapes) <= A.algebra_dim
+        assert shapes and max(shape[-2] for shape in shapes) <= A.algebra_dim
 
     def test_shared_eigenvalue_tuple_has_relations(self, monkeypatch):
         # (J3, N) twice, (J3, N^2) and (J2, 0): four generators whose words
@@ -240,16 +241,16 @@ class TestSpinUp:
         T = conjugate(operator_tuple([bd(*[p[0] for p in parts]),
                                       bd(*[p[1] for p in parts])]), X)
         shapes = []
-        real_nullspace = commutant.nullspace
+        real_nullspace = commutant.nullspaces
 
         def recording(M, *args, **kwargs):
             shapes.append(M.shape)
             return real_nullspace(M, *args, **kwargs)
 
-        monkeypatch.setattr(commutant, "nullspace", recording)
+        monkeypatch.setattr(commutant, "nullspaces", recording)
         A = _presented(T)
         assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 29
-        relations_rows = shapes[-1][0]
+        relations_rows = shapes[-1][-2]
         assert relations_rows > 0
 
     def test_word_algebra_larger_than_d(self):
@@ -260,7 +261,7 @@ class TestSpinUp:
             return E
 
         T = operator_tuple([unit(3, 1), unit(3, 2), unit(4, 1), unit(4, 2)])
-        assert commutant._word_algebra(list(T.matrices), 4e-10, 1.0).shape[0] == 5
+        assert commutant._word_algebra(T.matrices[None], 4e-10, [1.0])[0].shape[0] == 5
         A = _presented(T)
         assert A is not None and A.algebra_dim == stack_commutant(T).algebra_dim == 5
 
@@ -320,11 +321,11 @@ def _presented_and_stack_counts(T):
     other through the presentation's basis of A'."""
     pol = NumericPolicy()
     eye = np.eye(T.d, dtype=complex)
-    su = commutant._spin_up(T, pol)
+    su = commutant._spin_up([T], pol)[0]
     assert su is not None
     presented = commutant._corner(T, eye, eye, pol)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(commutant, "_spin_up", lambda T, policy: None)
+        mp.setattr(commutant, "_spin_up", lambda Ts, policy: [None] * len(Ts))
         stacked = commutant._corner(T, eye, eye, pol)
     if su.Y is None:
         assert presented.free is not None and presented.basis is None
@@ -388,11 +389,16 @@ class TestRhoCertificates:
         T = self.shared_tuple()
         clean = semisimple_structure(T)
         assert clean.block_dims == (2, 1, 1) and clean.algebra_dim == 29
-        real_nullspace, real_stack = commutant.nullspace, commutant.stack_commutant
+        real_nullspace, real_stack = commutant.nullspaces, commutant.stack_commutant
         generators, corrupted, stacks = [], [], []
 
-        def corrupting(M, *args, **kwargs):
-            Y = real_nullspace(M, *args, **kwargs)
+        def corrupting(Ms, *args, **kwargs):
+            # the spin-up's nullspaces come as a stack: corrupt each member
+            return [corrupt(M, Y) for M, Y in zip(Ms, real_nullspace(Ms, *args, **kwargs))]
+
+        def corrupt(M, Y):
+            if Y is None:
+                return Y
             if Y.shape == (11, 4):         # the root's generators G, then those of T*
                 generators.append(Y)
             elif M.shape[1] == 11 * 4:     # the root's values, d * g coordinates
@@ -417,17 +423,16 @@ class TestRhoCertificates:
         real_spin_up, real_norms, refused, checked = commutant._spin_up, \
             commutant.commutator_norms, [], []
 
-        def recording_spin_up(T1, policy):
-            su = real_spin_up(T1, policy)
-            if su is None:
-                refused.append(T1.d)
-            return su
+        def recording_spin_up(Ts, policy):
+            sus = real_spin_up(Ts, policy)
+            refused.extend(T1.d for T1, su in zip(Ts, sus) if su is None)
+            return sus
 
         def recording_norms(Xs, T1):
             checked.append(Xs.shape)
             return real_norms(Xs, T1)
 
-        monkeypatch.setattr(commutant, "nullspace", corrupting)
+        monkeypatch.setattr(commutant, "nullspaces", corrupting)
         monkeypatch.setattr(commutant, "stack_commutant", recording_stack)
         monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
         monkeypatch.setattr(commutant, "commutator_norms", recording_norms)
@@ -435,7 +440,7 @@ class TestRhoCertificates:
         # the root's presentation is refused at the check of its random
         # element, the one commutator it takes, and the root takes the stack
         assert len(corrupted) == 1 and refused == [11]
-        assert checked[0] == (1, 11, 11) and (29, 11, 11) not in checked
+        assert checked[0] == (1, 1, 11, 11) and (29, 11, 11) not in checked
         assert stacks == [11]
         assert (S.algebra_dim, S.radical_dim, S.block_dims) == \
             (clean.algebra_dim, clean.radical_dim, clean.block_dims)
@@ -578,9 +583,9 @@ class TestSemisimpleStructure:
         dims, shapes = [], []
         real_spin_up, real_stack = commutant._spin_up, commutant._sylvester_stack
 
-        def recording_spin_up(T1, policy):
-            dims.append(T1.d)
-            return real_spin_up(T1, policy)
+        def recording_spin_up(Ts, policy):
+            dims.extend(T1.d for T1 in Ts)
+            return real_spin_up(Ts, policy)
 
         def recording_stack(T1, T2):
             M = real_stack(T1, T2)
@@ -837,9 +842,9 @@ class TestTwoFlatStages:
     def recording_commutants(monkeypatch):
         real, dims = commutant._spin_up, []
 
-        def recording(T1, policy):
-            dims.append(T1.d)
-            return real(T1, policy)
+        def recording(Ts, policy):
+            dims.extend(T1.d for T1 in Ts)
+            return real(Ts, policy)
 
         monkeypatch.setattr(commutant, "_spin_up", recording)
         return dims
@@ -909,6 +914,144 @@ class TestTwoFlatStages:
             assert np.array_equal(L, root.U)
 
 
+def _workloads():
+    """The benchmark's input recipes, ``perfbench/workloads.py``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _large_d_tuple(seed, shape):
+    """The ``large_d`` benchmark input of shape (d, k) at ``seed``: k classes
+    of d / (4 k) copies of one size-4 block, conjugated at cond 10."""
+    wl = _workloads()
+    d, k = shape
+    rng = wl._rng(seed, wl.LARGE_D_SHAPES.index(shape))
+    lams = rng.permutation(np.array(wl.EIGENVALUE_GRID))[:k]
+    mats = wl._block_sum(2, [(4, float(lam), d // (4 * k)) for lam in lams], rng)
+    return wl._conjugated(mats, wl._conditioned(d, 10.0, rng))
+
+
+class TestStackedSpinUp:
+    """One stacked spin-up gives each member bitwise what a call on that
+    member alone gives, and a member refused anywhere leaves the others'
+    results unchanged."""
+
+    @staticmethod
+    def assert_member_by_member(stack):
+        pol = NumericPolicy()
+        stacked = commutant._spin_up(stack, pol)
+        alone = [commutant._spin_up([T], pol)[0] for T in stack]
+        assert len(stacked) == len(stack)
+        for a, b in zip(stacked, alone):
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            for name in ("B", "G", "pinv"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert (a.Y is None) == (b.Y is None)
+            assert a.Y is None or np.array_equal(a.Y, b.Y)
+            assert np.array_equal(a.T.matrices, b.T.matrices)
+            assert (a.adjoint, a.bar, a.rtol) == (b.adjoint, b.bar, b.rtol)
+        return stacked
+
+    @staticmethod
+    def corner_stacks(T, monkeypatch):
+        """The stacks that the primary split of T hands to the spin-up."""
+        real, stacks = commutant._spin_up, []
+
+        def recording(Ts, policy):
+            stacks.append(list(Ts))
+            return real(Ts, policy)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(commutant, "_spin_up", recording)
+            commutant._primary_corners(T, NumericPolicy())
+        return stacks
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("shape", [(24, 3), (24, 2), (32, 2), (32, 4)])
+    def test_large_d_corners(self, monkeypatch, seed, shape):
+        stacks = self.corner_stacks(_large_d_tuple(seed, shape), monkeypatch)
+        assert [len(S) for S in stacks] == [shape[1]]
+        assert all(su is not None and su.Y is None
+                   for su in self.assert_member_by_member(stacks[0]))
+
+    def test_word_ranks_that_diverge(self, monkeypatch):
+        # the cli workload's tuple (2; 3, 2): two corners of size 6, two
+        # copies of a 3 x 3 block (n_B = 3) and three of a 2 x 2 one (n_B = 2)
+        wl = _workloads()
+        T, _, _ = wl._planted(wl.CLI_PROFILE, wl._rng(0, 0))
+        stacks = self.corner_stacks(T, monkeypatch)
+        assert [[S.d for S in stack] for stack in stacks] == [[6, 6]]
+        sus = self.assert_member_by_member(stacks[0])
+        assert sorted(su.B.shape[0] for su in sus) == [2, 3]
+
+    def test_a_trace_form_refusal_leaves_the_others(self):
+        # X diag(0, 1, -1) X^-1 is refused by the trace form of its words;
+        # the cyclic blocks stacked with it are free
+        r = np.random.default_rng(4)
+        X = conditioned_invertible(3, 10.0, r)
+        stack = [conjugate(jordan_polynomial_tuple(3, 0.8, r, 1), X),
+                 operator_tuple([X @ np.diag([0.0, 1.0, -1.0]) @ np.linalg.inv(X)]),
+                 jordan_polynomial_tuple(3, -1.6, r, 1)]
+        sus = self.assert_member_by_member(stack)
+        assert [su is None for su in sus] == [False, True, False]
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_relations_and_a_straddle(self, d):
+        # d = 4: the band B_2(1) of tests/test_si_corpus.py has relations on
+        # either side, two generators each, and the tie keeps T. d = 5: the
+        # transposed string Z_2 has relations, three generators on T and two
+        # on T*, so it spins up on T*. J_d with entrywise noise 1e-9
+        # straddles a strict cut and is refused; the Jordan-polynomial block
+        # is free on T
+        x, y = np.zeros((d, d)), np.zeros((d, d))
+        if d == 4:
+            x[2, 0] = x[3, 1] = y[2, 0] = y[3, 1] = y[3, 0] = 1.0
+        else:
+            x[0, 1] = x[2, 3] = y[2, 1] = y[4, 3] = 1.0
+            x, y = x.T, y.T
+        r = np.random.default_rng(0)
+        A = jordan(d)
+        noisy = operator_tuple([A + 1e-9 * r.standard_normal((d, d)),
+                                A @ A + 1e-9 * r.standard_normal((d, d))])
+        stack = [conjugate(operator_tuple([x, y]), conditioned_invertible(d, 10.0, r)), noisy,
+                 conjugate(jordan_polynomial_tuple(d, 0.8, r, 2),
+                           conditioned_invertible(d, 10.0, r))]
+        sus = self.assert_member_by_member(stack)
+        assert sus[1] is None
+        assert sus[0].Y is not None and sus[0].adjoint == (d == 5)
+        assert sus[2].Y is None and not sus[2].adjoint
+
+    def test_one_svd_per_stage_on_large_d(self, monkeypatch):
+        # the (32, 4) input: the whole space's presentation (refused by the
+        # trace form) and one stack of four free corners of size 8 take 4
+        # SVDs in all (16 one corner at a time), and the split keeps its
+        # parts across rungs: 6 projectors (8 when each rung recomputes them)
+        T = _large_d_tuple(3, (32, 4))
+        counts = {"svd_robust": 0, "spectral_projector": 0}
+
+        def counting(name):
+            real = getattr(_linalg, name)
+
+            def count(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return count
+
+        for name in counts:
+            fn = counting(name)
+            for module in (_linalg, commutant, sidecomp.decomposition):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        inv = v_semigroup_invariant(T)
+        assert (inv.k, inv.multiplicities) == (4, (2, 2, 2, 2))
+        assert counts == {"svd_robust": 4, "spectral_projector": 6}
+
+
 class TestOneClassPresentedFirst:
     """A tuple whose first-level trace form ``tr(N_i N_j)`` vanishes is
     presented on the whole space before any Schur form is drawn; a
@@ -968,11 +1111,10 @@ class TestOneClassPresentedFirst:
         draws = self.recording_draws(monkeypatch)
         real_spin_up, whole = commutant._spin_up, []
 
-        def recording_spin_up(T1, policy):
-            su = real_spin_up(T1, policy)
-            if T1.d == 3:
-                whole.append(su)
-            return su
+        def recording_spin_up(Ts, policy):
+            sus = real_spin_up(Ts, policy)
+            whole.extend(su for T1, su in zip(Ts, sus) if T1.d == 3)
+            return sus
 
         monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
         inv = v_semigroup_invariant(T)
@@ -987,9 +1129,9 @@ class TestOneClassPresentedFirst:
         T = self.roots_of_unity(1)
         real_spin_up, whole = commutant._spin_up, []
 
-        def recording_spin_up(T1, policy):
-            whole.append(T1.d)
-            return real_spin_up(T1, policy)
+        def recording_spin_up(Ts, policy):
+            whole.extend(T1.d for T1 in Ts)
+            return real_spin_up(Ts, policy)
 
         monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
         monkeypatch.setattr(commutant, "_spectral_split", lambda z: None)
@@ -1005,9 +1147,9 @@ class TestOneClassPresentedFirst:
         assert not commutant._trace_form_vanishes(T, NumericPolicy())
         real_spin_up, dims = commutant._spin_up, []
 
-        def recording_spin_up(T1, policy):
-            dims.append(T1.d)
-            return real_spin_up(T1, policy)
+        def recording_spin_up(Ts, policy):
+            dims.extend(T1.d for T1 in Ts)
+            return real_spin_up(Ts, policy)
 
         monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
         assert not is_strongly_irreducible(T)
@@ -1028,12 +1170,10 @@ class TestFreeRoots:
         read through the presentation's basis of A'."""
         real = commutant._spin_up
 
-        def explicit(T, policy):
-            su = real(T, policy)
-            if su is None or su.Y is not None:
-                return su
-            d, g = su.G.shape
-            return su._replace(Y=np.eye(d * g, dtype=complex).reshape(-1, d, g))
+        def explicit(Ts, policy):
+            return [su if su is None or su.Y is not None
+                    else su._replace(Y=np.eye(su.G.size, dtype=complex).reshape(-1, *su.G.shape))
+                    for su in real(Ts, policy)]
 
         mp.setattr(commutant, "_spin_up", explicit)
 
@@ -1110,7 +1250,7 @@ class TestAdjointSide:
         (TestTwoFlatStages.two_sided_copies(), False, 6),   # a tie keeps T
     ])
     def test_side_rule(self, T, adjoint, g):
-        su = commutant._spin_up(T, NumericPolicy())
+        su = commutant._spin_up([T], NumericPolicy())[0]
         assert (su.adjoint, su.G.shape[1]) == (adjoint, g)
 
     @settings(max_examples=20, deadline=None)
@@ -1124,7 +1264,7 @@ class TestAdjointSide:
         m, D, n = grid
         T0 = inflate(_model(m, D, kernel), n)
         T = conjugate(T0, conditioned_invertible(T0.d, cond, np.random.default_rng(seed)))
-        su = commutant._spin_up(T, NumericPolicy())
+        su = commutant._spin_up([T], NumericPolicy())[0]
         assert su.adjoint and su.G.shape[1] == n
         A = commutant._spin_up_commutant(su)
         B = stack_commutant(T)

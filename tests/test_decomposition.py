@@ -48,7 +48,7 @@ class TestStrongIrreducibility:
         X = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
         A = X @ np.diag([0.0, 1.0, -1.0]) @ np.linalg.inv(X)
         T = operator_tuple([A, np.zeros((3, 3))][:m])
-        assert commutant._spin_up(T, NumericPolicy()) is None
+        assert commutant._spin_up([T], NumericPolicy()) == [None]
         assert not is_strongly_irreducible(T) and not oracle_is_strongly_irreducible(T)
 
     @pytest.mark.parametrize("mats", [
@@ -91,9 +91,9 @@ class TestUnitSiDecomposition:
         sizes = []
         original = commutant._spin_up
 
-        def counting(T, *args, **kwargs):
-            sizes.append(T.d)
-            return original(T, *args, **kwargs)
+        def counting(Ts, *args, **kwargs):
+            sizes.extend(T.d for T in Ts)
+            return original(Ts, *args, **kwargs)
 
         monkeypatch.setattr(commutant, "_spin_up", counting)
         X = conditioned_invertible(4, 10.0, np.random.default_rng(3))
@@ -117,7 +117,8 @@ class TestUnitSiDecomposition:
             real = getattr(commutant, name)
 
             def record(T1, *args):
-                calls.append(T1.d)
+                # _spin_up takes a stack of tuples: record every member
+                calls.extend(T.d for T in T1) if isinstance(T1, list) else calls.append(T1.d)
                 return real(T1, *args)
             monkeypatch.setattr(commutant, name, record)
 

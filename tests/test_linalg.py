@@ -265,7 +265,7 @@ class TestJointCommutantStackSvd:
         # its independence is read off the 3 x 3 triangular factor. No 9 x 9
         # Sylvester stack, no retry
         T = operator_tuple([jordan(3)])
-        assert self.count_svds(monkeypatch, T) == [(1, 9), (1, 9), (3, 3), (3, 3)]
+        assert self.count_svds(monkeypatch, T) == [(1, 1, 9), (1, 1, 9), (1, 3, 3), (1, 3, 3)]
 
     def test_one_svd_when_identity_is_missed(self, monkeypatch):
         # entrywise noise of 1e-9 lifts the commutant's singular values off
