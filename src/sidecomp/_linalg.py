@@ -3,6 +3,12 @@
 Conventions: matrices are numpy complex arrays; ``vec`` is row-major
 (C-order) flattening, so ``vec(AXB) = (A . kron . B^T) vec(X)``.
 
+Every rank is decided by :func:`rank_cut` (:func:`strict_rank` reads its
+straddle as None), and every nullspace by :func:`nullspaces`: a list or
+stack of matrices of any shapes, one stacked SVD per shape, each matrix cut
+at its own scale, or, with ``joint``, as the blocks of one block-diagonal
+matrix. :func:`nullspace` is its call on one matrix.
+
 The LAPACK routines numpy lacks (``zgees`` for :func:`schur`, ``ztrsen``
 and ``ztrsyl`` for :func:`spectral_projector`, ``gesvd`` for the fallbacks
 of the SVDs) come from scipy's compiled wrapper module ``_flapack``, which
@@ -141,107 +147,84 @@ def rank_cut(s: np.ndarray, rtol: float, scale: float = 0.0, strict: bool = True
     return int(np.sum(s > tau))
 
 
-def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0,
-              strict: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace of ``M``.
+def strict_rank(s: np.ndarray, rtol: float, scale: float = 0.0) -> int | None:
+    """:func:`rank_cut` with its straddle check, or None where it straddles."""
+    try:
+        return rank_cut(s, rtol, scale=scale, strict=True)
+    except NumericalDegeneracyError:
+        return None
 
-    Computed by a (possibly tall) SVD, which resolves true zeros down to
-    ~1e-13 relative and leaves many decades of margin to the threshold
-    ``rtol * max(sigma_max, scale)``, where :func:`rank_cut` cuts the rank,
-    with its straddle check when ``strict``. gesdd occasionally returns
-    right singular vectors that are far from orthonormal on stacks with a
-    large exact nullspace; such a basis is recomputed with gesvd.
+
+def nullspace(M: np.ndarray, rtol: float, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the right nullspace of ``M``, cut at
+    ``rtol * max(sigma_max, scale)`` (:func:`nullspaces`)."""
+    return nullspaces([M], rtol, [scale])[0]
+
+
+def nullspaces(Ms, rtol: float, scales, strict: bool = False,
+               joint: bool = False) -> list[np.ndarray | None]:
+    """Orthonormal bases (columns) of the right nullspaces of the matrices
+    ``Ms`` (a list, or a stack (n, rows, cols)), each cut by :func:`rank_cut`
+    at ``rtol * max(sigma_max, scales[k])`` on its own singular values.
+
+    A (possibly tall) SVD resolves true zeros down to ~1e-13 relative and
+    leaves many decades of margin to the threshold. The matrices of one shape
+    take one stacked :func:`svd_robust` call, bitwise those of the matrices
+    one at a time; a matrix alone in its shape is passed as itself, with no
+    copy. With ``strict``, a matrix whose cut straddles its threshold gets
+    None and the others are unaffected; without it the cut is not checked.
+    With ``joint``, the matrices are the diagonal blocks of one
+    block-diagonal matrix and each is cut as that matrix is: its scale is
+    raised to the largest singular value over all blocks.
+
+    gesdd occasionally returns right singular vectors that are far from
+    orthonormal on stacks with a large exact nullspace: each basis is checked
+    (one check per rank among the matrices of a shape), and one that fails is
+    recomputed with gesvd and cut the same way.
     """
-    return block_nullspace([M], rtol, scale=scale, strict=strict)[0]
+    def cut(s, scale):
+        return strict_rank(s, rtol, scale) if strict else rank_cut(s, rtol, scale, strict=False)
 
-
-def block_nullspace(blocks: list[np.ndarray], rtol: float, scale: float = 0.0,
-                    strict: bool = False) -> list[np.ndarray]:
-    """Orthonormal bases of the right nullspaces of the diagonal blocks of a
-    block-diagonal matrix, one per block, cut as :func:`nullspace` cuts the
-    whole matrix: at ``rtol * max(sigma_max, scale)`` with ``sigma_max`` the
-    largest singular value over all blocks. So each block is cut with its
-    ``scale`` raised to the largest singular value of all blocks. Blocks of
-    one shape are handled together: one stacked :func:`svd_robust` call (a
-    lone block of its shape is passed as a matrix), and one orthonormality
-    check per rank among them."""
-    groups = groups_by(blocks, lambda M: M.shape)
+    groups = groups_by(Ms, np.shape)
     svds = []
     for group in groups:
-        rows, cols = blocks[group[0]].shape
+        rows, cols = np.shape(Ms[group[0]])
         if rows == 0 or cols == 0:
             svds.append((np.zeros((len(group), 0)),
                          np.broadcast_to(np.eye(cols, dtype=complex), (len(group), cols, cols))))
         elif len(group) == 1:
-            _, sv, Vh = svd_robust(blocks[group[0]], full_matrices=rows < cols)
+            _, sv, Vh = svd_robust(Ms[group[0]], full_matrices=rows < cols)
             svds.append((sv[None], Vh[None]))
         else:
-            _, sv, Vh = svd_robust(np.stack([blocks[n] for n in group]), full_matrices=rows < cols)
-            svds.append((sv, Vh))
-    scale = max([scale] + [float(sv.max()) for sv, _ in svds if sv.size])
-    out = [None] * len(blocks)
+            stack = Ms if isinstance(Ms, np.ndarray) and len(group) == len(Ms) \
+                else np.stack([Ms[k] for k in group])
+            svds.append(svd_robust(stack, full_matrices=rows < cols)[1:])
+    if joint:
+        top = max([0.0] + [float(sv.max()) for sv, _ in svds if sv.size])
+        scales = [max(scale, top) for scale in scales]
+    out: list[np.ndarray | None] = [None] * len(Ms)
     for group, (sv, Vh) in zip(groups, svds):
-        s = np.zeros((len(group), Vh.shape[2]))
+        cols = Vh.shape[2]
+        s = np.zeros((len(group), cols))
         s[:, :sv.shape[1]] = sv
-        bases = _null_bases(Vh, [rank_cut(x, rtol, scale=scale, strict=strict) for x in s])
-        for n, N in zip(group, bases):
-            out[n] = _gesvd_nullspace(blocks[n], rtol, scale, strict) if N is None else N
+        ranks = [cut(x, scales[k]) for k, x in zip(group, s)]
+        for r in dict.fromkeys(ranks):
+            if r is None:
+                continue
+            at = [i for i, q in enumerate(ranks) if q == r]
+            V = Vh[at, r:]                      # the bases N, conjugate-transposed
+            N = V.conj().transpose(0, 2, 1)
+            err = np.linalg.norm(V @ N - np.eye(cols - r), axis=(1, 2))
+            for i, Ni, bad in zip(at, N, err > NULLSPACE_ORTHO_BAR * (cols - r)):
+                k = group[i]
+                if not bad:
+                    out[k] = np.ascontiguousarray(Ni)
+                    continue
+                _, x, Vh_k = _gesvd(Ms[k], full_matrices=np.shape(Ms[k])[0] < cols)
+                rank = cut(np.concatenate([x, np.zeros(cols - x.size)]), scales[k])
+                if rank is not None:
+                    out[k] = np.ascontiguousarray(Vh_k.conj().T[:, rank:])
     return out
-
-
-def nullspaces(M: np.ndarray, rtol: float, scales, strict: bool = False) -> list[np.ndarray | None]:
-    """Orthonormal bases of the right nullspaces of the matrices of a stack
-    M (n, rows, cols), each cut as :func:`nullspace` cuts it, with its own
-    ``scales[k]``: one stacked :func:`svd_robust` call, bitwise those of the
-    matrices one at a time. With ``strict``, a matrix whose cut straddles
-    its threshold gets None, and the others are unaffected."""
-    cols = M.shape[2]
-    _, sv, Vh = svd_robust(M, full_matrices=M.shape[1] < cols)
-    s = np.zeros((len(M), cols))
-    s[:, :sv.shape[1]] = sv
-    ranks = []
-    for x, scale in zip(s, scales):
-        try:
-            ranks.append(rank_cut(x, rtol, scale=scale, strict=strict))
-        except NumericalDegeneracyError:
-            ranks.append(None)
-    out = _null_bases(Vh, ranks)
-    for k, (N, r) in enumerate(zip(out, ranks)):
-        if N is None and r is not None:
-            try:
-                out[k] = _gesvd_nullspace(M[k], rtol, scales[k], strict)
-            except NumericalDegeneracyError:
-                pass
-    return out
-
-
-def _null_bases(Vh: np.ndarray, ranks: list) -> list[np.ndarray | None]:
-    """The nullspace bases ``Vh[k, r_k:]*`` of matrices of one shape, from
-    their stacked right singular vectors and ranks, with one orthonormality
-    check per rank. gesdd occasionally returns right singular vectors that
-    are far from orthonormal on stacks with a large exact nullspace; such a
-    basis, and one whose rank is None, is None here."""
-    cols = Vh.shape[2]
-    out = [None] * len(ranks)
-    for r in dict.fromkeys(ranks):
-        if r is None:
-            continue
-        at = [k for k, rank in enumerate(ranks) if rank == r]
-        V = Vh[at, r:]                      # the bases N, conjugate-transposed
-        N = V.conj().transpose(0, 2, 1)
-        err = np.linalg.norm(V @ N - np.eye(cols - r), axis=(1, 2))
-        for k, Nk, bad in zip(at, N, err > NULLSPACE_ORTHO_BAR * (cols - r)):
-            if not bad:
-                out[k] = np.ascontiguousarray(Nk)
-    return out
-
-
-def _gesvd_nullspace(M: np.ndarray, rtol: float, scale: float, strict: bool) -> np.ndarray:
-    """The nullspace of M by gesvd, cut as :func:`nullspace` cuts it."""
-    cols = M.shape[1]
-    _, s, Vh = _gesvd(M, full_matrices=M.shape[0] < cols)
-    s = np.concatenate([s, np.zeros(cols - s.size)])
-    return np.ascontiguousarray(Vh.conj().T[:, rank_cut(s, rtol, scale=scale, strict=strict):])
 
 
 def groups_by(items, key) -> list[list[int]]:

@@ -31,6 +31,20 @@ EXIT_DEGENERATE = 3
 EXIT_VIOLATION = 4
 
 
+def _nonnegative(kind):
+    """An argparse type: a value of ``kind`` (float or int) that is finite and
+    at least 0. Any other value is refused with the flag's name (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} >= 0, got {text!r}")
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sidecomp",
@@ -46,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input2", required=True, help="second tuple JSON file")
         sp.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="64-bit seed (default: SIDECOMP_SEED or built-in)")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the policy's tol and kernel_tol")
+        sp.add_argument("--tol", type=_nonnegative(float), default=None,
+                        help="override the policy's tol and kernel_tol (finite, >= 0)")
         sp.add_argument("--format", choices=("json", "table"), default="json")
         if witness:
             sp.add_argument("--witness", action="store_true",
@@ -56,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--output", default=None,
                             help="write the truncated tuple to this file")
         if count:
-            sp.add_argument("--count", type=int, default=100,
-                            help="number of planted instances")
+            sp.add_argument("--count", type=_nonnegative(int), default=100,
+                            help="number of planted instances (>= 0)")
         return sp
 
     common(sub.add_parser("decompose", help="unit SI decomposition of a tuple"))

@@ -49,6 +49,7 @@ from ._linalg import (
     rank_cut,
     schur,
     spectral_projector,
+    strict_rank,
     svd_robust,
     svdvals_robust,
 )
@@ -188,12 +189,7 @@ def _word_algebra(N: np.ndarray, rtol: float, scales: list[float]) -> list[np.nd
         if not live:
             continue
         _, s, Vh = svd_robust(_rows(cand, live), full_matrices=False)
-        ranks = []
-        for j, sv in zip(live, s):
-            try:
-                ranks.append(rank_cut(sv, rtol, scale=scales[members[j]], strict=True))
-            except NumericalDegeneracyError:
-                ranks.append(None)
+        ranks = [strict_rank(sv, rtol, scales[members[j]]) for j, sv in zip(live, s)]
         for group in groups_by(ranks, lambda r: r):
             r = ranks[group[0]]
             if r is None:
@@ -215,6 +211,17 @@ def _rows(A: np.ndarray, idx: list[int]) -> np.ndarray:
     """``A[idx]`` for ascending indices ``idx``; A itself when they are all
     of its rows, with no copy."""
     return A if len(idx) == len(A) else A[idx]
+
+
+def _keep(idx: list[int], *items) -> list:
+    """Entries ``idx`` (ascending) of each per-member list or stack: the
+    members that are left after a refusal."""
+    return [[a[i] for i in idx] if isinstance(a, list) else _rows(a, idx) for a in items]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as one stack; a lone array as a view of itself, with no copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _stack_cut(T: OperatorTuple, S: OperatorTuple,
@@ -279,16 +286,19 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
     tuples T of one size d and arity; None for a member where it does not
     apply or does not verify. The whole space is passed as ``[T]``.
 
-    The members go through every stage together: the word algebra
-    (:func:`_word_algebra`), the generators' nullspace, the trace form,
-    ``Phi``'s SVD, the relations and the check element each take one
-    stacked call per group of members whose arrays have the same shapes
-    (one d, n_B and g, and one side). Every decision stays per member: each
+    The members go through every stage together. The word algebra
+    (:func:`_word_algebra`) takes stacked calls per level, and the
+    generators' nullspaces, of T and then of T* where T has relations, one
+    call each; the members are then grouped once, by ``(n_B, g, side)``,
+    and in each group the trace form, ``Phi``'s SVD, the relations and the
+    check element take one stacked call. A lone member's words are neither
+    restacked nor copied: its stack of one is a view of them. Every
+    decision stays per member: each
     cut is a strict :func:`rank_cut` on that member's own singular values
     with its own ``scale`` (``frob`` of its own matrices), and a member
-    refused anywhere becomes None and leaves the stack, while the others go
-    on; stacked LAPACK and BLAS calls give bitwise the results of the
-    matrices one at a time.
+    refused anywhere becomes None and leaves the stack (:func:`_keep`),
+    while the others go on; stacked LAPACK and BLAS calls give bitwise the
+    results of the matrices one at a time.
 
     Side rule: ``X T_i = T_i X`` iff ``T_i* X* = X* T_i*``, so ``A'(T) =
     A'(T*)*``, and ``C[T*]`` has the words ``B*``. The generators of T* are an
@@ -318,7 +328,8 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
     nilpotent, while a nontrivial idempotent e of ``C[T]`` gives the
     trace-zero word ``e - (tr e/d) I`` of square trace ``tr e - (tr e)^2/d >
     0``. That G generates does not certify it: it can when the mean of the
-    ``T_i`` is itself a joint eigenvalue (``X diag(0, 1, -1) X^-1``). A form
+    ``T_i`` is itself a joint eigenvalue (``X diag(0, 1, -1) X^-1``). The
+    form is taken of T's own words, also for a member presented on T*. A form
     with ``10 ||F||_F <= rtol`` takes no SVD: its singular values are at most
     ``||F||_F``, a tenth of the cut ``rtol * max(sigma_max, 1)``, so it has
     rank 0 with no straddle.
@@ -342,61 +353,47 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
     Bs = _word_algebra(N, rtol, scales)
     out: list[SpinUp | None] = [None] * n
     alive = [k for k in range(n) if Bs[k] is not None]
-    if not alive:
-        return out
-    # the generators: null [N_1 ... N_m]*
+    # the generators: null [N_1 ... N_m]*; those of T*, null [N_1; ...;
+    # N_m], for the members with relations (nb*g > d)
     hN = _rows(N, alive).transpose(0, 2, 1, 3).reshape(len(alive), d, m * d).conj().transpose(0, 2, 1)
     Gs = dict(zip(alive, nullspaces(hN, rtol, [scales[k] for k in alive], strict=True)))
     alive = [k for k in alive if Gs[k] is not None]
-    # one joint eigenvalue: the trace form of the trace-zero words vanishes
-    local = []
-    for group in groups_by(alive, lambda k: Bs[k].shape[0]):
-        members = [alive[i] for i in group]
-        nb = Bs[members[0]].shape[0]
-        if nb == 1:
-            local += members
-            continue
-        B = np.stack([Bs[k] for k in members])[:, 1:]
-        W = B.reshape(len(members), nb - 1, d * d)
-        F = W @ B.transpose(0, 1, 3, 2).reshape(len(members), nb - 1, d * d).transpose(0, 2, 1)
-        big = [i for i in range(len(members)) if 10.0 * frob(F[i]) > rtol]
-        refused = set()
-        for i, sv in zip(big, svdvals_robust(_rows(F, big)) if big else ()):
-            try:
-                if rank_cut(sv, rtol, scale=1.0, strict=True):
-                    refused.add(i)
-            except NumericalDegeneracyError:
-                refused.add(i)
-        local += [k for i, k in enumerate(members) if i not in refused]
-    # the side with fewer generators: those of T*, null [N_1; ...; N_m]
-    adjoint = dict.fromkeys(local, False)
-    wide = [k for k in local if Bs[k].shape[0] * Gs[k].shape[1] > d]
-    if wide:
-        for k, G_adj in zip(wide, nullspaces(_rows(N, wide).reshape(len(wide), m * d, d), rtol,
-                                             [scales[k] for k in wide], strict=True)):
-            if G_adj is not None and G_adj.shape[1] < Gs[k].shape[1]:     # a straddle keeps T
-                Gs[k], adjoint[k] = G_adj, True
+    adjoint = dict.fromkeys(alive, False)
+    wide = [k for k in alive if Bs[k].shape[0] * Gs[k].shape[1] > d]
+    for k, G_adj in zip(wide, nullspaces(_rows(N, wide).reshape(len(wide), m * d, d), rtol,
+                                         [scales[k] for k in wide], strict=True)):
+        if G_adj is not None and G_adj.shape[1] < Gs[k].shape[1]:     # a straddle keeps T
+            Gs[k], adjoint[k] = G_adj, True
     draws: dict[int, np.ndarray] = {}
-    for group in groups_by(local, lambda k: (Bs[k].shape[0], Gs[k].shape[1], adjoint[k])):
-        members = [local[i] for i in group]
+    for group in groups_by(alive, lambda k: (Bs[k].shape[0], Gs[k].shape[1], adjoint[k])):
+        members = [alive[i] for i in group]
         nb, g, adj = Bs[members[0]].shape[0], Gs[members[0]].shape[1], adjoint[members[0]]
         # G must generate (nb*g >= d, and the guard below refuses rank loss);
         # a relation matrix (d*r x d*g, r = nb*g - d) larger than the
         # m d^2 x d^2 stack would save nothing
         if nb * g < d or (nb * g - d) * g > m * d * d:
             continue
-        B = np.stack([Bs[k] for k in members])
-        mats = _rows(M, members)
+        B, G, mats = _stack([Bs[k] for k in members]), _stack([Gs[k] for k in members]), \
+            _rows(M, members)
+        # one joint eigenvalue: the trace form of T's trace-zero words vanishes
+        if nb > 1:
+            W = B[:, 1:].reshape(len(members), nb - 1, d * d)
+            F = W @ B[:, 1:].transpose(0, 1, 3, 2).reshape(W.shape).transpose(0, 2, 1)
+            big = [i for i in range(len(members)) if 10.0 * frob(F[i]) > rtol]
+            svs = dict(zip(big, svdvals_robust(_rows(F, big)) if big else ()))
+            ok = [i for i in range(len(members))
+                  if i not in svs or strict_rank(svs[i], rtol, 1.0) == 0]
+            if not ok:
+                continue
+            members, B, G, mats = _keep(ok, members, B, G, mats)
         if adj:
             B, mats = B.conj().transpose(0, 1, 3, 2), mats.conj().transpose(0, 1, 3, 2)
-        G = np.stack([Gs[k] for k in members])
         Phi = np.matmul(B, G[:, None]).transpose(0, 2, 1, 3).reshape(len(members), d, nb * g)
         U, s, Vh = svd_robust(Phi)
         ok = [i for i in range(len(members)) if not 10.0 * rtol * math.sqrt(nb) >= s[i, d - 1]]
         if not ok:
             continue
-        members, B, G, mats, U, s, Vh = [members[i] for i in ok], _rows(B, ok), _rows(G, ok), \
-            _rows(mats, ok), _rows(U, ok), _rows(s, ok), _rows(Vh, ok)
+        members, B, G, mats, U, s, Vh = _keep(ok, members, B, G, mats, U, s, Vh)
         pinv = (Vh[:, :d].conj().transpose(0, 2, 1) / s[:, None, :]) @ U.conj().transpose(0, 2, 1)
         Ys = [None] * len(members)
         if nb * g > d:
@@ -413,8 +410,7 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
                     ok.append(i)
             if not ok:
                 continue
-            members, B, G, mats, pinv, Ys = [members[i] for i in ok], _rows(B, ok), _rows(G, ok), \
-                _rows(mats, ok), _rows(pinv, ok), [Ys[i] for i in ok]
+            members, B, G, mats, pinv, Ys = _keep(ok, members, B, G, mats, pinv, Ys)
         sus = [SpinUp(OperatorTuple(mats[i]) if adj else Ts[k], B[i], G[i], pinv[i], Ys[i], rtol,
                       rtol * scales[k] / 10.0, adj) for i, k in enumerate(members)]
         # the check element: a random combination of the values, lifted

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import block_nullspace, commutator_norms, component_labels, frob, groups_by, \
-    label_groups, matmul, min_eig_hermitian
+from ._linalg import commutator_norms, component_labels, frob, groups_by, \
+    label_groups, matmul, min_eig_hermitian, nullspaces
 from .policy import DEFAULT_POLICY, MODEL_PROJECTION_BAR, MODEL_SOLVABILITY_BAR, PSD_TOL, \
     SYMBOL_NORM_SLACK, NumericPolicy
 from .tuples import OperatorTuple, joint_kernel
@@ -380,9 +380,10 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
 
     The components are handled by shape: the blocks of one shape are read
     off T at once (no dense Koszul stack is built) and share one stacked SVD
-    (:func:`~sidecomp._linalg.block_nullspace`), and the residuals of one
-    shape share one stacked 2-norm; each least-squares solve stays one
-    component at a time. ``S`` and ``S^2`` are
+    (:func:`~sidecomp._linalg.nullspaces`, whose ``joint`` cut is that of
+    the whole stack), and the residuals of one shape share one stacked
+    2-norm; each least-squares solve stays one component at a time. ``S``
+    and ``S^2`` are
     :func:`~sidecomp._linalg.matmul`'s products, gathered by index on a
     multishift.
 
@@ -442,8 +443,8 @@ def check_model_hypotheses(T: OperatorTuple, policy: NumericPolicy = DEFAULT_POL
         R, F = (np.array([comps[n][h] for n in group], dtype=int) for h in (0, 1))
         for n, B in zip(group, stack_entries(R[:, :, None], cols[F][:, None, :])):
             blocks[n] = B
-    bases = block_nullspace(blocks, max(n_rows, cols.size) * policy.rank_rtol,
-                            scale=max(1.0, max(frob(A) for A in T)))
+    bases = nullspaces(blocks, max(n_rows, cols.size) * policy.rank_rtol,
+                       [max(1.0, max(frob(A) for A in T))] * len(blocks), joint=True)
 
     resids: dict[tuple[int, int], list[np.ndarray]] = {}
     for group in groups_by(comps, lambda c: (c[1].size, c[2].size, c[3].size)):

@@ -93,6 +93,31 @@ class TestDecompose:
                 assert "overflows float64" in captured.err
                 assert f"largest ||T_i||_F is {largest}" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400"])
+    def test_out_of_range_tol_exits_2_naming_the_flag(self, tmp_path, capsys, tol):
+        # J_2(0) commutes exactly, so the only fault is the flag's value
+        p = write_tuple(tmp_path / "t.json", operator_tuple([jordan(2)]))
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "--input", p, "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --tol: expected a finite float >= 0, got '{tol}'" in captured.err
+
+    def test_zero_tol_is_answered(self, tmp_path, capsys):
+        p = write_tuple(tmp_path / "t.json", operator_tuple([jordan(2)]))
+        rc, out = run(capsys, ["invariant", "--input", p, "--tol", "0"])
+        rep = json.loads(out)
+        assert rc == 0 and (rep["k"], rep["multiplicities"]) == (1, [1])
+
+    def test_negative_count_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--count", "-3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --count: expected a finite int >= 0, got '-3'" in captured.err
+        rc, out = run(capsys, ["selftest", "--count", "0"])
+        assert rc == 0 and json.loads(out)["instances"] == 0
+
     def test_missing_file_exits_2(self, capsys):
         rc, _ = run(capsys, ["decompose", "--input", "/nonexistent.json"])
         assert rc == 2

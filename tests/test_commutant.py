@@ -1026,6 +1026,21 @@ class TestStackedSpinUp:
         assert sus[0].Y is not None and sus[0].adjoint == (d == 5)
         assert sus[2].Y is None and not sus[2].adjoint
 
+    def test_a_lone_member_keeps_its_words(self, monkeypatch):
+        # J_4(0) is free on T: its presentation holds the word algebra's own
+        # array, neither restacked nor copied
+        real, words = commutant._word_algebra, []
+
+        def recording(*args):
+            out = real(*args)
+            words.extend(out)
+            return out
+
+        monkeypatch.setattr(commutant, "_word_algebra", recording)
+        su = commutant._spin_up([operator_tuple([jordan(4)])], NumericPolicy())[0]
+        assert su is not None and su.Y is None and not su.adjoint
+        assert len(words) == 1 and np.shares_memory(su.B, words[0])
+
     def test_one_svd_per_stage_on_large_d(self, monkeypatch):
         # the (32, 4) input: the whole space's presentation (refused by the
         # trace form) and one stack of four free corners of size 8 take 4

@@ -84,7 +84,7 @@ class TestBlockNullspace:
             return real(M, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "svd_robust", recording)
-        stacked = linalg.block_nullspace(blocks, 1e-10)
+        stacked = linalg.nullspaces(blocks, 1e-10, [0.0] * len(blocks), joint=True)
         assert shapes == [(3, 2, 3), (2, 3, 3), (4, 2)]
         assert [N.shape[1] for N in stacked] == [2, 1, 1, 2, 0, 1, 1]
         assert all(np.array_equal(a, b) for a, b in zip(alone, stacked))
@@ -240,6 +240,67 @@ class TestClusterEigenvalues:
         assert [g.tolist() for g in union_find_clusters(eigs, 0.1)] == [[0, 1, 3], [2]]
 
 
+class TestNullspaces:
+    """One routine for every nullspace: matrices of any shapes, one stacked
+    SVD per shape, each matrix cut at its own scale."""
+
+    @staticmethod
+    def recorded_svds(monkeypatch):
+        seen, real = [], linalg.svd_robust
+
+        def recording(M, *args, **kwargs):
+            seen.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "svd_robust", recording)
+        return seen
+
+    def test_mixed_shapes_are_cut_one_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(11)
+
+        def low_rank(rows, cols, rank):
+            a = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+            return a @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+
+        # the third matrix's 3e-10 lies within a factor 10 of its cut 1e-10
+        Ms = [low_rank(2, 3, 1), low_rank(3, 3, 2), np.diag([1.0, 3e-10, 0.0]).astype(complex),
+              low_rank(4, 2, 1), low_rank(3, 3, 3), np.zeros((0, 2), dtype=complex)]
+        scales = [0.0, 5.0, 1.0, 2.0, 0.5, 1.0]
+        alone = [nullspace(M, 1e-10, scale) for M, scale in zip(Ms, scales)]
+        seen = self.recorded_svds(monkeypatch)
+        strict = linalg.nullspaces(Ms, 1e-10, scales, strict=True)
+        assert [M.shape for M in seen] == [(2, 3), (3, 3, 3), (4, 2)]
+        assert strict[2] is None
+        assert [N.shape[1] for N in strict if N is not None] == [2, 1, 1, 0, 2]
+        assert all(np.array_equal(N, A) for N, A in zip(strict, alone) if N is not None)
+        loose = linalg.nullspaces(Ms, 1e-10, scales)
+        assert loose[2].shape[1] == 1
+        assert all(np.array_equal(N, A) for N, A in zip(loose, alone))
+
+    def test_joint_cut_is_the_block_diagonal_cut(self):
+        # 1e-9 * C is far below the block-diagonal matrix's cut 1e-10 * 1e3,
+        # far above its own cut 1e-10 * ||C||
+        rng = np.random.default_rng(12)
+        C = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        blocks = [np.diag([1e3, 1.0]).astype(complex), 1e-9 * C]
+        whole = nullspace(sla.block_diag(*blocks), 1e-10)
+        joint = linalg.nullspaces(blocks, 1e-10, [0.0, 0.0], joint=True)
+        assert [N.shape[1] for N in joint] == [0, 2] and whole.shape[1] == 2
+        P = sla.block_diag(*[N @ N.conj().T for N in joint])
+        assert np.allclose(P, whole @ whole.conj().T, atol=1e-12)
+        assert [N.shape[1] for N in linalg.nullspaces(blocks, 1e-10, [0.0, 0.0])] == [0, 0]
+
+    def test_a_lone_matrix_reaches_the_svd_uncopied(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        A = rng.standard_normal((2, 3, 3))
+        seen = self.recorded_svds(monkeypatch)
+        linalg.nullspaces([A[0], M, A[1]], 1e-10, [1.0] * 3)
+        assert seen[1] is M and seen[0].shape == (2, 3, 3)
+        nullspace(M, 1e-10)
+        assert seen[-1] is M
+
+
 class TestJointCommutantStackSvd:
     def count_svds(self, monkeypatch, T):
         shapes = []
@@ -263,9 +324,10 @@ class TestJointCommutantStackSvd:
         # zero, so it takes none), the complement of range N and Phi. The
         # recovered basis takes none: Householder QR orthonormalizes it and
         # its independence is read off the 3 x 3 triangular factor. No 9 x 9
-        # Sylvester stack, no retry
+        # Sylvester stack, no retry. The generators' nullspace is alone in its
+        # shape, so it reaches the SVD as a matrix
         T = operator_tuple([jordan(3)])
-        assert self.count_svds(monkeypatch, T) == [(1, 1, 9), (1, 1, 9), (1, 3, 3), (1, 3, 3)]
+        assert self.count_svds(monkeypatch, T) == [(1, 1, 9), (1, 1, 9), (3, 3), (1, 3, 3)]
 
     def test_one_svd_when_identity_is_missed(self, monkeypatch):
         # entrywise noise of 1e-9 lifts the commutant's singular values off

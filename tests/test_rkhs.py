@@ -471,13 +471,13 @@ class TestBlockwiseModelCheck:
 
     @staticmethod
     def record_block_shapes(monkeypatch):
-        sizes, real = [], rkhs.block_nullspace
+        sizes, real = [], rkhs.nullspaces
 
         def recording(blocks, *args, **kwargs):
             sizes.extend(B.shape for B in blocks)
             return real(blocks, *args, **kwargs)
 
-        monkeypatch.setattr(rkhs, "block_nullspace", recording)
+        monkeypatch.setattr(rkhs, "nullspaces", recording)
         return sizes
 
     def assert_matches_dense(self, T, mask):
