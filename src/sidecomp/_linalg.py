@@ -92,23 +92,24 @@ def svd_robust(M: np.ndarray, full_matrices: bool = True):
     """SVD by LAPACK gesdd, falling back to gesvd on nonconvergence. A stack
     (n, rows, cols) takes one gesdd call per matrix, bitwise those of the
     matrices one at a time; when one fails, each is redone on its own."""
-    try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
-    except np.linalg.LinAlgError:
-        if M.ndim == 3:
-            return tuple(map(np.stack, zip(*(svd_robust(A, full_matrices) for A in M))))
-        return _gesvd(M, full_matrices=full_matrices)
+    return _svd(M, True, full_matrices)
 
 
 def svdvals_robust(M: np.ndarray) -> np.ndarray:
     """Singular values by LAPACK gesdd, falling back to gesvd on
     nonconvergence; a stack is handled as :func:`svd_robust` handles it."""
+    return _svd(M, False, True)
+
+
+def _svd(M: np.ndarray, compute_uv: bool, full_matrices: bool):
+    """The body of :func:`svd_robust` and :func:`svdvals_robust`."""
     try:
-        return np.linalg.svd(M, compute_uv=False)
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        if M.ndim == 3:
-            return np.stack([svdvals_robust(A) for A in M])
-        return _gesvd(M, compute_uv=False)
+        if M.ndim == 2:
+            return _gesvd(M, compute_uv, full_matrices)
+        parts = [_svd(A, compute_uv, full_matrices) for A in M]
+        return tuple(map(np.stack, zip(*parts))) if compute_uv else np.stack(parts)
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -170,9 +171,10 @@ def nullspaces(Ms, rtol: float, scales, strict: bool = False,
     A (possibly tall) SVD resolves true zeros down to ~1e-13 relative and
     leaves many decades of margin to the threshold. The matrices of one shape
     take one stacked :func:`svd_robust` call, bitwise those of the matrices
-    one at a time; a matrix alone in its shape is passed as itself, with no
-    copy. With ``strict``, a matrix whose cut straddles its threshold gets
-    None and the others are unaffected; without it the cut is not checked.
+    one at a time; they are stacked by :func:`substack`, so a matrix alone in
+    its shape is passed as a view, with no copy. With ``strict``, a matrix
+    whose cut straddles its threshold gets None and the others are
+    unaffected; without it the cut is not checked.
     With ``joint``, the matrices are the diagonal blocks of one
     block-diagonal matrix and each is cut as that matrix is: its scale is
     raised to the largest singular value over all blocks.
@@ -192,13 +194,8 @@ def nullspaces(Ms, rtol: float, scales, strict: bool = False,
         if rows == 0 or cols == 0:
             svds.append((np.zeros((len(group), 0)),
                          np.broadcast_to(np.eye(cols, dtype=complex), (len(group), cols, cols))))
-        elif len(group) == 1:
-            _, sv, Vh = svd_robust(Ms[group[0]], full_matrices=rows < cols)
-            svds.append((sv[None], Vh[None]))
         else:
-            stack = Ms if isinstance(Ms, np.ndarray) and len(group) == len(Ms) \
-                else np.stack([Ms[k] for k in group])
-            svds.append(svd_robust(stack, full_matrices=rows < cols)[1:])
+            svds.append(svd_robust(substack(Ms, group), full_matrices=rows < cols)[1:])
     if joint:
         top = max([0.0] + [float(sv.max()) for sv, _ in svds if sv.size])
         scales = [max(scale, top) for scale in scales]
@@ -225,6 +222,18 @@ def nullspaces(Ms, rtol: float, scales, strict: bool = False,
                 if rank is not None:
                     out[k] = np.ascontiguousarray(Vh_k.conj().T[:, rank:])
     return out
+
+
+def substack(items, idx) -> np.ndarray:
+    """The members ``idx`` (ascending) of a stack, or of a list or dict of
+    arrays, as one stack, with no copy where none is needed: all members of
+    a stack are the stack itself, and a lone member is a view of it as a
+    stack of one."""
+    if isinstance(items, np.ndarray) and len(idx) == len(items):
+        return items
+    if len(idx) == 1:
+        return items[idx[0]][None]
+    return items[idx] if isinstance(items, np.ndarray) else np.stack([items[k] for k in idx])
 
 
 def groups_by(items, key) -> list[list[int]]:

@@ -45,6 +45,19 @@ def _nonnegative(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """A seed: an integer >= 0 of any size (numpy's generators take any), in
+    decimal or with a base prefix (``0x``, ``0o``, ``0b``), as ``int(text,
+    0)`` reads it. Other text is refused; argparse names the flag (exit 2)."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        value = -1
+    if value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sidecomp",
@@ -58,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, help="input JSON file")
         if input2:
             sp.add_argument("--input2", required=True, help="second tuple JSON file")
-        sp.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                        help="64-bit seed (default: SIDECOMP_SEED or built-in)")
+        sp.add_argument("--seed", type=_seed, default=None,
+                        help="non-negative integer seed (default: SIDECOMP_SEED or built-in)")
         sp.add_argument("--tol", type=_nonnegative(float), default=None,
                         help="override the policy's tol and kernel_tol (finite, >= 0)")
         sp.add_argument("--format", choices=("json", "table"), default="json")
@@ -90,9 +103,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SIDECOMP_SEED")
-    if env:
-        return int(env, 0)
-    return DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"SIDECOMP_SEED: {exc}") from None
 
 
 def _resolve_policy(args) -> NumericPolicy:

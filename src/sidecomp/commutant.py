@@ -50,6 +50,7 @@ from ._linalg import (
     schur,
     spectral_projector,
     strict_rank,
+    substack,
     svd_robust,
     svdvals_robust,
 )
@@ -188,40 +189,28 @@ def _word_algebra(N: np.ndarray, rtol: float, scales: list[float]) -> list[np.nd
                 live.append(j)
         if not live:
             continue
-        _, s, Vh = svd_robust(_rows(cand, live), full_matrices=False)
+        _, s, Vh = svd_robust(substack(cand, live), full_matrices=False)
         ranks = [strict_rank(sv, rtol, scales[members[j]]) for j, sv in zip(live, s)]
         for group in groups_by(ranks, lambda r: r):
             r = ranks[group[0]]
             if r is None:
                 continue
-            at = [live[i] for i in group]
-            grown = np.concatenate([_rows(basis, at), _rows(Vh, group)[:, :r]], axis=1)
+            at, new = [live[i] for i in group], substack(Vh, group)[:, :r]
+            grown = np.concatenate([substack(basis, at), new], axis=1)
             if grown.shape[1] > d * d // 4 + 1:
                 continue
             if r == 0:
                 for j, B in zip(at, grown):
                     out[members[j]] = B.reshape(-1, d, d)
             else:
-                walks.append(([members[j] for j in at], _rows(gens, at), grown,
-                              _rows(Vh, group)[:, :r]))
+                walks.append(([members[j] for j in at], substack(gens, at), grown, new))
     return out
 
 
-def _rows(A: np.ndarray, idx: list[int]) -> np.ndarray:
-    """``A[idx]`` for ascending indices ``idx``; A itself when they are all
-    of its rows, with no copy."""
-    return A if len(idx) == len(A) else A[idx]
-
-
 def _keep(idx: list[int], *items) -> list:
-    """Entries ``idx`` (ascending) of each per-member list or stack: the
-    members that are left after a refusal."""
-    return [[a[i] for i in idx] if isinstance(a, list) else _rows(a, idx) for a in items]
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays as one stack; a lone array as a view of itself, with no copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    """Entries ``idx`` (ascending) of each per-member list or stack
+    (:func:`substack`): the members that are left after a refusal."""
+    return [[a[i] for i in idx] if isinstance(a, list) else substack(a, idx) for a in items]
 
 
 def _stack_cut(T: OperatorTuple, S: OperatorTuple,
@@ -355,12 +344,12 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
     alive = [k for k in range(n) if Bs[k] is not None]
     # the generators: null [N_1 ... N_m]*; those of T*, null [N_1; ...;
     # N_m], for the members with relations (nb*g > d)
-    hN = _rows(N, alive).transpose(0, 2, 1, 3).reshape(len(alive), d, m * d).conj().transpose(0, 2, 1)
+    hN = substack(N, alive).transpose(0, 2, 1, 3).reshape(len(alive), d, m * d).conj().transpose(0, 2, 1)
     Gs = dict(zip(alive, nullspaces(hN, rtol, [scales[k] for k in alive], strict=True)))
     alive = [k for k in alive if Gs[k] is not None]
     adjoint = dict.fromkeys(alive, False)
     wide = [k for k in alive if Bs[k].shape[0] * Gs[k].shape[1] > d]
-    for k, G_adj in zip(wide, nullspaces(_rows(N, wide).reshape(len(wide), m * d, d), rtol,
+    for k, G_adj in zip(wide, nullspaces(substack(N, wide).reshape(len(wide), m * d, d), rtol,
                                          [scales[k] for k in wide], strict=True)):
         if G_adj is not None and G_adj.shape[1] < Gs[k].shape[1]:     # a straddle keeps T
             Gs[k], adjoint[k] = G_adj, True
@@ -373,14 +362,13 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
         # m d^2 x d^2 stack would save nothing
         if nb * g < d or (nb * g - d) * g > m * d * d:
             continue
-        B, G, mats = _stack([Bs[k] for k in members]), _stack([Gs[k] for k in members]), \
-            _rows(M, members)
+        B, G, mats = substack(Bs, members), substack(Gs, members), substack(M, members)
         # one joint eigenvalue: the trace form of T's trace-zero words vanishes
         if nb > 1:
             W = B[:, 1:].reshape(len(members), nb - 1, d * d)
             F = W @ B[:, 1:].transpose(0, 1, 3, 2).reshape(W.shape).transpose(0, 2, 1)
             big = [i for i in range(len(members)) if 10.0 * frob(F[i]) > rtol]
-            svs = dict(zip(big, svdvals_robust(_rows(F, big)) if big else ()))
+            svs = dict(zip(big, svdvals_robust(substack(F, big)) if big else ()))
             ok = [i for i in range(len(members))
                   if i not in svs or strict_rank(svs[i], rtol, 1.0) == 0]
             if not ok:
@@ -686,22 +674,15 @@ class Corner(NamedTuple):
         return self.algebra_dim - self.quotient_dim
 
 
-# the default of _corner's presentation: not yet built
-_UNBUILT = object()
-
-
 def _corner(T: OperatorTuple, U: np.ndarray, W: np.ndarray, policy: NumericPolicy,
-            su: SpinUp | None | object = _UNBUILT) -> Corner:
+            su: SpinUp | None) -> Corner:
     """The corner of an idempotent ``E = U W*`` of A'(T_0), read on the
     tuple ``T = U* T_0 U`` it compresses to (T_0 itself, with ``U = W = I``,
     for the whole space): free where the spin-up presents A'(T) without
     relations, on T or on T*, and otherwise through the basis of A'(T) that
-    :func:`_commutant` gives, with its quotient coordinates. The
-    presentation ``su = _spin_up([T], policy)[0]`` is built here unless the
-    caller passes the one it built (None where it was refused), so it is
-    built once per corner."""
-    if su is _UNBUILT:
-        su = _spin_up([T], policy)[0]
+    :func:`_commutant` gives, with its quotient coordinates. ``su`` is the
+    presentation the caller built, None where there is none, so each
+    corner's is built at most once."""
     if su is not None and su.Y is None:
         return Corner(U, W, su.K, free=su)
     basis = _commutant(T, su, policy).basis
@@ -765,23 +746,30 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     A draw with a single cluster ends the search, because generic
     draws see the same joint-spectrum clusters; then, or when no draw
     qualifies, the one root is the commutant of ``T`` on the whole space,
-    read from the presentation refused above where there was one. Either
-    way each root's presentation is built once.
+    read from the Sylvester stack.
+
+    A nonzero trace form is final: the whole space is not presented. The
+    form reads nonzero when ``sigma_1(F) > rtol * scale^2``; the level-1
+    words span the ``N_i`` (to within that level's cut), with coefficients
+    C of ``||C||_2^2 <= sum_i ||N_i||_F^2 <= m * scale^2``, so their trace
+    form, a block of the words' form, has ``sigma_1 > rtol / m``. The
+    spin-up refuses a word form above ``rtol / 10``, so it refuses this one
+    for every arity ``m <= 10``; a larger arity could pass only with a form
+    within a factor ``m / 10`` of the cut, and the stack reads the root then.
     """
     eye = np.eye(T.d, dtype=complex)
-    su = _spin_up([T], policy)[0] if _trace_form_vanishes(T, policy) else _UNBUILT
-    if isinstance(su, SpinUp):
-        return [_corner(T, eye, eye, policy, su)]
-    rng = np.random.default_rng(policy.seed)
-    for _ in range(SPLIT_ATTEMPTS):
-        c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
-        projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
-        if projs is None:
-            break
-        if all(frob(L @ (R @ A) - (A @ L) @ R)
-               <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
-               for L, R in projs for A in T):
-            return _corners(T, projs, policy)
+    su = _spin_up([T], policy)[0] if _trace_form_vanishes(T, policy) else None
+    if su is None:
+        rng = np.random.default_rng(policy.seed)
+        for _ in range(SPLIT_ATTEMPTS):
+            c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
+            projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
+            if projs is None:
+                break
+            if all(frob(L @ (R @ A) - (A @ L) @ R)
+                   <= PRIMARY_COMMUTE_BAR * frob(R) * max(1.0, frob(A))
+                   for L, R in projs for A in T):
+                return _corners(T, projs, policy)
     return [_corner(T, eye, eye, policy, su)]
 
 

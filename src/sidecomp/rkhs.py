@@ -88,8 +88,8 @@ class DiagonalKernelSpec(NamedTuple):
 
     @classmethod
     def bergman(cls, m: int, k: float) -> "DiagonalKernelSpec":
-        if k <= 0:
-            raise ValueError("kernel exponent must be positive")
+        if not (math.isfinite(k) and k > 0):
+            raise ValueError(f"kernel exponent k must be finite and positive, got {k!r}")
         return cls(m, "bergman_k", k=float(k))
 
     @classmethod
@@ -101,8 +101,8 @@ class DiagonalKernelSpec(NamedTuple):
         for a, v in table.items():
             if len(a) != m:
                 raise ValueError(f"index {a} has wrong length")
-            if not v > 0:
-                raise ValueError(f"coefficient at {a} is not positive")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"coefficient at {a} must be finite and positive, got {v!r}")
         return cls(m, "custom", table=dict(table))
 
     def log_fhat(self, alpha: MultiIndex) -> float:

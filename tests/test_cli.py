@@ -118,6 +118,37 @@ class TestDecompose:
         rc, out = run(capsys, ["selftest", "--count", "0"])
         assert rc == 0 and json.loads(out)["instances"] == 0
 
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5", "0x-1"])
+    def test_bad_seed_exits_2_naming_the_flag(self, tmp_path, capsys, seed):
+        p = write_tuple(tmp_path / "t.json", operator_tuple([jordan(2)]))
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "--input", p, "--seed", seed])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+
+    @pytest.mark.parametrize("seed", ["-5", "xyz"])
+    def test_bad_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch,
+                                                      seed):
+        p = write_tuple(tmp_path / "t.json", operator_tuple([jordan(2)]))
+        monkeypatch.setenv("SIDECOMP_SEED", seed)
+        rc = main(["invariant", "--input", p])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (f"error: SIDECOMP_SEED: expected a non-negative integer, "
+                                f"got '{seed}'\n")
+
+    @pytest.mark.parametrize("seed, value", [("0", 0), ("0x2a", 42), ("0b101", 5),
+                                             ("0x10000000000000000", 2 ** 64)])
+    def test_seeds_of_any_size_and_base_are_read(self, tmp_path, capsys, monkeypatch,
+                                                 seed, value):
+        p = write_tuple(tmp_path / "t.json", operator_tuple([jordan(2)]))
+        rc, out = run(capsys, ["invariant", "--input", p, "--seed", seed])
+        assert rc == 0 and json.loads(out)["seed"] == value
+        monkeypatch.setenv("SIDECOMP_SEED", seed)
+        rc, out = run(capsys, ["invariant", "--input", p])
+        assert rc == 0 and json.loads(out)["seed"] == value
+
     def test_missing_file_exits_2(self, capsys):
         rc, _ = run(capsys, ["decompose", "--input", "/nonexistent.json"])
         assert rc == 2
@@ -295,6 +326,25 @@ class TestRkhs:
         }))
         rc, _ = run(capsys, ["rkhs", "--input", str(spec)])
         assert rc == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"m": 2, "preset": "bergman", "k": NaN, "dmax": 3}',
+         "kernel exponent k must be finite and positive, got nan"),
+        ('{"m": 2, "preset": "bergman", "k": Infinity, "dmax": 3}',
+         "kernel exponent k must be finite and positive, got inf"),
+        ('{"m": 2, "preset": "bergman", "k": 1e400, "dmax": 3}',
+         "kernel exponent k must be finite and positive, got inf"),
+        ('{"m": 1, "preset": "custom", "dmax": 1,'
+         ' "custom_fhat": [[[0], 1.0], [[1], Infinity], [[2], 1.0]]}',
+         "coefficient at (1,) must be finite and positive, got inf"),
+    ], ids=["bergman-nan", "bergman-inf", "bergman-overflow", "custom-inf"])
+    def test_non_finite_kernel_value_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "k.json"
+        spec.write_text(text)
+        rc = main(["rkhs", "--input", str(spec)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("dmax, fhat, message", [
         # (0, 2) is a grid index and an upper neighbour of (0, 1): named once

@@ -313,6 +313,13 @@ def _shared_eigenvalue_classes(classes, m, cond, rng):
     return conjugate(T, conditioned_invertible(d, cond, rng))
 
 
+def _whole_corner(T, pol):
+    """The corner of the whole space, read on the presentation that the
+    spin-up gives it (None where it refuses)."""
+    eye = np.eye(T.d, dtype=complex)
+    return commutant._corner(T, eye, eye, pol, commutant._spin_up([T], pol)[0])
+
+
 def _presented_and_stack_counts(T):
     """(dim A', dim rad A', dim A'/rad, dim of the quotient's center) read
     off the corner that the spin-up presentation gives and off a corner
@@ -323,10 +330,10 @@ def _presented_and_stack_counts(T):
     eye = np.eye(T.d, dtype=complex)
     su = commutant._spin_up([T], pol)[0]
     assert su is not None
-    presented = commutant._corner(T, eye, eye, pol)
+    presented = commutant._corner(T, eye, eye, pol, su)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(commutant, "_spin_up", lambda Ts, policy: [None] * len(Ts))
-        stacked = commutant._corner(T, eye, eye, pol)
+        stacked = _whole_corner(T, pol)
     if su.Y is None:
         assert presented.free is not None and presented.basis is None
     else:
@@ -1171,6 +1178,50 @@ class TestOneClassPresentedFirst:
         assert dims == [1, 1, 1]
 
 
+class TestNonzeroTraceFormIsFinal:
+    """A tuple whose first-level trace form is nonzero gets no presentation
+    of the whole space: the spin-up would refuse it for every arity m <= 10
+    (the argument is in :func:`commutant._primary_corners`), so a root that
+    no split replaces is read from the stack at once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)),
+                                       min_size=2, max_size=3),
+           st.floats(1.0, 100.0), st.sampled_from([0.0, 1e-11, 1e-10, 1e-9, 1e-8]),
+           st.integers(0, 2**32 - 1))
+    def test_the_spin_up_refuses_what_the_form_refuses(self, m, classes, cond, eps, seed):
+        # planted classes at distinct eigenvalues, conjugated, plus noise
+        rng = np.random.default_rng(seed)
+        lams = rng.permutation(np.array(EIGENVALUE_GRID))[:len(classes)]
+        T = None
+        for (r, n), lam in zip(classes, lams):
+            block = inflate(jordan_polynomial_tuple(r, lam, rng, m), n)
+            T = block if T is None else direct_sum(T, block)
+        T = conjugate(T, conditioned_invertible(T.d, cond, rng))
+        noise = rng.standard_normal((2, m, T.d, T.d))
+        T = operator_tuple(list(T.matrices + eps * (noise[0] + 1j * noise[1])))
+        pol = NumericPolicy()
+        if not commutant._trace_form_vanishes(T, pol):
+            assert commutant._spin_up([T], pol)[0] is None
+
+    def test_no_split_reads_the_root_from_the_stack(self, monkeypatch):
+        # X diag(0, 1, -1) X^-1 with every split refused: the one root is the
+        # whole space, and no presentation of it is built
+        X = conditioned_invertible(3, 10.0, np.random.default_rng(4))
+        T = operator_tuple([X @ np.diag([0.0, 1.0, -1.0]) @ np.linalg.inv(X)])
+        real_spin_up, dims = commutant._spin_up, []
+
+        def recording_spin_up(Ts, policy):
+            dims.extend(T1.d for T1 in Ts)
+            return real_spin_up(Ts, policy)
+
+        monkeypatch.setattr(commutant, "_spin_up", recording_spin_up)
+        monkeypatch.setattr(commutant, "_spectral_split", lambda z: None)
+        roots = commutant._primary_corners(T, NumericPolicy())
+        assert dims == []
+        assert len(roots) == 1 and roots[0].free is None and roots[0].algebra_dim == 3
+
+
 class TestFreeRoots:
     """A corner that the spin-up presents without relations (n_B * g = d) is
     free over ``B = C[T]``: ``A' = M_g(B)``, one block M_g, whose g
@@ -1198,12 +1249,12 @@ class TestFreeRoots:
     def test_closed_form_agrees_with_the_walk(self, r, n, m, cond, seed):
         # n copies of one cyclic r x r block sharing one joint eigenvalue
         T = _shared_eigenvalue_classes([(r, n)], m, cond, np.random.default_rng(seed))
-        pol, eye = NumericPolicy(), np.eye(T.d, dtype=complex)
-        assert commutant._corner(T, eye, eye, pol).free is not None
+        pol = NumericPolicy()
+        assert _whole_corner(T, pol).free is not None
         closed = semisimple_structure(T)
         with pytest.MonkeyPatch.context() as mp:
             self.walked(mp)
-            assert commutant._corner(T, eye, eye, pol).free is None
+            assert _whole_corner(T, pol).free is None
             walked = semisimple_structure(T)
         decomps = []
         for S in (closed, walked):
@@ -1307,12 +1358,12 @@ class TestAdjointSide:
         # presentation of T*, validate and match those of the basis walk
         r = np.random.default_rng(4)
         T = conjugate(inflate(_model(2, 4), 3), conditioned_invertible(45, 10.0, r))
-        pol, eye = NumericPolicy(), np.eye(T.d, dtype=complex)
-        assert commutant._corner(T, eye, eye, pol).free.adjoint
+        pol = NumericPolicy()
+        assert _whole_corner(T, pol).free.adjoint
         closed = semisimple_structure(T)
         with pytest.MonkeyPatch.context() as mp:
             TestFreeRoots.walked(mp)
-            assert commutant._corner(T, eye, eye, pol).free is None
+            assert _whole_corner(T, pol).free is None
             walked = semisimple_structure(T)
         decomps = []
         for S in (closed, walked):

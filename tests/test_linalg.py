@@ -85,7 +85,7 @@ class TestBlockNullspace:
 
         monkeypatch.setattr(linalg, "svd_robust", recording)
         stacked = linalg.nullspaces(blocks, 1e-10, [0.0] * len(blocks), joint=True)
-        assert shapes == [(3, 2, 3), (2, 3, 3), (4, 2)]
+        assert shapes == [(3, 2, 3), (2, 3, 3), (1, 4, 2)]
         assert [N.shape[1] for N in stacked] == [2, 1, 1, 2, 0, 1, 1]
         assert all(np.array_equal(a, b) for a, b in zip(alone, stacked))
 
@@ -104,6 +104,45 @@ class TestBlockNullspace:
         got = linalg.svd_robust(M, full_matrices=False)
         for factor, parts in zip(got, zip(*want)):
             assert np.array_equal(factor, np.stack(parts))
+
+
+    def test_failed_stacked_svdvals_are_redone_per_matrix(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        want = [np.linalg.svd(A, compute_uv=False) for A in M]
+        real, shapes = np.linalg.svd, []
+
+        def no_stacks(A, *args, **kwargs):
+            shapes.append(A.shape)
+            if A.ndim == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", no_stacks)
+        got = linalg.svdvals_robust(M)
+        assert shapes == [(3, 4, 2), (4, 2), (4, 2), (4, 2)]
+        assert np.array_equal(got, np.stack(want))
+
+
+class TestSubstack:
+    """Members of a list or stack as one stack, copied only where needed."""
+
+    def test_a_lone_member_is_a_view(self):
+        A = np.random.default_rng(14).standard_normal((3, 2, 2))
+        for items in (A, list(A)):
+            lone = linalg.substack(items, [1])
+            assert lone.shape == (1, 2, 2) and np.shares_memory(lone, A)
+            assert np.array_equal(lone[0], A[1])
+
+    def test_all_rows_of_a_stack_are_the_stack(self):
+        A = np.random.default_rng(15).standard_normal((3, 2, 2))
+        assert linalg.substack(A, [0, 1, 2]) is A
+
+    def test_other_members_are_copied_in_order(self):
+        A = np.random.default_rng(16).standard_normal((3, 2, 2))
+        for items in (A, list(A)):
+            some = linalg.substack(items, [0, 2])
+            assert np.array_equal(some, A[[0, 2]]) and not np.shares_memory(some, A)
 
 
 class TestGatheredMatmul:
@@ -269,7 +308,7 @@ class TestNullspaces:
         alone = [nullspace(M, 1e-10, scale) for M, scale in zip(Ms, scales)]
         seen = self.recorded_svds(monkeypatch)
         strict = linalg.nullspaces(Ms, 1e-10, scales, strict=True)
-        assert [M.shape for M in seen] == [(2, 3), (3, 3, 3), (4, 2)]
+        assert [M.shape for M in seen] == [(1, 2, 3), (3, 3, 3), (1, 4, 2)]
         assert strict[2] is None
         assert [N.shape[1] for N in strict if N is not None] == [2, 1, 1, 0, 2]
         assert all(np.array_equal(N, A) for N, A in zip(strict, alone) if N is not None)
@@ -296,9 +335,9 @@ class TestNullspaces:
         A = rng.standard_normal((2, 3, 3))
         seen = self.recorded_svds(monkeypatch)
         linalg.nullspaces([A[0], M, A[1]], 1e-10, [1.0] * 3)
-        assert seen[1] is M and seen[0].shape == (2, 3, 3)
+        assert np.shares_memory(seen[1], M) and seen[0].shape == (2, 3, 3)
         nullspace(M, 1e-10)
-        assert seen[-1] is M
+        assert np.shares_memory(seen[-1], M)
 
 
 class TestJointCommutantStackSvd:
@@ -325,9 +364,9 @@ class TestJointCommutantStackSvd:
         # recovered basis takes none: Householder QR orthonormalizes it and
         # its independence is read off the 3 x 3 triangular factor. No 9 x 9
         # Sylvester stack, no retry. The generators' nullspace is alone in its
-        # shape, so it reaches the SVD as a matrix
+        # shape, so it reaches the SVD as a view of it as a stack of one
         T = operator_tuple([jordan(3)])
-        assert self.count_svds(monkeypatch, T) == [(1, 1, 9), (1, 1, 9), (3, 3), (1, 3, 3)]
+        assert self.count_svds(monkeypatch, T) == [(1, 1, 9), (1, 1, 9), (1, 3, 3), (1, 3, 3)]
 
     def test_one_svd_when_identity_is_missed(self, monkeypatch):
         # entrywise noise of 1e-9 lifts the commutant's singular values off
@@ -340,7 +379,7 @@ class TestJointCommutantStackSvd:
         with pytest.raises(NumericalDegeneracyError, match="identity not contained"):
             joint_commutant(T)
         shapes = self.count_svds(monkeypatch, T)
-        assert shapes[-1] == (32, 16) and shapes.count((32, 16)) == 1
+        assert shapes[-1] == (1, 32, 16) and shapes.count((1, 32, 16)) == 1
 
 
 class TestNullspaceOrthonormality:
@@ -356,7 +395,7 @@ class TestNullspaceOrthonormality:
             drivers.append("gesdd")
             U, s, Vh = real_svd(A, *args, **kwargs)
             Vh = Vh.copy()
-            Vh[2] += 1e-6 * Vh[1]
+            Vh[..., 2, :] += 1e-6 * Vh[..., 1, :]
             return U, s, Vh
 
         gesvd = linalg._gesvd

@@ -102,6 +102,16 @@ class TestCoefficientRules:
         with pytest.raises(ValueError, match="positive"):
             DiagonalKernelSpec.custom(1, {(0,): 1.0, (1,): -2.0})
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bergman_exponent_must_be_finite_and_positive(self, k):
+        with pytest.raises(ValueError, match="kernel exponent k must be finite and positive"):
+            DiagonalKernelSpec.bergman(2, k)
+
+    @pytest.mark.parametrize("v", [float("inf"), float("nan")])
+    def test_custom_rule_must_be_finite(self, v):
+        with pytest.raises(ValueError, match=r"coefficient at \(1,\) must be finite"):
+            DiagonalKernelSpec.custom(1, {(0,): 1.0, (1,): v})
+
 
 class TestWeights:
     def test_ball_weight_formula(self):
