@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import operator
 import os
 import sys
 
@@ -388,6 +389,60 @@ def spectral_projector(T: np.ndarray, Z: np.ndarray,
         return None
     Z1 = Zs[:, :k]
     return Z1, Z1.conj().T + (R / scale) @ Zs[:, k:].conj().T
+
+
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    """SplitMix64's finalizer, a bijection of 64-bit words, on a Python int
+    below 2**64 or a uint64 array (whose arithmetic wraps modulo 2**64
+    without a warning; the masks make a Python int wrap the same way)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class DrawStream:
+    """The package's seeded source of normal draws: SplitMix64 (Steele, Lea
+    and Flood, 2014), counter-based and vectorized.
+
+    A seed of any size is folded into the 64-bit state 64 bits at a time,
+    low bits first, each step adding ``gamma`` and the next 64 bits and
+    mixing by the finalizer, so that nearby seeds (``seed + attempt``,
+    ``seed + 0x5EED``) give unrelated streams, not shifted copies of one. The
+    k-th word is ``mix64(state + k * gamma)``. The top 53 bits of words 2j+1
+    and 2j+2 make a uniform u in (0, 1] and an angle t in [0, 2 pi), and
+    normals 2j and 2j+1 are ``sqrt(-2 log u) (cos t, sin t)`` (Box-Muller; a
+    call for an odd count discards the second normal of its last pair). A
+    negative seed raises ValueError. The streams depend on this class only,
+    not on numpy's generators, whose streams may change between numpy
+    releases; the samplers that take a stream call only
+    :meth:`standard_normal`, so a numpy ``Generator`` serves them too.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        state = 0
+        while True:
+            state = _mix64(((state + _GOLDEN_GAMMA) & _MASK64) ^ (seed & _MASK64))
+            seed >>= 64
+            if not seed:
+                break
+        self._state, self._drawn = state, 0
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        """The next n standard normal draws, as a float array (n,)."""
+        pairs = (n + 1) // 2
+        k = np.arange(self._drawn + 1, self._drawn + 2 * pairs + 1, dtype=np.uint64)
+        self._drawn += 2 * pairs
+        top = (_mix64(self._state + k * _GOLDEN_GAMMA) >> 11).reshape(pairs, 2)
+        z = np.exp(1j * np.pi * 2.0 ** -52 * top[:, 1])
+        z *= np.sqrt(-2.0 * np.log((top[:, 0] + 1) * 2.0 ** -53))
+        return z.view(float)[:n]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

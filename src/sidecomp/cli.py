@@ -46,9 +46,10 @@ def _nonnegative(kind):
 
 
 def _seed(text: str) -> int:
-    """A seed: an integer >= 0 of any size (numpy's generators take any), in
-    decimal or with a base prefix (``0x``, ``0o``, ``0b``), as ``int(text,
-    0)`` reads it. Other text is refused; argparse names the flag (exit 2)."""
+    """A seed: an integer >= 0 of any size (``_linalg.DrawStream`` folds it
+    into its state), in decimal or with a base prefix (``0x``, ``0o``,
+    ``0b``), as ``int(text, 0)`` reads it. Other text is refused; argparse
+    names the flag (exit 2)."""
     try:
         value = int(text, 0)
     except ValueError:

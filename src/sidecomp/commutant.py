@@ -40,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (
+    DrawStream,
     cluster_eigenvalues,
     commutator_norms,
     frob,
@@ -404,7 +405,7 @@ def _spin_up(Ts: list[OperatorTuple], policy: NumericPolicy) -> list[SpinUp | No
         # the check element: a random combination of the values, lifted
         for su in sus:
             if su.K not in draws:
-                rng = np.random.default_rng(policy.seed)
+                rng = DrawStream(policy.seed)
                 draws[su.K] = rng.standard_normal(su.K) + 1j * rng.standard_normal(su.K)
         y = np.stack([draws[su.K].reshape(d, g) if su.Y is None
                       else np.tensordot(draws[su.K], su.Y, axes=(0, 0)) for su in sus])
@@ -553,7 +554,7 @@ def radical(A: CommutantBasis, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
 
 
 def _center_candidates(basis: np.ndarray, quot_coords: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: DrawStream) -> np.ndarray:
     """Coefficient vectors spanning a complement of rad inside the preimage of
     the center of A/rad(A).
 
@@ -760,7 +761,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
     eye = np.eye(T.d, dtype=complex)
     su = _spin_up([T], policy)[0] if _trace_form_vanishes(T, policy) else None
     if su is None:
-        rng = np.random.default_rng(policy.seed)
+        rng = DrawStream(policy.seed)
         for _ in range(SPLIT_ATTEMPTS):
             c = rng.standard_normal(T.m) + 1j * rng.standard_normal(T.m)
             projs = _spectral_split(np.tensordot(c, T.matrices, axes=(0, 0)))
@@ -774,7 +775,7 @@ def _primary_corners(T: OperatorTuple, policy: NumericPolicy) -> list[Corner]:
 
 
 def _split_by_random_element(c: Corner, C: np.ndarray, parts: int,
-                             rng: np.random.Generator,
+                             rng: DrawStream,
                              equal: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
     """Idempotents of a split of the corner ``c`` into exactly ``parts`` Riesz
     projectors of random elements drawn from the span of the coefficient
@@ -879,7 +880,7 @@ class AlgebraStructure(NamedTuple):
 
 
 def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
-            rng: np.random.Generator) -> list[Corner]:
+            rng: DrawStream) -> list[Corner]:
     """Corners of the simple blocks of a root. A free root is one block M_g.
     Otherwise the center of the root's quotient has as many dimensions as it
     has blocks, so one split by random central elements gives them all, and
@@ -896,7 +897,7 @@ def _blocks(T: OperatorTuple, root: Corner, policy: NumericPolicy,
 
 def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy,
                     seed: int) -> AlgebraStructure:
-    rng = np.random.default_rng(seed)
+    rng = DrawStream(seed)
     blocks: list[tuple[Corner, int]] = []
     for root in roots:
         found = [(c, math.isqrt(c.quotient_dim)) for c in _blocks(T, root, policy, rng)]
@@ -917,7 +918,7 @@ def _structure_once(T: OperatorTuple, roots: list[Corner], policy: NumericPolicy
     dims = tuple(n for _, n in blocks)
     # a block M_n has n primitives of equal rank: a free block's are known,
     # and a random element of any other block's corner separates them at once
-    rng = np.random.default_rng(seed + 0x5EED)
+    rng = DrawStream(seed + 0x5EED)
     prims: list[tuple[np.ndarray, np.ndarray]] = []
     for c, n in blocks:
         if n == 1:

@@ -228,6 +228,13 @@ def _invertible_intertwiner(T: OperatorTuple, UP: np.ndarray, S: OperatorTuple,
     witness that is not invertible at tol, raises
     :class:`NumericalDegeneracyError`. Nothing is drawn at random. Two rank-0
     frames are similar through the 0 x 0 intertwiner.
+
+    Two rank-1 restrictions are numbers, similar exactly when they are
+    equal, and take no Sylvester stack: their largest difference is cut
+    strictly at ``tol`` relative to the inputs' scale ``max(1, ||T_i||_F,
+    ||S_i||_F)``, and [[1]] is the witness of an equal pair. The restriction's
+    own scale would be the wrong one: through oblique frames the restricted
+    values carry the error of the inputs' scale.
     """
     r = UP.shape[1]
     if r != UQ.shape[1]:
@@ -235,6 +242,12 @@ def _invertible_intertwiner(T: OperatorTuple, UP: np.ndarray, S: OperatorTuple,
     if r == 0:                         # a rank-0 side has no restricted tuple
         return np.zeros((0, 0), dtype=complex)
     A, B = compress(T, UP), compress(S, UQ)
+    if r == 1:
+        gap = float(np.abs(A.matrices - B.matrices).max())
+        scale = max([1.0] + [frob(M) for M in (*T, *S)])
+        if rank_cut([gap], policy.tol, scale=scale, strict=True) == 0:
+            return np.ones((1, 1), dtype=complex)
+        return None
     H = intertwiner_space(A, B, policy)
     if H.shape[0] == 0:
         return None

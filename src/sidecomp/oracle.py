@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import DrawStream
 from .commutant import CommutantBasis, stack_commutant
 from .policy import DEFAULT_POLICY
 
@@ -55,7 +56,7 @@ def find_nontrivial_idempotent(A: CommutantBasis, starts: int = 240, policy=DEFA
 
     Multistart Newton from draws at several scales, seeded by the policy.
     """
-    rng = np.random.default_rng(policy.seed)
+    rng = DrawStream(policy.seed)
     d = A.d
     eye = np.eye(d)
     scales = (0.5, 1.0, 2.0)

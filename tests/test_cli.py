@@ -370,7 +370,7 @@ class TestRkhs:
         # wrappers' functions. Each command loads only its own modules:
         # import sidecomp loads no submodule, rkhs none of the
         # spectral stack, and the spectral commands neither rkhs nor the
-        # selftest's corpora
+        # selftest's corpora nor numpy.random
         spec = tmp_path / "k.json"
         spec.write_text(json.dumps({"m": 3, "preset": "drury_arveson", "dmax": 4}))
         shift = tmp_path / "s.json"
@@ -415,6 +415,10 @@ class TestRkhs:
             assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules
             # nor numpy.ma, which np.unique without return_counts imports
             assert "numpy.ma" not in sys.modules, "spectral"
+            # nor numpy.random and the OpenSSL it loads (secrets -> hmac ->
+            # _hashlib): the draws come from _linalg.DrawStream
+            assert "numpy.random" not in sys.modules, "spectral"
+            assert "_hashlib" not in sys.modules, "spectral"
             import scipy.linalg as sla
             from sidecomp import _linalg
             z = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)

@@ -362,6 +362,33 @@ class TestBlockSimilarity:
                   for s in (1, 2))
         assert X1 is not None and np.array_equal(X1, X2)
 
+    @staticmethod
+    def _one_by_one_pair(gap: float):
+        # the 1 x 1 classes at -2.4 of two tuples of norm ~5e3, ``gap`` apart:
+        # the bar is tol * 5e3 = 5e-5, the inputs' scale, not the values'
+        import sidecomp.decomposition as decomposition
+        T = operator_tuple([np.diag([-2.4, 5e3])])
+        S = operator_tuple([np.diag([-2.4 + gap, 5e3])])
+        e = np.eye(2, 1, dtype=complex)
+        return decomposition._invertible_intertwiner(T, e, S, e, NumericPolicy())
+
+    def test_one_by_one_pair_within_roundoff_of_the_inputs_is_similar(self):
+        # 3e-9 apart is 6e-13 relative to the inputs; cut at the values'
+        # scale (2.4e-10) the Sylvester stack read these as not similar
+        X = self._one_by_one_pair(3e-9)
+        assert X is not None and np.array_equal(X, np.ones((1, 1)))
+        out = similar(operator_tuple([np.diag([-2.4, 5e3])]),
+                      operator_tuple([np.diag([5e3, -2.4 + 3e-9])]), want_witness=True)
+        assert out.similar and out.residual <= 1e-8
+
+    def test_one_by_one_pair_far_apart_is_not_similar(self):
+        assert self._one_by_one_pair(1e-1) is None
+
+    def test_one_by_one_pair_near_the_bar_raises(self):
+        # 1e-4 is a factor 2 above the bar 5e-5: the strict cut straddles
+        with pytest.raises(NumericalDegeneracyError, match="straddle"):
+            self._one_by_one_pair(1e-4)
+
 
 class TestAssembleIntertwiner:
     @staticmethod
@@ -432,8 +459,8 @@ class TestDecompositionEquivalence:
 
     def test_rank_zero_block_is_matched(self, monkeypatch):
         # a rank-0 idempotent pairs with the other one through the 0 x 0
-        # intertwiner; only pairs of rank-1 blocks read Sylvester stacks:
-        # two for a similar pair, one when Hom(A, B) is empty
+        # intertwiner, and pairs of rank-1 blocks compare their values:
+        # no pair reads a Sylvester stack
         import sidecomp.decomposition as decomposition
         calls, real = [], decomposition.intertwiner_space
 
@@ -448,12 +475,12 @@ class TestDecompositionEquivalence:
         out = decompositions_equivalent(T, D, D)
         assert out.equivalent and out.equivalence.permutation == (0, 1, 2)
         assert out.equivalence.residual <= 1e-12
-        assert len(calls) == 4
+        assert len(calls) == 0
         D2 = UnitDecomposition.from_idempotents(T, idems[[2, 1, 0]], (False, True, True))
         calls.clear()
         out = decompositions_equivalent(T, D, D2)
         assert out.equivalent and out.equivalence.permutation == (2, 1, 0)
-        assert len(calls) == 5
+        assert len(calls) == 0
 
     def test_count_mismatch_certificate(self):
         T = operator_tuple([np.eye(2)])

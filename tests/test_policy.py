@@ -129,3 +129,29 @@ def test_only_linalg_calls_numpy_svd():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"]
     assert found == []
+
+
+def test_only_planted_draws_from_numpy_random():
+    # the algorithmic draws come from _linalg.DrawStream; numpy.random (and
+    # OpenSSL, which it loads) stays out of the spectral commands. Only the
+    # planted corpora, whose streams define them, draw from numpy's
+    # generators; a type annotation names no draw
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "planted.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        notes = [node.annotation for node in ast.walk(tree)
+                 if isinstance(node, (ast.arg, ast.AnnAssign))] \
+            + [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        in_notes = {id(n) for note in notes if note is not None for n in ast.walk(note)}
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                  if id(node) not in in_notes and isinstance(node, (ast.Name, ast.Attribute))
+                  and (ast.unparse(node) == "np.random"
+                       or getattr(node, "id", getattr(node, "attr", None)) == "default_rng")]
+        found += [f"{path.name}:{node.lineno} import {name}" for node in ast.walk(tree)
+                  for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                               else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                               else [])
+                  if name.startswith("numpy.random")]
+    assert found == []
